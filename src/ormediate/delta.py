@@ -26,11 +26,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .effects import EFFECT_ORDER, ATermInputs, EffectSet, natural_effects
 from .exceptions import CovarianceError, SchemaError
-from .logit import FittedModel
+from .logit import FittedModel, _two_sided_p, _wald_quantile
 from .model import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
 
 __all__ = [
@@ -222,7 +221,7 @@ def _summarise(name: str, log_est: float, var_log: float, zq: float) -> EffectIn
     or_est = math.exp(log_est)
     if se_log > 0.0:
         zstat = log_est / se_log
-        p = 2.0 * float(stats.norm.sf(abs(zstat)))
+        p = _two_sided_p(zstat)
     else:
         p = 1.0 if log_est == 0.0 else 0.0
     return EffectInference(
@@ -250,8 +249,7 @@ def infer(
     parameters). A zero covariance collapses every interval to its point
     estimate rather than erroring.
     """
-    if not 0.0 < level < 1.0:
-        raise SchemaError(f"confidence level must be in (0, 1), got {level!r}")
+    zq = _wald_quantile(level)
     outcome = OutcomeParams.from_vector(spec, outcome_fit.coefficients)
     mediator = MediatorParams.from_vector(spec, mediator_fit.coefficients)
     ky, kw = spec.n_outcome_coefs, spec.n_mediator_coefs
@@ -267,7 +265,6 @@ def infer(
     cov_log = (cov_log + cov_log.T) / 2.0
     var_log = _variance_diag(cov_log)
 
-    zq = float(stats.norm.ppf(0.5 + level / 2.0))
     effects = tuple(
         _summarise(name, log_est, var, zq)
         for name, log_est, var in zip(EFFECT_ORDER, es.log_values(), var_log)

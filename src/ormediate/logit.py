@@ -10,10 +10,11 @@ than returning garbage coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from . import _kernels
 from .exceptions import ConvergenceError, SchemaError, SeparationError, SingularDesignError
@@ -184,11 +185,24 @@ def predict_prob(model: FittedModel, row) -> float | np.ndarray:
     return prob
 
 
-def wald_table(model: FittedModel, level: float = 0.95) -> list[dict]:
-    """Per-coefficient Wald summary: estimate, SE, z, two-sided p, CI."""
+def _wald_quantile(level: float) -> float:
+    """Standard normal quantile at 1/2 + level/2: the half-width multiplier
+    of a two-sided Wald interval at confidence ``level``. Levels within an ulp
+    of 1 round the probability to 1, whose quantile is infinite."""
     if not 0.0 < level < 1.0:
         raise SchemaError(f"confidence level must be in (0, 1), got {level!r}")
-    zq = float(stats.norm.ppf(0.5 + level / 2.0))
+    prob = 0.5 + level / 2.0
+    return NormalDist().inv_cdf(prob) if prob < 1.0 else math.inf
+
+
+def _two_sided_p(z: float) -> float:
+    """Two-sided standard normal tail probability 2 * Phi(-|z|)."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def wald_table(model: FittedModel, level: float = 0.95) -> list[dict]:
+    """Per-coefficient Wald summary: estimate, SE, z, two-sided p, CI."""
+    zq = _wald_quantile(level)
     rows = []
     ses = model.standard_errors
     for name, est, se in zip(model.column_names, model.coefficients, ses):
@@ -199,7 +213,7 @@ def wald_table(model: FittedModel, level: float = 0.95) -> list[dict]:
                 "estimate": float(est),
                 "se": float(se),
                 "z": float(z),
-                "p": float(2.0 * stats.norm.sf(abs(z))),
+                "p": _two_sided_p(z),
                 "ci_lower": float(est - zq * se),
                 "ci_upper": float(est + zq * se),
             }

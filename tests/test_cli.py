@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,12 +288,26 @@ class TestVerifyCommand:
 
 class TestEntryPoint:
     def test_console_script(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert 'ormediate = "ormediate.cli:main"' in scripts.splitlines()
         proc = subprocess.run(
-            ["ormediate", "effects", "--coef-file", "microcredit_table1"],
-            capture_output=True, text=True,
+            [sys.executable, "-m", "ormediate", "effects", "--coef-file", "microcredit_table1"],
+            capture_output=True, text=True, env={**os.environ},
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         assert "te" in proc.stdout
+
+    def test_cli_import_loads_no_scipy_or_numba(self):
+        code = (
+            "import sys; import ormediate.cli; "
+            "loaded = [m for m in ('scipy', 'numba') if m in sys.modules]; "
+            "assert not loaded, loaded"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from ormediate import (
     wald_table,
 )
 from ormediate import _kernels
+from ormediate.logit import _two_sided_p, _wald_quantile
 
 
 def _sim_design(rng, n, beta):
@@ -140,7 +142,7 @@ class TestBackends:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"ORMEDIATE_DISABLE_NUMBA": "1", "PATH": "/usr/bin:/bin"},
+            env={**os.environ, "ORMEDIATE_DISABLE_NUMBA": "1"},
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "numpy"
@@ -183,3 +185,63 @@ class TestPredictAndSummary:
         # z and p match the analytic relation
         r = rows[1]
         assert r["z"] == pytest.approx(r["estimate"] / r["se"], rel=1e-12)
+
+
+class TestNormalHelpers:
+    @pytest.mark.parametrize(
+        "level, expected",
+        [
+            (0.8, 1.2815515655446004),
+            (0.9, 1.6448536269514722),
+            (0.95, 1.959963984540054),
+            (0.99, 2.5758293035489004),
+        ],
+    )
+    def test_wald_quantile_reference_values(self, level, expected):
+        assert _wald_quantile(level) == pytest.approx(expected, rel=0, abs=2e-15)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, math.nan])
+    def test_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(SchemaError, match="confidence level"):
+            _wald_quantile(level)
+
+    def test_wald_quantile_at_level_rounding_to_one_is_infinite(self):
+        assert _wald_quantile(math.nextafter(1.0, 0.0)) == math.inf
+
+    def test_two_sided_p_is_one_at_zero(self):
+        assert _two_sided_p(0.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "z, expected",
+        [
+            (1.959963984540054, 0.05),
+            (5.0, 5.733031437583866e-07),
+            (10.0, 1.523970604832094e-23),
+        ],
+    )
+    def test_two_sided_p_reference_values(self, z, expected):
+        assert _two_sided_p(z) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert _two_sided_p(-z) == _two_sided_p(z)
+
+    @pytest.mark.parametrize("z", [38.5, 40.0])
+    def test_two_sided_p_far_tail_is_finite_and_nonnegative(self, z):
+        p = _two_sided_p(z)
+        assert math.isfinite(p) and p >= 0.0
+
+    def test_two_sided_p_is_zero_at_infinity(self):
+        assert _two_sided_p(math.inf) == 0.0
+        assert _two_sided_p(-math.inf) == 0.0
+
+    def test_wald_table_zero_se_branch(self):
+        model = FittedModel(
+            coefficients=np.array([0.7, 0.0]),
+            vcov=np.zeros((2, 2)),
+            log_likelihood=0.0,
+            iterations=0,
+            converged=True,
+            n=1,
+            column_names=("c0", "c1"),
+        )
+        nonzero, zero = wald_table(model)
+        assert nonzero["z"] == math.inf and nonzero["p"] == 0.0
+        assert zero["z"] == 0.0 and zero["p"] == 1.0
