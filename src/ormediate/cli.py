@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .delta import InferenceResult, infer
 from .effects import EFFECT_ORDER, EffectSet, approx_effects, natural_effects, special_case_report
 from .exceptions import FitError, MediationError, NumericalError, SchemaError
@@ -484,10 +484,7 @@ def _cmd_fit(args) -> int:
         },
         coefficients=coef_doc,
         effects=tables,
-        diagnostics={
-            "backend": _kernels.active_backend(),
-            "notes": list(cases.identities),
-        },
+        diagnostics={"notes": list(cases.identities)},
     )
     _emit(doc, args.output)
     return EXIT_OK

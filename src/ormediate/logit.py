@@ -2,7 +2,9 @@
 log-likelihood: no weights, no regularisation, observed-information covariance.
 
 The update solves ``info(beta) step = score(beta)`` and halves the step until
-the log-likelihood is non-decreasing. Convergence requires both a small score
+the log-likelihood is non-decreasing. The accepted candidate's linear
+predictor also gives the next score and information, so ``X @ beta`` is formed
+once per candidate. Convergence requires both a small score
 (max |score| < 1e-8) and a small relative log-likelihood change (< 1e-10).
 Rank-deficient designs and quasi-separated responses raise immediately rather
 than returning garbage coefficients.
@@ -16,12 +18,15 @@ from statistics import NormalDist
 
 import numpy as np
 
-from . import _kernels
 from .exceptions import ConvergenceError, SchemaError, SeparationError, SingularDesignError
 
 __all__ = ["FittedModel", "fit", "predict_prob", "wald_table"]
 
 _RANK_RTOL = 1e-10
+_SCORE_TOL = 1e-8
+_LOGLIK_REL_TOL = 1e-10
+_MAX_HALVINGS = 10
+_SEPARATION_BOUND = 15.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,22 +63,31 @@ def _check_rank(X: np.ndarray, names: tuple[str, ...]) -> None:
         )
 
 
+def _loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log-likelihood at ``beta`` and the linear predictor it was computed from."""
+    eta = X @ beta
+    return float(y @ eta - np.logaddexp(0.0, eta).sum()), eta
+
+
+def _score_info(X: np.ndarray, y: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score vector and observed information at linear predictor ``eta``."""
+    mu = 0.5 * (1.0 + np.tanh(0.5 * eta))
+    weight = mu * (1.0 - mu)
+    return X.T @ (y - mu), (X * weight[:, None]).T @ X
+
+
 def fit(
     design: np.ndarray,
     response: np.ndarray,
     *,
     column_names: tuple[str, ...] | None = None,
     max_iter: int = 100,
-    score_tol: float = 1e-8,
-    loglik_rel_tol: float = 1e-10,
-    max_halvings: int = 10,
-    separation_bound: float = 15.0,
 ) -> FittedModel:
     """Fit a logistic regression of ``response`` on ``design``.
 
     Raises :class:`SingularDesignError` for rank-deficient designs (naming the
-    collinear columns), :class:`SeparationError` when coefficients run past
-    ``separation_bound`` with the likelihood still climbing, and
+    collinear columns), :class:`SeparationError` when a coefficient runs past
+    ``_SEPARATION_BOUND`` with the likelihood still climbing, and
     :class:`ConvergenceError` (carrying the iteration trace) when the budget
     runs out. Fitting the same arrays twice is bit-identical: the optimiser is
     deterministic and starts from zero.
@@ -99,18 +113,20 @@ def fit(
     _check_rank(X, names)
 
     beta = np.zeros(k)
-    ll, score, info = _kernels.loglik_score_info(X, y, beta)
+    ll, eta = _loglik(X, y, beta)
+    score, info = _score_info(X, y, eta)
     rel_change = np.inf
     iterations = 0
     trace = [{"iteration": 0, "loglik": ll, "max_score": float(np.max(np.abs(score)))}]
 
     while True:
-        if np.max(np.abs(score)) < score_tol and (iterations == 0 or rel_change < loglik_rel_tol):
+        max_score = np.max(np.abs(score))
+        if max_score < _SCORE_TOL and (iterations == 0 or rel_change < _LOGLIK_REL_TOL):
             break
         if iterations >= max_iter:
             raise ConvergenceError(
                 f"no convergence in {max_iter} Newton iterations "
-                f"(max |score| = {np.max(np.abs(score)):.3e})",
+                f"(max |score| = {max_score:.3e})",
                 trace=trace,
             )
         try:
@@ -124,10 +140,10 @@ def fit(
         slack = 1e-9 * (abs(ll) + 1.0)
         while True:
             candidate = beta + scale * step
-            ll_new = _kernels.loglik(X, y, candidate)
+            ll_new, eta = _loglik(X, y, candidate)
             if np.isfinite(ll_new) and ll_new >= ll - slack:
                 break
-            if halvings >= max_halvings:
+            if halvings >= _MAX_HALVINGS:
                 raise ConvergenceError(
                     f"step-halving failed to find a non-decreasing step at "
                     f"iteration {iterations + 1}",
@@ -138,8 +154,8 @@ def fit(
 
         rel_change = abs(ll_new - ll) / (abs(ll_new) + 1.0)
         increased = ll_new > ll
-        beta = candidate
-        ll, score, info = _kernels.loglik_score_info(X, y, beta)
+        beta, ll = candidate, ll_new
+        score, info = _score_info(X, y, eta)
         iterations += 1
         trace.append(
             {
@@ -149,10 +165,10 @@ def fit(
                 "halvings": halvings,
             }
         )
-        if np.max(np.abs(beta)) > separation_bound and increased:
+        if np.max(np.abs(beta)) > _SEPARATION_BOUND and increased:
             worst = names[int(np.argmax(np.abs(beta)))]
             raise SeparationError(
-                f"coefficient {worst!r} passed {separation_bound:g} with the "
+                f"coefficient {worst!r} passed {_SEPARATION_BOUND:g} with the "
                 "likelihood still increasing; the data are (quasi-)separated"
             )
 

@@ -8,7 +8,8 @@ Five independent invariants are checked, each over ``count`` seeded draws:
   log TNDE + log PNIE to 1e-12.
 * ``jacobian`` — every entry of the analytic Jacobian of the log effects
   matches central finite differences to a guarded relative error of 1e-5.
-* ``bracketing`` — each bridge ratio lies in [min(k, 1), max(k, 1)].
+* ``bracketing`` — each bridge ratio lies in [min(k, 1), max(k, 1)], and
+  is exactly 1 once k is set to 1 (the bracket collapsed to a point).
 * ``g-y-identity`` — in no-covariate models, the bridge ratio equals both its
   collapsed log-odds form and the inverse risk ratio implied by the joint law
   of (Y, W) given X, to 1e-12.
@@ -23,7 +24,7 @@ command line and the tests exercise identical code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -178,7 +179,8 @@ def suite_bracketing(seed: int = 0, count: int = 1000, perturb: float = 0.0) -> 
             inputs = ATermInputs.from_params(outcome, mediator, x1, x2, contrast.profile)
             value = inputs.value() + perturb
             lo, hi = min(inputs.k, 1.0), max(inputs.k, 1.0)
-            worst = max(worst, lo - value, value - hi, 0.0)
+            collapsed = replace(inputs, k=1.0).value() + perturb
+            worst = max(worst, lo - value, value - hi, abs(collapsed - 1.0))
     worst = float(worst)
     return SuiteResult("bracketing", count, 1e-12, worst, bool(worst < 1e-12))
 

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from ormediate import (
 )
 from ormediate.cli import main
 from ormediate.io import coefficients_to_doc, load_coefficients, load_json, read_table, save_json
+from ormediate.verify import run_suite
 from helpers import microcredit_params
 
 
@@ -285,6 +288,12 @@ class TestVerifyCommand:
         assert run("verify", "--count", 25, "--perturb", 0.05) == 5
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("perturb", [1e-3, -1e-3])
+    def test_small_perturbation_always_fails_bracketing(self, perturb):
+        # without the collapsed-bracket check most of these seeds passed
+        for seed in range(30):
+            assert not run_suite("bracketing", seed=seed, count=50, perturb=perturb).passed, seed
+
 
 class TestEntryPoint:
     def test_console_script(self):
@@ -297,6 +306,23 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "te" in proc.stdout
+
+    def test_dependencies_are_exactly_the_third_party_imports(self):
+        root = Path(__file__).resolve().parents[1]
+        project = (root / "pyproject.toml").read_text().split("[project]\n", 1)[1].split("\n[", 1)[0]
+        deps = project.split("dependencies = [", 1)[1].split("]", 1)[0]
+        declared = {re.match(r'\s*"([A-Za-z0-9_.-]+)', line).group(1)
+                    for line in deps.splitlines() if line.strip()}
+        imported = set()
+        for path in (root / "src" / "ormediate").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - {"ormediate"}
+        assert third_party, "no third-party import found; the scan is broken"
+        assert declared == third_party
 
     def test_cli_import_loads_no_scipy_or_numba(self):
         code = (

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -16,8 +13,8 @@ from ormediate import (
     predict_prob,
     wald_table,
 )
-from ormediate import _kernels
-from ormediate.logit import _two_sided_p, _wald_quantile
+from ormediate.logit import _loglik, _score_info, _two_sided_p, _wald_quantile
+from ormediate.oracle import finite_diff
 
 
 def _sim_design(rng, n, beta):
@@ -49,7 +46,7 @@ class TestFit:
         rng = np.random.default_rng(3)
         X, y = _sim_design(rng, 800, [-0.4, 0.9, -0.6])
         m = fit(X, y)
-        _, score, _ = _kernels.loglik_score_info(X, y, m.coefficients)
+        score, _ = _score_info(X, y, _loglik(X, y, m.coefficients)[1])
         assert np.max(np.abs(score)) < 1e-8
 
     def test_recovers_truth_within_4_se(self):
@@ -102,50 +99,25 @@ class TestFit:
             fit(np.array([[1.0, np.nan]]), np.array([1.0]))
 
 
-class TestBackends:
-    def test_numpy_and_numba_agree(self):
-        if _kernels._build_numba_impl() is None:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(21)
-        X, y = _sim_design(rng, 500, [-0.3, 0.6, 0.2, -0.9])
+class TestKernel:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_score_and_info_match_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(200), rng.normal(size=(200, 3))])
+        y = (rng.random(200) < 0.4).astype(float)
         beta = rng.normal(size=4) * 0.5
-        ll_np, sc_np, in_np = _kernels._NUMPY_IMPL[1](X, y, beta)
-        ll_nb, sc_nb, in_nb = _kernels._numba_impl[1](X, y, beta)
-        assert ll_nb == pytest.approx(ll_np, rel=1e-12)
-        assert np.allclose(sc_nb, sc_np, rtol=1e-10, atol=1e-10)
-        assert np.allclose(in_nb, in_np, rtol=1e-10, atol=1e-10)
+        _, eta = _loglik(X, y, beta)
+        assert np.array_equal(eta, X @ beta)
+        score, info = _score_info(X, y, eta)
 
-    def test_fits_agree_across_backends(self):
-        if _kernels._build_numba_impl() is None:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(22)
-        X, y = _sim_design(rng, 600, [0.1, -0.5, 0.8])
-        before = _kernels.active_backend()
-        try:
-            _kernels.use("numba")
-            m1 = fit(X, y)
-            _kernels.use("numpy")
-            m2 = fit(X, y)
-        finally:
-            _kernels.use("auto") if before == "numba" else _kernels.use(before)
-        assert np.allclose(m1.coefficients, m2.coefficients, rtol=0, atol=1e-10)
-        assert np.allclose(m1.vcov, m2.vcov, rtol=1e-8, atol=1e-12)
+        def loglik(b):
+            return _loglik(X, y, b)[0]
 
-    def test_env_flag_forces_numpy(self):
-        code = (
-            "import ormediate._kernels as k; "
-            "k.loglik_score_info.__wrapped__ if False else None; "
-            "import numpy as np; k.loglik(np.ones((2,1)), np.array([0.,1.]), np.zeros(1)); "
-            "print(k.active_backend())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "ORMEDIATE_DISABLE_NUMBA": "1"},
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "numpy"
+        grad = finite_diff(loglik, beta)
+        assert np.max(np.abs(score - grad)) < 1e-7 * np.max(np.abs(score))
+        # a difference of differences needs a coarser step than the default 1e-6
+        hessian = finite_diff(lambda b: finite_diff(loglik, b, rel_step=1e-4), beta, rel_step=1e-4)
+        assert np.max(np.abs(info + hessian)) < 1e-6 * np.max(np.abs(info))
 
 
 class TestPredictAndSummary:
