@@ -1,6 +1,6 @@
 """File formats: comma-delimited data tables and JSON coefficient documents.
 
-Tables are plain CSV with a mandatory header row, decimal-point numerics, and
+Tables are UTF-8 CSV with a mandatory header row, decimal-point numerics, and
 no quoting.  Floats are written with ``repr`` so a write/read cycle returns
 bit-identical values.
 
@@ -14,6 +14,7 @@ documents, so a report can be fed anywhere a coefficient file is accepted.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -60,6 +61,9 @@ _OUTCOME_BLOCK_FLAGS = ("has_z", "has_xz", "has_wz", "has_xwz")
 _MEDIATOR_BLOCKS = ("confounders", "exposure_confounders")
 _MEDIATOR_BLOCK_FLAGS = ("has_v", "has_xv")
 
+# rows formatted per write, so the strings in memory stay small
+_WRITE_ROWS = 8192
+
 
 # ---------------------------------------------------------------------------
 # delimited tables
@@ -67,39 +71,81 @@ _MEDIATOR_BLOCK_FLAGS = ("has_v", "has_xv")
 
 
 def read_table(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a comma-delimited file with a header row into named float columns."""
+    """Read a UTF-8 comma-delimited file with a header row into named float columns.
+
+    The body is parsed in one `np.loadtxt` call.  Where that result could
+    differ from the per-line parser's (any ValueError, or a row count that
+    shows a skipped blank line), the file is read again line by line, which
+    also words every error message.
+    """
     path = Path(path)
     try:
-        with path.open("r", newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file, expected a header row")
-            header = [name.strip() for name in header]
-            if any(not name for name in header):
-                raise SchemaError(f"{path}: blank column name in header")
-            if len(set(header)) != len(header):
-                raise SchemaError(f"{path}: duplicate column names in header")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise SchemaError(
-                        f"{path}: line {lineno} has {len(row)} fields, "
-                        f"expected {len(header)}"
-                    )
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError as exc:
-                    raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            header = _read_header(path, csv.reader(handle))
+            matrix = _load_body(handle, len(header))
+        if matrix is None:
+            header, matrix = _read_rows(path)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    matrix = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     return {name: matrix[:, j].copy() for j, name in enumerate(header)}
 
 
+def _read_header(path: Path, reader) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, expected a header row")
+    header = [name.strip() for name in header]
+    if any(not name for name in header):
+        raise SchemaError(f"{path}: blank column name in header")
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: duplicate column names in header")
+    return header
+
+
+def _load_body(handle, width: int) -> np.ndarray | None:
+    """The rest of `handle` through np.loadtxt; None unless it has one row per line."""
+    first = next(handle, "")
+    if not first.strip():
+        # header only (no numpy "no data" warning), or a blank line 2
+        return None
+    count = 0
+
+    def lines():
+        nonlocal count
+        for count, line in enumerate(itertools.chain((first,), handle), start=1):
+            yield line
+
+    try:
+        matrix = np.loadtxt(lines(), delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    return matrix if matrix.shape == (count, width) else None
+
+
+def _read_rows(path: Path) -> tuple[list[str], np.ndarray]:
+    """The per-line parser: `float` on every cell, line-numbered errors."""
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = _read_header(path, reader)
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"{path}: line {lineno} has {len(row)} fields, "
+                    f"expected {len(header)}"
+                )
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
+    return header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+
+
 def write_table(path: str | Path, columns: Mapping[str, np.ndarray]) -> None:
-    """Write named float columns as CSV; `repr` floats round-trip exactly."""
+    """Write named float columns as UTF-8 CSV; `repr` floats round-trip exactly."""
     names = list(columns)
     if not names:
         raise SchemaError("cannot write a table with no columns")
@@ -108,11 +154,22 @@ def write_table(path: str | Path, columns: Mapping[str, np.ndarray]) -> None:
     if any(arr.ndim != 1 for arr in arrays) or len(lengths) != 1:
         raise SchemaError("table columns must be 1-d arrays of a single length")
     path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(names)
-        for i in range(arrays[0].shape[0]):
-            writer.writerow([repr(float(arr[i])) for arr in arrays])
+    try:
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerow(names)
+            for start in range(0, len(arrays[0]), _WRITE_ROWS):
+                block = [_column_strings(arr[start : start + _WRITE_ROWS]) for arr in arrays]
+                handle.write("\n".join(map(",".join, zip(*block))))
+                handle.write("\n")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
+
+
+def _column_strings(arr: np.ndarray) -> list[str]:
+    """`repr` of each value; all {0.0, 1.0} without -0.0 takes a two-string lookup."""
+    if np.all((arr == 0.0) | (arr == 1.0)) and not np.signbit(arr).any():
+        return list(map(("0.0", "1.0").__getitem__, arr.astype(np.intp).tolist()))
+    return list(map(repr, arr.tolist()))
 
 
 def bind_dataset(
@@ -497,17 +554,22 @@ def coefficients_from_doc(doc: Mapping) -> CoefficientSet:
 
 
 def save_json(doc: Mapping, path: str | Path) -> None:
-    with Path(path).open("w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+    try:
+        with Path(path).open("w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 def load_json(path: str | Path) -> dict:
     try:
-        with Path(path).open("r") as handle:
+        with Path(path).open("r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
@@ -530,7 +592,7 @@ def load_coefficients(source: str | Path | Mapping) -> CoefficientSet:
     if "/" not in name and not name.endswith(".json"):
         bundled = resources.files("ormediate") / "fixtures" / f"{name}.json"
         if bundled.is_file():
-            return coefficients_from_doc(json.loads(bundled.read_text()))
+            return coefficients_from_doc(json.loads(bundled.read_text(encoding="utf-8")))
     raise SchemaError(
         f"no coefficient file at {source!r} and no bundled fixture of that name "
         f"(bundled: {', '.join(bundled_fixture_names()) or 'none'})"

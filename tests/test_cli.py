@@ -226,6 +226,41 @@ class TestRoundTrip:
         assert reports[0] == reports[1]
 
 
+class TestFileErrors:
+    """Unreadable input and unwritable output end in one ERROR 2 line."""
+
+    def _schema_error(self, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ormediate", *map(str, argv)],
+            capture_output=True, text=True, env={**os.environ},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR 2:"), proc.stderr
+        return lines[0]
+
+    def test_undecodable_csv(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"y,w,x\n1.0,0.0,\xff\n")
+        assert "not UTF-8" in self._schema_error("fit", "--input", path)
+
+    def test_undecodable_coefficient_file(self, tmp_path):
+        path = tmp_path / "coef.json"
+        path.write_bytes(b'{"format": "\xff"}\n')
+        assert "not UTF-8" in self._schema_error("effects", "--coef-file", path)
+
+    def test_unwritable_simulate_output(self, tmp_path):
+        out = tmp_path / "no_such_dir" / "x.csv"
+        assert "cannot write" in self._schema_error(
+            "simulate", "--coef-file", "microcredit_table1", "--n", 10, "--output", out)
+
+    def test_unwritable_effects_output(self, tmp_path):
+        out = tmp_path / "no_such_dir" / "x.json"
+        assert "cannot write" in self._schema_error(
+            "effects", "--coef-file", "microcredit_table1", "--output", out)
+
+
 class TestCompareCommand:
     def test_gap_decreases_to_rare_limit(self, tmp_path):
         out = tmp_path / "cmp.json"

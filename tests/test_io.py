@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ormediate import (
     Contrast,
@@ -15,6 +17,7 @@ from ormediate import (
     infer,
     simulate_dataset,
 )
+from ormediate import io as table_io
 from ormediate.io import (
     COEFFICIENT_FORMAT,
     REPORT_FORMAT,
@@ -81,6 +84,151 @@ class TestTables:
             write_table(tmp_path / "x.csv", {})
         with pytest.raises(SchemaError):
             write_table(tmp_path / "x.csv", {"a": np.zeros(3), "b": np.zeros(4)})
+
+    def test_golden_bytes(self, tmp_path):
+        # the literal is what the row-by-row csv.writer/repr writer produced
+        path = tmp_path / "golden.csv"
+        write_table(path, {
+            "mixed": np.array([0.1 + 0.2, 1e-310, -0.0, np.nan, np.inf, -np.inf, -3.5e300, 2.0]),
+            "binary": np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]),
+            "binary_neg_zero": np.array([1.0, 0.0, -0.0, 1.0, 0.0, 1.0, 1.0, 0.0]),
+            'odd, "name"': np.array([1e16, 1e-5, 123456789.0, 0.5, -1.0, 5e-324,
+                                     1.7976931348623157e308, 100.0]),
+        })
+        assert path.read_bytes() == (
+            b'mixed,binary,binary_neg_zero,"odd, ""name"""\n'
+            b"0.30000000000000004,0.0,1.0,1e+16\n"
+            b"1e-310,1.0,0.0,1e-05\n"
+            b"-0.0,1.0,-0.0,123456789.0\n"
+            b"nan,0.0,1.0,0.5\n"
+            b"inf,1.0,0.0,-1.0\n"
+            b"-inf,0.0,1.0,5e-324\n"
+            b"-3.5e+300,0.0,1.0,1.7976931348623157e+308\n"
+            b"2.0,1.0,0.0,100.0\n"
+        )
+
+    def test_blocks_match_per_value_repr(self, tmp_path):
+        # a column that is {0, 1} in the first write block only, and a -0.0 in the last
+        n = table_io._WRITE_ROWS + 3
+        flips = np.arange(n) % 2.0
+        flips[-1] = 0.5
+        signs = np.ones(n)
+        signs[-2] = -0.0
+        cols = {"flips": flips, "signs": signs}
+        path = tmp_path / "blocks.csv"
+        write_table(path, cols)
+        rows = (",".join(repr(float(cols[k][i])) for k in cols) for i in range(n))
+        assert path.read_text() == "flips,signs\n" + "".join(f"{r}\n" for r in rows)
+
+    def test_undecodable_files_are_schema_errors(self, tmp_path):
+        table = tmp_path / "latin1.csv"
+        # past the first decoded chunk, so the error rises inside np.loadtxt
+        table.write_bytes(b"a,b\n" + b"1.0,2.0\n" * 2000 + b"3.0,\xff\n")
+        with pytest.raises(SchemaError, match="not UTF-8"):
+            read_table(table)
+        doc = tmp_path / "latin1.json"
+        doc.write_bytes(b'{"format": "\xff"}\n')
+        with pytest.raises(SchemaError, match="not UTF-8"):
+            load_json(doc)
+
+    def test_utf8_header_round_trip(self, tmp_path):
+        path = tmp_path / "names.csv"
+        write_table(path, {"\u00e2ge": np.array([1.5]), "\u6559\u80b2": np.array([0.0])})
+        assert path.read_bytes() == "\u00e2ge,\u6559\u80b2\n1.5,0.0\n".encode("utf-8")
+        assert list(read_table(path)) == ["\u00e2ge", "\u6559\u80b2"]
+
+    def test_unwritable_paths_are_schema_errors(self, tmp_path):
+        missing = tmp_path / "no_such_dir"
+        with pytest.raises(SchemaError, match="cannot write"):
+            write_table(missing / "t.csv", {"a": np.zeros(2)})
+        with pytest.raises(SchemaError, match="cannot write"):
+            save_json({"a": 1}, missing / "d.json")
+
+
+def _finite_column(n):
+    return st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+
+
+def _binary_column(n, with_neg_zero):
+    column = st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)
+    if not with_neg_zero or n == 0:
+        return column
+    return st.tuples(column, st.integers(0, n - 1)).map(
+        lambda drawn: drawn[0][: drawn[1]] + [-0.0] + drawn[0][drawn[1] + 1:]
+    )
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    columns = {}
+    for j in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["finite", "binary", "binary_neg_zero"]))
+        if kind == "finite":
+            values = draw(_finite_column(n_rows))
+        else:
+            values = draw(_binary_column(n_rows, kind == "binary_neg_zero"))
+        columns[f"c{j}"] = np.array(values, dtype=float)
+    return columns
+
+
+# cells and line breaks on which np.loadtxt and the per-line parser could disagree
+_NUMBERS = ["1.0", "-0.0", "1e-310", " 2.5", "nan", "-nan", "inf", "\t4"]
+_ODD_CELLS = ["1_0", "#", "", '"3"']
+_BREAKS = ["\n", "\r\n", "\n\n"]
+
+
+@st.composite
+def _texts(draw):
+    width = draw(st.integers(1, 3))
+    text = ",".join(f"c{j}" for j in range(width))
+    for _ in range(draw(st.integers(0, 6))):
+        text += draw(st.sampled_from(_BREAKS))
+        if draw(st.booleans()):  # a well-formed row
+            cells = st.lists(st.sampled_from(_NUMBERS), min_size=width, max_size=width)
+        else:
+            cells = st.integers(max(width - 1, 1), width + 1).flatmap(
+                lambda n: st.lists(st.sampled_from(_NUMBERS + _ODD_CELLS), min_size=n, max_size=n)
+            )
+        text += ",".join(draw(cells))
+    return text + draw(st.sampled_from(["", *_BREAKS]))
+
+
+class TestTableProperties:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(columns=_tables())
+    @example(columns={
+        "specials": np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                              -1e300, 0.1 + 0.2]),
+        "binary_neg_zero": np.array([1.0, 0.0, -0.0, 1.0, 1.0, 0.0]),
+    })
+    def test_write_read_round_trip_is_bit_exact(self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        write_table(path, columns)
+        back = read_table(path)
+        assert list(back) == list(columns)
+        for name, values in columns.items():
+            assert np.array_equal(back[name].view(np.int64), values.view(np.int64))
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_texts())
+    @example(text="c0\n1.0\n\n2.0\n")
+    @example(text="c0\n\n")
+    @example(text="c0,c1\r\n1_0,-nan\r\n")
+    def test_read_matches_the_per_line_parser(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            header, matrix = table_io._read_rows(path)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as got:
+                read_table(path)
+            assert str(got.value) == str(exc)
+            return
+        back = read_table(path)
+        assert list(back) == header
+        for j, name in enumerate(header):
+            assert np.array_equal(back[name].view(np.int64), matrix[:, j].view(np.int64))
 
 
 class TestBinding:
