@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import EFFECT_ORDER, ATermInputs, EffectSet, natural_effects
+from .effects import EFFECT_ORDER, ATermInputs, EffectSet, _bridge_inputs, natural_effects
 from .exceptions import CovarianceError, SchemaError
 from .logit import FittedModel, _two_sided_p, _wald_quantile
 from .model import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
+from .model import _MediatorAt, _OutcomeAt
 
 __all__ = [
     "EffectInference",
@@ -93,8 +94,18 @@ def grad_a_term(
 ) -> np.ndarray:
     """Gradient of A[x_outcome, x_mediator | profile] over the stacked active
     coefficient vector (outcome layout first, then mediator layout)."""
-    spec = outcome.spec
     inputs = ATermInputs.from_params(outcome, mediator, x_outcome, x_mediator, profile)
+    return _grad_from_inputs(outcome.spec, inputs, x_outcome, x_mediator, profile)
+
+
+def _grad_from_inputs(
+    spec: ModelSpec,
+    inputs: ATermInputs,
+    x_outcome: float,
+    x_mediator: float,
+    profile: CovariateProfile,
+) -> np.ndarray:
+    """:func:`grad_a_term` for bridge-term inputs already evaluated."""
     d_b0, d_bw, d_g0 = a_term_key_derivatives(inputs)
     z, v = profile.z, profile.v
     grad = _group(d_b0, x_outcome, z, spec.has_z, spec.has_xz)
@@ -146,15 +157,17 @@ def jacobian_log_effects(
     spec = outcome.spec
     x, xs = contrast.x, contrast.x_star
     prof = contrast.profile
+    in_xx, in_xxs, in_xsx, in_xsxs = _bridge_inputs(
+        _OutcomeAt(outcome, prof.z), _MediatorAt(mediator, prof.v), x, xs
+    )
 
-    def dlog(x1, x2):
-        val = ATermInputs.from_params(outcome, mediator, x1, x2, prof).value()
-        return grad_a_term(outcome, mediator, x1, x2, prof) / val
+    def dlog(inputs, x1, x2):
+        return _grad_from_inputs(spec, inputs, x1, x2, prof) / inputs.value()
 
-    l_xx = dlog(x, x)
-    l_xxs = dlog(x, xs)
-    l_xsx = dlog(xs, x)
-    l_xsxs = dlog(xs, xs)
+    l_xx = dlog(in_xx, x, x)
+    l_xxs = dlog(in_xxs, x, xs)
+    l_xsx = dlog(in_xsx, xs, x)
+    l_xsxs = dlog(in_xsxs, xs, xs)
     dim = l_xx.size
     d1 = _prefactor_gradient(spec, contrast, dim)
     return np.vstack(

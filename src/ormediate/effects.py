@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from .exceptions import SchemaError
-from .model import Contrast, CovariateProfile, MediatorParams, OutcomeParams, _checked_exp, e_w, e_y
+from .model import Contrast, CovariateProfile, MediatorParams, OutcomeParams, _MediatorAt, _OutcomeAt
 
 __all__ = [
     "EFFECT_ORDER",
@@ -92,16 +92,48 @@ class ATermInputs:
         x_mediator: float,
         profile: CovariateProfile,
     ) -> "ATermInputs":
-        z, v = profile.z, profile.v
+        profile.check_against(outcome.spec)
+        return cls._from_sums(
+            _OutcomeAt(outcome, profile.z),
+            _MediatorAt(mediator, profile.v),
+            float(x_outcome),
+            float(x_mediator),
+        )
+
+    @classmethod
+    def _from_sums(cls, oy: _OutcomeAt, mw: _MediatorAt, x1: float, x2: float) -> "ATermInputs":
         return cls(
-            k=_checked_exp(outcome.mediator_log_or(x_outcome, z), "mediator-outcome odds ratio"),
-            p2=e_w(mediator, x_mediator, v),
-            p3=1.0 + e_y(outcome, x_outcome, 0, z),
-            p4=1.0 + e_y(outcome, x_outcome, 1, z),
+            k=oy.mediator_odds_ratio(x1),
+            p2=mw.odds(x2),
+            p3=1.0 + oy.odds(x1, 0.0),
+            p4=1.0 + oy.odds(x1, 1.0),
         )
 
     def value(self) -> float:
         return (self.k * self.p2 * self.p3 + self.p4) / (self.p2 * self.p3 + self.p4)
+
+
+def _bridge_inputs(
+    oy: _OutcomeAt, mw: _MediatorAt, x: float, xs: float
+) -> tuple[ATermInputs, ATermInputs, ATermInputs, ATermInputs]:
+    """Inputs of A[x, x], A[x, x*], A[x*, x] and A[x*, x*] at one profile.
+
+    k, p3 and p4 depend only on the outcome exposure and p2 only on the
+    mediator exposure, so each is exponentiated once, in the order the four
+    terms first use it (the first overflow raised is the one the terms taken
+    one by one would raise).
+    """
+    k_x, p2_x = oy.mediator_odds_ratio(x), mw.odds(x)
+    p3_x, p4_x = 1.0 + oy.odds(x, 0.0), 1.0 + oy.odds(x, 1.0)
+    p2_xs = mw.odds(xs)
+    k_xs = oy.mediator_odds_ratio(xs)
+    p3_xs, p4_xs = 1.0 + oy.odds(xs, 0.0), 1.0 + oy.odds(xs, 1.0)
+    return (
+        ATermInputs(k_x, p2_x, p3_x, p4_x),
+        ATermInputs(k_x, p2_xs, p3_x, p4_x),
+        ATermInputs(k_xs, p2_x, p3_xs, p4_xs),
+        ATermInputs(k_xs, p2_xs, p3_xs, p4_xs),
+    )
 
 
 def a_term(
@@ -200,6 +232,11 @@ class EffectSet:
         raise SchemaError(f"which must be 'pnde' or 'tnde', got {which!r}")
 
 
+def _log_cde_at(oy: _OutcomeAt, delta: float) -> dict[int, float]:
+    """log CDE(w) = (bx + bxw w + bxz'z + bxwz' w z) D for w = 0, 1."""
+    return {0: oy.exposure_log_or(0.0) * delta, 1: oy.exposure_log_or(1.0) * delta}
+
+
 def natural_effects(
     outcome: OutcomeParams, mediator: MediatorParams, contrast: Contrast
 ) -> EffectSet:
@@ -208,24 +245,22 @@ def natural_effects(
     A degenerate contrast (x == x*) yields every effect exactly 1.
     """
     _check_joint_spec(outcome, mediator, contrast)
-    x, xs = contrast.x, contrast.x_star
-    z = contrast.profile.z
     prof = contrast.profile
-    a_xx = a_term(outcome, mediator, x, x, prof)
-    a_xxs = a_term(outcome, mediator, x, xs, prof)
-    a_xsx = a_term(outcome, mediator, xs, x, prof)
-    a_xsxs = a_term(outcome, mediator, xs, xs, prof)
-    pref = outcome.exposure_main_log_or(z) * contrast.delta
+    oy = _OutcomeAt(outcome, prof.z)
+    a_xx, a_xxs, a_xsx, a_xsxs = (
+        inputs.value()
+        for inputs in _bridge_inputs(
+            oy, _MediatorAt(mediator, prof.v), contrast.x, contrast.x_star
+        )
+    )
+    pref = oy.exposure_main_log_or() * contrast.delta
     return EffectSet(
         log_pnde=pref + math.log(a_xxs / a_xsxs),
         log_tnie=math.log(a_xx / a_xxs),
         log_tnde=pref + math.log(a_xx / a_xsx),
         log_pnie=math.log(a_xsx / a_xsxs),
         log_te=pref + math.log(a_xx / a_xsxs),
-        log_cde_at={
-            0: outcome.exposure_log_or(0.0, z) * contrast.delta,
-            1: outcome.exposure_log_or(1.0, z) * contrast.delta,
-        },
+        log_cde_at=_log_cde_at(oy, contrast.delta),
         contrast=contrast,
     )
 
@@ -244,12 +279,11 @@ def approx_effects(
     """
     _check_joint_spec(outcome, mediator, contrast)
     x, xs = contrast.x, contrast.x_star
-    z, v = contrast.profile.z, contrast.profile.v
-    k_x = _checked_exp(outcome.mediator_log_or(x, z), "mediator-outcome odds ratio")
-    k_xs = _checked_exp(outcome.mediator_log_or(xs, z), "mediator-outcome odds ratio")
-    ew_x = e_w(mediator, x, v)
-    ew_xs = e_w(mediator, xs, v)
-    pref = outcome.exposure_main_log_or(z) * contrast.delta
+    oy = _OutcomeAt(outcome, contrast.profile.z)
+    mw = _MediatorAt(mediator, contrast.profile.v)
+    k_x, k_xs = oy.mediator_odds_ratio(x), oy.mediator_odds_ratio(xs)
+    ew_x, ew_xs = mw.odds(x), mw.odds(xs)
+    pref = oy.exposure_main_log_or() * contrast.delta
 
     log_pnde = pref + math.log((1.0 + k_x * ew_xs) / (1.0 + k_xs * ew_xs))
     log_tnde = pref + math.log((1.0 + k_x * ew_x) / (1.0 + k_xs * ew_x))
@@ -265,10 +299,7 @@ def approx_effects(
         log_tnde=log_tnde,
         log_pnie=log_pnie,
         log_te=log_pnde + log_tnie,
-        log_cde_at={
-            0: outcome.exposure_log_or(0.0, z) * contrast.delta,
-            1: outcome.exposure_log_or(1.0, z) * contrast.delta,
-        },
+        log_cde_at=_log_cde_at(oy, contrast.delta),
         contrast=contrast,
     )
 

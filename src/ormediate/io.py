@@ -97,6 +97,8 @@ def _read_header(path: Path, reader) -> list[str]:
         header = next(reader)
     except StopIteration:
         raise SchemaError(f"{path}: empty file, expected a header row")
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
     header = [name.strip() for name in header]
     if any(not name for name in header):
         raise SchemaError(f"{path}: blank column name in header")
@@ -131,16 +133,19 @@ def _read_rows(path: Path) -> tuple[list[str], np.ndarray]:
         reader = csv.reader(handle)
         header = _read_header(path, reader)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: line {lineno} has {len(row)} fields, "
-                    f"expected {len(header)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    raise SchemaError(
+                        f"{path}: line {reader.line_num} has {len(row)} fields, "
+                        f"expected {len(header)}"
+                    )
+                try:
+                    rows.append([float(cell) for cell in row])
+                except ValueError as exc:
+                    raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
     return header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
 
 

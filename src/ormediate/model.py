@@ -20,6 +20,14 @@ Coefficient vectors are laid out block by block:
 
 with excluded blocks dropped. Design matrices built here use the same column
 order, so ``design @ params.active_vector()`` is the linear predictor.
+
+A covariate profile enters the scalar predictors only through six sums:
+bz'z, bxz'z, bwz'z and bxwz'z for the outcome model, gv'v and gxv'v for the
+mediator model. ``_OutcomeAt`` and ``_MediatorAt`` take those sums once per
+profile, and every predictor, log odds ratio and odds is formed from them in
+one fixed order; the public ``linear_predictor`` and ``*_log_or`` methods and
+the effect, delta-method and oracle code all go through them, so a contrast
+costs six dot products however many predictors it needs.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,11 +166,11 @@ class ModelSpec:
             terms += [f"x:{n}" for n in self.v_names]
         return tuple(terms)
 
-    @property
+    @cached_property
     def n_outcome_coefs(self) -> int:
         return len(self.outcome_terms())
 
-    @property
+    @cached_property
     def n_mediator_coefs(self) -> int:
         return len(self.mediator_terms())
 
@@ -244,7 +253,7 @@ def _block(values, length: int, active: bool, name: str) -> np.ndarray:
         arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.shape != (length,):
         raise SchemaError(f"{name} block must have length {length}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise SchemaError(f"{name} block contains non-finite values")
     if not active:
         arr = np.zeros(length)
@@ -352,41 +361,66 @@ class OutcomeParams:
     def linear_predictor(self, x: float, w: float, z: Sequence[float]) -> float:
         """logit P(Y=1 | x, w, z); one fixed evaluation order everywhere so the
         structural-zero identities hold bit for bit."""
-        xw = x * w
-        return (
-            self.intercept
-            + self.exposure * x
-            + self.mediator * w
-            + self.exposure_mediator * xw
-            + _dot(self.confounders, z)
-            + x * _dot(self.exposure_confounders, z)
-            + w * _dot(self.mediator_confounders, z)
-            + xw * _dot(self.exposure_mediator_confounders, z)
-        )
+        return _OutcomeAt(self, z).eta(x, w)
 
     def exposure_log_or(self, w: float, z: Sequence[float]) -> float:
         """Conditional log odds ratio of a unit exposure change at fixed W=w:
         bx + bxw*w + bxz'z + bxwz'(w z)."""
-        return (
-            self.exposure
-            + self.exposure_mediator * w
-            + _dot(self.exposure_confounders, z)
-            + w * _dot(self.exposure_mediator_confounders, z)
-        )
+        return _OutcomeAt(self, z).exposure_log_or(w)
 
     def exposure_main_log_or(self, z: Sequence[float]) -> float:
         """bx + bxz'z, the exposure effect with the mediator pathway removed."""
-        return self.exposure + _dot(self.exposure_confounders, z)
+        return _OutcomeAt(self, z).exposure_main_log_or()
 
     def mediator_log_or(self, x: float, z: Sequence[float]) -> float:
         """Conditional log odds ratio of the mediator on the outcome at
         exposure x: bw + bxw*x + bwz'z + bxwz'(x z)."""
+        return _OutcomeAt(self, z).mediator_log_or(x)
+
+
+class _OutcomeAt:
+    """The outcome model's predictors at one z, from the sums bz'z, bxz'z,
+    bwz'z and bxwz'z taken once."""
+
+    __slots__ = ("b", "z", "xz", "wz", "xwz")
+
+    def __init__(self, b: OutcomeParams, z: Sequence[float]):
+        self.b = b
+        self.z = _dot(b.confounders, z)
+        self.xz = _dot(b.exposure_confounders, z)
+        self.wz = _dot(b.mediator_confounders, z)
+        self.xwz = _dot(b.exposure_mediator_confounders, z)
+
+    def eta(self, x: float, w: float) -> float:
+        b = self.b
+        xw = x * w
         return (
-            self.mediator
-            + self.exposure_mediator * x
-            + _dot(self.mediator_confounders, z)
-            + x * _dot(self.exposure_mediator_confounders, z)
+            b.intercept
+            + b.exposure * x
+            + b.mediator * w
+            + b.exposure_mediator * xw
+            + self.z
+            + x * self.xz
+            + w * self.wz
+            + xw * self.xwz
         )
+
+    def exposure_log_or(self, w: float) -> float:
+        return self.b.exposure + self.b.exposure_mediator * w + self.xz + w * self.xwz
+
+    def exposure_main_log_or(self) -> float:
+        return self.b.exposure + self.xz
+
+    def mediator_log_or(self, x: float) -> float:
+        return self.b.mediator + self.b.exposure_mediator * x + self.wz + x * self.xwz
+
+    def odds(self, x: float, w: float) -> float:
+        """e_y(x, w) at this z, for a float w in {0.0, 1.0}."""
+        return _checked_exp(self.eta(x, w), "outcome")
+
+    def mediator_odds_ratio(self, x: float) -> float:
+        """exp(mediator_log_or(x)), the k of the bridge terms at exposure x."""
+        return _checked_exp(self.mediator_log_or(x), "mediator-outcome odds ratio")
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,12 +484,25 @@ class MediatorParams:
         )
 
     def linear_predictor(self, x: float, v: Sequence[float]) -> float:
-        return (
-            self.intercept
-            + self.exposure * x
-            + _dot(self.confounders, v)
-            + x * _dot(self.exposure_confounders, v)
-        )
+        return _MediatorAt(self, v).eta(x)
+
+
+class _MediatorAt:
+    """The mediator model's predictor at one v, from gv'v and gxv'v taken once."""
+
+    __slots__ = ("g", "v", "xv")
+
+    def __init__(self, g: MediatorParams, v: Sequence[float]):
+        self.g = g
+        self.v = _dot(g.confounders, v)
+        self.xv = _dot(g.exposure_confounders, v)
+
+    def eta(self, x: float) -> float:
+        return self.g.intercept + self.g.exposure * x + self.v + x * self.xv
+
+    def odds(self, x: float) -> float:
+        """e_w(x) at this v."""
+        return _checked_exp(self.eta(x), "mediator")
 
 
 def _check_mediator_level(w) -> float:
@@ -474,7 +521,7 @@ def e_y(params: OutcomeParams, x: float, w: float, z: Sequence[float]) -> float:
     if len(z) != params.spec.p:
         raise SchemaError(f"expected {params.spec.p} z values, got {len(z)}")
     w = _check_mediator_level(w)
-    return _checked_exp(params.linear_predictor(float(x), w, z), "outcome")
+    return _OutcomeAt(params, z).odds(float(x), w)
 
 
 def e_w(params: MediatorParams, x: float, v: Sequence[float]) -> float:
@@ -482,7 +529,7 @@ def e_w(params: MediatorParams, x: float, v: Sequence[float]) -> float:
     conditional odds of the mediator."""
     if len(v) != params.spec.q:
         raise SchemaError(f"expected {params.spec.q} v values, got {len(v)}")
-    return _checked_exp(params.linear_predictor(float(x), v), "mediator")
+    return _MediatorAt(params, v).odds(float(x))
 
 
 def _binary_column(values, name: str) -> np.ndarray:

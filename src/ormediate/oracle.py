@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import EffectSet, a_term
+from .effects import ATermInputs, EffectSet
 from .exceptions import DegenerateProbabilityError, SchemaError
-from .model import Contrast, CovariateProfile, MediatorParams, OutcomeParams
+from .model import Contrast, MediatorParams, OutcomeParams, _MediatorAt, _OutcomeAt
 
 __all__ = [
     "ProbabilityTables",
@@ -106,10 +106,11 @@ def tables_from_params(
     if outcome.spec != mediator.spec:
         raise SchemaError("outcome and mediator parameters belong to different model specs")
     contrast.profile.check_against(outcome.spec)
-    z, v = contrast.profile.z, contrast.profile.v
+    oy = _OutcomeAt(outcome, contrast.profile.z)
+    mw = _MediatorAt(mediator, contrast.profile.v)
     levels = (contrast.x, contrast.x_star)
-    eta_y = [[outcome.linear_predictor(x, w, z) for w in (0.0, 1.0)] for x in levels]
-    eta_w = [mediator.linear_predictor(x, v) for x in levels]
+    eta_y = [[oy.eta(x, w) for w in (0.0, 1.0)] for x in levels]
+    eta_w = [mw.eta(x) for x in levels]
     return ProbabilityTables(
         p_y=[[_logistic(e) for e in row] for row in eta_y],
         q_y=[[_logistic(-e) for e in row] for row in eta_y],
@@ -186,15 +187,12 @@ def g_y_check(outcome: OutcomeParams, mediator: MediatorParams, x: float) -> GyC
         raise SchemaError("outcome and mediator parameters belong to different model specs")
     if spec.p != 0 or spec.q != 0:
         raise SchemaError("g_y_check applies to covariate-free models only")
-    profile = CovariateProfile()
-    a_direct = a_term(outcome, mediator, x, x, profile)
+    oy, mw = _OutcomeAt(outcome, ()), _MediatorAt(mediator, ())
+    a_direct = ATermInputs._from_sums(oy, mw, x, x).value()
 
     shift = outcome.mediator + outcome.exposure_mediator * x
-    ratio = math.log(
-        (1.0 + math.exp(outcome.linear_predictor(x, 0.0, ())))
-        / (1.0 + math.exp(outcome.linear_predictor(x, 1.0, ())))
-    )
-    base = mediator.linear_predictor(x, ())
+    ratio = math.log((1.0 + math.exp(oy.eta(x, 0.0))) / (1.0 + math.exp(oy.eta(x, 1.0))))
+    base = mw.eta(x)
     g0 = ratio + base
     g1 = shift + ratio + base
     a_from_g = (1.0 + math.exp(g1)) / (1.0 + math.exp(g0))

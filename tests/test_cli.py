@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ormediate
 from ormediate import (
     Contrast,
     CovariateProfile,
@@ -26,6 +27,14 @@ from helpers import microcredit_params
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def child_env():
+    """The environment for a child interpreter that imports the ormediate these
+    tests import, also when only pytest's `pythonpath` setting put it on the path."""
+    src = str(Path(ormediate.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited]) if inherited else src}
 
 
 @pytest.fixture()
@@ -232,7 +241,7 @@ class TestFileErrors:
     def _schema_error(self, *argv):
         proc = subprocess.run(
             [sys.executable, "-m", "ormediate", *map(str, argv)],
-            capture_output=True, text=True, env={**os.environ},
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -244,6 +253,11 @@ class TestFileErrors:
         path = tmp_path / "data.csv"
         path.write_bytes(b"y,w,x\n1.0,0.0,\xff\n")
         assert "not UTF-8" in self._schema_error("fit", "--input", path)
+
+    def test_oversized_header_field(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("y,w," + "x" * 200_000 + "\n1.0,0.0,1.0\n")
+        assert "field larger than field limit" in self._schema_error("fit", "--input", path)
 
     def test_undecodable_coefficient_file(self, tmp_path):
         path = tmp_path / "coef.json"
@@ -337,7 +351,7 @@ class TestEntryPoint:
         assert 'ormediate = "ormediate.cli:main"' in scripts.splitlines()
         proc = subprocess.run(
             [sys.executable, "-m", "ormediate", "effects", "--coef-file", "microcredit_table1"],
-            capture_output=True, text=True, env={**os.environ},
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "te" in proc.stdout
@@ -366,7 +380,7 @@ class TestEntryPoint:
             "assert not loaded, loaded"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ},
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -378,6 +392,6 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ormediate.cli", "verify", "--count", "0"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0

@@ -79,6 +79,23 @@ class TestTables:
         with pytest.raises(SchemaError, match="blank"):
             read_table(p)
 
+    def test_line_numbers_count_file_lines(self, tmp_path):
+        # the quoted header name spans lines 1-2, so the short row is on line 4
+        p = tmp_path / "multiline.csv"
+        p.write_text('"a\nb",c\n1,2\n3\n')
+        with pytest.raises(SchemaError, match="line 4 has 1 fields"):
+            read_table(p)
+
+    def test_oversized_fields_are_schema_errors(self, tmp_path):
+        big = "a" * 200_000
+        p = tmp_path / "wide.csv"
+        p.write_text(f"{big},b\n1.0,2.0\n")
+        with pytest.raises(SchemaError, match="line 1: field larger than field limit"):
+            read_table(p)
+        p.write_text(f"a,b\n1.0,2.0\n3.0,{big}\n")
+        with pytest.raises(SchemaError, match="line 3: field larger than field limit"):
+            read_table(p)
+
     def test_write_validation(self, tmp_path):
         with pytest.raises(SchemaError):
             write_table(tmp_path / "x.csv", {})
