@@ -46,6 +46,8 @@ from .io import (
 from .logit import fit as fit_logistic
 from .logit import wald_table
 from .model import (
+    MEDIATOR_BLOCKS,
+    OUTCOME_BLOCKS,
     Contrast,
     CovariateProfile,
     MediatorParams,
@@ -64,7 +66,9 @@ EXIT_FIT = 3
 EXIT_NUMERIC = 4
 EXIT_VERIFY = 5
 
-_INTERACTION_BLOCKS = ("xz", "wz", "xwz", "xv")
+_INTERACTION_BLOCKS = tuple(
+    b.flag for b in OUTCOME_BLOCKS + MEDIATOR_BLOCKS if b.flag and (b.x or b.w)
+)
 _DEFAULT_GRID = "-2,-4,-6,-8,-10,-12,-14"
 
 
@@ -412,14 +416,7 @@ def _cmd_fit(args) -> int:
     z = _parse_names(args.z)
     v = _parse_names(args.v)
     blocks = _parse_interactions(args.interactions)
-    spec = ModelSpec(
-        z_names=z,
-        v_names=v,
-        xz="xz" in blocks,
-        wz="wz" in blocks,
-        xwz="xwz" in blocks,
-        xv="xv" in blocks,
-    )
+    spec = ModelSpec(z_names=z, v_names=v, **{f: f in blocks for f in _INTERACTION_BLOCKS})
     data = bind_dataset(
         columns,
         outcome=args.outcome,

@@ -2,16 +2,18 @@
 
 The five log effects are smooth functions of the stacked coefficient vector
 theta = (outcome coefficients, mediator coefficients). Writing A for a bridge
-term (see :mod:`ormediate.effects`), every entry of its gradient is a scaled
-copy of one of three key derivatives:
+term (see :mod:`ormediate.effects`), A depends on theta only through three
+predictors, so three key derivatives determine its whole gradient:
 
-    d_b0 = dA/d(intercept)   spreads over the outcome b0/bx/bz/bxz group
-    d_bw = dA/d(mediator)    spreads over the bw/bxw/bwz/bxwz group
-    d_g0 = dA/d(g intercept) spreads over the whole mediator model
+    d_b0 = dA/d(intercept)   for the outcome blocks without a w factor
+    d_bw = dA/d(mediator)    for the outcome blocks with a w factor
+    d_g0 = dA/d(g intercept) for every mediator block
 
-because the predictor enters each block linearly with multipliers
-(1, x, z, x z) — the pattern ``d_vector`` produces. Stacking the four bridge
-gradients into rows for (log PNDE, log TNIE, log TNDE, log PNIE, log TE) and
+Each block of the model tables (``model.OUTCOME_BLOCKS``, ``MEDIATOR_BLOCKS``)
+enters its predictor linearly, so one rule gives every entry: the key
+derivative, times the exposure level if the block carries an x factor, times
+the covariate value for a covariate block. Stacking the four bridge gradients
+into rows for (log PNDE, log TNIE, log TNDE, log PNIE, log TE) and
 sandwiching the block-diagonal coefficient covariance gives the covariance of
 the log effects; the odds-ratio scale follows by scaling with the estimates.
 
@@ -22,7 +24,6 @@ are always positive and respect the reciprocal symmetry of odds ratios.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +31,22 @@ import numpy as np
 from .effects import EFFECT_ORDER, ATermInputs, EffectSet, _bridge_inputs, natural_effects
 from .exceptions import CovarianceError, SchemaError
 from .logit import FittedModel, _two_sided_p, _wald_quantile
-from .model import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
-from .model import _MediatorAt, _OutcomeAt
+from .model import (
+    MEDIATOR_BLOCKS,
+    OUTCOME_BLOCKS,
+    Contrast,
+    CovariateProfile,
+    MediatorParams,
+    ModelSpec,
+    OutcomeParams,
+    _MediatorAt,
+    _OutcomeAt,
+)
 
 __all__ = [
     "EffectInference",
     "InferenceResult",
     "a_term_key_derivatives",
-    "d_vector",
     "grad_a_term",
     "jacobian_log_effects",
     "infer",
@@ -65,26 +74,6 @@ def a_term_key_derivatives(inputs: ATermInputs) -> tuple[float, float, float]:
     return d_b0, d_bw, d_g0
 
 
-def d_vector(a: float, b: Sequence[float]) -> np.ndarray:
-    """Multiplier pattern (1, a, b1, a b1, b2, a b2, ...): how a key derivative
-    spreads over an intercept/exposure/covariate/interaction coefficient group."""
-    out = [1.0, float(a)]
-    for bj in b:
-        bj = float(bj)
-        out += [bj, a * bj]
-    return np.array(out)
-
-
-def _group(mult: float, a: float, b, main_on: bool, inter_on: bool) -> list[float]:
-    """mult * (1, a, b..., a*b...) with the optional blocks dropped."""
-    out = [mult, mult * a]
-    if main_on:
-        out += [mult * bj for bj in b]
-    if inter_on:
-        out += [mult * a * bj for bj in b]
-    return out
-
-
 def grad_a_term(
     outcome: OutcomeParams,
     mediator: MediatorParams,
@@ -105,43 +94,38 @@ def _grad_from_inputs(
     x_mediator: float,
     profile: CovariateProfile,
 ) -> np.ndarray:
-    """:func:`grad_a_term` for bridge-term inputs already evaluated."""
+    """:func:`grad_a_term` for bridge-term inputs already evaluated: each
+    entry is (d·x)·c_j, the block's key derivative d, times its model's
+    exposure level if it has an x factor, times each covariate value c_j."""
     d_b0, d_bw, d_g0 = a_term_key_derivatives(inputs)
-    z, v = profile.z, profile.v
-    grad = _group(d_b0, x_outcome, z, spec.has_z, spec.has_xz)
-    grad += _group(d_bw, x_outcome, z, spec.has_wz, spec.has_xwz)
-    grad += _group(d_g0, x_mediator, v, spec.has_v, spec.has_xv)
+    grad = []
+    for blocks, keys, x, c in (
+        (OUTCOME_BLOCKS, (d_b0, d_bw), x_outcome, profile.z),
+        (MEDIATOR_BLOCKS, (d_g0,), x_mediator, profile.v),
+    ):
+        for b, _ in spec.layout(blocks):
+            d = keys[b.w] * x if b.x else keys[b.w]
+            if b.flag is None:
+                grad.append(d)
+            else:
+                grad += [d * cj for cj in c]
     return np.array(grad)
 
 
-def _prefactor_gradient(spec: ModelSpec, contrast: Contrast, dim: int) -> np.ndarray:
-    """Gradient of (bx + bxz'z)(x - x*): delta at bx, z_j delta at each bxz_j."""
-    d1 = np.zeros(dim)
-    d1[1] = contrast.delta
-    if spec.has_xz:
-        start = 2 + spec.p  # after b0, bx, and the z main block
-        for j, zj in enumerate(contrast.profile.z):
-            d1[start + j] = zj * contrast.delta
-    return d1
-
-
-def _cde_gradient(spec: ModelSpec, contrast: Contrast, w: float) -> np.ndarray:
-    """Gradient of log CDE(w) over the outcome coefficients alone."""
-    z = contrast.profile.z
-    g = np.zeros(spec.n_outcome_coefs)
-    g[1] = contrast.delta
-    pos = 2
-    if spec.has_z:
-        pos += spec.p
-    if spec.has_xz:
-        g[pos : pos + spec.p] = np.asarray(z) * contrast.delta
-        pos += spec.p
-    g[pos + 1] = w * contrast.delta  # bxw
-    pos += 2
-    if spec.has_wz:
-        pos += spec.p
-    if spec.has_xwz:
-        g[pos : pos + spec.p] = w * np.asarray(z) * contrast.delta
+def _exposure_gradient(
+    spec: ModelSpec, contrast: Contrast, dim: int, w: float | None = None
+) -> np.ndarray:
+    """Gradient of an exposure log odds ratio times D = x - x*, over the
+    first ``dim`` coefficients: the prefactor (bx + bxz'z) D when w is None,
+    log CDE(w) = (bx + bxw w + bxz'z + bxwz' w z) D otherwise. Each x block
+    gets (w·c_j)·D, or c_j·D without a w factor. The prefactor leaves its w
+    blocks at +0.0 rather than setting them to 0.0·D, which is -0.0 if D < 0."""
+    g = np.zeros(dim)
+    z = np.asarray(contrast.profile.z)
+    for b, sl in spec.layout(OUTCOME_BLOCKS):
+        if b.x and (w is not None or not b.w):
+            c = z if b.flag else 1.0
+            g[sl] = (w * c if b.w else c) * contrast.delta
     return g
 
 
@@ -169,7 +153,7 @@ def jacobian_log_effects(
     l_xsx = dlog(in_xsx, xs, x)
     l_xsxs = dlog(in_xsxs, xs, xs)
     dim = l_xx.size
-    d1 = _prefactor_gradient(spec, contrast, dim)
+    d1 = _exposure_gradient(spec, contrast, dim)
     return np.vstack(
         [
             d1 + (l_xxs - l_xsxs),  # log PNDE
@@ -287,7 +271,7 @@ def infer(
 
     cde_rows = []
     for w in (0, 1):
-        g = _cde_gradient(spec, contrast, float(w))
+        g = _exposure_gradient(spec, contrast, spec.n_outcome_coefs, float(w))
         var = float(g @ outcome_fit.vcov @ g)
         if var < -_VAR_TOL:
             raise CovarianceError(f"negative CDE({w}) variance {var:.3e}")

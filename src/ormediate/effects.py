@@ -39,6 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import SchemaError
 from .model import Contrast, CovariateProfile, MediatorParams, OutcomeParams, _MediatorAt, _OutcomeAt
 
@@ -316,6 +318,11 @@ class SpecialCaseReport:
     identities: tuple[str, ...]
 
 
+def _group_is_null(params, factor: str) -> bool:
+    """Whether every block carrying the x (or w) factor is zero."""
+    return not any(np.any(getattr(params, b.attr)) for b in params.BLOCKS if getattr(b, factor))
+
+
 def special_case_report(
     outcome: OutcomeParams, mediator: MediatorParams, contrast: Contrast
 ) -> SpecialCaseReport:
@@ -326,19 +333,9 @@ def special_case_report(
     implied identities hold with covariates in the model.
     """
     _check_joint_spec(outcome, mediator, contrast)
-    xo_null = (
-        outcome.exposure == 0.0
-        and outcome.exposure_mediator == 0.0
-        and not outcome.exposure_confounders.any()
-        and not outcome.exposure_mediator_confounders.any()
-    )
-    mo_null = (
-        outcome.mediator == 0.0
-        and outcome.exposure_mediator == 0.0
-        and not outcome.mediator_confounders.any()
-        and not outcome.exposure_mediator_confounders.any()
-    )
-    xm_null = mediator.exposure == 0.0 and not mediator.exposure_confounders.any()
+    xo_null = _group_is_null(outcome, "x")
+    mo_null = _group_is_null(outcome, "w")
+    xm_null = _group_is_null(mediator, "x")
     degenerate = contrast.x == contrast.x_star
 
     identities = []

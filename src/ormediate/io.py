@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -26,7 +27,14 @@ import numpy as np
 
 from .exceptions import SchemaError
 from .logit import FittedModel
-from .model import CovariateProfile, Dataset, MediatorParams, ModelSpec, OutcomeParams
+from .model import (
+    BLOCK_FLAGS,
+    CovariateProfile,
+    Dataset,
+    MediatorParams,
+    ModelSpec,
+    OutcomeParams,
+)
 from .simulate import Marginal
 
 __all__ = [
@@ -50,16 +58,6 @@ __all__ = [
 
 COEFFICIENT_FORMAT = "ormediate-coefficients"
 REPORT_FORMAT = "ormediate-report"
-
-_OUTCOME_BLOCKS = (
-    "confounders",
-    "exposure_confounders",
-    "mediator_confounders",
-    "exposure_mediator_confounders",
-)
-_OUTCOME_BLOCK_FLAGS = ("has_z", "has_xz", "has_wz", "has_xwz")
-_MEDIATOR_BLOCKS = ("confounders", "exposure_confounders")
-_MEDIATOR_BLOCK_FLAGS = ("has_v", "has_xv")
 
 # rows formatted per write, so the strings in memory stay small
 _WRITE_ROWS = 8192
@@ -229,31 +227,50 @@ def spec_to_doc(spec: ModelSpec) -> dict:
     return {
         "z_names": list(spec.z_names),
         "v_names": list(spec.v_names),
-        "blocks": {
-            "z": spec.z,
-            "xz": spec.xz,
-            "wz": spec.wz,
-            "xwz": spec.xwz,
-            "v": spec.v,
-            "xv": spec.xv,
-        },
+        "blocks": {flag: getattr(spec, flag) for flag in BLOCK_FLAGS},
     }
 
 
 def spec_from_doc(doc: Mapping) -> ModelSpec:
     _require_keys(doc, {"z_names", "v_names", "blocks"}, where="model")
     blocks = doc["blocks"]
-    _require_keys(blocks, {"z", "xz", "wz", "xwz", "v", "xv"}, where="model.blocks")
+    _require_keys(blocks, set(BLOCK_FLAGS), where="model.blocks")
+    for flag in BLOCK_FLAGS:
+        if not isinstance(blocks[flag], bool):
+            raise SchemaError(f"model.blocks.{flag}: expected true or false, got {blocks[flag]!r}")
     return ModelSpec(
-        z_names=tuple(str(n) for n in doc["z_names"]),
-        v_names=tuple(str(n) for n in doc["v_names"]),
-        **{key: bool(blocks[key]) for key in ("z", "xz", "wz", "xwz", "v", "xv")},
+        z_names=_list(doc["z_names"], where="model.z_names"),
+        v_names=_list(doc["v_names"], where="model.v_names"),
+        **{flag: blocks[flag] for flag in BLOCK_FLAGS},
     )
 
 
-def _require_keys(doc: Mapping, expected: set[str], *, where: str) -> None:
-    if not isinstance(doc, Mapping):
+def _list(value, *, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a JSON array, got {value!r}")
+    return value
+
+
+def _object(value, *, where: str) -> Mapping:
+    if not isinstance(value, Mapping):
         raise SchemaError(f"{where}: expected a JSON object")
+    return value
+
+
+def _string(value, *, where: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _number(value, *, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SchemaError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _require_keys(doc: Mapping, expected: set[str], *, where: str) -> None:
+    _object(doc, where=where)
     missing = expected - set(doc)
     extra = set(doc) - expected
     if missing:
@@ -293,67 +310,58 @@ class CoefficientSet:
                 "coefficient document carries no covariance matrices; "
                 "only point estimates are available"
             )
-        outcome = FittedModel(
-            coefficients=self.outcome.active_vector(),
-            vcov=self.outcome_vcov,
-            log_likelihood=math.nan,
-            iterations=0,
-            converged=True,
-            n=0,
-            column_names=self.spec.outcome_terms(),
+        return tuple(
+            FittedModel(
+                coefficients=params.active_vector(),
+                vcov=vcov,
+                log_likelihood=math.nan,
+                iterations=0,
+                converged=True,
+                n=0,
+                column_names=self.spec.terms(params.BLOCKS),
+            )
+            for params, vcov in (
+                (self.outcome, self.outcome_vcov),
+                (self.mediator, self.mediator_vcov),
+            )
         )
-        mediator = FittedModel(
-            coefficients=self.mediator.active_vector(),
-            vcov=self.mediator_vcov,
-            log_likelihood=math.nan,
-            iterations=0,
-            converged=True,
-            n=0,
-            column_names=self.spec.mediator_terms(),
-        )
-        return outcome, mediator
 
 
-def _params_to_doc(params, block_names, flag_names) -> dict:
-    doc: dict = {"intercept": params.intercept, "exposure": params.exposure}
-    if hasattr(params, "mediator"):
-        doc["mediator"] = params.mediator
-        doc["exposure_mediator"] = params.exposure_mediator
-    spec = params.spec
-    for block, flag in zip(block_names, flag_names):
-        if getattr(spec, flag):
-            doc[block] = [float(v) for v in getattr(params, block)]
+def _params_to_doc(params) -> dict:
+    """The included blocks, scalars first and then arrays, each in table order."""
+    layout = params.spec.layout(params.BLOCKS)
+    doc: dict = {b.attr: getattr(params, b.attr) for b, _ in layout if b.flag is None}
+    for b, _ in layout:
+        if b.flag is not None:
+            doc[b.attr] = [float(v) for v in getattr(params, b.attr)]
     return doc
 
 
-def _params_from_doc(cls, spec, doc, block_names, flag_names, *, where: str):
-    scalars = {"intercept", "exposure"}
-    if cls is OutcomeParams:
-        scalars |= {"mediator", "exposure_mediator"}
-    allowed = scalars | {
-        block for block, flag in zip(block_names, flag_names) if getattr(spec, flag)
-    }
-    if not isinstance(doc, Mapping):
-        raise SchemaError(f"{where}: expected a JSON object")
-    extra = set(doc) - allowed
+def _params_from_doc(cls, spec: ModelSpec, doc, *, where: str):
+    _object(doc, where=where)
+    layout = spec.layout(cls.BLOCKS)
+    extra = set(doc) - {b.attr for b, _ in layout}
     if extra:
         raise SchemaError(f"{where}: unknown or inactive coefficient blocks {sorted(extra)}")
-    missing = scalars - set(doc)
+    missing = [b.attr for b, _ in layout if b.attr not in doc]
     if missing:
         raise SchemaError(f"{where}: missing coefficients {sorted(missing)}")
-    kwargs = {name: float(doc[name]) for name in scalars}
-    for block, flag in zip(block_names, flag_names):
-        if getattr(spec, flag):
-            if block not in doc:
-                raise SchemaError(f"{where}: missing active block {block!r}")
-            kwargs[block] = tuple(float(v) for v in doc[block])
+    kwargs = {}
+    for b, _ in layout:
+        key = f"{where}.{b.attr}"
+        if b.flag is None:
+            kwargs[b.attr] = _number(doc[b.attr], where=key)
+        else:
+            kwargs[b.attr] = tuple(_number(v, where=key) for v in _list(doc[b.attr], where=key))
     return cls(spec, **kwargs)
 
 
 def _vcov_from_doc(entry, size: int, *, where: str) -> np.ndarray:
-    arr = np.asarray(entry, dtype=float)
-    if arr.shape != (size, size):
-        raise SchemaError(f"{where}: covariance must be {size}x{size}, got {arr.shape}")
+    rows = [_list(row, where=where) for row in _list(entry, where=where)]
+    if len(rows) != size or any(len(row) != size for row in rows):
+        lengths = [len(row) for row in rows]
+        raise SchemaError(f"{where}: covariance must be {size}x{size}, got row lengths {lengths}")
+    arr = np.array([[_number(v, where=where) for v in row] for row in rows])
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{where}: covariance contains non-finite entries")
     return arr
@@ -371,10 +379,11 @@ def _marginal_from_doc(doc, *, where: str) -> Marginal:
     kind = doc["kind"]
     if kind == "bernoulli":
         _require_keys(doc, {"kind", "p"}, where=where)
-        return Marginal("bernoulli", p=float(doc["p"]))
+        return Marginal("bernoulli", p=_number(doc["p"], where=f"{where}.p"))
     if kind == "uniform":
         _require_keys(doc, {"kind", "low", "high"}, where=where)
-        return Marginal("uniform", low=float(doc["low"]), high=float(doc["high"]))
+        low, high = (_number(doc[key], where=f"{where}.{key}") for key in ("low", "high"))
+        return Marginal("uniform", low=low, high=high)
     raise SchemaError(f"{where}: unknown marginal kind {kind!r}")
 
 
@@ -399,8 +408,8 @@ def coefficients_to_doc(
         "version": 1,
         "description": description,
         "model": spec_to_doc(spec),
-        "outcome": _params_to_doc(outcome, _OUTCOME_BLOCKS, _OUTCOME_BLOCK_FLAGS),
-        "mediator": _params_to_doc(mediator, _MEDIATOR_BLOCKS, _MEDIATOR_BLOCK_FLAGS),
+        "outcome": _params_to_doc(outcome),
+        "mediator": _params_to_doc(mediator),
     }
     if (outcome_vcov is None) != (mediator_vcov is None):
         raise SchemaError("provide covariance matrices for both models or neither")
@@ -481,21 +490,16 @@ def coefficients_from_doc(doc: Mapping) -> CoefficientSet:
     extra = set(doc) - allowed
     if extra:
         raise SchemaError(f"coefficient document: unknown keys {sorted(extra)}")
-    if int(doc.get("version", 1)) != 1:
+    version = doc.get("version", 1)
+    if isinstance(version, bool) or version != 1:
         raise SchemaError(f"unsupported coefficient document version {doc.get('version')!r}")
     for key in ("model", "outcome", "mediator"):
         if key not in doc:
             raise SchemaError(f"coefficient document: missing section {key!r}")
 
     spec = spec_from_doc(doc["model"])
-    outcome = _params_from_doc(
-        OutcomeParams, spec, doc["outcome"], _OUTCOME_BLOCKS, _OUTCOME_BLOCK_FLAGS,
-        where="outcome",
-    )
-    mediator = _params_from_doc(
-        MediatorParams, spec, doc["mediator"], _MEDIATOR_BLOCKS, _MEDIATOR_BLOCK_FLAGS,
-        where="mediator",
-    )
+    outcome = _params_from_doc(OutcomeParams, spec, doc["outcome"], where="outcome")
+    mediator = _params_from_doc(MediatorParams, spec, doc["mediator"], where="mediator")
 
     outcome_vcov = mediator_vcov = None
     if "vcov" in doc and doc["vcov"] is not None:
@@ -510,13 +514,17 @@ def coefficients_from_doc(doc: Mapping) -> CoefficientSet:
     exposure_levels = None
     if "contrast" in doc and doc["contrast"] is not None:
         _require_keys(doc["contrast"], {"x", "x_star"}, where="contrast")
-        exposure_levels = (float(doc["contrast"]["x"]), float(doc["contrast"]["x_star"]))
+        exposure_levels = tuple(
+            _number(doc["contrast"][key], where=f"contrast.{key}") for key in ("x", "x_star")
+        )
 
     profiles: list[tuple[str, CovariateProfile]] = []
-    for i, entry in enumerate(doc.get("profiles", ())):
-        _require_keys(entry, {"name", "values"}, where=f"profiles[{i}]")
-        name = str(entry["name"])
-        values = {str(k): float(v) for k, v in entry["values"].items()}
+    for i, entry in enumerate(_list(doc.get("profiles", []), where="profiles")):
+        where = f"profiles[{i}]"
+        _require_keys(entry, {"name", "values"}, where=where)
+        name = _string(entry["name"], where=f"{where}.name")
+        values = _object(entry["values"], where=f"{where}.values")
+        values = {k: _number(v, where=f"{where}.values.{k}") for k, v in values.items()}
         profiles.append((name, CovariateProfile.from_named(spec, values)))
     names = [name for name, _ in profiles]
     if len(set(names)) != len(names):
@@ -532,7 +540,8 @@ def coefficients_from_doc(doc: Mapping) -> CoefficientSet:
             exposure_marginal = _marginal_from_doc(
                 entry["exposure"], where="marginals.exposure"
             )
-        for name, sub in entry.get("covariates", {}).items():
+        covariates = _object(entry.get("covariates", {}), where="marginals.covariates")
+        for name, sub in covariates.items():
             if name not in spec.covariate_names():
                 raise SchemaError(f"marginals: unknown covariate {name!r}")
             covariate_marginals[name] = _marginal_from_doc(
@@ -549,7 +558,7 @@ def coefficients_from_doc(doc: Mapping) -> CoefficientSet:
         profiles=tuple(profiles),
         exposure_marginal=exposure_marginal,
         covariate_marginals=covariate_marginals,
-        description=str(doc.get("description", "")),
+        description=_string(doc.get("description", ""), where="description"),
     )
 
 

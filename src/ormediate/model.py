@@ -13,13 +13,19 @@ owns the specification and parameter containers, the exponentiated-predictor
 helpers e_y and e_w, and design-matrix construction. It knows nothing about
 fitting or effect formulas.
 
-Coefficient vectors are laid out block by block:
+Both logits are linear in a fixed set of coefficient blocks, and
+``OUTCOME_BLOCKS`` and ``MEDIATOR_BLOCKS`` list them in coefficient-vector
+order:
 
     outcome:  (b0, bx, bz..., bxz..., bw, bxw, bwz..., bxwz...)
     mediator: (g0, gx, gv..., gxv...)
 
-with excluded blocks dropped. Design matrices built here use the same column
-order, so ``design @ params.active_vector()`` is the linear predictor.
+Each block is an exposure factor of (x, w), one of 1, x, w or xw, times either
+nothing (the four scalars) or the z or v covariates. ``ModelSpec.layout`` keeps
+the included blocks with their slices of the vector; the term names, the
+parameter vectors, the design matrices, the delta-method gradients and the
+coefficient documents all read it. Design columns follow the same order, so
+``design @ params.active_vector()`` is the linear predictor.
 
 A covariate profile enters the scalar predictors only through six sums:
 bz'z, bxz'z, bwz'z and bxwz'z for the outcome model, gv'v and gxv'v for the
@@ -36,13 +42,18 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from .exceptions import PredictorOverflowError, SchemaError
 
 __all__ = [
+    "BLOCK_FLAGS",
     "EXP_LIMIT",
+    "MEDIATOR_BLOCKS",
+    "OUTCOME_BLOCKS",
+    "Block",
     "ModelSpec",
     "CovariateProfile",
     "Contrast",
@@ -79,6 +90,42 @@ def _clean_names(names: Sequence[str], role: str) -> tuple[str, ...]:
     if len(set(names)) != len(names):
         raise SchemaError(f"duplicate {role} names in {names!r}")
     return names
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    """One coefficient block: the parameter attribute that holds it, the
+    ``ModelSpec`` flag that switches it (None for the four always-present
+    scalars), and whether its design column carries the x and w factors.
+
+    A switched block multiplies a covariate list, the one its flag ends in:
+    z for the outcome model, v for the mediator model. Blocks compare by
+    identity, so a block table hashes cheaply as a cache key.
+    """
+
+    attr: str
+    flag: str | None
+    x: bool
+    w: bool
+
+
+OUTCOME_BLOCKS = (
+    Block("intercept", None, False, False),
+    Block("exposure", None, True, False),
+    Block("confounders", "z", False, False),
+    Block("exposure_confounders", "xz", True, False),
+    Block("mediator", None, False, True),
+    Block("exposure_mediator", None, True, True),
+    Block("mediator_confounders", "wz", False, True),
+    Block("exposure_mediator_confounders", "xwz", True, True),
+)
+MEDIATOR_BLOCKS = (
+    Block("intercept", None, False, False),
+    Block("exposure", None, True, False),
+    Block("confounders", "v", False, False),
+    Block("exposure_confounders", "xv", True, False),
+)
+BLOCK_FLAGS = tuple(b.flag for b in OUTCOME_BLOCKS + MEDIATOR_BLOCKS if b.flag)
 
 
 @dataclass(frozen=True)
@@ -119,60 +166,60 @@ class ModelSpec:
     def q(self) -> int:
         return len(self.v_names)
 
-    @property
-    def has_z(self) -> bool:
-        return self.z and self.p > 0
+    def covariates(self, block: Block) -> tuple[str, ...]:
+        """The covariate names a block multiplies; () for a scalar block."""
+        return getattr(self, f"{block.flag[-1]}_names") if block.flag else ()
 
-    @property
-    def has_xz(self) -> bool:
-        return self.xz and self.p > 0
+    @cached_property
+    def _tables(self) -> dict:
+        return {}
 
-    @property
-    def has_wz(self) -> bool:
-        return self.wz and self.p > 0
+    def _table(self, blocks: tuple[Block, ...]):
+        """For one model's block table: every block with its width and whether
+        the model includes it (its flag is on and it has covariates), and the
+        included blocks with their slices; built once per spec and table."""
+        table = self._tables.get(blocks)
+        if table is None:
+            sizes, layout, pos = [], [], 0
+            for b in blocks:
+                width = len(self.covariates(b)) if b.flag else 1
+                included = b.flag is None or (getattr(self, b.flag) and width > 0)
+                sizes.append((b, width, included))
+                if included:
+                    layout.append((b, slice(pos, pos + width)))
+                    pos += width
+            table = self._tables[blocks] = (tuple(sizes), tuple(layout))
+        return table
 
-    @property
-    def has_xwz(self) -> bool:
-        return self.xwz and self.p > 0
+    def layout(self, blocks: tuple[Block, ...]) -> tuple[tuple[Block, slice], ...]:
+        """The included blocks of one model's table with their slices of the
+        coefficient vector."""
+        return self._table(blocks)[1]
 
-    @property
-    def has_v(self) -> bool:
-        return self.v and self.q > 0
-
-    @property
-    def has_xv(self) -> bool:
-        return self.xv and self.q > 0
+    def terms(self, blocks: tuple[Block, ...]) -> tuple[str, ...]:
+        """Design column names of one model, in coefficient layout order."""
+        terms = []
+        for b, _ in self.layout(blocks):
+            factor = ["x"] * b.x + ["w"] * b.w
+            if b.flag is None:
+                terms.append(":".join(factor) or "const")
+            else:
+                terms += [":".join(factor + [n]) for n in self.covariates(b)]
+        return tuple(terms)
 
     def outcome_terms(self) -> tuple[str, ...]:
-        """Outcome design column names, in coefficient layout order."""
-        terms = ["const", "x"]
-        if self.has_z:
-            terms += list(self.z_names)
-        if self.has_xz:
-            terms += [f"x:{n}" for n in self.z_names]
-        terms += ["w", "x:w"]
-        if self.has_wz:
-            terms += [f"w:{n}" for n in self.z_names]
-        if self.has_xwz:
-            terms += [f"x:w:{n}" for n in self.z_names]
-        return tuple(terms)
+        return self.terms(OUTCOME_BLOCKS)
 
     def mediator_terms(self) -> tuple[str, ...]:
-        """Mediator design column names, in coefficient layout order."""
-        terms = ["const", "x"]
-        if self.has_v:
-            terms += list(self.v_names)
-        if self.has_xv:
-            terms += [f"x:{n}" for n in self.v_names]
-        return tuple(terms)
+        return self.terms(MEDIATOR_BLOCKS)
 
     @cached_property
     def n_outcome_coefs(self) -> int:
-        return len(self.outcome_terms())
+        return self.layout(OUTCOME_BLOCKS)[-1][1].stop
 
     @cached_property
     def n_mediator_coefs(self) -> int:
-        return len(self.mediator_terms())
+        return self.layout(MEDIATOR_BLOCKS)[-1][1].stop
 
     def covariate_names(self) -> tuple[str, ...]:
         """Unique covariate names, z-list order first, then new v-list names."""
@@ -266,14 +313,65 @@ def _dot(coefs: np.ndarray, values: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class OutcomeParams:
+class _Params:
+    """Validation, equality and vector packing shared by both parameter
+    containers, driven by the class's block table."""
+
+    BLOCKS: ClassVar[tuple[Block, ...]]
+    MODEL: ClassVar[str]
+
+    spec: ModelSpec
+
+    def __post_init__(self):
+        for b, width, included in self.spec._table(self.BLOCKS)[0]:
+            value = getattr(self, b.attr)
+            if b.flag is not None:
+                value = _block(value, width, included, b.flag)
+            else:
+                value = float(value)
+                if not math.isfinite(value):
+                    raise SchemaError(f"{self.MODEL} coefficient {b.attr} is not finite")
+            object.__setattr__(self, b.attr, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.spec == other.spec and np.array_equal(
+            self.active_vector(), other.active_vector()
+        )
+
+    def active_vector(self) -> np.ndarray:
+        """Coefficients of the included blocks, in design column order."""
+        layout = self.spec.layout(self.BLOCKS)
+        vec = np.empty(layout[-1][1].stop)
+        for b, sl in layout:
+            vec[sl] = getattr(self, b.attr)
+        return vec
+
+    @classmethod
+    def from_vector(cls, spec: ModelSpec, vector: Sequence[float]):
+        """Inverse of :meth:`active_vector`."""
+        layout = spec.layout(cls.BLOCKS)
+        vec = np.asarray(vector, dtype=float).reshape(-1)
+        size = layout[-1][1].stop
+        if vec.shape != (size,):
+            raise SchemaError(
+                f"{cls.MODEL} coefficient vector has length {vec.size}, model expects {size}"
+            )
+        return cls(spec, **{b.attr: vec[sl] if b.flag else vec[sl.start] for b, sl in layout})
+
+
+@dataclass(frozen=True, eq=False)
+class OutcomeParams(_Params):
     """Coefficients of the outcome logistic model, stored block by block.
 
     Blocks excluded by the model spec are held at zero and never enter
     predictors, layouts, or gradients.
     """
 
-    spec: ModelSpec
+    BLOCKS = OUTCOME_BLOCKS
+    MODEL = "outcome"
+
     intercept: float = 0.0
     exposure: float = 0.0
     mediator: float = 0.0
@@ -282,81 +380,6 @@ class OutcomeParams:
     exposure_confounders: np.ndarray | None = field(default=None)
     mediator_confounders: np.ndarray | None = field(default=None)
     exposure_mediator_confounders: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        s = self.spec
-        for name in ("intercept", "exposure", "mediator", "exposure_mediator"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val):
-                raise SchemaError(f"outcome coefficient {name} is not finite")
-            object.__setattr__(self, name, val)
-        object.__setattr__(self, "confounders", _block(self.confounders, s.p, s.has_z, "z"))
-        object.__setattr__(
-            self, "exposure_confounders", _block(self.exposure_confounders, s.p, s.has_xz, "xz")
-        )
-        object.__setattr__(
-            self, "mediator_confounders", _block(self.mediator_confounders, s.p, s.has_wz, "wz")
-        )
-        object.__setattr__(
-            self,
-            "exposure_mediator_confounders",
-            _block(self.exposure_mediator_confounders, s.p, s.has_xwz, "xwz"),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OutcomeParams):
-            return NotImplemented
-        return self.spec == other.spec and np.array_equal(
-            self.active_vector(), other.active_vector()
-        )
-
-    def active_vector(self) -> np.ndarray:
-        """Coefficients of the included blocks, in design column order."""
-        s = self.spec
-        parts = [np.array([self.intercept, self.exposure])]
-        if s.has_z:
-            parts.append(self.confounders)
-        if s.has_xz:
-            parts.append(self.exposure_confounders)
-        parts.append(np.array([self.mediator, self.exposure_mediator]))
-        if s.has_wz:
-            parts.append(self.mediator_confounders)
-        if s.has_xwz:
-            parts.append(self.exposure_mediator_confounders)
-        return np.concatenate(parts)
-
-    @classmethod
-    def from_vector(cls, spec: ModelSpec, vector: Sequence[float]) -> "OutcomeParams":
-        """Inverse of :meth:`active_vector`."""
-        vec = np.asarray(vector, dtype=float).reshape(-1)
-        if vec.shape != (spec.n_outcome_coefs,):
-            raise SchemaError(
-                f"outcome coefficient vector has length {vec.size}, "
-                f"model expects {spec.n_outcome_coefs}"
-            )
-        pos = 2
-        bz = bxz = bwz = bxwz = None
-        if spec.has_z:
-            bz, pos = vec[pos : pos + spec.p], pos + spec.p
-        if spec.has_xz:
-            bxz, pos = vec[pos : pos + spec.p], pos + spec.p
-        bw, bxw = vec[pos], vec[pos + 1]
-        pos += 2
-        if spec.has_wz:
-            bwz, pos = vec[pos : pos + spec.p], pos + spec.p
-        if spec.has_xwz:
-            bxwz, pos = vec[pos : pos + spec.p], pos + spec.p
-        return cls(
-            spec=spec,
-            intercept=vec[0],
-            exposure=vec[1],
-            mediator=bw,
-            exposure_mediator=bxw,
-            confounders=bz,
-            exposure_confounders=bxz,
-            mediator_confounders=bwz,
-            exposure_mediator_confounders=bxwz,
-        )
 
     def linear_predictor(self, x: float, w: float, z: Sequence[float]) -> float:
         """logit P(Y=1 | x, w, z); one fixed evaluation order everywhere so the
@@ -424,64 +447,16 @@ class _OutcomeAt:
 
 
 @dataclass(frozen=True, eq=False)
-class MediatorParams:
+class MediatorParams(_Params):
     """Coefficients of the mediator logistic model, stored block by block."""
 
-    spec: ModelSpec
+    BLOCKS = MEDIATOR_BLOCKS
+    MODEL = "mediator"
+
     intercept: float = 0.0
     exposure: float = 0.0
     confounders: np.ndarray | None = field(default=None)
     exposure_confounders: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        s = self.spec
-        for name in ("intercept", "exposure"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val):
-                raise SchemaError(f"mediator coefficient {name} is not finite")
-            object.__setattr__(self, name, val)
-        object.__setattr__(self, "confounders", _block(self.confounders, s.q, s.has_v, "v"))
-        object.__setattr__(
-            self, "exposure_confounders", _block(self.exposure_confounders, s.q, s.has_xv, "xv")
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MediatorParams):
-            return NotImplemented
-        return self.spec == other.spec and np.array_equal(
-            self.active_vector(), other.active_vector()
-        )
-
-    def active_vector(self) -> np.ndarray:
-        s = self.spec
-        parts = [np.array([self.intercept, self.exposure])]
-        if s.has_v:
-            parts.append(self.confounders)
-        if s.has_xv:
-            parts.append(self.exposure_confounders)
-        return np.concatenate(parts)
-
-    @classmethod
-    def from_vector(cls, spec: ModelSpec, vector: Sequence[float]) -> "MediatorParams":
-        vec = np.asarray(vector, dtype=float).reshape(-1)
-        if vec.shape != (spec.n_mediator_coefs,):
-            raise SchemaError(
-                f"mediator coefficient vector has length {vec.size}, "
-                f"model expects {spec.n_mediator_coefs}"
-            )
-        pos = 2
-        gv = gxv = None
-        if spec.has_v:
-            gv, pos = vec[pos : pos + spec.q], pos + spec.q
-        if spec.has_xv:
-            gxv, pos = vec[pos : pos + spec.q], pos + spec.q
-        return cls(
-            spec=spec,
-            intercept=vec[0],
-            exposure=vec[1],
-            confounders=gv,
-            exposure_confounders=gxv,
-        )
 
     def linear_predictor(self, x: float, v: Sequence[float]) -> float:
         return _MediatorAt(self, v).eta(x)
@@ -603,38 +578,41 @@ class Dataset:
         )
 
 
+def _design(
+    spec: ModelSpec,
+    blocks: tuple[Block, ...],
+    x: np.ndarray,
+    w: np.ndarray | None,
+    columns: Mapping[str, np.ndarray],
+) -> np.ndarray:
+    """One model's design matrix: each included block's exposure factor (1, x,
+    w or xw) times its covariate columns, in coefficient layout order."""
+    x = np.asarray(x, dtype=float)
+    w = None if w is None else np.asarray(w, dtype=float)
+    factors = (None, x, w, None if w is None else x * w)  # indexed by x + 2w
+    cols = []
+    for b, _ in spec.layout(blocks):
+        factor = factors[b.x + 2 * b.w]
+        if b.flag is None:
+            cols.append(np.ones_like(x) if factor is None else factor)
+        else:
+            covs = [np.asarray(columns[n], dtype=float) for n in spec.covariates(b)]
+            cols += covs if factor is None else [factor * c for c in covs]
+    return np.column_stack(cols)
+
+
 def outcome_design(
     spec: ModelSpec, x: np.ndarray, w: np.ndarray, z_columns: Mapping[str, np.ndarray]
 ) -> np.ndarray:
     """Outcome design matrix with columns in coefficient layout order."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    cols = [np.ones_like(x), x]
-    z = [np.asarray(z_columns[n], dtype=float) for n in spec.z_names]
-    if spec.has_z:
-        cols += z
-    if spec.has_xz:
-        cols += [x * zj for zj in z]
-    cols += [w, x * w]
-    if spec.has_wz:
-        cols += [w * zj for zj in z]
-    if spec.has_xwz:
-        cols += [x * w * zj for zj in z]
-    return np.column_stack(cols)
+    return _design(spec, OUTCOME_BLOCKS, x, w, z_columns)
 
 
 def mediator_design(
     spec: ModelSpec, x: np.ndarray, v_columns: Mapping[str, np.ndarray]
 ) -> np.ndarray:
     """Mediator design matrix with columns in coefficient layout order."""
-    x = np.asarray(x, dtype=float)
-    cols = [np.ones_like(x), x]
-    v = [np.asarray(v_columns[n], dtype=float) for n in spec.v_names]
-    if spec.has_v:
-        cols += v
-    if spec.has_xv:
-        cols += [x * vj for vj in v]
-    return np.column_stack(cols)
+    return _design(spec, MEDIATOR_BLOCKS, x, None, v_columns)
 
 
 def build_design(data: Dataset, spec: ModelSpec, target: str) -> tuple[np.ndarray, np.ndarray]:

@@ -275,6 +275,51 @@ class TestFileErrors:
             "effects", "--coef-file", "microcredit_table1", "--output", out)
 
 
+def _set(*path_and_value):
+    """A document edit that sets doc[k1][k2]... to the last argument."""
+    *path, value = path_and_value
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+class TestMalformedCoefficientFiles:
+    """Each malformed value ends in one ERROR 2 line that names where it is;
+    none may be coerced into a different document."""
+
+    @pytest.mark.parametrize("edit, where", [
+        (_set("outcome", "intercept", "abc"), "outcome.intercept"),
+        (_set("outcome", "intercept", None), "outcome.intercept"),
+        (_set("outcome", "confounders", [1, "x", 3]), "outcome.confounders"),
+        (_set("outcome", "confounders", 5), "outcome.confounders"),
+        (_set("version", "abc"), "version"),
+        (_set("contrast", "x", "one"), "contrast.x"),
+        (_set("profiles", [{"name": "p", "values": [1, 2]}]), "profiles[0].values"),
+        (_set("model", "z_names", "age"), "model.z_names"),
+        (_set("model", "blocks", "xz", "false"), "model.blocks.xz"),
+        (_set("vcov", {"outcome": np.eye(7).tolist(), "mediator": [[1.0, 0.0], [0.0, "1"]]}),
+         "vcov.mediator"),
+        (_set("profiles", 0, "name", None), "profiles[0].name"),
+        (_set("description", None), "description"),
+    ], ids=[
+        "intercept-string", "intercept-null", "block-entry-string", "block-number",
+        "version-string", "contrast-string", "profile-values-array", "names-string",
+        "flag-string", "vcov-entry-string", "profile-name-null", "description-null",
+    ])
+    def test_schema_error_names_the_field(self, tmp_path, capsys, edit, where):
+        doc = load_json(Path(ormediate.__file__).parent / "fixtures" / "microcredit_table1.json")
+        edit(doc)
+        path = tmp_path / "coef.json"
+        save_json(doc, path)
+        assert run("effects", "--coef-file", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 2:") and where in err, err
+
+
 class TestCompareCommand:
     def test_gap_decreases_to_rare_limit(self, tmp_path):
         out = tmp_path / "cmp.json"

@@ -20,7 +20,7 @@ from ormediate import (
     natural_effects,
     simulate_dataset,
 )
-from ormediate.delta import a_term_key_derivatives, d_vector, grad_a_term
+from ormediate.delta import a_term_key_derivatives, grad_a_term
 from ormediate.effects import ATermInputs, a_term
 from ormediate.oracle import finite_diff
 from helpers import microcredit_params, random_problem
@@ -64,14 +64,6 @@ class TestKeyDerivatives:
         assert d_b0 == 0.0 and d_g0 == 0.0
         # at k=1 the bridge derivative in bw collapses to p2*p3 / (p2*p3 + p4)
         assert d_bw == pytest.approx((1.7 * 2.9) / (1.7 * 2.9 + 5.7), rel=1e-12)
-
-
-class TestDVector:
-    def test_interleaving(self):
-        assert np.array_equal(
-            d_vector(1.0, (37.0, 0.0, 0.0)), [1.0, 1.0, 37.0, 37.0, 0.0, 0.0, 0.0, 0.0]
-        )
-        assert np.array_equal(d_vector(0.5, ()), [1.0, 0.5])
 
 
 class TestGradATerm:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ormediate import (
     simulate_dataset,
 )
 from ormediate import io as table_io
+from ormediate.model import MEDIATOR_BLOCKS, OUTCOME_BLOCKS
 from ormediate.io import (
     COEFFICIENT_FORMAT,
     REPORT_FORMAT,
@@ -441,6 +443,95 @@ class TestCoefficientDocs:
         cs = load_coefficients("microcredit_table1")
         with pytest.raises(SchemaError, match="covariance"):
             cs.fitted_models()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _coefficient_sets(draw):
+    """Keyword arguments of coefficients_to_doc: a marginality-respecting flag
+    set, p and q in 0..3 drawn from one name pool (so covariates can be
+    shared), and optional covariances, contrast and profiles."""
+    pool = ["age", "edu", "loans", "income"]
+    z_names = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+    v_names = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+    z, v = draw(st.booleans()), draw(st.booleans())
+    xz, wz = draw(st.booleans()) and z, draw(st.booleans()) and z
+    xv = draw(st.booleans()) and v
+    xwz = draw(st.booleans()) and xz and wz
+    spec = ModelSpec(z_names=tuple(z_names), v_names=tuple(v_names),
+                     z=z, xz=xz, wz=wz, xwz=xwz, v=v, xv=xv)
+    ky, kw = spec.n_outcome_coefs, spec.n_mediator_coefs
+    kwargs = {
+        "spec": spec,
+        "outcome": OutcomeParams.from_vector(
+            spec, draw(st.lists(_finite, min_size=ky, max_size=ky))),
+        "mediator": MediatorParams.from_vector(
+            spec, draw(st.lists(_finite, min_size=kw, max_size=kw))),
+    }
+    if draw(st.booleans()):
+        kwargs["outcome_vcov"] = np.array(
+            draw(st.lists(_finite, min_size=ky * ky, max_size=ky * ky))).reshape(ky, ky)
+        kwargs["mediator_vcov"] = np.array(
+            draw(st.lists(_finite, min_size=kw * kw, max_size=kw * kw))).reshape(kw, kw)
+    if draw(st.booleans()):
+        kwargs["exposure_levels"] = (draw(_finite), draw(_finite))
+    names = draw(st.lists(st.text(min_size=1, max_size=4), max_size=3, unique=True))
+    kwargs["profiles"] = tuple(
+        (name, CovariateProfile.from_named(
+            spec, {n: draw(_finite) for n in spec.covariate_names()}))
+        for name in names
+    )
+    return kwargs
+
+
+class TestCoefficientDocProperties:
+    @settings(deadline=None, max_examples=150)
+    @given(kwargs=_coefficient_sets())
+    def test_round_trip_through_json_text(self, kwargs):
+        doc = coefficients_to_doc(**kwargs)
+        cs = coefficients_from_doc(json.loads(json.dumps(doc, indent=2)))
+        assert cs.spec == kwargs["spec"]
+        assert cs.outcome == kwargs["outcome"] and cs.mediator == kwargs["mediator"]
+        for key in ("outcome_vcov", "mediator_vcov"):
+            if key in kwargs:
+                assert np.array_equal(getattr(cs, key), kwargs[key])
+            else:
+                assert getattr(cs, key) is None
+        assert cs.exposure_levels == kwargs.get("exposure_levels")
+        assert cs.profiles == kwargs["profiles"]
+        assert coefficients_to_doc(
+            cs.spec, cs.outcome, cs.mediator,
+            outcome_vcov=cs.outcome_vcov, mediator_vcov=cs.mediator_vcov,
+            exposure_levels=cs.exposure_levels, profiles=cs.profiles,
+        ) == doc
+
+
+class TestReadme:
+    TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_coefficient_file_example_loads(self):
+        section = self.TEXT.split("### Coefficient files", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cs = coefficients_from_doc(json.loads(example))
+        assert cs.spec.z_names == ("age",)
+        assert cs.outcome.confounders.tolist() == [0.01]
+        assert [name for name, _ in cs.profiles] == ["typical"]
+
+    def test_block_table_matches_the_layout(self):
+        rows = {}
+        for line in self.TEXT.splitlines():
+            cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+            if len(cells) == 4 and cells[1] in ("outcome", "mediator"):
+                rows[cells[0], cells[1]] = cells[2].replace("`", "")
+        for model, blocks in (("outcome", OUTCOME_BLOCKS), ("mediator", MEDIATOR_BLOCKS)):
+            scalars = ", ".join(b.attr for b in blocks if b.flag is None)
+            assert rows.pop(("—", model)) == scalars
+            for b in blocks:
+                if b.flag is not None:
+                    assert rows.pop((b.flag, model)) == b.attr
+        assert not rows
 
 
 class TestBundledFixture:
