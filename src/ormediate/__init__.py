@@ -1,6 +1,6 @@
 """Exact odds-ratio mediation effects for binary outcomes and binary mediators."""
 
-from .delta import EffectInference, InferenceResult, infer, jacobian_log_effects
+from .delta import EffectInference, InferenceResult, infer, infer_many, jacobian_log_effects
 from .effects import (
     EFFECT_ORDER,
     ATermInputs,

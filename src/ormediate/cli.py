@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .delta import InferenceResult, infer
+from .delta import InferenceResult, infer_many
 from .effects import EFFECT_ORDER, EffectSet, approx_effects, natural_effects, special_case_report
 from .exceptions import FitError, MediationError, NumericalError, SchemaError
 from .io import (
@@ -443,11 +443,10 @@ def _cmd_fit(args) -> int:
         profiles = [("mean", data.mean_profile(spec))]
         profile_source = "sample-means"
 
-    tables = []
-    for name, prof in profiles:
-        result = infer(spec, outcome_fit, mediator_fit, Contrast(x, x_star, prof),
-                       level=args.level)
-        tables.append(_effect_table(name, spec, prof, _inference_entries(result)))
+    results = infer_many(spec, outcome_fit, mediator_fit,
+                         [Contrast(x, x_star, prof) for _, prof in profiles], level=args.level)
+    tables = [_effect_table(name, spec, prof, _inference_entries(result))
+              for (name, prof), result in zip(profiles, results)]
 
     cases = special_case_report(outcome, mediator, Contrast(x, x_star, profiles[0][1]))
     coef_doc = coefficients_to_doc(
@@ -496,9 +495,10 @@ def _cmd_effects(args) -> int:
     tables = []
     if coef.has_vcov:
         outcome_fit, mediator_fit = coef.fitted_models()
-        for name, prof in profiles:
-            result = infer(coef.spec, outcome_fit, mediator_fit,
-                           Contrast(x, x_star, prof), level=args.level)
+        results = infer_many(coef.spec, outcome_fit, mediator_fit,
+                             [Contrast(x, x_star, prof) for _, prof in profiles],
+                             level=args.level)
+        for (name, prof), result in zip(profiles, results):
             tables.append(_effect_table(name, coef.spec, prof,
                                         _inference_entries(result)))
         mode = "inference"

@@ -19,16 +19,31 @@ the log effects; the odds-ratio scale follows by scaling with the estimates.
 
 Confidence intervals are computed on the log scale and exponentiated, so they
 are always positive and respect the reciprocal symmetry of odds ratios.
+
+``infer_many`` runs the delta method at many contrasts as one batch: the
+gradients are columns over the contrasts, built by the same functions as the
+single-contrast Jacobian, and the covariances one stacked J Sigma J^T, which
+equals the 2-d product slice by slice. ``infer`` is its batch of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import EFFECT_ORDER, ATermInputs, EffectSet, _bridge_inputs, natural_effects
+from .effects import (
+    EFFECT_ORDER,
+    ATermInputs,
+    EffectSet,
+    _batch_or_loop,
+    _bridge_inputs,
+    _bridge_value,
+    _log_cde_at,
+    _log_effects,
+)
 from .exceptions import CovarianceError, SchemaError
 from .logit import FittedModel, _two_sided_p, _wald_quantile
 from .model import (
@@ -50,6 +65,7 @@ __all__ = [
     "grad_a_term",
     "jacobian_log_effects",
     "infer",
+    "infer_many",
 ]
 
 # roundoff this far below zero is forgiven and clamped; anything worse raises
@@ -63,7 +79,11 @@ def a_term_key_derivatives(inputs: ATermInputs) -> tuple[float, float, float]:
     same products commuted), which is what makes null-mediator models give
     exactly zero indirect-effect gradients outside the mediator coefficients.
     """
-    k, p2, p3, p4 = inputs.k, inputs.p2, inputs.p3, inputs.p4
+    return _key_derivatives(inputs.k, inputs.p2, inputs.p3, inputs.p4)
+
+
+def _key_derivatives(k, p2, p3, p4):
+    """:func:`a_term_key_derivatives` of floats or of columns."""
     s = p2 * p3 + p4
     num = k * p2 * p3 + p4
     d_b0 = ((k * p2 * (p3 - 1.0) + (p4 - 1.0)) * s - num * (p2 * (p3 - 1.0) + (p4 - 1.0))) / (
@@ -83,25 +103,23 @@ def grad_a_term(
 ) -> np.ndarray:
     """Gradient of A[x_outcome, x_mediator | profile] over the stacked active
     coefficient vector (outcome layout first, then mediator layout)."""
-    inputs = ATermInputs.from_params(outcome, mediator, x_outcome, x_mediator, profile)
-    return _grad_from_inputs(outcome.spec, inputs, x_outcome, x_mediator, profile)
+    a = ATermInputs.from_params(outcome, mediator, x_outcome, x_mediator, profile)
+    return _bridge_gradient(
+        outcome.spec, (a.k, a.p2, a.p3, a.p4), x_outcome, x_mediator, profile.z, profile.v
+    )
 
 
-def _grad_from_inputs(
-    spec: ModelSpec,
-    inputs: ATermInputs,
-    x_outcome: float,
-    x_mediator: float,
-    profile: CovariateProfile,
-) -> np.ndarray:
-    """:func:`grad_a_term` for bridge-term inputs already evaluated: each
-    entry is (d·x)·c_j, the block's key derivative d, times its model's
-    exposure level if it has an x factor, times each covariate value c_j."""
-    d_b0, d_bw, d_g0 = a_term_key_derivatives(inputs)
+def _bridge_gradient(spec: ModelSpec, inputs: tuple, x_outcome, x_mediator, z, v) -> np.ndarray:
+    """:func:`grad_a_term` for bridge-term inputs (k, p2, p3, p4) already
+    evaluated: each entry is (d·x)·c_j, the block's key derivative d, times its
+    model's exposure level if it has an x factor, times each covariate value
+    c_j. Floats give shape (dim,); a batch of N columns, with z and v of shape
+    (p, N) and (q, N), gives (dim, N)."""
+    d_b0, d_bw, d_g0 = _key_derivatives(*inputs)
     grad = []
     for blocks, keys, x, c in (
-        (OUTCOME_BLOCKS, (d_b0, d_bw), x_outcome, profile.z),
-        (MEDIATOR_BLOCKS, (d_g0,), x_mediator, profile.v),
+        (OUTCOME_BLOCKS, (d_b0, d_bw), x_outcome, z),
+        (MEDIATOR_BLOCKS, (d_g0,), x_mediator, v),
     ):
         for b, _ in spec.layout(blocks):
             d = keys[b.w] * x if b.x else keys[b.w]
@@ -112,21 +130,44 @@ def _grad_from_inputs(
     return np.array(grad)
 
 
-def _exposure_gradient(
-    spec: ModelSpec, contrast: Contrast, dim: int, w: float | None = None
-) -> np.ndarray:
+def _exposure_gradient(spec: ModelSpec, delta, z, dim: int, w: float | None = None) -> np.ndarray:
     """Gradient of an exposure log odds ratio times D = x - x*, over the
     first ``dim`` coefficients: the prefactor (bx + bxz'z) D when w is None,
     log CDE(w) = (bx + bxw w + bxz'z + bxwz' w z) D otherwise. Each x block
     gets (w·c_j)·D, or c_j·D without a w factor. The prefactor leaves its w
-    blocks at +0.0 rather than setting them to 0.0·D, which is -0.0 if D < 0."""
-    g = np.zeros(dim)
-    z = np.asarray(contrast.profile.z)
+    blocks at +0.0 rather than setting them to 0.0·D, which is -0.0 if D < 0.
+    A batch passes z of shape (p, N) and D of shape (N,) and gets (dim, N)."""
+    z = np.asarray(z)
+    g = np.zeros((dim,) + z.shape[1:])
     for b, sl in spec.layout(OUTCOME_BLOCKS):
         if b.x and (w is not None or not b.w):
             c = z if b.flag else 1.0
-            g[sl] = (w * c if b.w else c) * contrast.delta
+            g[sl] = (w * c if b.w else c) * delta
     return g
+
+
+def _log_jacobian(spec: ModelSpec, oy: _OutcomeAt, mw: _MediatorAt, x, xs, delta, z, v):
+    """Jacobian of the five log effects, (5, dim), or (5, dim, N) for a batch
+    of N profiles; see :func:`jacobian_log_effects`."""
+
+    def dlog(inputs, x1, x2):
+        return _bridge_gradient(spec, inputs, x1, x2, z, v) / _bridge_value(*inputs)
+
+    in_xx, in_xxs, in_xsx, in_xsxs = _bridge_inputs(oy, mw, x, xs)
+    l_xx = dlog(in_xx, x, x)
+    l_xxs = dlog(in_xxs, x, xs)
+    l_xsx = dlog(in_xsx, xs, x)
+    l_xsxs = dlog(in_xsxs, xs, xs)
+    d1 = _exposure_gradient(spec, delta, z, l_xx.shape[0])
+    return np.stack(
+        [
+            d1 + (l_xxs - l_xsxs),  # log PNDE
+            l_xx - l_xxs,  # log TNIE
+            d1 + (l_xx - l_xsx),  # log TNDE
+            l_xsx - l_xsxs,  # log PNIE
+            d1 + (l_xx - l_xsxs),  # log TE
+        ]
+    )
 
 
 def jacobian_log_effects(
@@ -137,31 +178,17 @@ def jacobian_log_effects(
     up to roundoff."""
     if outcome.spec != mediator.spec:
         raise SchemaError("outcome and mediator parameters belong to different model specs")
-    contrast.profile.check_against(outcome.spec)
-    spec = outcome.spec
-    x, xs = contrast.x, contrast.x_star
     prof = contrast.profile
-    in_xx, in_xxs, in_xsx, in_xsxs = _bridge_inputs(
-        _OutcomeAt(outcome, prof.z), _MediatorAt(mediator, prof.v), x, xs
-    )
-
-    def dlog(inputs, x1, x2):
-        return _grad_from_inputs(spec, inputs, x1, x2, prof) / inputs.value()
-
-    l_xx = dlog(in_xx, x, x)
-    l_xxs = dlog(in_xxs, x, xs)
-    l_xsx = dlog(in_xsx, xs, x)
-    l_xsxs = dlog(in_xsxs, xs, xs)
-    dim = l_xx.size
-    d1 = _exposure_gradient(spec, contrast, dim)
-    return np.vstack(
-        [
-            d1 + (l_xxs - l_xsxs),  # log PNDE
-            l_xx - l_xxs,  # log TNIE
-            d1 + (l_xx - l_xsx),  # log TNDE
-            l_xsx - l_xsxs,  # log PNIE
-            d1 + (l_xx - l_xsxs),  # log TE
-        ]
+    prof.check_against(outcome.spec)
+    return _log_jacobian(
+        outcome.spec,
+        _OutcomeAt(outcome, prof.z),
+        _MediatorAt(mediator, prof.v),
+        contrast.x,
+        contrast.x_star,
+        contrast.delta,
+        prof.z,
+        prof.v,
     )
 
 
@@ -246,43 +273,99 @@ def infer(
     parameters). A zero covariance collapses every interval to its point
     estimate rather than erroring.
     """
+    return _infer_rows(spec, outcome_fit, mediator_fit, [contrast], level)[0]
+
+
+def infer_many(
+    spec: ModelSpec,
+    outcome_fit: FittedModel,
+    mediator_fit: FittedModel,
+    contrasts: Sequence[Contrast],
+    level: float = 0.95,
+) -> list[InferenceResult]:
+    """:func:`infer` at each contrast, evaluated as one batch. The results equal
+    the calls made one by one bit for bit, and a failure raises the error of
+    the first contrast whose call fails."""
+    contrasts = list(contrasts)
+    return _batch_or_loop(
+        lambda: _infer_rows(spec, outcome_fit, mediator_fit, contrasts, level),
+        lambda: [infer(spec, outcome_fit, mediator_fit, c, level) for c in contrasts],
+    )
+
+
+@np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
+def _infer_rows(
+    spec: ModelSpec,
+    outcome_fit: FittedModel,
+    mediator_fit: FittedModel,
+    contrasts: list[Contrast],
+    level: float,
+) -> list[InferenceResult]:
+    """:func:`infer` at N contrasts: the effects and Jacobians as columns over
+    the contrasts, the covariances as one stacked J Sigma J^T (equal per slice
+    to the 2-d product), and the per-effect summaries row by row. For one
+    contrast it checks and raises in the order of the scalar evaluation."""
     zq = _wald_quantile(level)
     outcome = OutcomeParams.from_vector(spec, outcome_fit.coefficients)
     mediator = MediatorParams.from_vector(spec, mediator_fit.coefficients)
     ky, kw = spec.n_outcome_coefs, spec.n_mediator_coefs
     if outcome_fit.vcov.shape != (ky, ky) or mediator_fit.vcov.shape != (kw, kw):
         raise SchemaError("fit covariance shapes do not match the model spec")
+    for c in contrasts:
+        c.profile.check_against(spec)
+    n = len(contrasts)
+    if n == 0:
+        return []
+    z = np.array([c.profile.z for c in contrasts]).reshape(n, spec.p)
+    v = np.array([c.profile.v for c in contrasts]).reshape(n, spec.q)
+    x = np.array([c.x for c in contrasts])
+    xs = np.array([c.x_star for c in contrasts])
+    delta = x - xs
 
-    es = natural_effects(outcome, mediator, contrast)
-    jac = jacobian_log_effects(outcome, mediator, contrast)
+    oy, mw = _OutcomeAt.at_profiles(outcome, z), _MediatorAt.at_profiles(mediator, v)
+    logs = np.column_stack(_log_effects(oy, mw, x, xs, delta)).tolist()
+    cde = np.column_stack([_log_cde_at(oy, delta)[w] for w in (0, 1)]).tolist()
+    effect_sets = [
+        EffectSet(*row, log_cde_at={0: c0, 1: c1}, contrast=c)
+        for row, (c0, c1), c in zip(logs, cde, contrasts)
+    ]
+    jac = np.ascontiguousarray(
+        _log_jacobian(spec, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1)
+    )
     sigma = np.zeros((ky + kw, ky + kw))
     sigma[:ky, :ky] = outcome_fit.vcov
     sigma[ky:, ky:] = mediator_fit.vcov
-    cov_log = jac @ sigma @ jac.T
-    cov_log = (cov_log + cov_log.T) / 2.0
-    var_log = _variance_diag(cov_log)
+    cov_log = jac @ sigma @ jac.transpose(0, 2, 1)
+    cov_log = (cov_log + cov_log.transpose(0, 2, 1)) / 2.0
+    g_cde = [_exposure_gradient(spec, delta, z.T, ky, float(w)).T.copy() for w in (0, 1)]
 
-    effects = tuple(
-        _summarise(name, log_est, var, zq)
-        for name, log_est, var in zip(EFFECT_ORDER, es.log_values(), var_log)
-    )
-    ors = np.exp(np.asarray(es.log_values()))
-    cov_or = cov_log * np.outer(ors, ors)
+    results = []
+    for i, es in enumerate(effect_sets):
+        var_log = _variance_diag(cov_log[i])
+        effects = tuple(
+            _summarise(name, log_est, var, zq)
+            for name, log_est, var in zip(EFFECT_ORDER, es.log_values(), var_log)
+        )
+        ors = np.exp(np.asarray(es.log_values()))
+        cov_or = cov_log[i] * np.outer(ors, ors)
 
-    cde_rows = []
-    for w in (0, 1):
-        g = _exposure_gradient(spec, contrast, spec.n_outcome_coefs, float(w))
-        var = float(g @ outcome_fit.vcov @ g)
-        if var < -_VAR_TOL:
-            raise CovarianceError(f"negative CDE({w}) variance {var:.3e}")
-        cde_rows.append(_summarise(f"cde{w}", es.log_cde_at[w], max(var, 0.0), zq))
+        cde_rows = []
+        for w in (0, 1):
+            g = g_cde[w][i]
+            var = float(g @ outcome_fit.vcov @ g)
+            if var < -_VAR_TOL:
+                raise CovarianceError(f"negative CDE({w}) variance {var:.3e}")
+            cde_rows.append(_summarise(f"cde{w}", es.log_cde_at[w], max(var, 0.0), zq))
 
-    return InferenceResult(
-        effect_set=es,
-        effects=effects,
-        cde=tuple(cde_rows),
-        cov_log=cov_log,
-        cov_or=cov_or,
-        jacobian=jac,
-        level=level,
-    )
+        results.append(
+            InferenceResult(
+                effect_set=es,
+                effects=effects,
+                cde=tuple(cde_rows),
+                cov_log=cov_log[i],
+                cov_or=cov_or,
+                jacobian=jac[i],
+                level=level,
+            )
+        )
+    return results

@@ -32,6 +32,12 @@ so that TE = PNDE * TNIE = TNDE * PNIE by construction.
 ``approx_effects`` computes the classical rare-outcome approximations of the
 same five effects (the forms obtained when the outcome odds e_y are dropped
 next to 1), useful for quantifying the error of the approximate pipeline.
+
+The bridge inputs, bridge values and log effects are written once, for floats
+(``natural_effects``) and for columns over a batch of rows alike (see
+:mod:`ormediate.model`); ``_log_effects_at_rows`` evaluates many coefficient
+vectors at one contrast. A batch that fails is evaluated again row by row, so
+its error is the one the first failing row raises on its own.
 """
 
 from __future__ import annotations
@@ -41,8 +47,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SchemaError
-from .model import Contrast, CovariateProfile, MediatorParams, OutcomeParams, _MediatorAt, _OutcomeAt
+from .exceptions import MediationError, SchemaError
+from .model import (
+    Contrast,
+    CovariateProfile,
+    MediatorParams,
+    ModelSpec,
+    OutcomeParams,
+    _each,
+    _MediatorAt,
+    _OutcomeAt,
+)
 
 __all__ = [
     "EFFECT_ORDER",
@@ -112,18 +127,24 @@ class ATermInputs:
         )
 
     def value(self) -> float:
-        return (self.k * self.p2 * self.p3 + self.p4) / (self.p2 * self.p3 + self.p4)
+        return _bridge_value(self.k, self.p2, self.p3, self.p4)
 
 
-def _bridge_inputs(
-    oy: _OutcomeAt, mw: _MediatorAt, x: float, xs: float
-) -> tuple[ATermInputs, ATermInputs, ATermInputs, ATermInputs]:
-    """Inputs of A[x, x], A[x, x*], A[x*, x] and A[x*, x*] at one profile.
+def _bridge_value(k, p2, p3, p4):
+    """A = (k p2 p3 + p4) / (p2 p3 + p4), of floats or of columns."""
+    return (k * p2 * p3 + p4) / (p2 * p3 + p4)
+
+
+def _bridge_inputs(oy: _OutcomeAt, mw: _MediatorAt, x, xs) -> tuple[tuple, ...]:
+    """(k, p2, p3, p4) of A[x, x], A[x, x*], A[x*, x] and A[x*, x*] at one
+    profile, as floats or, for a batch, columns.
 
     k, p3 and p4 depend only on the outcome exposure and p2 only on the
     mediator exposure, so each is exponentiated once, in the order the four
     terms first use it (the first overflow raised is the one the terms taken
-    one by one would raise).
+    one by one would raise). ``ATermInputs`` is not built here: the
+    |eta| <= 709 bound on every exponent already gives what it checks (finite
+    values, k and p2 positive, p3 and p4 at least 1).
     """
     k_x, p2_x = oy.mediator_odds_ratio(x), mw.odds(x)
     p3_x, p4_x = 1.0 + oy.odds(x, 0.0), 1.0 + oy.odds(x, 1.0)
@@ -131,10 +152,10 @@ def _bridge_inputs(
     k_xs = oy.mediator_odds_ratio(xs)
     p3_xs, p4_xs = 1.0 + oy.odds(xs, 0.0), 1.0 + oy.odds(xs, 1.0)
     return (
-        ATermInputs(k_x, p2_x, p3_x, p4_x),
-        ATermInputs(k_x, p2_xs, p3_x, p4_x),
-        ATermInputs(k_xs, p2_x, p3_xs, p4_xs),
-        ATermInputs(k_xs, p2_xs, p3_xs, p4_xs),
+        (k_x, p2_x, p3_x, p4_x),
+        (k_x, p2_xs, p3_x, p4_x),
+        (k_xs, p2_x, p3_xs, p4_xs),
+        (k_xs, p2_xs, p3_xs, p4_xs),
     )
 
 
@@ -239,6 +260,21 @@ def _log_cde_at(oy: _OutcomeAt, delta: float) -> dict[int, float]:
     return {0: oy.exposure_log_or(0.0) * delta, 1: oy.exposure_log_or(1.0) * delta}
 
 
+def _log_effects(oy: _OutcomeAt, mw: _MediatorAt, x, xs, delta) -> tuple:
+    """(log PNDE, log TNIE, log TNDE, log PNIE, log TE), of floats or columns."""
+    a_xx, a_xxs, a_xsx, a_xsxs = (
+        _bridge_value(*inputs) for inputs in _bridge_inputs(oy, mw, x, xs)
+    )
+    pref = oy.exposure_main_log_or() * delta
+    return (
+        pref + _each(math.log, a_xxs / a_xsxs),
+        _each(math.log, a_xx / a_xxs),
+        pref + _each(math.log, a_xx / a_xsx),
+        _each(math.log, a_xsx / a_xsxs),
+        pref + _each(math.log, a_xx / a_xsxs),
+    )
+
+
 def natural_effects(
     outcome: OutcomeParams, mediator: MediatorParams, contrast: Contrast
 ) -> EffectSet:
@@ -249,22 +285,68 @@ def natural_effects(
     _check_joint_spec(outcome, mediator, contrast)
     prof = contrast.profile
     oy = _OutcomeAt(outcome, prof.z)
-    a_xx, a_xxs, a_xsx, a_xsxs = (
-        inputs.value()
-        for inputs in _bridge_inputs(
-            oy, _MediatorAt(mediator, prof.v), contrast.x, contrast.x_star
+    logs = _log_effects(oy, _MediatorAt(mediator, prof.v), contrast.x, contrast.x_star,
+                        contrast.delta)
+    return EffectSet(*logs, log_cde_at=_log_cde_at(oy, contrast.delta), contrast=contrast)
+
+
+def _batch_or_loop(batch, loop):
+    """batch() evaluates N rows at once and loop() one row at a time, in order.
+    When the batch fails, the loop's result or error is the answer, so a batch
+    fails with the error of the first failing row."""
+    try:
+        return batch()
+    except (MediationError, ArithmeticError, ValueError):
+        return loop()
+
+
+def _log_effects_at_rows(spec: ModelSpec, thetas: np.ndarray, contrast: Contrast) -> np.ndarray:
+    """``natural_effects(...).log_values()`` at each stacked coefficient row of
+    ``thetas`` (N, outcome then mediator coefficients) and one contrast.
+
+    The (N, 5) result equals the rows evaluated one by one bit for bit, and a
+    failure raises the error of the first failing row. Row 0 is the base: a
+    row reuses its covariate sums where its block is unchanged, so a batch of
+    central-difference points costs one dot product per point inside a
+    covariate block. The rows skip ``from_vector``; one finiteness check and
+    ``EffectSet``'s checks, vectorised, stand in for theirs.
+    """
+    ky = spec.n_outcome_coefs
+    prof = contrast.profile
+
+    @np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
+    def batch():
+        prof.check_against(spec)
+        if not np.isfinite(thetas).all():
+            raise SchemaError("a coefficient row is not finite")
+        oy = _OutcomeAt.at_rows(spec, thetas[:, :ky], prof.z)
+        mw = _MediatorAt.at_rows(spec, thetas[:, ky:], prof.v)
+        logs = np.column_stack(_log_effects(oy, mw, contrast.x, contrast.x_star, contrast.delta))
+        cde = _log_cde_at(oy, contrast.delta)
+        tol = 1e-12 * np.maximum(1.0, np.abs(logs).max(axis=1))
+        te = logs[:, 4]
+        ok = (
+            np.isfinite(logs).all(axis=1)
+            & np.isfinite(cde[0])
+            & np.isfinite(cde[1])
+            & (np.abs(logs[:, 0] + logs[:, 1] - te) <= tol)
+            & (np.abs(logs[:, 2] + logs[:, 3] - te) <= tol)
         )
-    )
-    pref = oy.exposure_main_log_or() * contrast.delta
-    return EffectSet(
-        log_pnde=pref + math.log(a_xxs / a_xsxs),
-        log_tnie=math.log(a_xx / a_xxs),
-        log_tnde=pref + math.log(a_xx / a_xsx),
-        log_pnie=math.log(a_xsx / a_xsxs),
-        log_te=pref + math.log(a_xx / a_xsxs),
-        log_cde_at=_log_cde_at(oy, contrast.delta),
-        contrast=contrast,
-    )
+        if not ok.all():
+            raise SchemaError("a coefficient row fails the EffectSet checks")
+        return logs
+
+    def loop():
+        return np.array([
+            natural_effects(
+                OutcomeParams.from_vector(spec, theta[:ky]),
+                MediatorParams.from_vector(spec, theta[ky:]),
+                contrast,
+            ).log_values()
+            for theta in thetas
+        ])
+
+    return _batch_or_loop(batch, loop)
 
 
 def approx_effects(

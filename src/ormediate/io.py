@@ -364,6 +364,11 @@ def _vcov_from_doc(entry, size: int, *, where: str) -> np.ndarray:
     arr = np.array([[_number(v, where=where) for v in row] for row in rows])
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{where}: covariance contains non-finite entries")
+    # exact: fit writes (V + V^T) / 2, which is symmetric to the bit
+    if not np.array_equal(arr, arr.T):
+        raise SchemaError(f"{where}: covariance is not symmetric")
+    if np.any(np.diag(arr) < 0.0):
+        raise SchemaError(f"{where}: covariance has a negative variance on its diagonal")
     return arr
 
 

@@ -34,6 +34,15 @@ profile, and every predictor, log odds ratio and odds is formed from them in
 one fixed order; the public ``linear_predictor`` and ``*_log_or`` methods and
 the effect, delta-method and oracle code all go through them, so a contrast
 costs six dot products however many predictors it needs.
+
+The same two classes evaluate a batch of N rows in one numpy pass: one
+parameter set at N profiles (``infer_many`` over a report's profiles) or N
+coefficient vectors at one profile (the central-difference points of the
+``verify`` jacobian suite). Their fields are then float64 columns instead of
+floats and the predictor expressions are unchanged, so each row gets the bits
+of the scalar path: elementwise arithmetic rounds as Python floats do, each
+row's sum is still one dot product, and exp and log go through ``math`` entry
+by entry (numpy's own round differently).
 """
 
 from __future__ import annotations
@@ -72,7 +81,22 @@ __all__ = [
 EXP_LIMIT = 709.0
 
 
-def _checked_exp(eta: float, what: str) -> float:
+def _each(fn, value):
+    """fn of a float, or of each entry of a column through Python floats:
+    numpy's exp and log round differently from math's."""
+    if isinstance(value, np.ndarray):
+        return np.fromiter(map(fn, value.tolist()), float, value.size)
+    return fn(value)
+
+
+def _checked_exp(eta, what: str):
+    """exp(eta) for a predictor or a column of them. A column gets one bound
+    check; its first failing entry raises the message the scalar path gives."""
+    if isinstance(eta, np.ndarray):
+        ok = np.abs(eta) <= EXP_LIMIT
+        if not ok.all():
+            _checked_exp(eta.tolist()[int(np.argmin(ok))], what)
+        return _each(math.exp, eta)
     if not math.isfinite(eta):
         raise PredictorOverflowError(f"{what} linear predictor is {eta!r}")
     if abs(eta) > EXP_LIMIT:
@@ -401,27 +425,76 @@ class OutcomeParams(_Params):
         return _OutcomeAt(self, z).mediator_log_or(x)
 
 
-class _OutcomeAt:
-    """The outcome model's predictors at one z, from the sums bz'z, bxz'z,
-    bwz'z and bxwz'z taken once."""
+class _At:
+    """One model's predictors at a covariate vector c: its scalar coefficients
+    and the sum coef'c of each covariate block, taken once. ``FIELDS`` names
+    them in the order of the model's block table.
 
-    __slots__ = ("b", "z", "xz", "wz", "xwz")
+    Each field is a float, or, for a batch of N rows, a float64 column of
+    length N; the predictor expressions below serve both, because elementwise
+    numpy arithmetic rounds as the same Python float expression does. A batch
+    is either one parameter set at N profiles (:meth:`at_profiles`) or N
+    parameter rows at one profile (:meth:`at_rows`). Each row's sum is one
+    ``float(np.dot(block, c))``, as on the scalar path: a matrix product over
+    the rows rounds differently.
+    """
 
-    def __init__(self, b: OutcomeParams, z: Sequence[float]):
-        self.b = b
-        self.z = _dot(b.confounders, z)
-        self.xz = _dot(b.exposure_confounders, z)
-        self.wz = _dot(b.mediator_confounders, z)
-        self.xwz = _dot(b.exposure_mediator_confounders, z)
+    __slots__ = ()
+    PARAMS: ClassVar[type["_Params"]]
+    FIELDS: ClassVar[tuple[str, ...]]
+
+    def __init__(self, params: "_Params", c: Sequence[float]):
+        for b, name in zip(self.PARAMS.BLOCKS, self.FIELDS):
+            value = getattr(params, b.attr)
+            setattr(self, name, _dot(value, c) if b.flag else value)
+
+    @classmethod
+    def at_profiles(cls, params: "_Params", rows: np.ndarray) -> "_At":
+        """One parameter set at each row of ``rows`` (N, width), a profile."""
+        at = cls.__new__(cls)
+        for b, name in zip(cls.PARAMS.BLOCKS, cls.FIELDS):
+            value = getattr(params, b.attr)
+            if b.flag:
+                value = np.array([_dot(value, c) for c in rows])
+            setattr(at, name, value)
+        return at
+
+    @classmethod
+    def at_rows(cls, spec: ModelSpec, rows: np.ndarray, c: Sequence[float]) -> "_At":
+        """Each coefficient row of ``rows`` (N, k), in layout order, at one
+        profile c. Row 0 is the base: a block whose bits in a row equal row
+        0's reuses row 0's sum, since its inputs are identical."""
+        base = cls(cls.PARAMS.from_vector(spec, rows[0]), c)
+        at = cls.__new__(cls)
+        slices = dict(spec.layout(cls.PARAMS.BLOCKS))
+        for b, name in zip(cls.PARAMS.BLOCKS, cls.FIELDS):
+            value, sl = getattr(base, name), slices.get(b)
+            if sl is not None and not b.flag:
+                value = rows[:, sl.start]
+            elif sl is not None:
+                block = rows[:, sl]
+                value = np.full(len(rows), value)
+                changed = (block.view(np.int64) != block[0].view(np.int64)).any(axis=1)
+                for i in np.flatnonzero(changed).tolist():
+                    value[i] = _dot(block[i], c)
+            setattr(at, name, value)
+        return at
+
+
+class _OutcomeAt(_At):
+    """The outcome model's predictors at z, from the sums bz'z, bxz'z, bwz'z
+    and bxwz'z."""
+
+    __slots__ = FIELDS = ("b0", "bx", "z", "xz", "bw", "bxw", "wz", "xwz")
+    PARAMS = OutcomeParams
 
     def eta(self, x: float, w: float) -> float:
-        b = self.b
         xw = x * w
         return (
-            b.intercept
-            + b.exposure * x
-            + b.mediator * w
-            + b.exposure_mediator * xw
+            self.b0
+            + self.bx * x
+            + self.bw * w
+            + self.bxw * xw
             + self.z
             + x * self.xz
             + w * self.wz
@@ -429,13 +502,13 @@ class _OutcomeAt:
         )
 
     def exposure_log_or(self, w: float) -> float:
-        return self.b.exposure + self.b.exposure_mediator * w + self.xz + w * self.xwz
+        return self.bx + self.bxw * w + self.xz + w * self.xwz
 
     def exposure_main_log_or(self) -> float:
-        return self.b.exposure + self.xz
+        return self.bx + self.xz
 
     def mediator_log_or(self, x: float) -> float:
-        return self.b.mediator + self.b.exposure_mediator * x + self.wz + x * self.xwz
+        return self.bw + self.bxw * x + self.wz + x * self.xwz
 
     def odds(self, x: float, w: float) -> float:
         """e_y(x, w) at this z, for a float w in {0.0, 1.0}."""
@@ -462,18 +535,14 @@ class MediatorParams(_Params):
         return _MediatorAt(self, v).eta(x)
 
 
-class _MediatorAt:
-    """The mediator model's predictor at one v, from gv'v and gxv'v taken once."""
+class _MediatorAt(_At):
+    """The mediator model's predictor at v, from gv'v and gxv'v."""
 
-    __slots__ = ("g", "v", "xv")
-
-    def __init__(self, g: MediatorParams, v: Sequence[float]):
-        self.g = g
-        self.v = _dot(g.confounders, v)
-        self.xv = _dot(g.exposure_confounders, v)
+    __slots__ = FIELDS = ("g0", "gx", "v", "xv")
+    PARAMS = MediatorParams
 
     def eta(self, x: float) -> float:
-        return self.g.intercept + self.g.exposure * x + self.v + x * self.xv
+        return self.g0 + self.gx * x + self.v + x * self.xv
 
     def odds(self, x: float) -> float:
         """e_w(x) at this v."""

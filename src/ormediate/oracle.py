@@ -16,7 +16,9 @@ Tables built from model parameters carry stably computed complements
 (P(Y=0) as logistic(-eta), not 1-p), so the agreement check is meaningful to
 ~1e-14 even when probabilities sit within 1e-11 of the boundary.
 
-``finite_diff`` is the shared central-difference gradient checker.
+``finite_diff`` is the shared central-difference gradient checker. Its step
+rule and difference arithmetic live in two helpers, which the ``verify``
+jacobian suite also uses to difference a whole batch of points at once.
 """
 
 from __future__ import annotations
@@ -223,7 +225,9 @@ def finite_diff(
 
     The step for coordinate i is ``rel_step * max(1, |theta_i|)``. Scalar f
     gives a gradient of shape (dim,), vector f a Jacobian of shape (m, dim).
-    Non-finite differences raise, naming the coordinate.
+    Non-finite differences raise, naming the coordinate. f is called at theta
+    and then at theta + h_i e_i and theta - h_i e_i for each i in turn; a caller
+    that can evaluate every point at once uses the same two helpers below.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
@@ -231,14 +235,31 @@ def finite_diff(
     raw0 = np.asarray(f(theta), dtype=float)
     scalar = raw0.ndim == 0
     f0 = np.atleast_1d(raw0)
+    h, points = _difference_points(theta, rel_step)
     out = np.empty((f0.size,) + theta.shape)
     for i in range(theta.size):
-        h = rel_step * max(1.0, abs(theta[i]))
-        up, down = theta.copy(), theta.copy()
-        up[i] += h
-        down[i] -= h
-        diff = (np.atleast_1d(f(up)) - np.atleast_1d(f(down))) / (2.0 * h)
-        if not np.all(np.isfinite(diff)):
-            raise SchemaError(f"finite difference is not finite at coordinate {i}")
-        out[:, i] = diff
+        up, down = (np.atleast_1d(f(p))[None] for p in points[2 * i : 2 * i + 2])
+        out[:, i] = _difference_quotients(up, down, h[i : i + 1], first=i)[:, 0]
     return out[0] if scalar else out
+
+
+def _difference_points(theta: np.ndarray, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The steps h_i = rel_step * max(1, |theta_i|) and the 2 dim points
+    theta + h_0 e_0, theta - h_0 e_0, theta + h_1 e_1, ... as rows."""
+    h = np.array([rel_step * max(1.0, abs(t)) for t in theta.tolist()])
+    points = np.repeat(theta[None], 2 * theta.size, axis=0)
+    i = np.arange(theta.size)
+    points[2 * i, i] += h
+    points[2 * i + 1, i] -= h
+    return h, points
+
+
+def _difference_quotients(up, down, h, first: int = 0) -> np.ndarray:
+    """(f(theta + h_i e_i) - f(theta - h_i e_i)) / 2 h_i from rows of values
+    (k, m) and steps (k,), as an (m, k) array; the first coordinate with a
+    non-finite quotient, counted from ``first``, raises."""
+    diff = (up - down) / (2.0 * h)[:, None]
+    bad = ~np.isfinite(diff).all(axis=1)
+    if bad.any():
+        raise SchemaError(f"finite difference is not finite at coordinate {first + int(np.argmax(bad))}")
+    return diff.T

@@ -29,9 +29,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .delta import jacobian_log_effects
-from .effects import ATermInputs, natural_effects
+from .effects import ATermInputs, _log_effects_at_rows, natural_effects
 from .model import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
-from .oracle import finite_diff, g_y_check, mediation_formula_effects, tables_from_params
+from .oracle import (
+    _difference_points,
+    _difference_quotients,
+    g_y_check,
+    mediation_formula_effects,
+    tables_from_params,
+)
 
 __all__ = [
     "SUITE_NAMES",
@@ -109,14 +115,6 @@ class SuiteResult:
         )
 
 
-def _split_theta(spec, theta):
-    ky = spec.n_outcome_coefs
-    return (
-        OutcomeParams.from_vector(spec, theta[:ky]),
-        MediatorParams.from_vector(spec, theta[ky:]),
-    )
-
-
 def suite_oracle_equivalence(seed: int = 0, count: int = 1000, perturb: float = 0.0) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -152,13 +150,12 @@ def suite_jacobian(seed: int = 0, count: int = 200, perturb: float = 0.0) -> Sui
     for _ in range(count):
         spec, outcome, mediator, contrast = random_problem(rng)
         jac = jacobian_log_effects(outcome, mediator, contrast) + perturb
-
-        def logs_of_theta(theta, spec=spec, contrast=contrast):
-            o, m = _split_theta(spec, theta)
-            return np.asarray(natural_effects(o, m, contrast).log_values())
-
+        # finite_diff of the log effects, with theta and all 2 dim of its
+        # difference points evaluated as one batch of coefficient rows
         theta = np.concatenate([outcome.active_vector(), mediator.active_vector()])
-        fd = finite_diff(logs_of_theta, theta)
+        h, points = _difference_points(theta, 1e-6)
+        logs = _log_effects_at_rows(spec, np.vstack([theta, points]), contrast)
+        fd = _difference_quotients(logs[1::2], logs[2::2], h)
         err = np.max(np.abs(jac - fd) / np.maximum(1.0, np.abs(jac)))
         worst = max(worst, float(err))
     worst = float(worst)

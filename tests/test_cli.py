@@ -305,10 +305,15 @@ class TestMalformedCoefficientFiles:
          "vcov.mediator"),
         (_set("profiles", 0, "name", None), "profiles[0].name"),
         (_set("description", None), "description"),
+        (_set("vcov", {"outcome": (np.eye(7) + np.eye(7, k=1)).tolist(),
+                       "mediator": np.eye(2).tolist()}), "vcov.outcome"),
+        (_set("vcov", {"outcome": np.eye(7).tolist(),
+                       "mediator": [[1.0, 0.0], [0.0, -1.0]]}), "vcov.mediator"),
     ], ids=[
         "intercept-string", "intercept-null", "block-entry-string", "block-number",
         "version-string", "contrast-string", "profile-values-array", "names-string",
         "flag-string", "vcov-entry-string", "profile-name-null", "description-null",
+        "vcov-asymmetric", "vcov-negative-variance",
     ])
     def test_schema_error_names_the_field(self, tmp_path, capsys, edit, where):
         doc = load_json(Path(ormediate.__file__).parent / "fixtures" / "microcredit_table1.json")

@@ -351,8 +351,12 @@ class TestCoefficientDocs:
         outcome = OutcomeParams(spec, intercept=0.1 + 0.2, exposure=-1e-17,
                                 mediator=3.3333333333333335, exposure_mediator=0.0)
         mediator = MediatorParams(spec, intercept=np.pi, exposure=-np.e)
-        vo = np.random.default_rng(3).normal(size=(4, 4))
-        vm = np.random.default_rng(4).normal(size=(2, 2))
+        # covariances are symmetric: a @ a.T symmetrised to the bit
+        vo, vm = (
+            (a @ a.T + (a @ a.T).T) / 2.0
+            for a in (np.random.default_rng(3).normal(size=(4, 4)),
+                      np.random.default_rng(4).normal(size=(2, 2)))
+        )
         doc = coefficients_to_doc(spec, outcome, mediator,
                                   outcome_vcov=vo, mediator_vcov=vm)
         path = tmp_path / "c.json"
@@ -378,6 +382,18 @@ class TestCoefficientDocs:
         doc = _full_coefficient_doc()
         doc["vcov"]["mediator"] = [[1.0]]
         with pytest.raises(SchemaError, match="2x2"):
+            coefficients_from_doc(doc)
+
+    def test_asymmetric_vcov_rejected(self):
+        doc = _full_coefficient_doc()
+        doc["vcov"]["mediator"] = [[0.04, 0.01], [0.0, 0.09]]
+        with pytest.raises(SchemaError, match="vcov.mediator: covariance is not symmetric"):
+            coefficients_from_doc(doc)
+
+    def test_negative_variance_rejected(self):
+        doc = _full_coefficient_doc()
+        doc["vcov"]["outcome"][3][3] = -1e-300
+        with pytest.raises(SchemaError, match="vcov.outcome: .*negative variance"):
             coefficients_from_doc(doc)
 
     def test_format_and_version_checked(self):
@@ -448,6 +464,19 @@ class TestCoefficientDocs:
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _covariance(draw, k: int) -> np.ndarray:
+    """A k x k matrix a coefficient document accepts as a covariance: exactly
+    symmetric, with a non-negative diagonal."""
+    m = np.empty((k, k))
+    upper = np.triu_indices(k, 1)
+    values = draw(st.lists(_finite, min_size=upper[0].size, max_size=upper[0].size))
+    m[upper] = values
+    m[upper[::-1]] = values
+    m[np.diag_indices(k)] = draw(st.lists(
+        st.floats(min_value=0.0, allow_infinity=False), min_size=k, max_size=k))
+    return m
+
+
 @st.composite
 def _coefficient_sets(draw):
     """Keyword arguments of coefficients_to_doc: a marginality-respecting flag
@@ -471,10 +500,8 @@ def _coefficient_sets(draw):
             spec, draw(st.lists(_finite, min_size=kw, max_size=kw))),
     }
     if draw(st.booleans()):
-        kwargs["outcome_vcov"] = np.array(
-            draw(st.lists(_finite, min_size=ky * ky, max_size=ky * ky))).reshape(ky, ky)
-        kwargs["mediator_vcov"] = np.array(
-            draw(st.lists(_finite, min_size=kw * kw, max_size=kw * kw))).reshape(kw, kw)
+        kwargs["outcome_vcov"] = _covariance(draw, ky)
+        kwargs["mediator_vcov"] = _covariance(draw, kw)
     if draw(st.booleans()):
         kwargs["exposure_levels"] = (draw(_finite), draw(_finite))
     names = draw(st.lists(st.text(min_size=1, max_size=4), max_size=3, unique=True))
