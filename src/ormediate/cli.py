@@ -443,10 +443,13 @@ def _cmd_fit(args) -> int:
         profiles = [("mean", data.mean_profile(spec))]
         profile_source = "sample-means"
 
-    results = infer_many(spec, outcome_fit, mediator_fit,
-                         [Contrast(x, x_star, prof) for _, prof in profiles], level=args.level)
-    tables = [_effect_table(name, spec, prof, _inference_entries(result))
-              for (name, prof), result in zip(profiles, results)]
+    # no name holds the results, so they are freed before the report is written
+    tables = [
+        _effect_table(name, spec, prof, _inference_entries(result))
+        for (name, prof), result in zip(profiles, infer_many(
+            spec, outcome_fit, mediator_fit,
+            [Contrast(x, x_star, prof) for _, prof in profiles], level=args.level))
+    ]
 
     cases = special_case_report(outcome, mediator, Contrast(x, x_star, profiles[0][1]))
     coef_doc = coefficients_to_doc(
@@ -495,12 +498,13 @@ def _cmd_effects(args) -> int:
     tables = []
     if coef.has_vcov:
         outcome_fit, mediator_fit = coef.fitted_models()
-        results = infer_many(coef.spec, outcome_fit, mediator_fit,
-                             [Contrast(x, x_star, prof) for _, prof in profiles],
-                             level=args.level)
-        for (name, prof), result in zip(profiles, results):
-            tables.append(_effect_table(name, coef.spec, prof,
-                                        _inference_entries(result)))
+        # no name holds the results, so they are freed before the report is written
+        tables = [
+            _effect_table(name, coef.spec, prof, _inference_entries(result))
+            for (name, prof), result in zip(profiles, infer_many(
+                coef.spec, outcome_fit, mediator_fit,
+                [Contrast(x, x_star, prof) for _, prof in profiles], level=args.level))
+        ]
         mode = "inference"
     else:
         for name, prof in profiles:
