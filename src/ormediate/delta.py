@@ -43,6 +43,7 @@ from .effects import (
     _bridge_value,
     _log_cde_at,
     _log_effects,
+    natural_effects,
 )
 from .exceptions import CovarianceError, SchemaError
 from .logit import FittedModel, _two_sided_p, _wald_quantile
@@ -260,6 +261,49 @@ def _summarise(name: str, log_est: float, var_log: float, zq: float) -> EffectIn
     )
 
 
+def _fitted_params(spec: ModelSpec, outcome_fit: FittedModel, mediator_fit: FittedModel):
+    """The parameters of the two fits, and the block-diagonal covariance of
+    theta (the two likelihoods share no parameters)."""
+    outcome = OutcomeParams.from_vector(spec, outcome_fit.coefficients)
+    mediator = MediatorParams.from_vector(spec, mediator_fit.coefficients)
+    ky, kw = spec.n_outcome_coefs, spec.n_mediator_coefs
+    if outcome_fit.vcov.shape != (ky, ky) or mediator_fit.vcov.shape != (kw, kw):
+        raise SchemaError("fit covariance shapes do not match the model spec")
+    sigma = np.zeros((ky + kw, ky + kw))
+    sigma[:ky, :ky] = outcome_fit.vcov
+    sigma[ky:, ky:] = mediator_fit.vcov
+    return outcome, mediator, sigma
+
+
+def _inference(es, jac, cov_log, g_cde, outcome_vcov, zq: float, level: float):
+    """The summaries of one contrast from its effects, Jacobian, log-scale
+    covariance and the gradients of log CDE(0) and log CDE(1)."""
+    var_log = _variance_diag(cov_log)
+    effects = tuple(
+        _summarise(name, log_est, var, zq)
+        for name, log_est, var in zip(EFFECT_ORDER, es.log_values(), var_log)
+    )
+    ors = np.exp(np.asarray(es.log_values()))
+    cov_or = cov_log * np.outer(ors, ors)
+
+    cde_rows = []
+    for w, g in enumerate(g_cde):
+        var = float(g @ outcome_vcov @ g)
+        if var < -_VAR_TOL:
+            raise CovarianceError(f"negative CDE({w}) variance {var:.3e}")
+        cde_rows.append(_summarise(f"cde{w}", es.log_cde_at[w], max(var, 0.0), zq))
+
+    return InferenceResult(
+        effect_set=es,
+        effects=effects,
+        cde=tuple(cde_rows),
+        cov_log=cov_log,
+        cov_or=cov_or,
+        jacobian=jac,
+        level=level,
+    )
+
+
 def infer(
     spec: ModelSpec,
     outcome_fit: FittedModel,
@@ -273,7 +317,17 @@ def infer(
     parameters). A zero covariance collapses every interval to its point
     estimate rather than erroring.
     """
-    return _infer_rows(spec, outcome_fit, mediator_fit, [contrast], level)[0]
+    zq = _wald_quantile(level)
+    outcome, mediator, sigma = _fitted_params(spec, outcome_fit, mediator_fit)
+    es = natural_effects(outcome, mediator, contrast)
+    jac = jacobian_log_effects(outcome, mediator, contrast)
+    cov_log = jac @ sigma @ jac.T
+    cov_log = (cov_log + cov_log.T) / 2.0
+    g_cde = [
+        _exposure_gradient(spec, contrast.delta, contrast.profile.z, spec.n_outcome_coefs, w)
+        for w in (0.0, 1.0)
+    ]
+    return _inference(es, jac, cov_log, g_cde, outcome_fit.vcov, zq, level)
 
 
 def infer_many(
@@ -301,21 +355,16 @@ def _infer_rows(
     contrasts: list[Contrast],
     level: float,
 ) -> list[InferenceResult]:
-    """:func:`infer` at N contrasts: the effects and Jacobians as columns over
-    the contrasts, the covariances as one stacked J Sigma J^T (equal per slice
-    to the 2-d product), and the per-effect summaries row by row. For one
-    contrast it checks and raises in the order of the scalar evaluation."""
+    """The batch behind :func:`infer_many`: the effects and Jacobians as
+    columns over the contrasts, the covariances as one stacked J Sigma J^T
+    (equal slice by slice to the 2-d product), and the summaries row by row."""
     zq = _wald_quantile(level)
-    outcome = OutcomeParams.from_vector(spec, outcome_fit.coefficients)
-    mediator = MediatorParams.from_vector(spec, mediator_fit.coefficients)
-    ky, kw = spec.n_outcome_coefs, spec.n_mediator_coefs
-    if outcome_fit.vcov.shape != (ky, ky) or mediator_fit.vcov.shape != (kw, kw):
-        raise SchemaError("fit covariance shapes do not match the model spec")
-    for c in contrasts:
-        c.profile.check_against(spec)
+    outcome, mediator, sigma = _fitted_params(spec, outcome_fit, mediator_fit)
     n = len(contrasts)
     if n == 0:
         return []
+    for c in contrasts:
+        c.profile.check_against(spec)
     z = np.array([c.profile.z for c in contrasts]).reshape(n, spec.p)
     v = np.array([c.profile.v for c in contrasts]).reshape(n, spec.q)
     x = np.array([c.x for c in contrasts])
@@ -332,40 +381,14 @@ def _infer_rows(
     jac = np.ascontiguousarray(
         _log_jacobian(spec, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1)
     )
-    sigma = np.zeros((ky + kw, ky + kw))
-    sigma[:ky, :ky] = outcome_fit.vcov
-    sigma[ky:, ky:] = mediator_fit.vcov
     cov_log = jac @ sigma @ jac.transpose(0, 2, 1)
     cov_log = (cov_log + cov_log.transpose(0, 2, 1)) / 2.0
-    g_cde = [_exposure_gradient(spec, delta, z.T, ky, float(w)).T.copy() for w in (0, 1)]
-
-    results = []
-    for i, es in enumerate(effect_sets):
-        var_log = _variance_diag(cov_log[i])
-        effects = tuple(
-            _summarise(name, log_est, var, zq)
-            for name, log_est, var in zip(EFFECT_ORDER, es.log_values(), var_log)
-        )
-        ors = np.exp(np.asarray(es.log_values()))
-        cov_or = cov_log[i] * np.outer(ors, ors)
-
-        cde_rows = []
-        for w in (0, 1):
-            g = g_cde[w][i]
-            var = float(g @ outcome_fit.vcov @ g)
-            if var < -_VAR_TOL:
-                raise CovarianceError(f"negative CDE({w}) variance {var:.3e}")
-            cde_rows.append(_summarise(f"cde{w}", es.log_cde_at[w], max(var, 0.0), zq))
-
-        results.append(
-            InferenceResult(
-                effect_set=es,
-                effects=effects,
-                cde=tuple(cde_rows),
-                cov_log=cov_log[i],
-                cov_or=cov_or,
-                jacobian=jac[i],
-                level=level,
-            )
-        )
-    return results
+    g_cde = [
+        _exposure_gradient(spec, delta, z.T, spec.n_outcome_coefs, w).T.copy()
+        for w in (0.0, 1.0)
+    ]
+    return [
+        _inference(es, jac[i], cov_log[i], (g_cde[0][i], g_cde[1][i]), outcome_fit.vcov,
+                   zq, level)
+        for i, es in enumerate(effect_sets)
+    ]

@@ -91,7 +91,7 @@ class TestProfiles:
             contrasts = [Contrast(contrast.x, contrast.x_star, prof) for prof in profiles]
             batch = infer_many(spec, fy, fw, contrasts, level=0.9)
             for result, c in zip(batch, contrasts):
-                one = delta._infer_rows(spec, fy, fw, [c], 0.9)[0]
+                one = infer(spec, fy, fw, c, level=0.9)
                 assert result.effect_set == natural_effects(outcome, mediator, c)
                 assert _bits(result.jacobian) == _bits(jacobian_log_effects(outcome, mediator, c))
                 for name in ("cov_log", "cov_or", "jacobian"):
@@ -99,7 +99,7 @@ class TestProfiles:
                 assert result.effects == one.effects and result.cde == one.cde
                 assert result.level == one.level
 
-    def test_infer_is_one_row_of_the_batch(self):
+    def test_batch_of_one_and_of_none(self, no_loop):
         rng, spec, outcome, mediator, contrast = next(_draws())
         fy, fw = _fits(spec, outcome, mediator, rng)
         (row,) = infer_many(spec, fy, fw, [contrast])
