@@ -23,7 +23,8 @@ are always positive and respect the reciprocal symmetry of odds ratios.
 ``infer_many`` runs the delta method at many contrasts as one batch: the
 gradients are columns over the contrasts, built by the same functions as the
 single-contrast Jacobian, and the covariances one stacked J Sigma J^T, which
-equals the 2-d product slice by slice. ``infer`` is its batch of one.
+equals the 2-d product slice by slice. ``infer`` takes one contrast on floats;
+the two share the per-contrast summaries.
 """
 
 from __future__ import annotations

@@ -88,15 +88,20 @@ class TestProfiles:
                 CovariateProfile(z=rng.uniform(-1, 1, spec.p), v=rng.uniform(-1, 1, spec.q))
                 for _ in range(4)
             ]
-            contrasts = [Contrast(contrast.x, contrast.x_star, prof) for prof in profiles]
+            x, xs = contrast.x, contrast.x_star
+            # the levels may differ from row to row too
+            contrasts = [Contrast(x, xs, prof) for prof in profiles] + [
+                Contrast(xs, x, profiles[1]), Contrast(x, x, profiles[2])]
             batch = infer_many(spec, fy, fw, contrasts, level=0.9)
+            assert len(batch) == len(contrasts)
             for result, c in zip(batch, contrasts):
                 one = infer(spec, fy, fw, c, level=0.9)
                 assert result.effect_set == natural_effects(outcome, mediator, c)
                 assert _bits(result.jacobian) == _bits(jacobian_log_effects(outcome, mediator, c))
                 for name in ("cov_log", "cov_or", "jacobian"):
                     assert _bits(getattr(result, name)) == _bits(getattr(one, name))
-                assert result.effects == one.effects and result.cde == one.cde
+                # repr tells -0.0 from 0.0 and prints every float exactly
+                assert repr((result.effects, result.cde)) == repr((one.effects, one.cde))
                 assert result.level == one.level
 
     def test_batch_of_one_and_of_none(self, no_loop):
@@ -112,8 +117,7 @@ def _overflow_problem():
     """z = (a,), v = (b,) with every block: at z = 800 the outcome predictor
     at w = 0 or the x* mediator-outcome log odds ratio leaves the exp range,
     and at v = 800 the mediator predictor does."""
-    spec = ModelSpec(z_names=("a",), v_names=("b",), xz=True, wz=True, xwz=True, xv=True)
-    return spec
+    return ModelSpec(z_names=("a",), v_names=("b",), xz=True, wz=True, xwz=True, xv=True)
 
 
 def _raised(fn):
