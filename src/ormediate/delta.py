@@ -235,6 +235,8 @@ class InferenceResult:
 
 def _variance_diag(cov: np.ndarray) -> np.ndarray:
     var = np.diag(cov).copy()
+    if not np.isfinite(var).all():
+        raise CovarianceError("a delta-method variance is not finite")
     if np.min(var) < -_VAR_TOL:
         raise CovarianceError(
             f"delta-method variance {np.min(var):.3e} is negative beyond roundoff"
@@ -290,6 +292,8 @@ def _inference(es, jac, cov_log, g_cde, outcome_vcov, zq: float, level: float):
     cde_rows = []
     for w, g in enumerate(g_cde):
         var = float(g @ outcome_vcov @ g)
+        if not math.isfinite(var):
+            raise CovarianceError(f"CDE({w}) variance is not finite")
         if var < -_VAR_TOL:
             raise CovarianceError(f"negative CDE({w}) variance {var:.3e}")
         cde_rows.append(_summarise(f"cde{w}", es.log_cde_at[w], max(var, 0.0), zq))
@@ -305,6 +309,7 @@ def _inference(es, jac, cov_log, g_cde, outcome_vcov, zq: float, level: float):
     )
 
 
+@np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
 def infer(
     spec: ModelSpec,
     outcome_fit: FittedModel,

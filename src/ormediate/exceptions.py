@@ -63,4 +63,5 @@ class DegenerateProbabilityError(NumericalError):
 
 
 class CovarianceError(NumericalError):
-    """A delta-method variance came out negative beyond roundoff tolerance."""
+    """A delta-method variance came out non-finite, or negative beyond roundoff
+    tolerance."""

@@ -16,9 +16,10 @@ Tables built from model parameters carry stably computed complements
 (P(Y=0) as logistic(-eta), not 1-p), so the agreement check is meaningful to
 ~1e-14 even when probabilities sit within 1e-11 of the boundary.
 
-``finite_diff`` is the shared central-difference gradient checker. Its step
-rule and difference arithmetic live in two helpers, which the ``verify``
-jacobian suite also uses to difference a whole batch of points at once.
+``finite_diff`` is the shared central-difference gradient checker. One helper
+holds its step rule and difference arithmetic: it maps every difference point
+through a function of stacked rows, so ``finite_diff`` passes a loop over f
+and the ``verify`` jacobian suite a batch evaluation of the log effects.
 """
 
 from __future__ import annotations
@@ -226,40 +227,28 @@ def finite_diff(
     The step for coordinate i is ``rel_step * max(1, |theta_i|)``. Scalar f
     gives a gradient of shape (dim,), vector f a Jacobian of shape (m, dim).
     Non-finite differences raise, naming the coordinate. f is called at theta
-    and then at theta + h_i e_i and theta - h_i e_i for each i in turn; a caller
-    that can evaluate every point at once uses the same two helpers below.
+    and then at theta + h_i e_i and theta - h_i e_i for each i in turn.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         raise SchemaError(f"theta must be a vector, got shape {theta.shape}")
-    raw0 = np.asarray(f(theta), dtype=float)
-    scalar = raw0.ndim == 0
-    f0 = np.atleast_1d(raw0)
-    h, points = _difference_points(theta, rel_step)
-    out = np.empty((f0.size,) + theta.shape)
-    for i in range(theta.size):
-        up, down = (np.atleast_1d(f(p))[None] for p in points[2 * i : 2 * i + 2])
-        out[:, i] = _difference_quotients(up, down, h[i : i + 1], first=i)[:, 0]
-    return out[0] if scalar else out
+    return _central_differences(lambda rows: [f(row) for row in rows], theta, rel_step)
 
 
-def _difference_points(theta: np.ndarray, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The steps h_i = rel_step * max(1, |theta_i|) and the 2 dim points
-    theta + h_0 e_0, theta - h_0 e_0, theta + h_1 e_1, ... as rows."""
+def _central_differences(f_rows, theta: np.ndarray, rel_step: float) -> np.ndarray:
+    """:func:`finite_diff` through ``f_rows``, which maps the rows theta,
+    theta + h_0 e_0, theta - h_0 e_0, theta + h_1 e_1, ... to their values,
+    (2 dim + 1,) for scalar f or (2 dim + 1, m). The first coordinate with a
+    non-finite quotient raises."""
     h = np.array([rel_step * max(1.0, abs(t)) for t in theta.tolist()])
-    points = np.repeat(theta[None], 2 * theta.size, axis=0)
+    rows = np.repeat(theta[None], 2 * theta.size + 1, axis=0)
     i = np.arange(theta.size)
-    points[2 * i, i] += h
-    points[2 * i + 1, i] -= h
-    return h, points
-
-
-def _difference_quotients(up, down, h, first: int = 0) -> np.ndarray:
-    """(f(theta + h_i e_i) - f(theta - h_i e_i)) / 2 h_i from rows of values
-    (k, m) and steps (k,), as an (m, k) array; the first coordinate with a
-    non-finite quotient, counted from ``first``, raises."""
-    diff = (up - down) / (2.0 * h)[:, None]
-    bad = ~np.isfinite(diff).all(axis=1)
+    rows[2 * i + 1, i] += h
+    rows[2 * i + 2, i] -= h
+    values = np.asarray(f_rows(rows), dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite quotient raises below instead
+        diff = (values[1::2] - values[2::2]).T / (2.0 * h)
+    bad = ~np.isfinite(np.atleast_2d(diff)).all(axis=0)
     if bad.any():
-        raise SchemaError(f"finite difference is not finite at coordinate {first + int(np.argmax(bad))}")
-    return diff.T
+        raise SchemaError(f"finite difference is not finite at coordinate {int(np.argmax(bad))}")
+    return diff

@@ -16,7 +16,6 @@ from ormediate.effects import _log_effects_at_rows, natural_effects
 from ormediate.exceptions import PredictorOverflowError
 from ormediate.logit import FittedModel
 from ormediate.model import OUTCOME_BLOCKS, _MediatorAt, _OutcomeAt
-from ormediate.oracle import _difference_points
 from ormediate.verify import random_problem
 
 
@@ -26,6 +25,17 @@ def _bits(values) -> bytes:
 
 def _theta(outcome, mediator):
     return np.concatenate([outcome.active_vector(), mediator.active_vector()])
+
+
+def _difference_points(theta):
+    """The verify jacobian suite's central-difference points: theta + h_i e_i
+    and theta - h_i e_i for each i in turn, h_i = 1e-6 max(1, |theta_i|)."""
+    points = np.repeat(theta[None], 2 * theta.size, axis=0)
+    for i, t in enumerate(theta.tolist()):
+        h = 1e-6 * max(1.0, abs(t))
+        points[2 * i, i] += h
+        points[2 * i + 1, i] -= h
+    return points
 
 
 def _fits(spec, outcome, mediator, rng):
@@ -65,7 +75,7 @@ class TestCoefficientRows:
     def test_equal_to_natural_effects_row_by_row(self, no_loop):
         for rng, spec, outcome, mediator, contrast in _draws():
             theta = _theta(outcome, mediator)
-            _, points = _difference_points(theta, 1e-6)
+            points = _difference_points(theta)
             shaken = theta + 0.1 * rng.normal(size=(6, theta.size))  # every block changed
             rows = np.vstack([theta, points, shaken])
             batch = _log_effects_at_rows(spec, rows, contrast)

@@ -236,43 +236,65 @@ class TestRoundTrip:
 
 
 class TestFileErrors:
-    """Unreadable input and unwritable output end in one ERROR 2 line."""
+    """Unreadable input and unwritable output end in one ERROR 2 line, a
+    numerically degenerate document in one ERROR 4 line."""
 
-    def _schema_error(self, *argv):
+    def _error_line(self, *argv, code=2):
         proc = subprocess.run(
             [sys.executable, "-m", "ormediate", *map(str, argv)],
             capture_output=True, text=True, env=child_env(),
         )
-        assert proc.returncode == 2, proc.stderr
+        assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("ERROR 2:"), proc.stderr
+        assert len(lines) == 1 and lines[0].startswith(f"ERROR {code}:"), proc.stderr
         return lines[0]
 
     def test_undecodable_csv(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"y,w,x\n1.0,0.0,\xff\n")
-        assert "not UTF-8" in self._schema_error("fit", "--input", path)
+        assert "not UTF-8" in self._error_line("fit", "--input", path)
 
     def test_oversized_header_field(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("y,w," + "x" * 200_000 + "\n1.0,0.0,1.0\n")
-        assert "field larger than field limit" in self._schema_error("fit", "--input", path)
+        assert "field larger than field limit" in self._error_line("fit", "--input", path)
 
     def test_undecodable_coefficient_file(self, tmp_path):
         path = tmp_path / "coef.json"
         path.write_bytes(b'{"format": "\xff"}\n')
-        assert "not UTF-8" in self._schema_error("effects", "--coef-file", path)
+        assert "not UTF-8" in self._error_line("effects", "--coef-file", path)
 
     def test_unwritable_simulate_output(self, tmp_path):
         out = tmp_path / "no_such_dir" / "x.csv"
-        assert "cannot write" in self._schema_error(
+        assert "cannot write" in self._error_line(
             "simulate", "--coef-file", "microcredit_table1", "--n", 10, "--output", out)
 
     def test_unwritable_effects_output(self, tmp_path):
         out = tmp_path / "no_such_dir" / "x.json"
-        assert "cannot write" in self._schema_error(
+        assert "cannot write" in self._error_line(
             "effects", "--coef-file", "microcredit_table1", "--output", out)
+
+    def test_non_finite_variance(self, tmp_path):
+        # every predictor within the exp bound, yet (p2 p3 + p4)^2 overflows
+        # in the key derivatives, so the Jacobian and the variances are NaN
+        spec = ModelSpec(z_names=("a",), v_names=("b",), xz=True, wz=True, xwz=True, xv=True)
+        outcome = OutcomeParams(spec, mediator=709.0, confounders=[-709.0],
+                                exposure_mediator=-1.0)
+        mediator = MediatorParams(spec, intercept=-0.5)
+        doc = coefficients_to_doc(
+            spec, outcome, mediator,
+            outcome_vcov=0.01 * np.eye(spec.n_outcome_coefs),
+            mediator_vcov=0.01 * np.eye(spec.n_mediator_coefs),
+            exposure_levels=(1.0, 0.0),
+            profiles=(("p", CovariateProfile(z=[0.5], v=[0.3])),),
+        )
+        save_json(doc, tmp_path / "coef.json")
+        out = tmp_path / "effects.json"
+        line = self._error_line("effects", "--coef-file", tmp_path / "coef.json",
+                                  "--output", out, code=4)
+        assert "variance is not finite" in line
+        assert not out.exists()
 
 
 def _set(*path_and_value):
@@ -386,6 +408,14 @@ class TestVerifyCommand:
     def test_perturbed_run_fails(self, capsys):
         assert run("verify", "--count", 25, "--perturb", 0.05) == 5
         assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_perturbation_fails(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ormediate", "verify", "--count", "20", "--perturb", "nan"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 5, proc.stdout + proc.stderr
+        assert proc.stdout.count("FAIL") == 5 and proc.stderr == ""
 
     @pytest.mark.parametrize("perturb", [1e-3, -1e-3])
     def test_small_perturbation_always_fails_bracketing(self, perturb):

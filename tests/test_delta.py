@@ -16,6 +16,7 @@ from ormediate import (
     build_design,
     fit,
     infer,
+    infer_many,
     jacobian_log_effects,
     natural_effects,
     simulate_dataset,
@@ -236,6 +237,45 @@ class TestInfer:
         )
         with pytest.raises(CovarianceError):
             infer(spec, fy, fw, Contrast(1.0, 0.0))
+
+    def test_non_finite_variance_raises(self):
+        # every predictor within the exp bound, yet (p2 p3 + p4)^2 overflows
+        # in the key derivatives, so the Jacobian is NaN
+        spec = ModelSpec(z_names=("a",), v_names=("b",), xz=True, wz=True, xwz=True, xv=True)
+        outcome = OutcomeParams(spec, mediator=709.0, confounders=[-709.0],
+                                exposure_mediator=-1.0)
+        mediator = MediatorParams(spec, intercept=-0.5)
+        fy, fw = (
+            FittedModel(
+                coefficients=params.active_vector(), vcov=0.01 * np.eye(k),
+                log_likelihood=0.0, iterations=0, converged=True, n=10,
+                column_names=spec.terms(params.BLOCKS),
+            )
+            for params, k in ((outcome, spec.n_outcome_coefs), (mediator, spec.n_mediator_coefs))
+        )
+        contrast = Contrast(1.0, 0.0, CovariateProfile(z=[0.5], v=[0.3]))
+        with pytest.raises(CovarianceError, match="not finite"):
+            infer(spec, fy, fw, contrast)
+        with pytest.raises(CovarianceError, match="not finite"):
+            infer_many(spec, fy, fw, [contrast, contrast])
+
+    def test_non_finite_cde_variance_raises(self):
+        # the effect variances stay finite (the mediator odds are ~e^-700),
+        # but D^2 (V_bx + V_bxw) overflows in the CDE(1) variance
+        spec = ModelSpec()
+        fy = FittedModel(
+            coefficients=np.zeros(4), vcov=np.diag([1e-2, 1e-2, 1e-2, 1.7e308]),
+            log_likelihood=0.0, iterations=0, converged=True, n=10,
+            column_names=spec.outcome_terms(),
+        )
+        fw = FittedModel(
+            coefficients=np.array([-700.0, 0.0]), vcov=1e-2 * np.eye(2),
+            log_likelihood=0.0, iterations=0, converged=True, n=10,
+            column_names=spec.mediator_terms(),
+        )
+        for run in (lambda c: infer(spec, fy, fw, c), lambda c: infer_many(spec, fy, fw, [c])):
+            with pytest.raises(CovarianceError, match=r"CDE\(1\) variance is not finite"):
+                run(Contrast(2.0, 0.0))
 
     def test_level_and_shape_validation(self):
         spec, res = self._simulated_inference(n=200, seed=3)

@@ -161,6 +161,25 @@ class TestFiniteDiff:
         grad = finite_diff(lambda t: t[0] ** 2, np.array([1e6]))
         assert grad[0] == pytest.approx(2e6, rel=1e-9)
 
+    @pytest.mark.parametrize("f", [
+        lambda t: math.sin(t[0]) * t[1] ** 2,
+        lambda t: np.array([t[0] * t[1], t[0] ** 2, t[1]]),
+    ], ids=["scalar", "vector"])
+    def test_call_order(self, f):
+        theta = np.array([0.7, -1.3])
+        seen = []
+        finite_diff(lambda t: seen.append(t.copy()) or f(t), theta)
+        h = 1e-6 * np.maximum(1.0, np.abs(theta))
+        expected = [theta]
+        for i in range(theta.size):
+            for sign in (1.0, -1.0):
+                point = theta.copy()
+                point[i] += sign * h[i]
+                expected.append(point)
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got, want)
+
     def test_nonfinite_raises(self):
         f = lambda t: math.nan if t[0] < 1e-7 else 0.0
         with pytest.raises(SchemaError, match="coordinate 0"):
