@@ -46,7 +46,7 @@ from .effects import (
     _log_effects,
     natural_effects,
 )
-from .exceptions import CovarianceError, SchemaError
+from .exceptions import CovarianceError, NumericalError, SchemaError
 from .logit import FittedModel, _two_sided_p, _wald_quantile
 from .model import (
     MEDIATOR_BLOCKS,
@@ -246,7 +246,15 @@ def _variance_diag(cov: np.ndarray) -> np.ndarray:
 
 def _summarise(name: str, log_est: float, var_log: float, zq: float) -> EffectInference:
     se_log = math.sqrt(var_log)
-    or_est = math.exp(log_est)
+    try:
+        or_est = math.exp(log_est)
+        ci_lower = math.exp(log_est - zq * se_log)
+        ci_upper = math.exp(log_est + zq * se_log)
+    except OverflowError:
+        raise NumericalError(
+            f"{name} odds ratio or its confidence bound overflows exp(): log estimate "
+            f"{log_est!r}, log-scale standard error {se_log!r}"
+        ) from None
     if se_log > 0.0:
         zstat = log_est / se_log
         p = _two_sided_p(zstat)
@@ -258,8 +266,8 @@ def _summarise(name: str, log_est: float, var_log: float, zq: float) -> EffectIn
         or_estimate=or_est,
         se_log=se_log,
         se_or=or_est * se_log,
-        ci_lower=math.exp(log_est - zq * se_log),
-        ci_upper=math.exp(log_est + zq * se_log),
+        ci_lower=ci_lower,
+        ci_upper=ci_upper,
         p_value=p,
     )
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MediationError, SchemaError
+from .exceptions import MediationError, NumericalError, SchemaError
 from .model import (
     Contrast,
     CovariateProfile,
@@ -266,13 +266,20 @@ def _log_effects(oy: _OutcomeAt, mw: _MediatorAt, x, xs, delta) -> tuple:
         _bridge_value(*inputs) for inputs in _bridge_inputs(oy, mw, x, xs)
     )
     pref = oy.exposure_main_log_or() * delta
-    return (
-        pref + _each(math.log, a_xxs / a_xsxs),
-        _each(math.log, a_xx / a_xxs),
-        pref + _each(math.log, a_xx / a_xsx),
-        _each(math.log, a_xsx / a_xsxs),
-        pref + _each(math.log, a_xx / a_xsxs),
-    )
+    try:
+        return (
+            pref + _each(math.log, a_xxs / a_xsxs),
+            _each(math.log, a_xx / a_xxs),
+            pref + _each(math.log, a_xx / a_xsx),
+            _each(math.log, a_xsx / a_xsxs),
+            pref + _each(math.log, a_xx / a_xsxs),
+        )
+    except ValueError:
+        # the bridge terms are positive, so only a ratio that underflowed to
+        # 0 reaches math.log's domain error
+        raise NumericalError(
+            "a ratio of bridge terms underflows to 0, so its log effect is not representable"
+        ) from None
 
 
 def natural_effects(

@@ -51,7 +51,9 @@ class SingularDesignError(FitError):
 
 
 class NumericalError(MediationError):
-    """Base class for numerical degeneracy."""
+    """Numerical degeneracy. Raised as itself when a log effect or a
+    confidence bound leaves the float range; the base class of the cases
+    below."""
 
 
 class PredictorOverflowError(NumericalError):

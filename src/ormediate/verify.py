@@ -18,8 +18,9 @@ A suite is a row of one table: its tolerance, the function that draws its
 problems and the function that turns a problem into errors. One loop serves
 every suite. It seeds one generator per draw function and walks the draws
 once, so the first four suites check the same ``random_problem`` stream and
-``g-y-identity`` keeps its own. A suite's worst error is the largest over its
-draws, and a NaN error fails the suite.
+``g-y-identity`` keeps its own. A draw evaluates its natural effects once,
+for ``oracle-equivalence`` and ``decomposition`` alike. A suite's worst error
+is the largest over its draws, and a NaN error fails the suite.
 
 Every suite accepts a ``perturb`` offset that is added to one side of the
 comparison.  It exists purely as a fault-injection knob: a nonzero value,
@@ -33,6 +34,7 @@ command line and the tests exercise identical code.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -112,8 +114,23 @@ class SuiteResult:
         )
 
 
-def _draw(rng: np.random.Generator, i: int):
-    return random_problem(rng)
+@dataclass
+class _Draw:
+    """One ``random_problem`` draw. Its log effects are evaluated on first use
+    and then shared by every suite that checks the draw."""
+
+    spec: ModelSpec
+    outcome: OutcomeParams
+    mediator: MediatorParams
+    contrast: Contrast
+
+    @cached_property
+    def log_effects(self) -> np.ndarray:
+        return np.asarray(natural_effects(self.outcome, self.mediator, self.contrast).log_values())
+
+
+def _draw(rng: np.random.Generator, i: int) -> _Draw:
+    return _Draw(*random_problem(rng))
 
 
 def _draw_g_y(rng: np.random.Generator, i: int):
@@ -123,34 +140,32 @@ def _draw_g_y(rng: np.random.Generator, i: int):
     return outcome, mediator, x
 
 
-def _oracle_errors(problem, perturb):
-    _, outcome, mediator, contrast = problem
-    exact = np.asarray(natural_effects(outcome, mediator, contrast).log_values())
-    reference = np.asarray(
-        mediation_formula_effects(tables_from_params(outcome, mediator, contrast)).log_values()
-    )
-    return (float(np.max(np.abs(exact + perturb - reference))),)
+def _oracle_errors(problem: _Draw, perturb):
+    tables = tables_from_params(problem.outcome, problem.mediator, problem.contrast)
+    reference = np.asarray(mediation_formula_effects(tables).log_values())
+    return (float(np.max(np.abs(problem.log_effects + perturb - reference))),)
 
 
-def _decomposition_errors(problem, perturb):
-    _, outcome, mediator, contrast = problem
-    logs = np.asarray(natural_effects(outcome, mediator, contrast).log_values())
+def _decomposition_errors(problem: _Draw, perturb):
+    logs = problem.log_effects
     te = logs[4] + perturb
     return abs(te - logs[0] - logs[1]), abs(te - logs[2] - logs[3])
 
 
 @np.errstate(all="ignore")  # an infinite perturb makes inf/inf here, which must not warn
-def _jacobian_errors(problem, perturb):
-    spec, outcome, mediator, contrast = problem
+def _jacobian_errors(problem: _Draw, perturb):
+    outcome, mediator, contrast = problem.outcome, problem.mediator, problem.contrast
     jac = jacobian_log_effects(outcome, mediator, contrast) + perturb
     # theta and all 2 dim of its difference points as one batch of rows
     theta = np.concatenate([outcome.active_vector(), mediator.active_vector()])
-    fd = _central_differences(lambda rows: _log_effects_at_rows(spec, rows, contrast), theta, 1e-6)
+    fd = _central_differences(
+        lambda rows: _log_effects_at_rows(problem.spec, rows, contrast), theta, 1e-6
+    )
     return (float(np.max(np.abs(jac - fd) / np.maximum(1.0, np.abs(jac)))),)
 
 
-def _bracketing_errors(problem, perturb):
-    _, outcome, mediator, contrast = problem
+def _bracketing_errors(problem: _Draw, perturb):
+    outcome, mediator, contrast = problem.outcome, problem.mediator, problem.contrast
     x, xs = contrast.x, contrast.x_star
     for x1, x2 in ((x, xs), (x, x), (xs, x), (xs, xs)):
         inputs = ATermInputs.from_params(outcome, mediator, x1, x2, contrast.profile)

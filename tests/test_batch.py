@@ -13,7 +13,7 @@ from ormediate import Contrast, CovariateProfile, MediatorParams, ModelSpec, Out
 from ormediate import delta, effects
 from ormediate.delta import infer, infer_many, jacobian_log_effects
 from ormediate.effects import _log_effects_at_rows, natural_effects
-from ormediate.exceptions import PredictorOverflowError
+from ormediate.exceptions import NumericalError, PredictorOverflowError
 from ormediate.logit import FittedModel
 from ormediate.model import OUTCOME_BLOCKS, _MediatorAt, _OutcomeAt
 from ormediate.verify import random_problem
@@ -233,6 +233,38 @@ class TestOverflowParity:
                                     contrast).log_values()
                     for r in rows]
             assert _bits(_log_effects_at_rows(spec, rows, contrast)) == _bits(loop)
+
+
+class TestBridgeRatioUnderflow:
+    """Every predictor inside the exp range, yet at z = v = 0 the bridge term
+    A[x*, x*] is so much larger than A[x, x*] that their ratio underflows to
+    0: each path raises a NumericalError, never math.log's ValueError."""
+
+    def _problem(self):
+        spec = _overflow_problem()
+        outcome = OutcomeParams(spec, mediator=709.0, confounders=[-709.0],
+                                exposure_mediator=-1.0)
+        mediator = MediatorParams(spec, intercept=-0.5)
+        contrast = Contrast(1.0, 0.0, CovariateProfile(z=(0.0,), v=(0.0,)))
+        return spec, outcome, mediator, contrast
+
+    def test_natural_effects(self):
+        spec, outcome, mediator, contrast = self._problem()
+        with pytest.raises(NumericalError, match="underflows to 0"):
+            natural_effects(outcome, mediator, contrast)
+
+    def test_coefficient_rows(self):
+        spec, outcome, mediator, contrast = self._problem()
+        rows = np.vstack([_theta(outcome, mediator)] * 3)
+        with pytest.raises(NumericalError, match="underflows to 0"):
+            _log_effects_at_rows(spec, rows, contrast)
+
+    def test_profiles(self):
+        spec, outcome, mediator, contrast = self._problem()
+        fy, fw = _fits(spec, outcome, mediator, np.random.default_rng(3))
+        ok = Contrast(1.0, 0.0, CovariateProfile(z=(1.0,), v=(0.3,)))
+        with pytest.raises(NumericalError, match="underflows to 0"):
+            infer_many(spec, fy, fw, [ok, contrast, ok])
 
 
 class TestPrefactorSignOfZero:

@@ -296,6 +296,23 @@ class TestFileErrors:
         assert "variance is not finite" in line
         assert not out.exists()
 
+    def test_overflowing_interval_bound(self, tmp_path):
+        # at x - x* = 200 the upper bound of a log-scale interval passes 709
+        spec = ModelSpec()
+        outcome = OutcomeParams(spec, intercept=-0.7, exposure=0.9, mediator=0.6)
+        mediator = MediatorParams(spec, intercept=0.1, exposure=0.5)
+        doc = coefficients_to_doc(
+            spec, outcome, mediator,
+            outcome_vcov=np.eye(spec.n_outcome_coefs),
+            mediator_vcov=np.eye(spec.n_mediator_coefs),
+        )
+        save_json(doc, tmp_path / "coef.json")
+        out = tmp_path / "effects.json"
+        line = self._error_line("effects", "--coef-file", tmp_path / "coef.json",
+                                "--x", 200, "--x-star", 0, "--output", out, code=4)
+        assert "confidence bound overflows" in line
+        assert not out.exists()
+
 
 def _set(*path_and_value):
     """A document edit that sets doc[k1][k2]... to the last argument."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from ormediate import (
     predict_prob,
     wald_table,
 )
-from ormediate.logit import _loglik, _score_info, _two_sided_p, _wald_quantile
+from ormediate import logit
+from ormediate.logit import _BLOCK_ROWS, _RANK_RTOL, _evaluate, _two_sided_p, _wald_quantile
 from ormediate.oracle import finite_diff
 
 
@@ -46,7 +48,7 @@ class TestFit:
         rng = np.random.default_rng(3)
         X, y = _sim_design(rng, 800, [-0.4, 0.9, -0.6])
         m = fit(X, y)
-        score, _ = _score_info(X, y, _loglik(X, y, m.coefficients)[1])
+        _, score, _ = _evaluate(X, y, m.coefficients)
         assert np.max(np.abs(score)) < 1e-8
 
     def test_recovers_truth_within_4_se(self):
@@ -106,18 +108,101 @@ class TestKernel:
         X = np.column_stack([np.ones(200), rng.normal(size=(200, 3))])
         y = (rng.random(200) < 0.4).astype(float)
         beta = rng.normal(size=4) * 0.5
-        _, eta = _loglik(X, y, beta)
-        assert np.array_equal(eta, X @ beta)
-        score, info = _score_info(X, y, eta)
+        _, score, info = _evaluate(X, y, beta)
 
         def loglik(b):
-            return _loglik(X, y, b)[0]
+            return _evaluate(X, y, b)[0]
 
         grad = finite_diff(loglik, beta)
         assert np.max(np.abs(score - grad)) < 1e-7 * np.max(np.abs(score))
         # a difference of differences needs a coarser step than the default 1e-6
         hessian = finite_diff(lambda b: finite_diff(loglik, b, rel_step=1e-4), beta, rel_step=1e-4)
         assert np.max(np.abs(info + hessian)) < 1e-6 * np.max(np.abs(info))
+
+    def _blocked_problem(self):
+        rng = np.random.default_rng(21)
+        n = 3 * _BLOCK_ROWS + 17  # three full blocks and a short one
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 4))])
+        y = (rng.random(n) < 0.35).astype(float)
+        return X, y, rng.normal(size=5) * 0.4
+
+    def test_blocks_agree_with_one_pass(self):
+        X, y, beta = self._blocked_problem()
+        ll, score, info = _evaluate(X, y, beta)
+        # the whole design at once, as one numpy expression per quantity
+        eta = X @ beta
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        ref_ll = float(y @ eta - np.logaddexp(0.0, eta).sum())
+        ref_score = X.T @ (y - mu)
+        ref_info = (X * (mu * (1.0 - mu))[:, None]).T @ X
+        assert ll == pytest.approx(ref_ll, rel=1e-12, abs=0)
+        assert np.max(np.abs(score - ref_score)) <= 1e-12 * np.max(np.abs(ref_score))
+        assert np.max(np.abs(info - ref_info)) <= 1e-12 * np.max(np.abs(ref_info))
+
+    def test_repeat_call_bit_identical(self):
+        X, y, beta = self._blocked_problem()
+        (ll_a, score_a, info_a), (ll_b, score_b, info_b) = (
+            _evaluate(X, y, beta),
+            _evaluate(X, y, beta),
+        )
+        assert ll_a == ll_b
+        assert score_a.tobytes() == score_b.tobytes()
+        assert info_a.tobytes() == info_b.tobytes()
+
+    def test_fit_allocates_no_design_sized_temporary(self):
+        rng = np.random.default_rng(8)
+        X, y = _sim_design(rng, 200_000, [-0.3, 0.5, -0.2, 0.4, 0.1, -0.6, 0.3])
+        assert X.flags.c_contiguous and X.dtype == np.float64
+        fit(X, y)  # any one-off allocations of the first call happen here
+        tracemalloc.start()
+        try:
+            fit(X, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 4
+
+
+class TestRankScreen:
+    def test_near_collinear_design_raises_naming_columns(self):
+        rng = np.random.default_rng(17)
+        z = rng.normal(size=300)
+        X = np.column_stack([np.ones(300), z, z + 2.5e-11 * rng.normal(size=300)])
+        sv = np.linalg.svd(X, compute_uv=False)
+        assert 1e-12 < sv[-1] / sv[0] < _RANK_RTOL
+        y = (rng.random(300) < 0.5).astype(float)
+        with pytest.raises(SingularDesignError, match=r"\['near', 'z'\]"):
+            fit(X, y, column_names=("const", "z", "near"))
+
+    @staticmethod
+    def _large_units():
+        # column 2 in units a million times smaller than the simulation's, as
+        # income in dollars: X'X's eigenvalue ratio is about 1e-12
+        rng = np.random.default_rng(23)
+        X, y = _sim_design(rng, 2000, [-0.2, 0.7, -0.5])
+        X[:, 2] *= 1e6
+        return X, y
+
+    def test_column_rescaled_by_1e_minus_6_still_fits(self):
+        X, y = self._large_units()
+        rescaled = X.copy()
+        rescaled[:, 2] *= 1e-6
+        large, unit = fit(X, y), fit(rescaled, y)
+        assert unit.coefficients[:2] == pytest.approx(large.coefficients[:2], rel=1e-9)
+        assert unit.coefficients[2] == pytest.approx(1e6 * large.coefficients[2], rel=1e-9)
+
+    def test_svd_runs_only_when_the_screen_leaves_doubt(self, monkeypatch):
+        calls = []
+        check_rank = logit._check_rank
+        monkeypatch.setattr(
+            logit, "_check_rank", lambda X, names: calls.append(names) or check_rank(X, names)
+        )
+        X, y = self._large_units()
+        fit(X, y)
+        assert len(calls) == 1
+        X[:, 2] *= 1e-6
+        fit(X, y)
+        assert len(calls) == 1
 
 
 class TestPredictAndSummary:

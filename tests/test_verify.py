@@ -41,3 +41,23 @@ def test_worst_is_max_on_finite_errors():
     assert worst == max(0.0, *errors) and worst is errors[1]
     assert math.isnan(verify._worse(0.0, [1.0, math.nan, 3.0]))
     assert math.isnan(verify._worse(math.nan, [3.0]))
+
+
+@pytest.mark.parametrize(
+    "names, calls",
+    [
+        (SUITE_NAMES, 20),
+        (("oracle-equivalence",), 20),
+        (("decomposition",), 20),
+        (("jacobian",), 0),
+    ],
+)
+def test_natural_effects_once_per_draw(monkeypatch, names, calls):
+    seen = []
+    natural_effects = verify.natural_effects
+    monkeypatch.setattr(
+        verify, "natural_effects", lambda *args: seen.append(args) or natural_effects(*args)
+    )
+    results = verify._run(names, seed=3, count=20, perturb=0.0)
+    assert all(r.passed for r in results)
+    assert len(seen) == calls
