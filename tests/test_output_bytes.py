@@ -1,6 +1,7 @@
-"""Command output pinned to the byte: the ``verify`` report at three seeds and
-the ``effects`` report of a fully interacted coefficient document with a
-covariance and 200 profiles."""
+"""Command output pinned to the byte: the ``verify`` report at three seeds, the
+``effects`` report of a fully interacted coefficient document with 200
+profiles, with a covariance and without one, and the ``fit`` report of a
+seeded simulated dataset at its mean profile and at two given profiles."""
 
 import hashlib
 
@@ -11,13 +12,17 @@ from ormediate import CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
 from ormediate.cli import main
 from ormediate.io import coefficients_to_doc, save_json
 
-# SHA-256 digests of the --output files, taken from the one-profile-at-a-time
-# evaluation; never regenerate them to make a change pass.
+# SHA-256 digests of the --output files: verify and effects taken from the
+# one-profile-at-a-time evaluation, effects-point and fit-* from the separate
+# fit and effects report builders; never regenerate them to make a change pass.
 GOLDEN = {
     "verify-1": "ba177ced10ee7fa4a61957951533a646f4e427c42548efdb9730216c99eae051",
     "verify-2": "4c2cd30c81ac3a2ad494957d09e9fc4d4db9158c63e0ff506b533b410a629dba",
     "verify-3": "5c1f5682911516accd09c688ebdf585119a47e59689790d76e91d9b339a5a07a",
     "effects": "4044f65eddf01d12dedd6f3cb3bb43c96c804e3c1d3eefdc7e2fc91095007c9a",
+    "effects-point": "5f7a7557ff54482be2afbb23415e3a160483254b117e1137516bf0de074a3cad",
+    "fit-mean": "0832d91b6faf38b58cdb67f07aa00800acbff69321617aed815e0c393e1afe8e",
+    "fit-profiles": "aaa60de6d63bd1c7a4714c2be1a8b0f6512b8bc5ad9b423193868f793a694635",
 }
 
 
@@ -32,7 +37,7 @@ def test_verify_report_bytes(tmp_path, seed):
     assert _digest(out) == GOLDEN[f"verify-{seed}"]
 
 
-def _sweep_document():
+def _sweep_document(vcov=True):
     """z = (age, edu, loans), v = (age, loans), blocks xz, wz, xwz and xv;
     seeded coefficients, exactly symmetric covariances and 200 profiles."""
     spec = ModelSpec(z_names=("age", "edu", "loans"), v_names=("age", "loans"),
@@ -53,13 +58,35 @@ def _sweep_document():
         }))
         for i in range(200)
     )
+    if not vcov:
+        vcovs = [None, None]
     return coefficients_to_doc(spec, outcome, mediator,
                                outcome_vcov=vcovs[0], mediator_vcov=vcovs[1],
                                exposure_levels=(1.0, 0.0), profiles=profiles)
 
 
-def test_effects_report_bytes(tmp_path, monkeypatch):
+@pytest.mark.parametrize("key, vcov", [("effects", True), ("effects-point", False)])
+def test_effects_report_bytes(tmp_path, monkeypatch, key, vcov):
     monkeypatch.chdir(tmp_path)  # the report records the --coef-file path
-    save_json(_sweep_document(), tmp_path / "coef.json")
+    save_json(_sweep_document(vcov), tmp_path / "coef.json")
     assert main(["effects", "--coef-file", "coef.json", "--output", "effects.json"]) == 0
-    assert _digest(tmp_path / "effects.json") == GOLDEN["effects"]
+    assert _digest(tmp_path / "effects.json") == GOLDEN[key]
+
+
+_FIT_FLAGS = {
+    "fit-mean": [],
+    "fit-profiles": [
+        "--profile", "age=30,edu=1,loans=0", "--profile", "age=50,edu=0,loans=2",
+        "--interactions", "xz,wz,xwz,xv", "--x", "2", "--x-star", "-1", "--level", "0.9",
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(_FIT_FLAGS))
+def test_fit_report_bytes(tmp_path, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)  # the report records the --input path
+    assert main(["simulate", "--coef-file", "microcredit_table1", "--n", "5000",
+                 "--seed", "5", "--output", "sim.csv"]) == 0
+    assert main(["fit", "--input", "sim.csv", "--z", "age,edu,loans", "--v", "age,loans",
+                 *_FIT_FLAGS[key], "--output", "fit.json"]) == 0
+    assert _digest(tmp_path / "fit.json") == GOLDEN[key]
