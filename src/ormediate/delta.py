@@ -41,6 +41,7 @@ from .effects import (
     EffectSet,
     _batch_or_loop,
     _bridge_inputs,
+    _check_joint_spec,
     _bridge_value,
     _log_cde_at,
     _log_effects,
@@ -178,10 +179,8 @@ def jacobian_log_effects(
     """5 x dim(theta) Jacobian of (log PNDE, log TNIE, log TNDE, log PNIE,
     log TE); by construction row_te = row_pnde + row_tnie = row_tnde + row_pnie
     up to roundoff."""
-    if outcome.spec != mediator.spec:
-        raise SchemaError("outcome and mediator parameters belong to different model specs")
     prof = contrast.profile
-    prof.check_against(outcome.spec)
+    _check_joint_spec(outcome, mediator, prof)
     return _log_jacobian(
         outcome.spec,
         _OutcomeAt(outcome, prof.z),

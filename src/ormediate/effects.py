@@ -74,10 +74,10 @@ __all__ = [
 EFFECT_ORDER = ("pnde", "tnie", "tnde", "pnie", "te")
 
 
-def _check_joint_spec(outcome: OutcomeParams, mediator: MediatorParams, contrast: Contrast):
+def _check_joint_spec(outcome: OutcomeParams, mediator: MediatorParams, profile: CovariateProfile):
     if outcome.spec != mediator.spec:
         raise SchemaError("outcome and mediator parameters belong to different model specs")
-    contrast.profile.check_against(outcome.spec)
+    profile.check_against(outcome.spec)
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class ATermInputs:
         x_mediator: float,
         profile: CovariateProfile,
     ) -> "ATermInputs":
-        profile.check_against(outcome.spec)
+        _check_joint_spec(outcome, mediator, profile)
         return cls._from_sums(
             _OutcomeAt(outcome, profile.z),
             _MediatorAt(mediator, profile.v),
@@ -289,8 +289,8 @@ def natural_effects(
 
     A degenerate contrast (x == x*) yields every effect exactly 1.
     """
-    _check_joint_spec(outcome, mediator, contrast)
     prof = contrast.profile
+    _check_joint_spec(outcome, mediator, prof)
     oy = _OutcomeAt(outcome, prof.z)
     logs = _log_effects(oy, _MediatorAt(mediator, prof.v), contrast.x, contrast.x_star,
                         contrast.delta)
@@ -368,7 +368,7 @@ def approx_effects(
     TNDE * PNIE route gives the identical value (the cross terms cancel
     algebraically), so the returned set still satisfies the decomposition.
     """
-    _check_joint_spec(outcome, mediator, contrast)
+    _check_joint_spec(outcome, mediator, contrast.profile)
     x, xs = contrast.x, contrast.x_star
     oy = _OutcomeAt(outcome, contrast.profile.z)
     mw = _MediatorAt(mediator, contrast.profile.v)
@@ -421,7 +421,7 @@ def special_case_report(
     is bx, bxw and the included bxz, bxwz blocks), which is what makes the
     implied identities hold with covariates in the model.
     """
-    _check_joint_spec(outcome, mediator, contrast)
+    _check_joint_spec(outcome, mediator, contrast.profile)
     xo_null = _group_is_null(outcome, "x")
     mo_null = _group_is_null(outcome, "w")
     xm_null = _group_is_null(mediator, "x")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import ATermInputs, EffectSet
+from .effects import ATermInputs, EffectSet, _check_joint_spec
 from .exceptions import DegenerateProbabilityError, SchemaError
 from .model import Contrast, MediatorParams, OutcomeParams, _MediatorAt, _OutcomeAt
 
@@ -106,9 +106,7 @@ def tables_from_params(
     outcome: OutcomeParams, mediator: MediatorParams, contrast: Contrast
 ) -> ProbabilityTables:
     """Model-implied probability tables at the contrast's profile."""
-    if outcome.spec != mediator.spec:
-        raise SchemaError("outcome and mediator parameters belong to different model specs")
-    contrast.profile.check_against(outcome.spec)
+    _check_joint_spec(outcome, mediator, contrast.profile)
     oy = _OutcomeAt(outcome, contrast.profile.z)
     mw = _MediatorAt(mediator, contrast.profile.v)
     levels = (contrast.x, contrast.x_star)

@@ -12,6 +12,8 @@ from ormediate.effects import (
     natural_effects,
     special_case_report,
 )
+from ormediate.delta import grad_a_term, jacobian_log_effects
+from ormediate.oracle import tables_from_params
 from helpers import microcredit_params, microcredit_spec, random_problem
 
 PROFILE_00 = CovariateProfile(z=(37.0, 0.0, 0.0))
@@ -303,3 +305,24 @@ class TestEffectSetContainer:
         )
         with pytest.raises(SchemaError):
             es.mediated_interaction_residual("nope")
+
+
+
+@pytest.mark.parametrize("mediator_v", [("a", "b"), ("b",)])
+@pytest.mark.parametrize("evaluate", [
+    pytest.param(lambda o, m, p: a_term(o, m, 1.0, 0.0, p), id="a_term"),
+    pytest.param(lambda o, m, p: grad_a_term(o, m, 1.0, 0.0, p), id="grad_a_term"),
+    pytest.param(lambda o, m, p: ATermInputs.from_params(o, m, 1.0, 0.0, p), id="from_params"),
+    pytest.param(lambda o, m, p: jacobian_log_effects(o, m, Contrast(1.0, 0.0, p)),
+                 id="jacobian_log_effects"),
+    pytest.param(lambda o, m, p: tables_from_params(o, m, Contrast(1.0, 0.0, p)),
+                 id="tables_from_params"),
+])
+def test_every_entry_point_rejects_parameters_of_different_specs(evaluate, mediator_v):
+    """A mediator spec with another covariate count used to fail on numpy's
+    shape check, and one with the same count but other names gave a number."""
+    outcome = OutcomeParams(ModelSpec(v_names=("a",)))
+    mediator = MediatorParams(ModelSpec(v_names=mediator_v), intercept=0.3,
+                              confounders=[0.2] * len(mediator_v))
+    with pytest.raises(SchemaError, match="different model specs"):
+        evaluate(outcome, mediator, CovariateProfile(v=(1.0,)))
