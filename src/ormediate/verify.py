@@ -33,14 +33,22 @@ command line and the tests exercise identical code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .delta import jacobian_log_effects
-from .effects import ATermInputs, _log_effects_at_rows, natural_effects
-from .model import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
+from .effects import _bridge_inputs, _bridge_value, _log_effects_at_rows, natural_effects
+from .model import (
+    Contrast,
+    CovariateProfile,
+    MediatorParams,
+    ModelSpec,
+    OutcomeParams,
+    _MediatorAt,
+    _OutcomeAt,
+)
 from .oracle import _central_differences, g_y_check, mediation_formula_effects, tables_from_params
 
 __all__ = [
@@ -165,14 +173,14 @@ def _jacobian_errors(problem: _Draw, perturb):
 
 
 def _bracketing_errors(problem: _Draw, perturb):
-    outcome, mediator, contrast = problem.outcome, problem.mediator, problem.contrast
-    x, xs = contrast.x, contrast.x_star
-    for x1, x2 in ((x, xs), (x, x), (xs, x), (xs, xs)):
-        inputs = ATermInputs.from_params(outcome, mediator, x1, x2, contrast.profile)
-        value = inputs.value() + perturb
-        lo, hi = min(inputs.k, 1.0), max(inputs.k, 1.0)
-        collapsed = replace(inputs, k=1.0).value() + perturb
-        yield from (lo - value, value - hi, abs(collapsed - 1.0))
+    # the four bridge terms from the inputs natural_effects itself evaluates
+    contrast = problem.contrast
+    oy = _OutcomeAt(problem.outcome, contrast.profile.z)
+    mw = _MediatorAt(problem.mediator, contrast.profile.v)
+    for k, p2, p3, p4 in _bridge_inputs(oy, mw, contrast.x, contrast.x_star):
+        value = _bridge_value(k, p2, p3, p4) + perturb
+        collapsed = _bridge_value(1.0, p2, p3, p4) + perturb
+        yield from (min(k, 1.0) - value, value - max(k, 1.0), abs(collapsed - 1.0))
 
 
 def _g_y_errors(problem, perturb):
