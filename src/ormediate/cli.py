@@ -13,6 +13,11 @@ Subcommands:
   exact effects against their rare-outcome approximations.
 * ``verify`` — run the randomized self-verification suites.
 
+A fit report is the effects report of the coefficient set it fitted, plus a
+``models`` section: one function builds the ``coefficients``, ``effects`` and
+``diagnostics`` sections of both, so ``effects`` on a fit report reproduces
+its tables.
+
 Exit codes: 0 success, 2 schema/usage, 3 fit failure, 4 numerical
 degeneracy, 5 verification failure.  Errors print a single
 ``ERROR <code>: message`` line on stderr.  Output contains no timestamps or
@@ -24,8 +29,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-
-import numpy as np
 
 from . import __version__
 from .delta import InferenceResult, infer_many
@@ -215,18 +218,17 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _check_contrast(x: float, x_star: float) -> None:
+def _resolve_levels(args, stored: tuple[float, float] | None) -> tuple[float, float]:
+    """(x, x*) from the flags, else the stored levels, else (1, 0); a
+    degenerate contrast raises."""
+    stored = stored or (1.0, 0.0)
+    x = stored[0] if args.x is None else args.x
+    x_star = stored[1] if args.x_star is None else args.x_star
     if x == x_star:
         raise NumericalError(
             f"degenerate contrast: x and x* are both {x!r}, every effect is "
             "identically 1"
         )
-
-
-def _resolve_levels(args, coef: CoefficientSet) -> tuple[float, float]:
-    stored = coef.exposure_levels or (1.0, 0.0)
-    x = stored[0] if args.x is None else args.x
-    x_star = stored[1] if args.x_star is None else args.x_star
     return x, x_star
 
 
@@ -241,6 +243,14 @@ def _resolve_profiles(args, coef: CoefficientSet) -> list[tuple[str, CovariatePr
         "the model has covariates but no profiles are available; pass --profile "
         "or use a coefficient file that bundles profiles"
     )
+
+
+def _load_resolved(args) -> CoefficientSet:
+    """The --coef-file set with its exposure levels and profiles resolved."""
+    coef = load_coefficients(args.coef_file)
+    levels = _resolve_levels(args, coef.exposure_levels)
+    return dataclasses.replace(coef, exposure_levels=levels,
+                               profiles=tuple(_resolve_profiles(args, coef)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +301,41 @@ def _effect_table(name: str, spec: ModelSpec, profile: CovariateProfile, entries
         "values": profile_values(spec, profile),
         "effects": entries,
     }
+
+
+def _effect_sections(coef: CoefficientSet, level: float) -> dict:
+    """The ``coefficients``, ``effects`` and ``diagnostics`` sections of a
+    report on ``coef``, whose exposure levels and profiles are resolved:
+    delta-method inference when it has covariances, point estimates otherwise."""
+    spec, profiles = coef.spec, coef.profiles
+    contrasts = [Contrast(*coef.exposure_levels, prof) for _, prof in profiles]
+    if coef.has_vcov:
+        # no name holds the results, so they are freed before the report is written
+        entries = [_inference_entries(r) for r in
+                   infer_many(spec, *coef.fitted_models(), contrasts, level=level)]
+    else:
+        entries = [_point_entries(natural_effects(coef.outcome, coef.mediator, c))
+                   for c in contrasts]
+    tables = [
+        _effect_table(name, spec, prof, e) for (name, prof), e in zip(profiles, entries)
+    ]
+    notes = list(special_case_report(coef.outcome, coef.mediator, contrasts[0]).identities)
+    if not coef.has_vcov:
+        notes.append("no covariance matrices in the coefficient file: "
+                     "point estimates only")
+    coef_doc = coefficients_to_doc(
+        spec,
+        coef.outcome,
+        coef.mediator,
+        outcome_vcov=coef.outcome_vcov,
+        mediator_vcov=coef.mediator_vcov,
+        exposure_levels=coef.exposure_levels,
+        profiles=profiles,
+        exposure_marginal=coef.exposure_marginal,
+        covariate_marginals=coef.covariate_marginals,
+        description=coef.description,
+    )
+    return {"coefficients": coef_doc, "effects": tables, "diagnostics": {"notes": notes}}
 
 
 def _report(command: str, config: dict, **sections) -> dict:
@@ -425,37 +470,20 @@ def _cmd_fit(args) -> int:
         covariates=spec.covariate_names(),
     )
     data.validate_against(spec)
-    x = 1.0 if args.x is None else args.x
-    x_star = 0.0 if args.x_star is None else args.x_star
-    _check_contrast(x, x_star)
+    x, x_star = _resolve_levels(args, None)
 
     design_y, y = build_design(data, spec, "outcome")
     outcome_fit = fit_logistic(design_y, y, column_names=spec.outcome_terms())
     design_w, w = build_design(data, spec, "mediator")
     mediator_fit = fit_logistic(design_w, w, column_names=spec.mediator_terms())
-    outcome = OutcomeParams.from_vector(spec, outcome_fit.coefficients)
-    mediator = MediatorParams.from_vector(spec, mediator_fit.coefficients)
-
     if args.profile:
         profiles = _parse_profiles(spec, args.profile)
-        profile_source = "given"
     else:
         profiles = [("mean", data.mean_profile(spec))]
-        profile_source = "sample-means"
-
-    # no name holds the results, so they are freed before the report is written
-    tables = [
-        _effect_table(name, spec, prof, _inference_entries(result))
-        for (name, prof), result in zip(profiles, infer_many(
-            spec, outcome_fit, mediator_fit,
-            [Contrast(x, x_star, prof) for _, prof in profiles], level=args.level))
-    ]
-
-    cases = special_case_report(outcome, mediator, Contrast(x, x_star, profiles[0][1]))
-    coef_doc = coefficients_to_doc(
+    coef = CoefficientSet(
         spec,
-        outcome,
-        mediator,
+        OutcomeParams.from_vector(spec, outcome_fit.coefficients),
+        MediatorParams.from_vector(spec, mediator_fit.coefficients),
         outcome_vcov=outcome_fit.vcov,
         mediator_vcov=mediator_fit.vcov,
         exposure_levels=(x, x_star),
@@ -475,63 +503,21 @@ def _cmd_fit(args) -> int:
             "x": x,
             "x_star": x_star,
             "level": args.level,
-            "profile_source": profile_source,
+            "profile_source": "given" if args.profile else "sample-means",
         },
         models={
             "outcome": _model_doc(outcome_fit, args.level),
             "mediator": _model_doc(mediator_fit, args.level),
         },
-        coefficients=coef_doc,
-        effects=tables,
-        diagnostics={"notes": list(cases.identities)},
+        **_effect_sections(coef, args.level),
     )
     _emit(doc, args.output)
     return EXIT_OK
 
 
 def _cmd_effects(args) -> int:
-    coef = load_coefficients(args.coef_file)
-    x, x_star = _resolve_levels(args, coef)
-    _check_contrast(x, x_star)
-    profiles = _resolve_profiles(args, coef)
-
-    tables = []
-    if coef.has_vcov:
-        outcome_fit, mediator_fit = coef.fitted_models()
-        # no name holds the results, so they are freed before the report is written
-        tables = [
-            _effect_table(name, coef.spec, prof, _inference_entries(result))
-            for (name, prof), result in zip(profiles, infer_many(
-                coef.spec, outcome_fit, mediator_fit,
-                [Contrast(x, x_star, prof) for _, prof in profiles], level=args.level))
-        ]
-        mode = "inference"
-    else:
-        for name, prof in profiles:
-            effect_set = natural_effects(coef.outcome, coef.mediator,
-                                         Contrast(x, x_star, prof))
-            tables.append(_effect_table(name, coef.spec, prof,
-                                        _point_entries(effect_set)))
-        mode = "point-estimates"
-
-    cases = special_case_report(coef.outcome, coef.mediator,
-                                Contrast(x, x_star, profiles[0][1]))
-    notes = list(cases.identities)
-    if not coef.has_vcov:
-        notes.append("no covariance matrices in the coefficient file: "
-                     "point estimates only")
-    coef_doc = coefficients_to_doc(
-        coef.spec,
-        coef.outcome,
-        coef.mediator,
-        outcome_vcov=coef.outcome_vcov,
-        mediator_vcov=coef.mediator_vcov,
-        exposure_levels=(x, x_star),
-        profiles=tuple(profiles),
-        exposure_marginal=coef.exposure_marginal,
-        covariate_marginals=coef.covariate_marginals,
-        description=coef.description,
-    )
+    coef = _load_resolved(args)
+    x, x_star = coef.exposure_levels
     doc = _report(
         "effects",
         {
@@ -539,11 +525,9 @@ def _cmd_effects(args) -> int:
             "x": x,
             "x_star": x_star,
             "level": args.level,
-            "mode": mode,
+            "mode": "inference" if coef.has_vcov else "point-estimates",
         },
-        coefficients=coef_doc,
-        effects=tables,
-        diagnostics={"notes": notes},
+        **_effect_sections(coef, args.level),
     )
     _emit(doc, args.output)
     return EXIT_OK
@@ -571,10 +555,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    coef = load_coefficients(args.coef_file)
-    x, x_star = _resolve_levels(args, coef)
-    _check_contrast(x, x_star)
-    name, prof = _resolve_profiles(args, coef)[0]
+    coef = _load_resolved(args)
+    x, x_star = coef.exposure_levels
+    name, prof = coef.profiles[0]
     contrast = Contrast(x, x_star, prof)
     grid = _parse_grid(args.grid)
 

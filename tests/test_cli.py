@@ -214,7 +214,8 @@ class TestRoundTrip:
         fit_doc = load_json(fit_out)
         eff_doc = load_json(eff_out)
         assert eff_doc["config"]["mode"] == "inference"
-        assert eff_doc["effects"] == fit_doc["effects"]
+        for section in ("coefficients", "effects", "diagnostics"):
+            assert eff_doc[section] == fit_doc[section]
 
     def test_whole_pipeline_is_deterministic(self, tmp_path):
         reports = []
