@@ -40,15 +40,8 @@ import numpy as np
 
 from .delta import jacobian_log_effects
 from .effects import _bridge_inputs, _bridge_value, _log_effects_at_rows, natural_effects
-from .model import (
-    Contrast,
-    CovariateProfile,
-    MediatorParams,
-    ModelSpec,
-    OutcomeParams,
-    _MediatorAt,
-    _OutcomeAt,
-)
+from .model import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
+from .model import _MediatorAt, _OutcomeAt
 from .oracle import _central_differences, g_y_check, mediation_formula_effects, tables_from_params
 
 __all__ = [
