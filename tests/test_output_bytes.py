@@ -65,12 +65,20 @@ def _sweep_document(vcov=True):
                                exposure_levels=(1.0, 0.0), profiles=profiles)
 
 
-@pytest.mark.parametrize("key, vcov", [("effects", True), ("effects-point", False)])
-def test_effects_report_bytes(tmp_path, monkeypatch, key, vcov):
+def _effects_digest(tmp_path, monkeypatch, document) -> str:
     monkeypatch.chdir(tmp_path)  # the report records the --coef-file path
-    save_json(_sweep_document(vcov), tmp_path / "coef.json")
+    save_json(document, tmp_path / "coef.json")
     assert main(["effects", "--coef-file", "coef.json", "--output", "effects.json"]) == 0
-    assert _digest(tmp_path / "effects.json") == GOLDEN[key]
+    return _digest(tmp_path / "effects.json")
+
+
+def test_effects_report_bytes(tmp_path, monkeypatch):
+    assert _effects_digest(tmp_path, monkeypatch, _sweep_document()) == GOLDEN["effects"]
+
+
+def test_point_estimates_report_bytes(tmp_path, monkeypatch):
+    digest = _effects_digest(tmp_path, monkeypatch, _sweep_document(vcov=False))
+    assert digest == GOLDEN["effects-point"]
 
 
 _FIT_FLAGS = {
