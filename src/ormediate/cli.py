@@ -47,7 +47,7 @@ from .io import (
     write_table,
 )
 from .logit import fit as fit_logistic
-from .logit import wald_table
+from .logit import _wald_quantile, wald_table
 from .model import (
     MEDIATOR_BLOCKS,
     OUTCOME_BLOCKS,
@@ -73,6 +73,8 @@ _INTERACTION_BLOCKS = tuple(
     b.flag for b in OUTCOME_BLOCKS + MEDIATOR_BLOCKS if b.flag and (b.x or b.w)
 )
 _DEFAULT_GRID = "-2,-4,-6,-8,-10,-12,-14"
+# contrasts per infer_many call, so only one slice of results lives at a time
+_INFER_BATCH = 64
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +220,11 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise SchemaError(f"--seed must be non-negative, got {seed}")
+
+
 def _resolve_levels(args, stored: tuple[float, float] | None) -> tuple[float, float]:
     """(x, x*) from the flags, else the stored levels, else (1, 0); a
     degenerate contrast raises."""
@@ -310,9 +317,11 @@ def _effect_sections(coef: CoefficientSet, level: float) -> dict:
     spec, profiles = coef.spec, coef.profiles
     contrasts = [Contrast(*coef.exposure_levels, prof) for _, prof in profiles]
     if coef.has_vcov:
-        # no name holds the results, so they are freed before the report is written
-        entries = [_inference_entries(r) for r in
-                   infer_many(spec, *coef.fitted_models(), contrasts, level=level)]
+        fits = coef.fitted_models()
+        entries = []
+        for start in range(0, len(contrasts), _INFER_BATCH):
+            batch = contrasts[start:start + _INFER_BATCH]
+            entries += map(_inference_entries, infer_many(spec, *fits, batch, level=level))
     else:
         entries = [_point_entries(natural_effects(coef.outcome, coef.mediator, c))
                    for c in contrasts]
@@ -350,8 +359,9 @@ def _report(command: str, config: dict, **sections) -> dict:
 
 
 def _emit(doc: dict, output: str | None) -> None:
-    for line in _render(doc):
-        print(line)
+    lines = _render(doc)
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
     if output:
         save_json(doc, output)
 
@@ -457,6 +467,7 @@ def _render_compare(doc: dict) -> list[str]:
 
 
 def _cmd_fit(args) -> int:
+    _wald_quantile(args.level)  # a bad --level fails before any work
     columns = read_table(args.input)
     z = _parse_names(args.z)
     v = _parse_names(args.v)
@@ -516,6 +527,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_effects(args) -> int:
+    _wald_quantile(args.level)  # a bad --level fails before any work, in either mode
     coef = _load_resolved(args)
     x, x_star = coef.exposure_levels
     doc = _report(
@@ -537,6 +549,7 @@ def _cmd_simulate(args) -> int:
     coef = load_coefficients(args.coef_file)
     if args.n < 0:
         raise SchemaError(f"--n must be non-negative, got {args.n}")
+    _check_seed(args.seed)
     data = simulate_dataset(
         coef.spec,
         coef.outcome,
@@ -597,6 +610,7 @@ def _cmd_compare(args) -> int:
 def _cmd_verify(args) -> int:
     if args.count < 0:
         raise SchemaError(f"--count must be non-negative, got {args.count}")
+    _check_seed(args.seed)
     results = run_all(seed=args.seed, count=args.count, perturb=args.perturb)
     passed = all(r.passed for r in results)
     doc = _report(

@@ -23,8 +23,8 @@ are always positive and respect the reciprocal symmetry of odds ratios.
 ``infer_many`` runs the delta method at many contrasts as one batch: the
 gradients are columns over the contrasts, built by the same functions as the
 single-contrast Jacobian, and the covariances one stacked J Sigma J^T, which
-equals the 2-d product slice by slice. ``infer`` takes one contrast on floats;
-the two share the per-contrast summaries.
+equals the 2-d product slice by slice. ``infer`` takes one contrast on floats
+and summarises it as a batch of one, so both go through one stacked summary.
 """
 
 from __future__ import annotations
@@ -232,8 +232,9 @@ class InferenceResult:
         return out
 
 
-def _variance_diag(cov: np.ndarray) -> np.ndarray:
-    var = np.diag(cov).copy()
+def _checked_variances(var: np.ndarray) -> np.ndarray:
+    """The stacked natural-effect variances, (N, 5), clamped at zero; any
+    that is not finite or is negative beyond roundoff raises."""
     if not np.isfinite(var).all():
         raise CovarianceError("a delta-method variance is not finite")
     if np.min(var) < -_VAR_TOL:
@@ -285,35 +286,47 @@ def _fitted_params(spec: ModelSpec, outcome_fit: FittedModel, mediator_fit: Fitt
     return outcome, mediator, sigma
 
 
-def _inference(es, jac, cov_log, g_cde, outcome_vcov, zq: float, level: float):
-    """The summaries of one contrast from its effects, Jacobian, log-scale
-    covariance and the gradients of log CDE(0) and log CDE(1)."""
-    var_log = _variance_diag(cov_log)
-    effects = tuple(
-        _summarise(name, log_est, var, zq)
-        for name, log_est, var in zip(EFFECT_ORDER, es.log_values(), var_log)
-    )
-    ors = np.exp(np.asarray(es.log_values()))
-    cov_or = cov_log * np.outer(ors, ors)
+def _summaries(effect_sets, jac, cov_log, g_cde, outcome_vcov, zq: float, level: float):
+    """The :class:`InferenceResult` of each of N contrasts from its effects,
+    the stacked Jacobians (N, 5, dim) and log-scale covariances (N, 5, 5),
+    and the stacked gradients (N, ky) of log CDE(0) and log CDE(1). The
+    checks run over all rows at once; with N = 1 they raise in the order of
+    the effects they check."""
+    var_log = _checked_variances(np.diagonal(cov_log, axis1=1, axis2=2)).tolist()
+    effects = [
+        tuple(
+            _summarise(name, log_est, var, zq)
+            for name, log_est, var in zip(EFFECT_ORDER, es.log_values(), row)
+        )
+        for es, row in zip(effect_sets, var_log)
+    ]
+    ors = np.exp(np.array([es.log_values() for es in effect_sets]))
+    cov_or = cov_log * (ors[:, :, None] * ors[:, None, :])
 
-    cde_rows = []
+    cde = []
     for w, g in enumerate(g_cde):
-        var = float(g @ outcome_vcov @ g)
-        if not math.isfinite(var):
+        var = (g[:, None, :] @ outcome_vcov @ g[:, :, None])[:, 0, 0]
+        if not np.isfinite(var).all():
             raise CovarianceError(f"CDE({w}) variance is not finite")
-        if var < -_VAR_TOL:
-            raise CovarianceError(f"negative CDE({w}) variance {var:.3e}")
-        cde_rows.append(_summarise(f"cde{w}", es.log_cde_at[w], max(var, 0.0), zq))
+        if np.min(var) < -_VAR_TOL:
+            raise CovarianceError(f"negative CDE({w}) variance {np.min(var):.3e}")
+        cde.append([
+            _summarise(f"cde{w}", es.log_cde_at[w], max(v, 0.0), zq)
+            for es, v in zip(effect_sets, var.tolist())
+        ])
 
-    return InferenceResult(
-        effect_set=es,
-        effects=effects,
-        cde=tuple(cde_rows),
-        cov_log=cov_log,
-        cov_or=cov_or,
-        jacobian=jac,
-        level=level,
-    )
+    return [
+        InferenceResult(
+            effect_set=es,
+            effects=effects[i],
+            cde=(cde[0][i], cde[1][i]),
+            cov_log=cov_log[i],
+            cov_or=cov_or[i],
+            jacobian=jac[i],
+            level=level,
+        )
+        for i, es in enumerate(effect_sets)
+    ]
 
 
 @np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
@@ -336,11 +349,12 @@ def infer(
     jac = jacobian_log_effects(outcome, mediator, contrast)
     cov_log = jac @ sigma @ jac.T
     cov_log = (cov_log + cov_log.T) / 2.0
+    ky = spec.n_outcome_coefs
     g_cde = [
-        _exposure_gradient(spec, contrast.delta, contrast.profile.z, spec.n_outcome_coefs, w)
+        _exposure_gradient(spec, contrast.delta, contrast.profile.z, ky, w)[None]
         for w in (0.0, 1.0)
     ]
-    return _inference(es, jac, cov_log, g_cde, outcome_fit.vcov, zq, level)
+    return _summaries([es], jac[None], cov_log[None], g_cde, outcome_fit.vcov, zq, level)[0]
 
 
 def infer_many(
@@ -370,7 +384,7 @@ def _infer_rows(
 ) -> list[InferenceResult]:
     """The batch behind :func:`infer_many`: the effects and Jacobians as
     columns over the contrasts, the covariances as one stacked J Sigma J^T
-    (equal slice by slice to the 2-d product), and the summaries row by row."""
+    (equal slice by slice to the 2-d product), and one stacked summary."""
     zq = _wald_quantile(level)
     outcome, mediator, sigma = _fitted_params(spec, outcome_fit, mediator_fit)
     n = len(contrasts)
@@ -400,8 +414,4 @@ def _infer_rows(
         _exposure_gradient(spec, delta, z.T, spec.n_outcome_coefs, w).T.copy()
         for w in (0.0, 1.0)
     ]
-    return [
-        _inference(es, jac[i], cov_log[i], (g_cde[0][i], g_cde[1][i]), outcome_fit.vcov,
-                   zq, level)
-        for i, es in enumerate(effect_sets)
-    ]
+    return _summaries(effect_sets, jac, cov_log, g_cde, outcome_fit.vcov, zq, level)

@@ -19,7 +19,9 @@ from ormediate import (
     OutcomeParams,
     natural_effects,
 )
+from ormediate import cli
 from ormediate.cli import main
+from ormediate.delta import infer_many
 from ormediate.io import coefficients_to_doc, load_coefficients, load_json, read_table, save_json
 from ormediate.verify import run_suite
 from helpers import microcredit_params
@@ -236,6 +238,47 @@ class TestRoundTrip:
         assert reports[0] == reports[1]
 
 
+class TestInferenceBatches:
+    """effects passes its contrasts to infer_many in slices of _INFER_BATCH."""
+
+    @pytest.fixture()
+    def coef_file(self, tmp_path):
+        spec = ModelSpec(z_names=("a",), v_names=("b",), xz=True, xv=True)
+        rng = np.random.default_rng(3)
+        outcome = OutcomeParams.from_vector(spec, 0.3 * rng.normal(size=spec.n_outcome_coefs))
+        mediator = MediatorParams.from_vector(spec, 0.3 * rng.normal(size=spec.n_mediator_coefs))
+        profiles = tuple((f"p{i}", CovariateProfile(z=[rng.normal()], v=[rng.normal()]))
+                         for i in range(150))
+        doc = coefficients_to_doc(
+            spec, outcome, mediator,
+            outcome_vcov=0.01 * np.eye(spec.n_outcome_coefs),
+            mediator_vcov=0.01 * np.eye(spec.n_mediator_coefs),
+            exposure_levels=(1.0, 0.0), profiles=profiles,
+        )
+        path = tmp_path / "coef.json"
+        save_json(doc, path)
+        return path
+
+    def test_no_call_exceeds_the_batch(self, coef_file, tmp_path, monkeypatch):
+        sizes = []
+
+        def counting(spec, outcome_fit, mediator_fit, contrasts, level=0.95):
+            sizes.append(len(contrasts))
+            return infer_many(spec, outcome_fit, mediator_fit, contrasts, level)
+
+        monkeypatch.setattr(cli, "infer_many", counting)
+        assert run("effects", "--coef-file", coef_file, "--output", tmp_path / "a.json") == 0
+        assert max(sizes) <= cli._INFER_BATCH and sum(sizes) == 150 and len(sizes) > 1
+
+    def test_batching_keeps_the_bytes(self, coef_file, tmp_path, monkeypatch, capsys):
+        assert run("effects", "--coef-file", coef_file, "--output", tmp_path / "a.json") == 0
+        sliced = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_INFER_BATCH", 1000)
+        assert run("effects", "--coef-file", coef_file, "--output", tmp_path / "b.json") == 0
+        assert capsys.readouterr().out == sliced
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 class TestFileErrors:
     """Unreadable input and unwritable output end in one ERROR 2 line, a
     numerically degenerate document in one ERROR 4 line."""
@@ -313,6 +356,49 @@ class TestFileErrors:
                                 "--x", 200, "--x-star", 0, "--output", out, code=4)
         assert "confidence bound overflows" in line
         assert not out.exists()
+
+    def test_overflow_in_a_later_batch(self, tmp_path):
+        # 100 profiles, so two infer_many batches; profile 70 (in the second)
+        # and profile 91 push the outcome predictor past 709
+        spec = ModelSpec(z_names=("a",))
+        outcome = OutcomeParams(spec, intercept=-0.5, exposure=0.4, mediator=0.3,
+                                confounders=[1.0])
+        mediator = MediatorParams(spec, intercept=0.1, exposure=0.5)
+        big = {69: 800.0, 90: 900.0}
+        profiles = tuple((f"p{i}", CovariateProfile(z=[big.get(i, i / 100.0)]))
+                         for i in range(100))
+        assert cli._INFER_BATCH < 70 <= 2 * cli._INFER_BATCH
+        doc = coefficients_to_doc(
+            spec, outcome, mediator,
+            outcome_vcov=0.01 * np.eye(spec.n_outcome_coefs),
+            mediator_vcov=0.01 * np.eye(spec.n_mediator_coefs),
+            exposure_levels=(1.0, 0.0), profiles=profiles,
+        )
+        save_json(doc, tmp_path / "coef.json")
+        out = tmp_path / "effects.json"
+        line = self._error_line("effects", "--coef-file", tmp_path / "coef.json",
+                                "--output", out, code=4)
+        assert "799.9" in line
+        assert not out.exists()
+        coef = load_coefficients(tmp_path / "coef.json")
+        contrasts = [Contrast(1.0, 0.0, prof) for _, prof in coef.profiles]
+        with pytest.raises(ormediate.MediationError) as info:
+            infer_many(spec, *coef.fitted_models(), contrasts)
+        assert line == f"ERROR 4: {info.value}"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--seed", "-1", "--count", "1"], "--seed"),
+        (["simulate", "--coef-file", "microcredit_table1", "--n", "10", "--seed", "-1",
+          "--output", "{tmp}/sim.csv"], "--seed"),
+        (["effects", "--coef-file", "microcredit_table1", "--level", "1.5"],
+         "confidence level must be in (0, 1)"),
+        (["effects", "--coef-file", "microcredit_table1", "--level", "nan"],
+         "confidence level must be in (0, 1)"),
+    ])
+    def test_bad_seed_and_level(self, tmp_path, argv, flag):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert flag in self._error_line(*argv)
+        assert not (tmp_path / "sim.csv").exists()
 
 
 def _set(*path_and_value):

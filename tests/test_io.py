@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from ormediate.io import (
     save_json,
     spec_from_doc,
     spec_to_doc,
+    write_json,
     write_table,
 )
 from helpers import microcredit_params, microcredit_profiles, microcredit_spec
@@ -533,6 +535,87 @@ class TestCoefficientDocProperties:
             outcome_vcov=cs.outcome_vcov, mediator_vcov=cs.mediator_vcov,
             exposure_levels=cs.exposure_levels, profiles=cs.profiles,
         ) == doc
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.text(),
+)
+_JSON_KEYS = st.one_of(st.text(), st.integers(min_value=-(2**80), max_value=2**80),
+                       st.floats(), st.booleans(), st.none())
+
+
+def _json_documents():
+    return st.recursive(
+        _JSON_SCALARS,
+        lambda children: st.one_of(
+            st.lists(children, max_size=5),
+            st.lists(children, max_size=5).map(tuple),
+            st.dictionaries(_JSON_KEYS, children, max_size=5),
+        ),
+        max_leaves=40,
+    )
+
+
+def _written(doc) -> str:
+    out = io.StringIO()
+    write_json(doc, out)
+    return out.getvalue()
+
+
+class TestJsonWriter:
+    """write_json gives the text of json.dumps(doc, indent=2) plus a newline."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(doc=_json_documents())
+    @example(doc={"a": [], "b": {}, "c": [[], {}, ()], "d": ({"e": [{}]},)})
+    @example(doc={"\u00e9\u2603\U0001f600": "\x00\x1f\"\\\n\u2028", "\x7f": ["\ud800"]})
+    @example(doc={1: 1, 2.5: -0.0, True: None, None: False, -(2**70): 2**64 + 1})
+    @example(doc=[5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -0.0, 0.0,
+                  float("nan"), float("inf"), float("-inf")])
+    @example(doc={float("nan"): 1, float("inf"): [float("-inf")], float("-inf"): {}})
+    @example(doc=[True, False, None, 0, -1, 2**200, "", "nan", "inf"])
+    @example(doc=[{True: 0}, {1: 0}, {1.0: 0}, {"1": 0}, {"true": 0}])
+    @example(doc=[{"%s": 1, "a%%": "%d"}, {"%s": 2, "a%%": "%"}, [{"%s": 3, "a%%": 4}]])
+    def test_bytes_equal_json_dumps(self, doc):
+        assert _written(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [None, True, 0, -0.0, float("nan"), "text", [], {}])
+    def test_top_level_scalars_and_empty_containers(self, doc):
+        assert _written(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_subclasses_are_spelled_as_their_base(self):
+        doc = {"f": np.float64(0.1), "nan": np.float64("nan"), "names": ("a", "b")}
+        assert _written(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [{"a": object()}, [np.int64(1)], {(1, 2): 0}, {1j: 0}])
+    def test_unserialisable_values_and_keys_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            _written(doc)
+
+    def test_large_document_writes_in_bounded_chunks(self, tmp_path):
+        rows = [{"name": f"r{i}", "values": [i * 0.1, -i / 3.0], "ok": i % 2 == 0}
+                for i in range(5000)]
+        doc = {"rows": rows, "matrix": [[i / 7.0] * 20 for i in range(300)]}
+        writes = []
+
+        class Handle:
+            def write(self, text):
+                writes.append(text)
+
+        write_json(doc, Handle())
+        text = json.dumps(doc, indent=2) + "\n"
+        assert "".join(writes) == text
+        assert len(writes) > 5
+        # each write but the last holds at least 64k characters and one block more
+        assert all(65536 <= len(w) < 65536 + 4096 for w in writes[:-1])
+        save_json(doc, tmp_path / "doc.json")
+        assert (tmp_path / "doc.json").read_text(encoding="utf-8") == text
 
 
 class TestReadme:
