@@ -232,16 +232,13 @@ class InferenceResult:
         return out
 
 
-def _checked_variances(var: np.ndarray) -> np.ndarray:
-    """The stacked natural-effect variances, (N, 5), clamped at zero; any
-    that is not finite or is negative beyond roundoff raises."""
+def _check_variances(var: np.ndarray, not_finite: str, negative: str) -> None:
+    """Raise when a stacked variance is not finite, or is negative beyond
+    roundoff (``negative`` formats the lowest)."""
     if not np.isfinite(var).all():
-        raise CovarianceError("a delta-method variance is not finite")
+        raise CovarianceError(not_finite)
     if np.min(var) < -_VAR_TOL:
-        raise CovarianceError(
-            f"delta-method variance {np.min(var):.3e} is negative beyond roundoff"
-        )
-    return np.clip(var, 0.0, None)
+        raise CovarianceError(negative.format(np.min(var)))
 
 
 def _summarise(name: str, log_est: float, var_log: float, zq: float) -> EffectInference:
@@ -292,7 +289,10 @@ def _summaries(effect_sets, jac, cov_log, g_cde, outcome_vcov, zq: float, level:
     and the stacked gradients (N, ky) of log CDE(0) and log CDE(1). The
     checks run over all rows at once; with N = 1 they raise in the order of
     the effects they check."""
-    var_log = _checked_variances(np.diagonal(cov_log, axis1=1, axis2=2)).tolist()
+    var_log = np.diagonal(cov_log, axis1=1, axis2=2)
+    _check_variances(var_log, "a delta-method variance is not finite",
+                     "delta-method variance {:.3e} is negative beyond roundoff")
+    var_log = np.clip(var_log, 0.0, None).tolist()
     effects = [
         tuple(
             _summarise(name, log_est, var, zq)
@@ -306,10 +306,8 @@ def _summaries(effect_sets, jac, cov_log, g_cde, outcome_vcov, zq: float, level:
     cde = []
     for w, g in enumerate(g_cde):
         var = (g[:, None, :] @ outcome_vcov @ g[:, :, None])[:, 0, 0]
-        if not np.isfinite(var).all():
-            raise CovarianceError(f"CDE({w}) variance is not finite")
-        if np.min(var) < -_VAR_TOL:
-            raise CovarianceError(f"negative CDE({w}) variance {np.min(var):.3e}")
+        _check_variances(var, f"CDE({w}) variance is not finite",
+                         f"negative CDE({w}) variance {{:.3e}}")
         cde.append([
             _summarise(f"cde{w}", es.log_cde_at[w], max(v, 0.0), zq)
             for es, v in zip(effect_sets, var.tolist())
