@@ -1,48 +1,77 @@
-"""Exact odds-ratio mediation effects for binary outcomes and binary mediators."""
+"""Exact odds-ratio mediation effects for binary outcomes and binary mediators.
 
-from .delta import EffectInference, InferenceResult, infer, infer_many, jacobian_log_effects
-from .effects import (
-    EFFECT_ORDER,
-    ATermInputs,
-    EffectSet,
-    SpecialCaseReport,
-    a_term,
-    approx_effects,
-    natural_effects,
-    special_case_report,
-)
-from .exceptions import (
-    ConvergenceError,
-    CovarianceError,
-    DegenerateProbabilityError,
-    FitError,
-    MediationError,
-    NumericalError,
-    PredictorOverflowError,
-    SchemaError,
-    SeparationError,
-    SingularDesignError,
-)
-from .logit import FittedModel, fit, predict_prob, wald_table
-from .model import (
-    EXP_LIMIT,
-    Contrast,
-    CovariateProfile,
-    Dataset,
-    MediatorParams,
-    ModelSpec,
-    OutcomeParams,
-    build_design,
-    e_w,
-    e_y,
-)
-from .oracle import (
-    ProbabilityTables,
-    finite_diff,
-    g_y_check,
-    mediation_formula_effects,
-    tables_from_params,
-)
-from .simulate import Marginal, simulate_dataset
+The names in ``__all__`` are exported lazily (PEP 562): ``import ormediate``
+loads no submodule, and the first access to a name imports the submodule that
+defines it. So ``import ormediate.cli`` and ``ormediate --help`` load no
+numeric code; each command imports only the modules it runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# the exported names of each submodule
+_EXPORTS = {
+    "delta": ("EffectInference", "InferenceResult", "infer", "infer_many", "jacobian_log_effects"),
+    "effects": (
+        "EFFECT_ORDER",
+        "ATermInputs",
+        "EffectSet",
+        "SpecialCaseReport",
+        "a_term",
+        "approx_effects",
+        "natural_effects",
+        "special_case_report",
+    ),
+    "exceptions": (
+        "ConvergenceError",
+        "CovarianceError",
+        "DegenerateProbabilityError",
+        "FitError",
+        "MediationError",
+        "NumericalError",
+        "PredictorOverflowError",
+        "SchemaError",
+        "SeparationError",
+        "SingularDesignError",
+    ),
+    "io": ("Marginal",),
+    "logit": ("FittedModel", "fit", "predict_prob", "wald_table"),
+    "model": (
+        "EXP_LIMIT",
+        "Contrast",
+        "CovariateProfile",
+        "Dataset",
+        "MediatorParams",
+        "ModelSpec",
+        "OutcomeParams",
+        "build_design",
+        "e_w",
+        "e_y",
+    ),
+    "oracle": (
+        "ProbabilityTables",
+        "finite_diff",
+        "g_y_check",
+        "mediation_formula_effects",
+        "tables_from_params",
+    ),
+    "simulate": ("simulate_dataset",),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    # any other name raises, so `from ormediate import cli` imports the submodule
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,9 @@ coefficient vectors (grouped by block, excluded blocks omitted), and
 optionally: per-model covariance matrices, a default exposure contrast, named
 covariate profiles, and simulation marginals.  Fit reports embed one of these
 documents, so a report can be fed anywhere a coefficient file is accepted.
+A marginal is a :class:`Marginal`, defined here beside the documents that
+carry it (``simulate`` re-exports it), so reading a document never loads the
+simulator.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .exceptions import SchemaError
-from .logit import FittedModel
 from .model import (
     BLOCK_FLAGS,
     CovariateProfile,
@@ -36,12 +38,15 @@ from .model import (
     ModelSpec,
     OutcomeParams,
 )
-from .simulate import Marginal
+
+if TYPE_CHECKING:
+    from .logit import FittedModel
 
 __all__ = [
     "COEFFICIENT_FORMAT",
     "REPORT_FORMAT",
     "CoefficientSet",
+    "Marginal",
     "bind_dataset",
     "bundled_fixture_names",
     "coefficients_from_doc",
@@ -287,6 +292,33 @@ def _require_keys(doc: Mapping, expected: set[str], *, where: str) -> None:
 
 
 @dataclass(frozen=True)
+class Marginal:
+    """Sampling law for one simulated column: bernoulli(p) or uniform(low, high)."""
+
+    kind: str
+    p: float = 0.5
+    low: float = 0.0
+    high: float = 1.0
+
+    def __post_init__(self):
+        if self.kind == "bernoulli":
+            if not 0.0 <= self.p <= 1.0:
+                raise SchemaError(f"bernoulli probability {self.p!r} outside [0, 1]")
+        elif self.kind == "uniform":
+            if not (math.isfinite(self.low) and math.isfinite(self.high)) or (
+                self.high < self.low
+            ):
+                raise SchemaError(f"bad uniform range [{self.low!r}, {self.high!r}]")
+        else:
+            raise SchemaError(f"unknown marginal kind {self.kind!r}")
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        if self.kind == "bernoulli":
+            return (rng.random(n) < self.p).astype(float)
+        return rng.uniform(self.low, self.high, n)
+
+
+@dataclass(frozen=True)
 class CoefficientSet:
     """Parsed contents of a coefficient document."""
 
@@ -307,6 +339,8 @@ class CoefficientSet:
 
     def fitted_models(self) -> tuple[FittedModel, FittedModel]:
         """Wrap the stored vectors as fitted models for the inference layer."""
+        from .logit import FittedModel
+
         if not self.has_vcov:
             raise SchemaError(
                 "coefficient document carries no covariance matrices; "

@@ -10,7 +10,8 @@ temporary grows with n. Convergence requires both a small score
 (max |score| < 1e-8) and a small relative log-likelihood change (< 1e-10).
 
 Rank-deficient designs and quasi-separated responses raise immediately rather
-than returning garbage coefficients. The information at the zero start is
+than returning garbage coefficients, and so does a column large enough to
+overflow the information. The information at the zero start is
 0.25 X'X; when its eigenvalues show the design clearly full rank, the SVD of
 the design is skipped, and otherwise that SVD decides and names the collinear
 columns.
@@ -20,11 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
-from .exceptions import ConvergenceError, SchemaError, SeparationError, SingularDesignError
+from .exceptions import (
+    ConvergenceError,
+    NumericalError,
+    SchemaError,
+    SeparationError,
+    SingularDesignError,
+)
 
 __all__ = ["FittedModel", "fit", "predict_prob", "wald_table"]
 
@@ -72,14 +78,26 @@ def _check_rank(X: np.ndarray, names: tuple[str, ...]) -> None:
         )
 
 
+def _check_information(info0: np.ndarray, X: np.ndarray, names: tuple[str, ...]) -> None:
+    """Raise :class:`NumericalError` when the information at beta = 0,
+    0.25 X'X, overflowed: it names the column with the largest |value| among
+    those whose row of the information is not finite."""
+    bad = np.flatnonzero(~np.isfinite(info0).all(axis=1))
+    if bad.size:
+        peaks = np.abs(X[:, bad]).max(axis=0)
+        j = int(np.argmax(peaks))
+        raise NumericalError(
+            f"the information matrix overflows: column {names[bad[j]]!r} reaches "
+            f"|value| {peaks[j]:.6g}; rescale it"
+        )
+
+
 def _surely_full_rank(info0: np.ndarray) -> bool:
-    """Whether the information at beta = 0, which is exactly 0.25 X'X, proves
-    the design full rank. An eigenvalue ratio above ``_SCREEN_RTOL`` puts the
-    singular-value ratio of X above 1e-4: far above ``_RANK_RTOL`` and above
-    the rounding error of the Gram matrix. False means only that the SVD of
-    ``_check_rank`` must decide."""
-    if not np.isfinite(info0).all():
-        return False
+    """Whether the information at beta = 0, which is exactly 0.25 X'X and
+    finite, proves the design full rank. An eigenvalue ratio above
+    ``_SCREEN_RTOL`` puts the singular-value ratio of X above 1e-4: far above
+    ``_RANK_RTOL`` and above the rounding error of the Gram matrix. False
+    means only that the SVD of ``_check_rank`` must decide."""
     eig = np.linalg.eigvalsh(info0)
     return bool(eig[0] > _SCREEN_RTOL * eig[-1])
 
@@ -118,8 +136,10 @@ def fit(
     """Fit a logistic regression of ``response`` on ``design``.
 
     Raises :class:`SingularDesignError` for rank-deficient designs (naming the
-    collinear columns), :class:`SeparationError` when a coefficient runs past
-    ``_SEPARATION_BOUND`` with the likelihood still climbing, and
+    collinear columns), :class:`NumericalError` when a column is so large that
+    its information overflows (naming the column), :class:`SeparationError`
+    when a coefficient runs past ``_SEPARATION_BOUND`` with the likelihood
+    still climbing, and
     :class:`ConvergenceError` (carrying the iteration trace) when the budget
     runs out. Fitting the same arrays twice is bit-identical: the optimiser is
     deterministic, starts from zero and sums the row blocks of each pass in
@@ -148,7 +168,9 @@ def fit(
         raise SchemaError(f"{len(names)} column names for {k} columns")
 
     beta = np.zeros(k)
-    ll, score, info = _evaluate(X, y, beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ll, score, info = _evaluate(X, y, beta)
+    _check_information(info, X, names)
     if not _surely_full_rank(info):
         _check_rank(X, names)
     rel_change = np.inf
@@ -243,7 +265,11 @@ def _wald_quantile(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise SchemaError(f"confidence level must be in (0, 1), got {level!r}")
     prob = 0.5 + level / 2.0
-    return NormalDist().inv_cdf(prob) if prob < 1.0 else math.inf
+    if prob == 1.0:
+        return math.inf
+    from statistics import NormalDist  # statistics loads fractions and decimal
+
+    return NormalDist().inv_cdf(prob)
 
 
 def _two_sided_p(z: float) -> float:

@@ -7,43 +7,15 @@ outcome uniforms — so a seed pins the dataset down byte for byte.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import SchemaError
+from .io import Marginal  # re-exported: the coefficient documents carry marginals
 from .model import Dataset, MediatorParams, ModelSpec, OutcomeParams, mediator_design, outcome_design
 
 __all__ = ["Marginal", "simulate_dataset"]
-
-
-@dataclass(frozen=True)
-class Marginal:
-    """Sampling law for one simulated column: bernoulli(p) or uniform(low, high)."""
-
-    kind: str
-    p: float = 0.5
-    low: float = 0.0
-    high: float = 1.0
-
-    def __post_init__(self):
-        if self.kind == "bernoulli":
-            if not 0.0 <= self.p <= 1.0:
-                raise SchemaError(f"bernoulli probability {self.p!r} outside [0, 1]")
-        elif self.kind == "uniform":
-            if not (math.isfinite(self.low) and math.isfinite(self.high)) or (
-                self.high < self.low
-            ):
-                raise SchemaError(f"bad uniform range [{self.low!r}, {self.high!r}]")
-        else:
-            raise SchemaError(f"unknown marginal kind {self.kind!r}")
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.kind == "bernoulli":
-            return (rng.random(n) < self.p).astype(float)
-        return rng.uniform(self.low, self.high, n)
 
 
 def _probs(design: np.ndarray, coefs: np.ndarray) -> np.ndarray:

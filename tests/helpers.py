@@ -1,14 +1,20 @@
 """Shared fixtures for the test suite: the microcredit coefficient set used in
-the worked examples, and random model generators for the verification sweeps."""
+the worked examples, random model generators for the verification sweeps,
+and the environment of a child interpreter."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import ormediate
 from ormediate import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
 from ormediate.verify import random_problem
 
 __all__ = [
+    "child_env",
     "microcredit_spec",
     "microcredit_params",
     "microcredit_profiles",
@@ -41,3 +47,11 @@ def microcredit_profiles() -> list[CovariateProfile]:
         for loans in (0, 1, 2)
         for edu in (0, 1)
     ]
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports the ormediate these
+    tests import, also when only pytest's `pythonpath` setting put it on the path."""
+    src = str(Path(ormediate.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited]) if inherited else src}

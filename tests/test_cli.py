@@ -1,7 +1,6 @@
 import ast
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -19,24 +18,18 @@ from ormediate import (
     OutcomeParams,
     natural_effects,
 )
-from ormediate import cli
+from ormediate import cli, delta
 from ormediate.cli import main
 from ormediate.delta import infer_many
-from ormediate.io import coefficients_to_doc, load_coefficients, load_json, read_table, save_json
+from ormediate.io import (
+    coefficients_to_doc, load_coefficients, load_json, read_table, save_json, write_table,
+)
 from ormediate.verify import run_suite
-from helpers import microcredit_params
+from helpers import child_env, microcredit_params
 
 
 def run(*argv):
     return main([str(a) for a in argv])
-
-
-def child_env():
-    """The environment for a child interpreter that imports the ormediate these
-    tests import, also when only pytest's `pythonpath` setting put it on the path."""
-    src = str(Path(ormediate.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited]) if inherited else src}
 
 
 @pytest.fixture()
@@ -176,10 +169,23 @@ class TestFitCommand:
         assert run("fit", "--input", sim_csv, "--z", "age,haircut") == 2
         assert "haircut" in capsys.readouterr().err
 
-    def test_constant_outcome_is_fit_error(self, tmp_path, capsys):
+    def test_constant_outcome_is_schema_error(self, tmp_path, capsys):
+        # an input error naming the column, found before any Newton step
         cols = read_table_fixture(tmp_path)
-        assert run("fit", "--input", cols) == 3
-        assert "ERROR 3:" in capsys.readouterr().err
+        assert run("fit", "--input", cols) == 2
+        assert capsys.readouterr().err == (
+            "ERROR 2: outcome column 'y' has only one level (1); "
+            "a logistic model needs both 0 and 1\n"
+        )
+
+    def test_constant_mediator_is_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "const.csv"
+        path.write_text("y,m,x\n" + "".join(f"{i % 2}.0,0.0,{i // 2 % 2}.0\n" for i in range(40)))
+        assert run("fit", "--input", path, "--mediator", "m") == 2
+        assert capsys.readouterr().err == (
+            "ERROR 2: mediator column 'm' has only one level (0); "
+            "a logistic model needs both 0 and 1\n"
+        )
 
     def test_interaction_closure(self, sim_csv, tmp_path):
         out = tmp_path / "fit.json"
@@ -248,7 +254,7 @@ class TestInferenceBatches:
         outcome = OutcomeParams.from_vector(spec, 0.3 * rng.normal(size=spec.n_outcome_coefs))
         mediator = MediatorParams.from_vector(spec, 0.3 * rng.normal(size=spec.n_mediator_coefs))
         profiles = tuple((f"p{i}", CovariateProfile(z=[rng.normal()], v=[rng.normal()]))
-                         for i in range(150))
+                         for i in range(300))
         doc = coefficients_to_doc(
             spec, outcome, mediator,
             outcome_vcov=0.01 * np.eye(spec.n_outcome_coefs),
@@ -266,9 +272,9 @@ class TestInferenceBatches:
             sizes.append(len(contrasts))
             return infer_many(spec, outcome_fit, mediator_fit, contrasts, level)
 
-        monkeypatch.setattr(cli, "infer_many", counting)
+        monkeypatch.setattr(delta, "infer_many", counting)  # cli imports it when it runs
         assert run("effects", "--coef-file", coef_file, "--output", tmp_path / "a.json") == 0
-        assert max(sizes) <= cli._INFER_BATCH and sum(sizes) == 150 and len(sizes) > 1
+        assert max(sizes) <= cli._INFER_BATCH and sum(sizes) == 300 and len(sizes) > 1
 
     def test_batching_keeps_the_bytes(self, coef_file, tmp_path, monkeypatch, capsys):
         assert run("effects", "--coef-file", coef_file, "--output", tmp_path / "a.json") == 0
@@ -293,6 +299,17 @@ class TestFileErrors:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"ERROR {code}:"), proc.stderr
         return lines[0]
+
+    def test_overflowing_information(self, sim_csv, tmp_path):
+        # 0.25 age^2 overflows the information at the start: one ERROR 4 line
+        # naming the column, and no warning on stderr
+        cols = read_table(sim_csv)
+        cols["age"][0] = 1e308
+        write_table(tmp_path / "big.csv", cols)
+        line = self._error_line("fit", "--input", tmp_path / "big.csv", "--z", "age,edu,loans",
+                                code=4)
+        assert line == ("ERROR 4: the information matrix overflows: column 'age' reaches "
+                        "|value| 1e+308; rescale it")
 
     def test_undecodable_csv(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -358,16 +375,16 @@ class TestFileErrors:
         assert not out.exists()
 
     def test_overflow_in_a_later_batch(self, tmp_path):
-        # 100 profiles, so two infer_many batches; profile 70 (in the second)
-        # and profile 91 push the outcome predictor past 709
+        # 300 profiles, so two infer_many batches; profile 270 (in the second)
+        # and profile 291 push the outcome predictor past 709
         spec = ModelSpec(z_names=("a",))
         outcome = OutcomeParams(spec, intercept=-0.5, exposure=0.4, mediator=0.3,
                                 confounders=[1.0])
         mediator = MediatorParams(spec, intercept=0.1, exposure=0.5)
-        big = {69: 800.0, 90: 900.0}
+        big = {269: 800.0, 290: 900.0}
         profiles = tuple((f"p{i}", CovariateProfile(z=[big.get(i, i / 100.0)]))
-                         for i in range(100))
-        assert cli._INFER_BATCH < 70 <= 2 * cli._INFER_BATCH
+                         for i in range(300))
+        assert cli._INFER_BATCH < 270 <= 2 * cli._INFER_BATCH
         doc = coefficients_to_doc(
             spec, outcome, mediator,
             outcome_vcov=0.01 * np.eye(spec.n_outcome_coefs),

@@ -1,0 +1,117 @@
+"""The package exports its names lazily, and each command imports only the
+modules it runs: ``import ormediate.cli``, ``--help`` and ``--version`` load
+no numpy, and a command never loads a module it does not use."""
+
+import json
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import ormediate
+from helpers import child_env
+
+EXPORTS = {
+    "ATermInputs", "Contrast", "ConvergenceError", "CovarianceError", "CovariateProfile",
+    "Dataset", "DegenerateProbabilityError", "EFFECT_ORDER", "EXP_LIMIT", "EffectInference",
+    "EffectSet", "FitError", "FittedModel", "InferenceResult", "Marginal", "MediationError",
+    "MediatorParams", "ModelSpec", "NumericalError", "OutcomeParams", "PredictorOverflowError",
+    "ProbabilityTables", "SchemaError", "SeparationError", "SingularDesignError",
+    "SpecialCaseReport", "a_term", "approx_effects", "build_design", "e_w", "e_y", "finite_diff",
+    "fit", "g_y_check", "infer", "infer_many", "jacobian_log_effects",
+    "mediation_formula_effects", "natural_effects", "predict_prob", "simulate_dataset",
+    "special_case_report", "tables_from_params", "wald_table",
+}
+MODULES = ["ormediate"] + sorted(
+    f"ormediate.{m.name}" for m in pkgutil.iter_modules(ormediate.__path__)
+)
+
+
+def _child(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+
+
+def _loaded(*argv) -> set[str]:
+    """The modules in a fresh interpreter's sys.modules after ``main(argv)``."""
+    code = (
+        "import json, sys\n"
+        "from ormediate.cli import main\n"
+        "try:\n"
+        f"    code = main({list(map(str, argv))!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "sys.stderr.write(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    proc = _child(code)
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+class TestExports:
+    def test_all_is_the_public_api(self):
+        assert len(ormediate.__all__) == len(EXPORTS) == 44
+        assert set(ormediate.__all__) == EXPORTS
+
+    def test_every_name_resolves_to_its_module_attribute(self):
+        for name in ormediate.__all__:
+            value = getattr(ormediate, name)
+            home = sys.modules[f"ormediate.{ormediate._HOMES[name]}"]
+            assert value is getattr(home, name), name
+
+    def test_dir_lists_the_exports(self):
+        assert EXPORTS <= set(dir(ormediate))
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from ormediate import *", namespace)
+        assert EXPORTS <= set(namespace)
+
+    def test_unknown_names_raise_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ormediate.no_such_name
+
+    def test_submodules_still_import_through_from(self):
+        from ormediate import cli, oracle
+
+        assert cli.__name__ == "ormediate.cli" and oracle.__name__ == "ormediate.oracle"
+
+    def test_marginal_is_reexported_from_simulate(self):
+        from ormediate import io, simulate
+
+        assert simulate.Marginal is io.Marginal is ormediate.Marginal
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_on_its_own(module):
+    proc = _child(f"import {module}")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_has_twelve_modules():
+    assert len(MODULES) == 12
+
+
+class TestCommandImports:
+    def test_importing_the_cli_loads_no_numpy(self):
+        proc = _child("import sys, ormediate.cli; assert 'numpy' not in sys.modules, 'numpy'")
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_load_no_numpy(self, flag):
+        loaded = _loaded(flag)
+        assert "numpy" not in loaded and "ormediate.model" not in loaded
+
+    def test_effects_loads_no_oracle_verify_or_simulate(self):
+        loaded = _loaded("effects", "--coef-file", "microcredit_table1")
+        assert "ormediate.effects" in loaded
+        assert not loaded & {"ormediate.oracle", "ormediate.verify", "ormediate.simulate"}
+
+    def test_simulate_loads_no_inference(self, tmp_path):
+        loaded = _loaded("simulate", "--coef-file", "microcredit_table1", "--n", 10,
+                         "--output", tmp_path / "sim.csv")
+        assert "ormediate.simulate" in loaded
+        assert not loaded & {"ormediate.delta", "ormediate.effects", "ormediate.oracle",
+                             "ormediate.verify", "statistics"}

@@ -7,6 +7,7 @@ import pytest
 from ormediate import (
     ConvergenceError,
     FittedModel,
+    NumericalError,
     SchemaError,
     SeparationError,
     SingularDesignError,
@@ -84,6 +85,16 @@ class TestFit:
         y = (rng.random(60) < 0.5).astype(float)
         with pytest.raises(SingularDesignError, match="dup"):
             fit(X, y, column_names=("const", "z", "dup"))
+
+    def test_overflowing_information_names_the_column(self):
+        # 0.25 * 1e308**2 overflows: a NumericalError naming the column, and
+        # no RuntimeWarning (pytest makes one an error)
+        rng = np.random.default_rng(9)
+        X = np.column_stack([np.ones(60), rng.normal(size=60), rng.normal(size=60)])
+        X[5, 2] = -1e308
+        y = (rng.random(60) < 0.5).astype(float)
+        with pytest.raises(NumericalError, match=r"column 'age' reaches \|value\| 1e\+308"):
+            fit(X, y, column_names=("const", "z", "age"))
 
     def test_iteration_budget(self):
         rng = np.random.default_rng(13)
