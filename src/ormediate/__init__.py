@@ -15,10 +15,10 @@ _EXPORTS = {
     "delta": ("EffectInference", "InferenceResult", "infer", "infer_many", "jacobian_log_effects"),
     "effects": (
         "EFFECT_ORDER",
-        "ATermInputs",
         "EffectSet",
         "SpecialCaseReport",
         "a_term",
+        "a_term_inputs",
         "approx_effects",
         "natural_effects",
         "special_case_report",

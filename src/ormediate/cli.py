@@ -33,6 +33,7 @@ loads the oracle or the verification suites.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -223,10 +224,12 @@ def _check_level(level: float) -> None:
 
 def _resolve_levels(args, stored: tuple[float, float] | None) -> tuple[float, float]:
     """(x, x*) from the flags, else the stored levels, else (1, 0); a
-    degenerate contrast raises."""
+    non-finite level, then a degenerate contrast, raises."""
     stored = stored or (1.0, 0.0)
     x = stored[0] if args.x is None else args.x
     x_star = stored[1] if args.x_star is None else args.x_star
+    if not (math.isfinite(x) and math.isfinite(x_star)):
+        raise SchemaError(f"contrast levels must be finite, got x={x!r}, x*={x_star!r}")
     if x == x_star:
         raise NumericalError(
             f"degenerate contrast: x and x* are both {x!r}, every effect is "
@@ -472,7 +475,8 @@ def _render_compare(doc: dict) -> list[str]:
 
 
 def _cmd_fit(args) -> int:
-    _check_level(args.level)  # a bad --level fails before any work
+    _check_level(args.level)  # a bad --level or --x fails before any work
+    x, x_star = _resolve_levels(args, None)
     from .io import CoefficientSet, bind_dataset, read_table
     from .logit import fit as fit_logistic
     from .model import MediatorParams, ModelSpec, OutcomeParams, build_design
@@ -497,7 +501,6 @@ def _cmd_fit(args) -> int:
                 f"{role} column {name!r} has only one level ({column[0]:g}); "
                 "a logistic model needs both 0 and 1"
             )
-    x, x_star = _resolve_levels(args, None)
 
     design_y, y = build_design(data, spec, "outcome")
     outcome_fit = fit_logistic(design_y, y, column_names=spec.outcome_terms())

@@ -23,8 +23,8 @@ are always positive and respect the reciprocal symmetry of odds ratios.
 ``infer_many`` runs the delta method at many contrasts as one batch: the
 gradients are columns over the contrasts, built by the same functions as the
 single-contrast Jacobian, and the covariances one stacked J Sigma J^T, which
-equals the 2-d product slice by slice. ``infer`` takes one contrast on floats
-and summarises it as a batch of one, so both go through one stacked summary.
+equals the 2-d product slice by slice. ``infer`` is ``infer_many`` at one
+contrast, so there is one delta-method path.
 """
 
 from __future__ import annotations
@@ -37,15 +37,14 @@ import numpy as np
 
 from .effects import (
     EFFECT_ORDER,
-    ATermInputs,
     EffectSet,
     _batch_or_loop,
     _bridge_inputs,
-    _check_joint_spec,
     _bridge_value,
+    _check_joint_spec,
     _log_cde_at,
     _log_effects,
-    natural_effects,
+    a_term_inputs,
 )
 from .exceptions import CovarianceError, NumericalError, SchemaError
 from .logit import FittedModel, _two_sided_p, _wald_quantile
@@ -75,18 +74,14 @@ __all__ = [
 _VAR_TOL = 1e-12
 
 
-def a_term_key_derivatives(inputs: ATermInputs) -> tuple[float, float, float]:
-    """(d_b0, d_bw, d_g0): the three independent partials of one bridge term.
+def a_term_key_derivatives(k, p2, p3, p4):
+    """(d_b0, d_bw, d_g0): the three independent partials of one bridge term
+    with inputs (k, p2, p3, p4), of floats or of columns.
 
     At k = 1 both d_b0 and d_g0 vanish identically (the numerators are the
     same products commuted), which is what makes null-mediator models give
     exactly zero indirect-effect gradients outside the mediator coefficients.
     """
-    return _key_derivatives(inputs.k, inputs.p2, inputs.p3, inputs.p4)
-
-
-def _key_derivatives(k, p2, p3, p4):
-    """:func:`a_term_key_derivatives` of floats or of columns."""
     s = p2 * p3 + p4
     num = k * p2 * p3 + p4
     d_b0 = ((k * p2 * (p3 - 1.0) + (p4 - 1.0)) * s - num * (p2 * (p3 - 1.0) + (p4 - 1.0))) / (
@@ -106,10 +101,8 @@ def grad_a_term(
 ) -> np.ndarray:
     """Gradient of A[x_outcome, x_mediator | profile] over the stacked active
     coefficient vector (outcome layout first, then mediator layout)."""
-    a = ATermInputs.from_params(outcome, mediator, x_outcome, x_mediator, profile)
-    return _bridge_gradient(
-        outcome.spec, (a.k, a.p2, a.p3, a.p4), x_outcome, x_mediator, profile.z, profile.v
-    )
+    inputs = a_term_inputs(outcome, mediator, x_outcome, x_mediator, profile)
+    return _bridge_gradient(outcome.spec, inputs, x_outcome, x_mediator, profile.z, profile.v)
 
 
 def _bridge_gradient(spec: ModelSpec, inputs: tuple, x_outcome, x_mediator, z, v) -> np.ndarray:
@@ -118,7 +111,7 @@ def _bridge_gradient(spec: ModelSpec, inputs: tuple, x_outcome, x_mediator, z, v
     model's exposure level if it has an x factor, times each covariate value
     c_j. Floats give shape (dim,); a batch of N columns, with z and v of shape
     (p, N) and (q, N), gives (dim, N)."""
-    d_b0, d_bw, d_g0 = _key_derivatives(*inputs)
+    d_b0, d_bw, d_g0 = a_term_key_derivatives(*inputs)
     grad = []
     for blocks, keys, x, c in (
         (OUTCOME_BLOCKS, (d_b0, d_bw), x_outcome, z),
@@ -327,7 +320,6 @@ def _summaries(effect_sets, jac, cov_log, g_cde, outcome_vcov, zq: float, level:
     ]
 
 
-@np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
 def infer(
     spec: ModelSpec,
     outcome_fit: FittedModel,
@@ -335,24 +327,14 @@ def infer(
     contrast: Contrast,
     level: float = 0.95,
 ) -> InferenceResult:
-    """Delta-method inference from two fitted models.
+    """Delta-method inference from two fitted models: :func:`infer_many` at
+    one contrast.
 
     The coefficient covariance is block diagonal (the two likelihoods share no
     parameters). A zero covariance collapses every interval to its point
     estimate rather than erroring.
     """
-    zq = _wald_quantile(level)
-    outcome, mediator, sigma = _fitted_params(spec, outcome_fit, mediator_fit)
-    es = natural_effects(outcome, mediator, contrast)
-    jac = jacobian_log_effects(outcome, mediator, contrast)
-    cov_log = jac @ sigma @ jac.T
-    cov_log = (cov_log + cov_log.T) / 2.0
-    ky = spec.n_outcome_coefs
-    g_cde = [
-        _exposure_gradient(spec, contrast.delta, contrast.profile.z, ky, w)[None]
-        for w in (0.0, 1.0)
-    ]
-    return _summaries([es], jac[None], cov_log[None], g_cde, outcome_fit.vcov, zq, level)[0]
+    return _infer_rows(spec, outcome_fit, mediator_fit, [contrast], level)[0]
 
 
 def infer_many(
@@ -380,9 +362,10 @@ def _infer_rows(
     contrasts: list[Contrast],
     level: float,
 ) -> list[InferenceResult]:
-    """The batch behind :func:`infer_many`: the effects and Jacobians as
-    columns over the contrasts, the covariances as one stacked J Sigma J^T
-    (equal slice by slice to the 2-d product), and one stacked summary."""
+    """The batch behind :func:`infer` and :func:`infer_many`: the effects and
+    Jacobians as columns over the contrasts, the covariances as one stacked
+    J Sigma J^T (equal slice by slice to the 2-d product), and one stacked
+    summary."""
     zq = _wald_quantile(level)
     outcome, mediator, sigma = _fitted_params(spec, outcome_fit, mediator_fit)
     n = len(contrasts)

@@ -16,7 +16,9 @@ where, writing e_y and e_w for the exponentiated model predictors,
 The first index sets the exposure level inside the outcome model, the second
 the exposure level inside the mediator model. A is a convex combination of k
 and 1 with weights p2 p3 / (p2 p3 + p4) and p4 / (p2 p3 + p4), hence always
-between min(k, 1) and max(k, 1).
+between min(k, 1) and max(k, 1). ``a_term_inputs`` returns the tuple
+(k, p2, p3, p4) of one term and ``a_term`` its value; the effect and gradient
+paths pass the same plain tuples.
 
 With D = x - x* and the prefactor br(z) = bx + bxz'z, the natural effects are
 
@@ -61,10 +63,10 @@ from .model import (
 
 __all__ = [
     "EFFECT_ORDER",
-    "ATermInputs",
     "EffectSet",
     "SpecialCaseReport",
     "a_term",
+    "a_term_inputs",
     "natural_effects",
     "approx_effects",
     "special_case_report",
@@ -80,56 +82,6 @@ def _check_joint_spec(outcome: OutcomeParams, mediator: MediatorParams, profile:
     profile.check_against(outcome.spec)
 
 
-@dataclass(frozen=True)
-class ATermInputs:
-    """The four ingredients of one bridge term A[x1, x2 | c]."""
-
-    k: float
-    p2: float
-    p3: float
-    p4: float
-
-    def __post_init__(self):
-        for name in ("k", "p2", "p3", "p4"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val):
-                raise SchemaError(f"a-term input {name} is not finite")
-            object.__setattr__(self, name, val)
-        if self.k <= 0.0 or self.p2 <= 0.0:
-            raise SchemaError("a-term inputs k and p2 must be positive odds")
-        if self.p3 < 1.0 or self.p4 < 1.0:
-            raise SchemaError("a-term inputs p3 and p4 are 1 + odds and must be >= 1")
-
-    @classmethod
-    def from_params(
-        cls,
-        outcome: OutcomeParams,
-        mediator: MediatorParams,
-        x_outcome: float,
-        x_mediator: float,
-        profile: CovariateProfile,
-    ) -> "ATermInputs":
-        _check_joint_spec(outcome, mediator, profile)
-        return cls._from_sums(
-            _OutcomeAt(outcome, profile.z),
-            _MediatorAt(mediator, profile.v),
-            float(x_outcome),
-            float(x_mediator),
-        )
-
-    @classmethod
-    def _from_sums(cls, oy: _OutcomeAt, mw: _MediatorAt, x1: float, x2: float) -> "ATermInputs":
-        return cls(
-            k=oy.mediator_odds_ratio(x1),
-            p2=mw.odds(x2),
-            p3=1.0 + oy.odds(x1, 0.0),
-            p4=1.0 + oy.odds(x1, 1.0),
-        )
-
-    def value(self) -> float:
-        return _bridge_value(self.k, self.p2, self.p3, self.p4)
-
-
 def _bridge_value(k, p2, p3, p4):
     """A = (k p2 p3 + p4) / (p2 p3 + p4), of floats or of columns."""
     return (k * p2 * p3 + p4) / (p2 * p3 + p4)
@@ -142,9 +94,8 @@ def _bridge_inputs(oy: _OutcomeAt, mw: _MediatorAt, x, xs) -> tuple[tuple, ...]:
     k, p3 and p4 depend only on the outcome exposure and p2 only on the
     mediator exposure, so each is exponentiated once, in the order the four
     terms first use it (the first overflow raised is the one the terms taken
-    one by one would raise). ``ATermInputs`` is not built here: the
-    |eta| <= 709 bound on every exponent already gives what it checks (finite
-    values, k and p2 positive, p3 and p4 at least 1).
+    one by one would raise). The |eta| <= 709 bound on every exponent keeps
+    the inputs finite, k and p2 positive and p3 and p4 at least 1.
     """
     k_x, p2_x = oy.mediator_odds_ratio(x), mw.odds(x)
     p3_x, p4_x = 1.0 + oy.odds(x, 0.0), 1.0 + oy.odds(x, 1.0)
@@ -159,6 +110,25 @@ def _bridge_inputs(oy: _OutcomeAt, mw: _MediatorAt, x, xs) -> tuple[tuple, ...]:
     )
 
 
+def a_term_inputs(
+    outcome: OutcomeParams,
+    mediator: MediatorParams,
+    x_outcome: float,
+    x_mediator: float,
+    profile: CovariateProfile,
+) -> tuple[float, float, float, float]:
+    """(k, p2, p3, p4), the four inputs of A[x_outcome, x_mediator | profile]."""
+    _check_joint_spec(outcome, mediator, profile)
+    oy = _OutcomeAt(outcome, profile.z)
+    x1, x2 = float(x_outcome), float(x_mediator)
+    return (
+        oy.mediator_odds_ratio(x1),
+        _MediatorAt(mediator, profile.v).odds(x2),
+        1.0 + oy.odds(x1, 0.0),
+        1.0 + oy.odds(x1, 1.0),
+    )
+
+
 def a_term(
     outcome: OutcomeParams,
     mediator: MediatorParams,
@@ -167,7 +137,7 @@ def a_term(
     profile: CovariateProfile,
 ) -> float:
     """Bridge term A[x_outcome, x_mediator | profile]; see the module docstring."""
-    return ATermInputs.from_params(outcome, mediator, x_outcome, x_mediator, profile).value()
+    return _bridge_value(*a_term_inputs(outcome, mediator, x_outcome, x_mediator, profile))
 
 
 @dataclass(frozen=True, eq=False)

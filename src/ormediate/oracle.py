@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import ATermInputs, EffectSet, _check_joint_spec
+from .effects import EffectSet, _check_joint_spec, a_term
 from .exceptions import DegenerateProbabilityError, SchemaError
-from .model import Contrast, MediatorParams, OutcomeParams, _MediatorAt, _OutcomeAt
+from .model import Contrast, CovariateProfile, MediatorParams, OutcomeParams, _MediatorAt, _OutcomeAt
 
 __all__ = [
     "ProbabilityTables",
@@ -188,8 +188,8 @@ def g_y_check(outcome: OutcomeParams, mediator: MediatorParams, x: float) -> GyC
         raise SchemaError("outcome and mediator parameters belong to different model specs")
     if spec.p != 0 or spec.q != 0:
         raise SchemaError("g_y_check applies to covariate-free models only")
+    a_direct = a_term(outcome, mediator, x, x, CovariateProfile())
     oy, mw = _OutcomeAt(outcome, ()), _MediatorAt(mediator, ())
-    a_direct = ATermInputs._from_sums(oy, mw, x, x).value()
 
     shift = outcome.mediator + outcome.exposure_mediator * x
     ratio = math.log((1.0 + math.exp(oy.eta(x, 0.0))) / (1.0 + math.exp(oy.eta(x, 1.0))))

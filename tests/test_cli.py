@@ -411,6 +411,15 @@ class TestFileErrors:
          "confidence level must be in (0, 1)"),
         (["effects", "--coef-file", "microcredit_table1", "--level", "nan"],
          "confidence level must be in (0, 1)"),
+        # a contrast level is checked before the (missing) input is read
+        (["fit", "--input", "{tmp}/missing.csv", "--x", "nan"],
+         "contrast levels must be finite"),
+        (["fit", "--input", "{tmp}/missing.csv", "--x", "inf", "--x-star", "inf"],
+         "contrast levels must be finite"),
+        (["effects", "--coef-file", "microcredit_table1", "--x", "inf", "--x-star", "inf"],
+         "contrast levels must be finite"),
+        (["effects", "--coef-file", "microcredit_table1", "--x-star=-inf"],
+         "contrast levels must be finite"),
     ])
     def test_bad_seed_and_level(self, tmp_path, argv, flag):
         argv = [a.format(tmp=tmp_path) for a in argv]

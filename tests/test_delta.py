@@ -22,7 +22,7 @@ from ormediate import (
     simulate_dataset,
 )
 from ormediate.delta import a_term_key_derivatives, grad_a_term
-from ormediate.effects import ATermInputs, a_term
+from ormediate.effects import a_term, a_term_inputs
 from ormediate.oracle import finite_diff
 from helpers import microcredit_params, random_problem
 
@@ -47,8 +47,8 @@ class TestKeyDerivatives:
         mediator = MediatorParams(spec, intercept=0.1, exposure=0.4)
         prof = CovariateProfile()
         x1, x2 = 1.0, 0.0
-        inputs = ATermInputs.from_params(outcome, mediator, x1, x2, prof)
-        d_b0, d_bw, d_g0 = a_term_key_derivatives(inputs)
+        inputs = a_term_inputs(outcome, mediator, x1, x2, prof)
+        d_b0, d_bw, d_g0 = a_term_key_derivatives(*inputs)
 
         def a_of_theta(theta):
             o, m = _split_theta(spec, theta)
@@ -60,8 +60,7 @@ class TestKeyDerivatives:
         assert d_g0 == pytest.approx(fd[4], rel=1e-6, abs=1e-10)
 
     def test_unit_k_zeroes_b0_and_g0_exactly(self):
-        inputs = ATermInputs(k=1.0, p2=1.7, p3=2.9, p4=5.7)
-        d_b0, d_bw, d_g0 = a_term_key_derivatives(inputs)
+        d_b0, d_bw, d_g0 = a_term_key_derivatives(1.0, 1.7, 2.9, 5.7)
         assert d_b0 == 0.0 and d_g0 == 0.0
         # at k=1 the bridge derivative in bw collapses to p2*p3 / (p2*p3 + p4)
         assert d_bw == pytest.approx((1.7 * 2.9) / (1.7 * 2.9 + 5.7), rel=1e-12)
@@ -78,7 +77,7 @@ class TestGradATerm:
         grad = grad_a_term(outcome, mediator, x1, x2, prof)
         assert grad.shape == (6,)
         d_b0, d_bw, d_g0 = a_term_key_derivatives(
-            ATermInputs.from_params(outcome, mediator, x1, x2, prof)
+            *a_term_inputs(outcome, mediator, x1, x2, prof)
         )
         assert np.array_equal(
             grad, [d_b0, d_b0 * x1, d_bw, d_bw * x1, d_g0, d_g0 * x2]

@@ -13,12 +13,12 @@ import ormediate
 from helpers import child_env
 
 EXPORTS = {
-    "ATermInputs", "Contrast", "ConvergenceError", "CovarianceError", "CovariateProfile",
+    "Contrast", "ConvergenceError", "CovarianceError", "CovariateProfile",
     "Dataset", "DegenerateProbabilityError", "EFFECT_ORDER", "EXP_LIMIT", "EffectInference",
     "EffectSet", "FitError", "FittedModel", "InferenceResult", "Marginal", "MediationError",
     "MediatorParams", "ModelSpec", "NumericalError", "OutcomeParams", "PredictorOverflowError",
     "ProbabilityTables", "SchemaError", "SeparationError", "SingularDesignError",
-    "SpecialCaseReport", "a_term", "approx_effects", "build_design", "e_w", "e_y", "finite_diff",
+    "SpecialCaseReport", "a_term", "a_term_inputs", "approx_effects", "build_design", "e_w", "e_y", "finite_diff",
     "fit", "g_y_check", "infer", "infer_many", "jacobian_log_effects",
     "mediation_formula_effects", "natural_effects", "predict_prob", "simulate_dataset",
     "special_case_report", "tables_from_params", "wald_table",
