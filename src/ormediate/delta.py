@@ -38,6 +38,7 @@ import numpy as np
 from .effects import (
     EFFECT_ORDER,
     EffectSet,
+    _at_contrasts,
     _batch_or_loop,
     _bridge_inputs,
     _bridge_value,
@@ -368,18 +369,11 @@ def _infer_rows(
     summary."""
     zq = _wald_quantile(level)
     outcome, mediator, sigma = _fitted_params(spec, outcome_fit, mediator_fit)
-    n = len(contrasts)
-    if n == 0:
+    if not contrasts:
         return []
-    for c in contrasts:
-        c.profile.check_against(spec)
-    z = np.array([c.profile.z for c in contrasts]).reshape(n, spec.p)
-    v = np.array([c.profile.v for c in contrasts]).reshape(n, spec.q)
-    x = np.array([c.x for c in contrasts])
-    xs = np.array([c.x_star for c in contrasts])
-    delta = x - xs
-
-    oy, mw = _OutcomeAt.at_profiles(outcome, z), _MediatorAt.at_profiles(mediator, v)
+    theta = np.concatenate([outcome.active_vector(), mediator.active_vector()])
+    rows = np.broadcast_to(theta, (len(contrasts), 1, theta.size))  # one draw per contrast
+    oy, mw, x, xs, delta, z, v = _at_contrasts(spec, rows, contrasts)
     logs = np.column_stack(_log_effects(oy, mw, x, xs, delta)).tolist()
     cde = np.column_stack([_log_cde_at(oy, delta)[w] for w in (0, 1)]).tolist()
     effect_sets = [

@@ -38,8 +38,8 @@ next to 1), useful for quantifying the error of the approximate pipeline.
 The bridge inputs, bridge values and log effects are written once, for floats
 (``natural_effects``) and for columns over a batch of rows alike (see
 :mod:`ormediate.model`); ``_log_effects_at_rows`` evaluates many coefficient
-vectors at one contrast. A batch that fails is evaluated again row by row, so
-its error is the one the first failing row raises on its own.
+vectors at one contrast per draw. A batch that fails is evaluated again row
+by row, so its error is the one the first failing row raises on its own.
 """
 
 from __future__ import annotations
@@ -277,29 +277,47 @@ def _batch_or_loop(batch, loop):
         return loop()
 
 
-def _log_effects_at_rows(spec: ModelSpec, thetas: np.ndarray, contrast: Contrast) -> np.ndarray:
-    """``natural_effects(...).log_values()`` at each stacked coefficient row of
-    ``thetas`` (N, outcome then mediator coefficients) and one contrast.
+def _at_contrasts(spec: ModelSpec, thetas: np.ndarray, contrasts) -> tuple:
+    """The predictor algebra of coefficient rows at one contrast per draw:
+    ``thetas`` (G, M, outcome then mediator coefficients) holds M rows for
+    each of G draws, row [j, i] at ``contrasts[j]``. Gives the outcome and
+    mediator predictors, x, x* and D, each with columns of length G M, draw
+    by draw, and the draws' profiles z (G, p) and v (G, q)."""
+    g, m, _ = thetas.shape
+    for c in contrasts:
+        c.profile.check_against(spec)
+    z = np.array([c.profile.z for c in contrasts]).reshape(g, spec.p)
+    v = np.array([c.profile.v for c in contrasts]).reshape(g, spec.q)
+    x = np.repeat([c.x for c in contrasts], m)
+    xs = np.repeat([c.x_star for c in contrasts], m)
+    ky = spec.n_outcome_coefs
+    oy = _OutcomeAt.at_rows(spec, thetas[:, :, :ky], z)
+    mw = _MediatorAt.at_rows(spec, thetas[:, :, ky:], v)
+    return oy, mw, x, xs, x - xs, z, v
 
-    The (N, 5) result equals the rows evaluated one by one bit for bit, and a
-    failure raises the error of the first failing row. Row 0 is the base: a
-    row reuses its covariate sums where its block is unchanged, so a batch of
-    central-difference points costs one dot product per point inside a
-    covariate block. The rows skip ``from_vector``; one finiteness check and
-    ``EffectSet``'s checks, vectorised, stand in for theirs.
+
+def _log_effects_at_rows(spec: ModelSpec, thetas: np.ndarray, contrasts) -> np.ndarray:
+    """``natural_effects(...).log_values()`` at each coefficient row of
+    ``thetas`` (G, M, outcome then mediator coefficients), row [j, i] at
+    ``contrasts[j]``: (G, M, 5).
+
+    The result equals the rows evaluated one by one bit for bit, and a
+    failure raises the error of the first failing row, draw by draw. Row 0 of
+    a draw is its base: a row reuses the base's covariate sums where its block
+    is unchanged, so a draw's central-difference points cost one dot product
+    per point inside a covariate block. The rows skip ``from_vector``; one
+    finiteness check and ``EffectSet``'s checks, vectorised, stand in for
+    theirs.
     """
     ky = spec.n_outcome_coefs
-    prof = contrast.profile
 
     @np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
     def batch():
-        prof.check_against(spec)
         if not np.isfinite(thetas).all():
             raise SchemaError("a coefficient row is not finite")
-        oy = _OutcomeAt.at_rows(spec, thetas[:, :ky], prof.z)
-        mw = _MediatorAt.at_rows(spec, thetas[:, ky:], prof.v)
-        logs = np.column_stack(_log_effects(oy, mw, contrast.x, contrast.x_star, contrast.delta))
-        cde = _log_cde_at(oy, contrast.delta)
+        oy, mw, x, xs, delta, _, _ = _at_contrasts(spec, thetas, contrasts)
+        logs = np.column_stack(_log_effects(oy, mw, x, xs, delta))
+        cde = _log_cde_at(oy, delta)
         tol = 1e-12 * np.maximum(1.0, np.abs(logs).max(axis=1))
         te = logs[:, 4]
         ok = (
@@ -311,16 +329,19 @@ def _log_effects_at_rows(spec: ModelSpec, thetas: np.ndarray, contrast: Contrast
         )
         if not ok.all():
             raise SchemaError("a coefficient row fails the EffectSet checks")
-        return logs
+        return logs.reshape(thetas.shape[:2] + (5,))
 
     def loop():
         return np.array([
-            natural_effects(
-                OutcomeParams.from_vector(spec, theta[:ky]),
-                MediatorParams.from_vector(spec, theta[ky:]),
-                contrast,
-            ).log_values()
-            for theta in thetas
+            [
+                natural_effects(
+                    OutcomeParams.from_vector(spec, theta[:ky]),
+                    MediatorParams.from_vector(spec, theta[ky:]),
+                    contrast,
+                ).log_values()
+                for theta in rows
+            ]
+            for rows, contrast in zip(thetas, contrasts)
         ])
 
     return _batch_or_loop(batch, loop)

@@ -35,14 +35,15 @@ one fixed order; the public ``linear_predictor`` and ``*_log_or`` methods and
 the effect, delta-method and oracle code all go through them, so a contrast
 costs six dot products however many predictors it needs.
 
-The same two classes evaluate a batch of N rows in one numpy pass: one
-parameter set at N profiles (``infer_many`` over a report's profiles) or N
-coefficient vectors at one profile (the central-difference points of the
-``verify`` jacobian suite). Their fields are then float64 columns instead of
-floats and the predictor expressions are unchanged, so each row gets the bits
-of the scalar path: elementwise arithmetic rounds as Python floats do, each
-row's sum is still one dot product, and exp and log go through ``math`` entry
-by entry (numpy's own round differently).
+The same two classes evaluate a batch of rows in one numpy pass: G draws of
+coefficient rows, each draw at its own profile. One parameter set at N
+profiles (``infer_many`` over a report's profiles) is N draws of one row; the
+``verify`` jacobian suite makes one draw of each problem's coefficient vector
+and its central-difference points. The fields are then float64 columns
+instead of floats and the predictor expressions are unchanged, so each row
+gets the bits of the scalar path: elementwise arithmetic rounds as Python
+floats do, each row's sum is still one dot product, and exp and log go
+through ``math`` entry by entry (numpy's own round differently).
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ __all__ = [
 # exp() overflows an IEEE double just above exp(709.78); predictors past this
 # magnitude cannot yield a usable probability or odds in either tail.
 EXP_LIMIT = 709.0
+
+# rows per block when a design matrix is filled
+_DESIGN_ROWS = 8192
 
 
 def _each(fn, value):
@@ -433,10 +437,11 @@ class _At:
     Each field is a float, or, for a batch of N rows, a float64 column of
     length N; the predictor expressions below serve both, because elementwise
     numpy arithmetic rounds as the same Python float expression does. A batch
-    is either one parameter set at N profiles (:meth:`at_profiles`) or N
-    parameter rows at one profile (:meth:`at_rows`). Each row's sum is one
-    ``float(np.dot(block, c))``, as on the scalar path: a matrix product over
-    the rows rounds differently.
+    (:meth:`at_rows`) is coefficient rows at one profile per draw: one
+    parameter set at N profiles (``infer_many`` over a report's profiles) and
+    the central-difference points of many draws (the ``verify`` jacobian
+    suite) alike. Each row's sum is one ``float(np.dot(block, c))``, as on the
+    scalar path: a matrix product over the rows rounds differently.
     """
 
     __slots__ = ()
@@ -449,34 +454,27 @@ class _At:
             setattr(self, name, _dot(value, c) if b.flag else value)
 
     @classmethod
-    def at_profiles(cls, params: "_Params", rows: np.ndarray) -> "_At":
-        """One parameter set at each row of ``rows`` (N, width), a profile."""
-        at = cls.__new__(cls)
-        for b, name in zip(cls.PARAMS.BLOCKS, cls.FIELDS):
-            value = getattr(params, b.attr)
-            if b.flag:
-                value = np.array([_dot(value, c) for c in rows])
-            setattr(at, name, value)
-        return at
-
-    @classmethod
-    def at_rows(cls, spec: ModelSpec, rows: np.ndarray, c: Sequence[float]) -> "_At":
-        """Each coefficient row of ``rows`` (N, k), in layout order, at one
-        profile c. Row 0 is the base: a block whose bits in a row equal row
-        0's reuses row 0's sum, since its inputs are identical."""
-        base = cls(cls.PARAMS.from_vector(spec, rows[0]), c)
+    def at_rows(cls, spec: ModelSpec, rows: np.ndarray, profiles: np.ndarray) -> "_At":
+        """Coefficient rows at one profile per draw: ``rows`` (G, M, k) holds M
+        rows in layout order for each of G draws, and ``profiles`` (G, width)
+        the profile of each draw. The fields are columns of length G M, draw
+        by draw. Row 0 of a draw is its base: a block whose bits in a row
+        equal the base's reuses the base's sum, since its inputs are
+        identical. A block the spec excludes is a block of zeros, as in the
+        parameters."""
+        g, m, _ = rows.shape
         at = cls.__new__(cls)
         slices = dict(spec.layout(cls.PARAMS.BLOCKS))
         for b, name in zip(cls.PARAMS.BLOCKS, cls.FIELDS):
-            value, sl = getattr(base, name), slices.get(b)
-            if sl is not None and not b.flag:
-                value = rows[:, sl.start]
-            elif sl is not None:
-                block = rows[:, sl]
-                value = np.full(len(rows), value)
-                changed = (block.view(np.int64) != block[0].view(np.int64)).any(axis=1)
-                for i in np.flatnonzero(changed).tolist():
-                    value[i] = _dot(block[i], c)
+            sl = slices.get(b)
+            if not b.flag:  # a scalar block is always included
+                setattr(at, name, rows[:, :, sl.start].reshape(-1))
+                continue
+            block = rows[:, :, sl] if sl is not None else np.zeros((g, m, profiles.shape[1]))
+            value = np.repeat([_dot(r, c) for r, c in zip(block[:, 0], profiles)], m)
+            changed = (block.view(np.int64) != block[:, :1].view(np.int64)).any(axis=2)
+            for i in np.flatnonzero(changed).tolist():
+                value[i] = _dot(block[i // m, i % m], profiles[i // m])
             setattr(at, name, value)
         return at
 
@@ -655,19 +653,32 @@ def _design(
     columns: Mapping[str, np.ndarray],
 ) -> np.ndarray:
     """One model's design matrix: each included block's exposure factor (1, x,
-    w or xw) times its covariate columns, in coefficient layout order."""
+    w or xw) times its covariate columns, in coefficient layout order. It is
+    filled in blocks of ``_DESIGN_ROWS`` rows, so each product is taken over a
+    block that is still in cache."""
     x = np.asarray(x, dtype=float)
     w = None if w is None else np.asarray(w, dtype=float)
-    factors = (None, x, w, None if w is None else x * w)  # indexed by x + 2w
-    cols = []
+    if w is not None and w.shape != x.shape:
+        raise SchemaError(f"the mediator has shape {w.shape}, the exposure {x.shape}")
+    plan = []  # (factor index x + 2w, covariate column or None) per design column
     for b, _ in spec.layout(blocks):
-        factor = factors[b.x + 2 * b.w]
-        if b.flag is None:
-            cols.append(np.ones_like(x) if factor is None else factor)
-        else:
-            covs = [np.asarray(columns[n], dtype=float) for n in spec.covariates(b)]
-            cols += covs if factor is None else [factor * c for c in covs]
-    return np.column_stack(cols)
+        for name in spec.covariates(b) if b.flag else (None,):
+            c = None if name is None else np.asarray(columns[name], dtype=float)
+            if c is not None and c.shape != x.shape:
+                raise SchemaError(f"column {name!r} has shape {c.shape}, the exposure {x.shape}")
+            plan.append((b.x + 2 * b.w, c))
+    out = np.empty((x.size, len(plan)))
+    for start in range(0, x.size, _DESIGN_ROWS):
+        rows = slice(start, start + _DESIGN_ROWS)
+        xb, wb = x[rows], None if w is None else w[rows]
+        factors = (None, xb, wb, None if w is None else xb * wb)
+        for j, (f, c) in enumerate(plan):
+            factor = factors[f]
+            if c is None:
+                out[rows, j] = 1.0 if factor is None else factor
+            else:
+                out[rows, j] = c[rows] if factor is None else factor * c[rows]
+    return out
 
 
 def outcome_design(

@@ -16,10 +16,11 @@ Tables built from model parameters carry stably computed complements
 (P(Y=0) as logistic(-eta), not 1-p), so the agreement check is meaningful to
 ~1e-14 even when probabilities sit within 1e-11 of the boundary.
 
-``finite_diff`` is the shared central-difference gradient checker. One helper
-holds its step rule and difference arithmetic: it maps every difference point
-through a function of stacked rows, so ``finite_diff`` passes a loop over f
-and the ``verify`` jacobian suite a batch evaluation of the log effects.
+``finite_diff`` is the shared central-difference gradient checker. Two helpers
+hold its step rule (the difference points) and its quotients, for one theta
+or a stack of them: ``finite_diff`` maps its points through a loop over f,
+and the ``verify`` jacobian suite evaluates the points of many draws in one
+batch of the log effects.
 """
 
 from __future__ import annotations
@@ -230,23 +231,37 @@ def finite_diff(
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         raise SchemaError(f"theta must be a vector, got shape {theta.shape}")
-    return _central_differences(lambda rows: [f(row) for row in rows], theta, rel_step)
+    rows, h = _difference_rows(theta, rel_step)
+    values = np.asarray([f(row) for row in rows], dtype=float)
+    if values.ndim == 1:
+        return _difference_quotients(values[:, None], h)[0]
+    return _difference_quotients(values, h)
 
 
-def _central_differences(f_rows, theta: np.ndarray, rel_step: float) -> np.ndarray:
-    """:func:`finite_diff` through ``f_rows``, which maps the rows theta,
-    theta + h_0 e_0, theta - h_0 e_0, theta + h_1 e_1, ... to their values,
-    (2 dim + 1,) for scalar f or (2 dim + 1, m). The first coordinate with a
-    non-finite quotient raises."""
-    h = np.array([rel_step * max(1.0, abs(t)) for t in theta.tolist()])
-    rows = np.repeat(theta[None], 2 * theta.size + 1, axis=0)
-    i = np.arange(theta.size)
-    rows[2 * i + 1, i] += h
-    rows[2 * i + 2, i] -= h
-    values = np.asarray(f_rows(rows), dtype=float)
+def _difference_rows(theta: np.ndarray, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows theta, theta + h_0 e_0, theta - h_0 e_0, theta + h_1 e_1, ...
+    at which :func:`finite_diff` evaluates f, and the steps h_i =
+    rel_step max(1, |theta_i|). theta (..., dim) gives rows
+    (..., 2 dim + 1, dim) and h (..., dim), so many thetas take one call."""
+    dim = theta.shape[-1]
+    h = rel_step * np.maximum(1.0, np.abs(theta))
+    rows = np.repeat(theta[..., None, :], 2 * dim + 1, axis=-2)
+    i = np.arange(dim)
+    rows[..., 2 * i + 1, i] += h
+    rows[..., 2 * i + 2, i] -= h
+    return rows, h
+
+
+def _difference_quotients(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The central-difference Jacobians (..., m, dim) from the values
+    (..., 2 dim + 1, m) of an m-vector f at the rows of
+    :func:`_difference_rows` with steps h (..., dim). The first coordinate
+    with a non-finite quotient raises, theta by theta."""
     with np.errstate(all="ignore"):  # a non-finite quotient raises below instead
-        diff = (values[1::2] - values[2::2]).T / (2.0 * h)
-    bad = ~np.isfinite(np.atleast_2d(diff)).all(axis=0)
+        diff = np.swapaxes(values[..., 1::2, :] - values[..., 2::2, :], -1, -2)
+        diff = diff / (2.0 * h[..., None, :])
+    bad = ~np.isfinite(diff).all(axis=-2)
     if bad.any():
-        raise SchemaError(f"finite difference is not finite at coordinate {int(np.argmax(bad))}")
+        coordinate = np.argwhere(bad)[0, -1]
+        raise SchemaError(f"finite difference is not finite at coordinate {coordinate}")
     return diff

@@ -85,7 +85,7 @@ class TestCoefficientRows:
             points = _difference_points(theta)
             shaken = theta + 0.1 * rng.normal(size=(6, theta.size))  # every block changed
             rows = np.vstack([theta, points, shaken])
-            batch = _log_effects_at_rows(spec, rows, contrast)
+            batch = _log_effects_at_rows(spec, rows[None], [contrast])[0]
             loop = [
                 natural_effects(
                     OutcomeParams.from_vector(spec, row[: spec.n_outcome_coefs]),
@@ -217,7 +217,8 @@ class TestOverflowParity:
                                 MediatorParams.from_vector(spec, row[ky:]), contrast)
 
         assert message in _raised(loop)
-        assert _raised(lambda: _log_effects_at_rows(spec, rows, contrast)) == _raised(loop)
+        batch = _raised(lambda: _log_effects_at_rows(spec, rows[None], [contrast]))
+        assert batch == _raised(loop)
 
     def test_predictors_at_the_bound_pass(self, no_loop):
         """Predictors of exactly +709.0 (k at x) and -709.0 (the outcome at
@@ -247,7 +248,7 @@ class TestOverflowParity:
                                     MediatorParams.from_vector(spec, r[ky:]),
                                     contrast).log_values()
                     for r in rows]
-            assert _bits(_log_effects_at_rows(spec, rows, contrast)) == _bits(loop)
+            assert _bits(_log_effects_at_rows(spec, rows[None], [contrast])[0]) == _bits(loop)
 
 
 class TestBridgeRatioUnderflow:
@@ -272,7 +273,7 @@ class TestBridgeRatioUnderflow:
         spec, outcome, mediator, contrast = self._problem()
         rows = np.vstack([_theta(outcome, mediator)] * 3)
         with pytest.raises(NumericalError, match="underflows to 0"):
-            _log_effects_at_rows(spec, rows, contrast)
+            _log_effects_at_rows(spec, rows[None], [contrast])[0]
 
     def test_profiles(self):
         spec, outcome, mediator, contrast = self._problem()

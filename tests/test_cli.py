@@ -526,6 +526,15 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "5/5 suites passed" in out
 
+    @pytest.mark.parametrize("perturb", ["1e-3", "nan"])
+    def test_perturbed_zero_count_is_usage_error(self, tmp_path, capsys, perturb):
+        # with no draws no suite can fail, so a nonzero --perturb has no run
+        out = tmp_path / "verify.json"
+        assert run("verify", "--count", 0, "--perturb", perturb, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert "ERROR 2:" in err and "needs at least one draw" in err
+        assert not out.exists()
+
     def test_small_run_passes_and_reports(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
         assert run("verify", "--count", 25, "--seed", 5, "--output", out) == 0

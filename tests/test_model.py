@@ -16,6 +16,8 @@ from ormediate import (
     e_w,
     e_y,
 )
+from ormediate import model
+from ormediate.model import mediator_design, outcome_design
 from helpers import microcredit_params, microcredit_spec, random_problem
 
 
@@ -215,6 +217,26 @@ class TestDatasetAndDesign:
             Dataset(y=[1, 0], w=[0, 1], x=[1.0, 0.0]), ModelSpec(), "outcome"
         )
         assert np.array_equal(X, [[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
+
+    def test_row_blocks_give_the_column_products(self, monkeypatch):
+        # blocks of 4 rows over 10 rows: two whole blocks and a partial one
+        monkeypatch.setattr(model, "_DESIGN_ROWS", 4)
+        spec = ModelSpec(z_names=("a", "b"), v_names=("b",), xz=True, wz=True, xwz=True,
+                         xv=True)
+        rng = np.random.default_rng(3)
+        x, w = rng.normal(size=10), (rng.random(10) < 0.5).astype(float)
+        a, b = rng.normal(size=10), rng.normal(size=10)
+        xw = x * w
+        outcome = np.column_stack([np.ones(10), x, a, b, x * a, x * b, w, xw, w * a, w * b,
+                                   xw * a, xw * b])
+        mediator = np.column_stack([np.ones(10), x, b, x * b])
+        got = outcome_design(spec, x, w, {"a": a, "b": b})
+        assert got.tobytes() == outcome.tobytes() and got.flags.c_contiguous
+        assert mediator_design(spec, x, {"b": b}).tobytes() == mediator.tobytes()
+        with pytest.raises(SchemaError, match="column 'b' has shape"):
+            outcome_design(spec, x, w, {"a": a, "b": b[:1]})
+        with pytest.raises(SchemaError, match="the mediator has shape"):
+            outcome_design(spec, x, np.append(w, 1.0), {"a": a, "b": b})
 
     def test_validation_errors(self):
         with pytest.raises(SchemaError):

@@ -1,7 +1,7 @@
-"""Command output pinned to the byte: the ``verify`` report at three seeds, the
-``effects`` report of a fully interacted coefficient document with 200
-profiles, with a covariance and without one, and the ``fit`` report of a
-seeded simulated dataset at its mean profile and at two given profiles."""
+"""Command output pinned to the byte: the ``verify`` report at three seeds and
+two counts, the ``effects`` report of a fully interacted coefficient document
+with 200 profiles, with a covariance and without one, and the ``fit`` report
+of a seeded simulated dataset at its mean profile and at two given profiles."""
 
 import hashlib
 
@@ -14,11 +14,16 @@ from ormediate.io import coefficients_to_doc, save_json
 
 # SHA-256 digests of the --output files: verify and effects taken from the
 # one-profile-at-a-time evaluation, effects-point and fit-* from the separate
-# fit and effects report builders; never regenerate them to make a change pass.
+# fit and effects report builders, verify-300-* from the draw-by-draw verify
+# loop (300 draws reach all nine (p, q) and several slices of draws); never
+# regenerate them to make a change pass.
 GOLDEN = {
     "verify-1": "ba177ced10ee7fa4a61957951533a646f4e427c42548efdb9730216c99eae051",
     "verify-2": "4c2cd30c81ac3a2ad494957d09e9fc4d4db9158c63e0ff506b533b410a629dba",
     "verify-3": "5c1f5682911516accd09c688ebdf585119a47e59689790d76e91d9b339a5a07a",
+    "verify-300-1": "96677b6b682939b3812be54b1c1340d4fcbcbbefdebe15cab6009298c6575cfd",
+    "verify-300-2": "2ada437d701796e93b3674544eb25f2edbef96f11a911aa874a1e9931b0ea664",
+    "verify-300-3": "fc9bf448f3692de2f25d171baa0264731b2676259ba7cd205e9a4199904c7663",
     "effects": "4044f65eddf01d12dedd6f3cb3bb43c96c804e3c1d3eefdc7e2fc91095007c9a",
     "effects-point": "5f7a7557ff54482be2afbb23415e3a160483254b117e1137516bf0de074a3cad",
     "fit-mean": "0832d91b6faf38b58cdb67f07aa00800acbff69321617aed815e0c393e1afe8e",
@@ -35,6 +40,13 @@ def test_verify_report_bytes(tmp_path, seed):
     out = tmp_path / "verify.json"
     assert main(["verify", "--count", "100", "--seed", str(seed), "--output", str(out)]) == 0
     assert _digest(out) == GOLDEN[f"verify-{seed}"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_report_bytes_at_the_workload_count(tmp_path, seed):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--count", "300", "--seed", str(seed), "--output", str(out)]) == 0
+    assert _digest(out) == GOLDEN[f"verify-300-{seed}"]
 
 
 def _sweep_document(vcov=True):
