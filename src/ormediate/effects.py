@@ -119,14 +119,13 @@ def a_term_inputs(
 ) -> tuple[float, float, float, float]:
     """(k, p2, p3, p4), the four inputs of A[x_outcome, x_mediator | profile]."""
     _check_joint_spec(outcome, mediator, profile)
-    oy = _OutcomeAt(outcome, profile.z)
-    x1, x2 = float(x_outcome), float(x_mediator)
-    return (
-        oy.mediator_odds_ratio(x1),
-        _MediatorAt(mediator, profile.v).odds(x2),
-        1.0 + oy.odds(x1, 0.0),
-        1.0 + oy.odds(x1, 1.0),
-    )
+    return _term_inputs(_OutcomeAt(outcome, profile.z), _MediatorAt(mediator, profile.v),
+                        float(x_outcome), float(x_mediator))
+
+
+def _term_inputs(oy: _OutcomeAt, mw: _MediatorAt, x1: float, x2: float) -> tuple:
+    """(k, p2, p3, p4) of A[x1, x2] from the predictors at its profile."""
+    return oy.mediator_odds_ratio(x1), mw.odds(x2), 1.0 + oy.odds(x1, 0.0), 1.0 + oy.odds(x1, 1.0)
 
 
 def a_term(
@@ -302,12 +301,10 @@ def _log_effects_at_rows(spec: ModelSpec, thetas: np.ndarray, contrasts) -> np.n
     ``contrasts[j]``: (G, M, 5).
 
     The result equals the rows evaluated one by one bit for bit, and a
-    failure raises the error of the first failing row, draw by draw. Row 0 of
-    a draw is its base: a row reuses the base's covariate sums where its block
-    is unchanged, so a draw's central-difference points cost one dot product
-    per point inside a covariate block. The rows skip ``from_vector``; one
-    finiteness check and ``EffectSet``'s checks, vectorised, stand in for
-    theirs.
+    failure raises the error of the first failing row, draw by draw. Each
+    covariate block takes one stacked product over all the rows. The rows
+    skip ``from_vector``; one finiteness check and ``EffectSet``'s checks,
+    vectorised, stand in for theirs.
     """
     ky = spec.n_outcome_coefs
 

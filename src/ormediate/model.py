@@ -440,8 +440,9 @@ class _At:
     (:meth:`at_rows`) is coefficient rows at one profile per draw: one
     parameter set at N profiles (``infer_many`` over a report's profiles) and
     the central-difference points of many draws (the ``verify`` jacobian
-    suite) alike. Each row's sum is one ``float(np.dot(block, c))``, as on the
-    scalar path: a matrix product over the rows rounds differently.
+    suite) alike. Each row's sum rounds as the scalar path's
+    ``float(np.dot(block, c))``: a stacked product of single rows does, a
+    matrix product over the rows, ``einsum`` or an elementwise sum do not.
     """
 
     __slots__ = ()
@@ -458,24 +459,28 @@ class _At:
         """Coefficient rows at one profile per draw: ``rows`` (G, M, k) holds M
         rows in layout order for each of G draws, and ``profiles`` (G, width)
         the profile of each draw. The fields are columns of length G M, draw
-        by draw. Row 0 of a draw is its base: a block whose bits in a row
-        equal the base's reuses the base's sum, since its inputs are
-        identical. A block the spec excludes is a block of zeros, as in the
-        parameters."""
+        by draw. A block the spec excludes is a block of zeros, as in the
+        parameters. Each block's sums are one stacked product of 1 x width
+        rows by width x 1 profiles: numpy's matmul runs each such product
+        through the dot routine ``np.dot`` runs on two vectors, so a row's
+        sum has the bits of its scalar ``float(np.dot(block, c))``. A block of
+        width 1 is a plain product, as ``np.dot`` takes it: the dot routine
+        adds it to 0.0 and so loses the sign of a -0.0."""
         g, m, _ = rows.shape
         at = cls.__new__(cls)
         slices = dict(spec.layout(cls.PARAMS.BLOCKS))
+        c = np.repeat(profiles, m, axis=0).reshape(g * m, -1, 1)
         for b, name in zip(cls.PARAMS.BLOCKS, cls.FIELDS):
             sl = slices.get(b)
             if not b.flag:  # a scalar block is always included
                 setattr(at, name, rows[:, :, sl.start].reshape(-1))
                 continue
-            block = rows[:, :, sl] if sl is not None else np.zeros((g, m, profiles.shape[1]))
-            value = np.repeat([_dot(r, c) for r, c in zip(block[:, 0], profiles)], m)
-            changed = (block.view(np.int64) != block[:, :1].view(np.int64)).any(axis=2)
-            for i in np.flatnonzero(changed).tolist():
-                value[i] = _dot(block[i // m, i % m], profiles[i // m])
-            setattr(at, name, value)
+            block = rows[:, :, sl] if sl is not None else np.zeros((g, m, c.shape[1]))
+            block = np.ascontiguousarray(block).reshape(g * m, 1, -1)
+            if block.shape[2] == 1:  # np.dot multiplies two 1-vectors, keeping a -0.0
+                setattr(at, name, block[:, 0, 0] * c[:, 0, 0])
+            else:
+                setattr(at, name, (block @ c).reshape(-1))
         return at
 
 

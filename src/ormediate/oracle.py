@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import EffectSet, _check_joint_spec, a_term
+from .effects import EffectSet, _bridge_value, _check_joint_spec, _term_inputs
 from .exceptions import DegenerateProbabilityError, SchemaError
-from .model import Contrast, CovariateProfile, MediatorParams, OutcomeParams, _MediatorAt, _OutcomeAt
+from .model import Contrast, MediatorParams, OutcomeParams, _MediatorAt, _OutcomeAt
 
 __all__ = [
     "ProbabilityTables",
@@ -108,8 +108,12 @@ def tables_from_params(
 ) -> ProbabilityTables:
     """Model-implied probability tables at the contrast's profile."""
     _check_joint_spec(outcome, mediator, contrast.profile)
-    oy = _OutcomeAt(outcome, contrast.profile.z)
-    mw = _MediatorAt(mediator, contrast.profile.v)
+    return _tables_at(_OutcomeAt(outcome, contrast.profile.z),
+                      _MediatorAt(mediator, contrast.profile.v), contrast)
+
+
+def _tables_at(oy: _OutcomeAt, mw: _MediatorAt, contrast: Contrast) -> ProbabilityTables:
+    """The probability tables at the contrast from the predictors at its profile."""
     levels = (contrast.x, contrast.x_star)
     eta_y = [[oy.eta(x, w) for w in (0.0, 1.0)] for x in levels]
     eta_w = [mw.eta(x) for x in levels]
@@ -189,8 +193,8 @@ def g_y_check(outcome: OutcomeParams, mediator: MediatorParams, x: float) -> GyC
         raise SchemaError("outcome and mediator parameters belong to different model specs")
     if spec.p != 0 or spec.q != 0:
         raise SchemaError("g_y_check applies to covariate-free models only")
-    a_direct = a_term(outcome, mediator, x, x, CovariateProfile())
     oy, mw = _OutcomeAt(outcome, ()), _MediatorAt(mediator, ())
+    a_direct = _bridge_value(*_term_inputs(oy, mw, float(x), float(x)))
 
     shift = outcome.mediator + outcome.exposure_mediator * x
     ratio = math.log((1.0 + math.exp(oy.eta(x, 0.0))) / (1.0 + math.exp(oy.eta(x, 1.0))))
@@ -199,7 +203,7 @@ def g_y_check(outcome: OutcomeParams, mediator: MediatorParams, x: float) -> GyC
     g1 = shift + ratio + base
     a_from_g = (1.0 + math.exp(g1)) / (1.0 + math.exp(g0))
 
-    tables = tables_from_params(outcome, mediator, Contrast(x=x, x_star=x))
+    tables = _tables_at(oy, mw, Contrast(x=x, x_star=x))
     joint = {
         (y, w): (tables.p_y[0, w] if y == 1 else tables.q_y[0, w])
         * (tables.p_w[0] if w == 1 else tables.q_w[0])

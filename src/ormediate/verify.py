@@ -21,24 +21,28 @@ function and walks the draws once, in slices of ``_DRAW_SLICE``: it draws a
 slice in order, so the generator's stream does not depend on the slicing,
 hands the whole slice to each suite and folds each suite's errors in draw
 order. The first four suites check the same ``random_problem`` stream and
-``g-y-identity`` keeps its own. A draw evaluates its natural effects once,
-for ``oracle-equivalence`` and ``decomposition`` alike. A suite's worst error
-is the largest over its draws, and a NaN error fails the suite.
+``g-y-identity`` keeps its own. A suite's worst error is the largest over its
+draws, and a NaN error fails the suite.
 
-Most suites are a plain loop over the slice. The ``jacobian`` suite batches
-it: the draws of one model spec stack their coefficient vectors and
-central-difference points into one evaluation of the log effects, and their
+The draws of one model spec are batched. When ``oracle-equivalence`` or
+``decomposition`` runs, a slice first evaluates the log effects at each
+draw's coefficient vector, one evaluation per spec, and both suites read
+them. The ``jacobian`` suite stacks each draw's coefficient vector and
+central-difference points into one evaluation of the log effects, and the
 analytic Jacobians into one evaluation of the Jacobian algebra. Each row
 rounds as the draw-by-draw evaluation does, so every error keeps its bits.
-A slice that raises is run again draw-major, each suite on one draw at a
-time through the same functions, so the error raised is the one the
-draw-by-draw walk meets first.
+The other suites are a plain loop over the slice. A slice that raises is run
+again draw-major, each suite on one draw at a time through the same
+functions, so the error raised is the one the draw-by-draw walk meets first.
 
 Every suite accepts a ``perturb`` offset that is added to one side of the
 comparison.  It exists purely as a fault-injection knob: a nonzero value,
 non-finite offsets included, must make the suites fail, demonstrating they
-can detect real disagreement. With no draws there is nothing to fail, so a
-nonzero ``perturb`` at a count of 0 is a ``SchemaError``.
+can detect real disagreement. A passing error is below its tolerance, so
+only an offset of at least twice the tolerance must fail a suite: a finite
+nonzero ``perturb`` below twice the largest tolerance of the suites run is a
+``SchemaError``, and so is a nonzero ``perturb`` at a count of 0, where there
+is no draw to fail.
 
 These run both under ``ormediate verify`` and inside the test suite, so the
 command line and the tests exercise identical code.
@@ -47,14 +51,14 @@ command line and the tests exercise identical code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 import numpy as np
 
 from .delta import _log_jacobian
 from .effects import _at_contrasts, _batch_or_loop, _bridge_inputs, _bridge_value
-from .effects import _log_effects_at_rows, natural_effects
+from .effects import _log_effects_at_rows
 from .exceptions import SchemaError
 from .model import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
 from .model import _MediatorAt, _OutcomeAt
@@ -74,12 +78,41 @@ def random_problem(
     rng: np.random.Generator, p: int | None = None, q: int | None = None
 ) -> tuple[ModelSpec, OutcomeParams, MediatorParams, Contrast]:
     """Draw a random fully-interacted model with p, q <= 2 covariates,
-    coefficients ~ U[-2, 2], and a contrast/profile ~ U[-1, 1]."""
+    coefficients ~ U[-2, 2], and a contrast/profile ~ U[-1, 1].
+
+    The coefficients take one generator call and the contrast another, read
+    in the order of the fields below: the doubles one call per field gives."""
     if p is None:
         p = int(rng.integers(0, 3))
     if q is None:
         q = int(rng.integers(0, 3))
-    spec = ModelSpec(
+    spec = _spec(p, q)
+    b = rng.uniform(-2.0, 2.0, 6 + 4 * p + 2 * q)
+    bz = [b[4 + i * p:4 + (i + 1) * p] for i in range(4)]
+    g = b[4 + 4 * p:]
+    outcome = OutcomeParams(
+        spec,
+        intercept=b[0],
+        exposure=b[1],
+        mediator=b[2],
+        exposure_mediator=b[3],
+        confounders=bz[0],
+        exposure_confounders=bz[1],
+        mediator_confounders=bz[2],
+        exposure_mediator_confounders=bz[3],
+    )
+    mediator = MediatorParams(
+        spec, intercept=g[0], exposure=g[1], confounders=g[2:2 + q], exposure_confounders=g[2 + q:]
+    )
+    c = rng.uniform(-1.0, 1.0, 2 + p + q)
+    contrast = Contrast(x=c[0], x_star=c[1], profile=CovariateProfile(z=c[2:2 + p], v=c[2 + p:]))
+    return spec, outcome, mediator, contrast
+
+
+@cache
+def _spec(p: int, q: int) -> ModelSpec:
+    """The fully interacted spec of ``random_problem``, one per (p, q)."""
+    return ModelSpec(
         z_names=tuple(f"z{i}" for i in range(p)),
         v_names=tuple(f"v{i}" for i in range(q)),
         xz=True,
@@ -87,31 +120,6 @@ def random_problem(
         xwz=True,
         xv=True,
     )
-    u = lambda size=None: rng.uniform(-2.0, 2.0, size)
-    outcome = OutcomeParams(
-        spec,
-        intercept=u(),
-        exposure=u(),
-        mediator=u(),
-        exposure_mediator=u(),
-        confounders=u(p),
-        exposure_confounders=u(p),
-        mediator_confounders=u(p),
-        exposure_mediator_confounders=u(p),
-    )
-    mediator = MediatorParams(
-        spec,
-        intercept=u(),
-        exposure=u(),
-        confounders=u(q),
-        exposure_confounders=u(q),
-    )
-    contrast = Contrast(
-        x=rng.uniform(-1.0, 1.0),
-        x_star=rng.uniform(-1.0, 1.0),
-        profile=CovariateProfile(z=rng.uniform(-1.0, 1.0, p), v=rng.uniform(-1.0, 1.0, q)),
-    )
-    return spec, outcome, mediator, contrast
 
 
 @dataclass(frozen=True)
@@ -134,8 +142,9 @@ class SuiteResult:
 
 @dataclass
 class _Draw:
-    """One ``random_problem`` draw. Its log effects are evaluated on first use
-    and then shared by every suite that checks the draw."""
+    """One ``random_problem`` draw. Its log effects at theta are set for a
+    whole slice by :func:`_log_effects_at_theta`, or, on a draw-major re-run,
+    evaluated on first use; every suite that checks the draw shares them."""
 
     spec: ModelSpec
     outcome: OutcomeParams
@@ -143,8 +152,12 @@ class _Draw:
     contrast: Contrast
 
     @cached_property
+    def theta(self) -> np.ndarray:
+        return np.concatenate([self.outcome.active_vector(), self.mediator.active_vector()])
+
+    @cached_property
     def log_effects(self) -> np.ndarray:
-        return np.asarray(natural_effects(self.outcome, self.mediator, self.contrast).log_values())
+        return _log_effects_at_rows(self.spec, self.theta[None, None], [self.contrast])[0, 0]
 
 
 def _draw(rng: np.random.Generator, i: int) -> _Draw:
@@ -156,6 +169,23 @@ def _draw_g_y(rng: np.random.Generator, i: int):
     # fixed exposure grid on the first draws, then random levels
     x = (0.0, 0.5, 1.0)[i % 3] if i < 12 else float(rng.uniform(-1.0, 1.0))
     return outcome, mediator, x
+
+
+def _by_spec(problems) -> dict:
+    """The indices of a slice's draws, grouped by spec in draw order."""
+    by_spec = {}
+    for i, problem in enumerate(problems):
+        by_spec.setdefault(problem.spec, []).append(i)
+    return by_spec
+
+
+def _log_effects_at_theta(problems) -> None:
+    """Set each draw's log effects at theta, one evaluation per spec."""
+    for spec, group in _by_spec(problems).items():
+        thetas = np.array([problems[i].theta for i in group])[:, None]
+        logs = _log_effects_at_rows(spec, thetas, [problems[i].contrast for i in group])
+        for i, row in zip(group, logs[:, 0]):
+            problems[i].log_effects = row
 
 
 def _each_draw(check):
@@ -187,17 +217,10 @@ def _jacobian_errors(problems, perturb):
     """The draws of one spec are one batch: their thetas and all 2 dim
     difference points of each take one pass of the log effects, and their
     analytic Jacobians one pass of the Jacobian algebra."""
-    by_spec = {}
-    for i, problem in enumerate(problems):
-        by_spec.setdefault(problem.spec, []).append(i)
     errors = [None] * len(problems)
-    for spec, group in by_spec.items():
+    for spec, group in _by_spec(problems).items():
         contrasts = [problems[i].contrast for i in group]
-        thetas = np.array([
-            np.concatenate([problems[i].outcome.active_vector(),
-                            problems[i].mediator.active_vector()])
-            for i in group
-        ])
+        thetas = np.array([problems[i].theta for i in group])
         oy, mw, x, xs, delta, z, v = _at_contrasts(spec, thetas[:, None], contrasts)
         jac = _log_jacobian(spec, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1) + perturb
         rows, h = _difference_rows(thetas, 1e-6)
@@ -241,6 +264,9 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+# the suites that read the log effects at theta of each draw
+_AT_THETA = frozenset({"oracle-equivalence", "decomposition"})
+
 # draws per slice, so only one slice of problems lives at a time: the jacobian
 # suite over 300 draws costs 256, 135, 107, 94 and 79 ms at slices of 8, 32, 64,
 # 128 and 300, and one slice of all 300 raises the peak RSS by 1.9 MB over 64
@@ -255,16 +281,22 @@ def _worse(worst: float, errors) -> float:
     return worst
 
 
-def _slice_errors(suites, problems, perturb) -> list:
-    """Each suite's error tuples over one slice of draws. A slice that raises
-    is run again draw-major, each suite on one draw at a time, so the error
-    raised is the first one the draw-by-draw walk meets."""
+def _slice_errors(suites, problems, perturb, at_theta: bool) -> list:
+    """Each suite's error tuples over one slice of draws, after the log
+    effects at theta if ``at_theta``. A slice that raises is run again
+    draw-major, each suite on one draw at a time, so the error raised is the
+    first one the draw-by-draw walk meets."""
+
+    def batch():
+        if at_theta:
+            _log_effects_at_theta(problems)
+        return [suite(problems, perturb) for suite in suites]
 
     def draw_major():
         per_draw = [[suite([problem], perturb)[0] for suite in suites] for problem in problems]
         return list(zip(*per_draw))
 
-    return _batch_or_loop(lambda: [suite(problems, perturb) for suite in suites], draw_major)
+    return _batch_or_loop(batch, draw_major)
 
 
 def _run(names, seed: int, count: int, perturb: float) -> tuple[SuiteResult, ...]:
@@ -275,13 +307,20 @@ def _run(names, seed: int, count: int, perturb: float) -> tuple[SuiteResult, ...
             f"a nonzero perturb ({perturb!r}) needs at least one draw: with a count of 0 "
             "no suite can fail"
         )
+    bound = 2.0 * max((_SUITES[name][0] for name in names), default=0.0)
+    if 0 < abs(perturb) < bound:
+        raise SchemaError(
+            f"a nonzero perturb ({perturb!r}) below {bound:g}, twice the largest tolerance of "
+            "the suites run, need not fail them: a passing error is below its tolerance"
+        )
     worst = dict.fromkeys(names, 0.0)
     for draw in dict.fromkeys(_SUITES[name][1] for name in names):
         checks = [name for name in names if _SUITES[name][1] is draw]
         rng = np.random.default_rng(seed)
         for start in range(0, count, _DRAW_SLICE):
             problems = [draw(rng, i) for i in range(start, min(start + _DRAW_SLICE, count))]
-            per_suite = _slice_errors([_SUITES[name][2] for name in checks], problems, perturb)
+            per_suite = _slice_errors([_SUITES[name][2] for name in checks], problems, perturb,
+                                      not _AT_THETA.isdisjoint(checks))
             for name, errors in zip(checks, per_suite):
                 worst[name] = _worse(worst[name], chain.from_iterable(errors))
     results = []

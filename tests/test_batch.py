@@ -1,5 +1,6 @@
 """The batched predictor algebra against the same evaluation taken one row at a
-time: coefficient rows at one profile (the verify jacobian suite's
+time: the covariate sums of a batch against ``np.dot`` row by row,
+coefficient rows at one profile (the verify jacobian suite's
 central-difference points) and profiles at one coefficient vector
 (``infer_many``). Equality is bitwise, and a failing batch raises the error of
 the first failing row."""
@@ -8,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ormediate import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
 from ormediate import delta, effects
@@ -15,7 +18,7 @@ from ormediate.delta import infer, infer_many, jacobian_log_effects
 from ormediate.effects import _log_effects_at_rows, natural_effects
 from ormediate.exceptions import NumericalError, PredictorOverflowError
 from ormediate.logit import FittedModel
-from ormediate.model import OUTCOME_BLOCKS, _MediatorAt, _OutcomeAt
+from ormediate.model import MEDIATOR_BLOCKS, OUTCOME_BLOCKS, _MediatorAt, _OutcomeAt
 from ormediate.verify import random_problem
 
 
@@ -76,6 +79,62 @@ def no_loop(monkeypatch):
 
     monkeypatch.setattr(effects, "natural_effects", refuse)
     monkeypatch.setattr(delta, "infer", refuse)
+
+
+_EDGES = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300, -1e300)
+_VALUES = st.one_of(st.sampled_from(_EDGES), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _row_sets(draw):
+    """A spec with 0-8 covariates per model and a random subset of its
+    blocks, then G draws of M coefficient rows and G profiles, from values
+    that include signed zeros, subnormals and products that overflow."""
+    p, q = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    z, v = draw(st.booleans()), draw(st.booleans())
+    xz, wz = z and draw(st.booleans()), z and draw(st.booleans())
+    spec = ModelSpec(z_names=tuple(f"z{i}" for i in range(p)),
+                     v_names=tuple(f"v{i}" for i in range(q)), z=z, xz=xz, wz=wz,
+                     xwz=xz and wz and draw(st.booleans()), v=v, xv=v and draw(st.booleans()))
+    g, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def array(*shape):
+        return np.array(draw(st.lists(_VALUES, min_size=math.prod(shape),
+                                      max_size=math.prod(shape)))).reshape(shape)
+
+    k = spec.n_outcome_coefs + spec.n_mediator_coefs
+    return spec, array(g, m, k), array(g, p), array(g, q)
+
+
+class TestStackedRowProducts:
+    @settings(deadline=None, max_examples=300)
+    @given(_row_sets())
+    def test_each_sum_has_the_bits_of_np_dot(self, case):
+        """A scalar field is the row's coefficient and a covariate block's
+        sum is float(np.dot(row block, profile)); an excluded block is a
+        block of zeros."""
+        spec, rows, z, v = case
+        ky = spec.n_outcome_coefs
+        g, m, _ = rows.shape
+        for cls, blocks, own, profiles in ((_OutcomeAt, OUTCOME_BLOCKS, rows[:, :, :ky], z),
+                                           (_MediatorAt, MEDIATOR_BLOCKS, rows[:, :, ky:], v)):
+            with np.errstate(all="ignore"):
+                at = cls.at_rows(spec, own, profiles)
+                slices = dict(spec.layout(blocks))
+                for b, name in zip(blocks, cls.FIELDS):
+                    sl = slices.get(b)
+                    expected = []
+                    for j in range(g):
+                        for i in range(m):
+                            row = own[j, i]
+                            if not b.flag:
+                                expected.append(row[sl.start])
+                            else:
+                                block = row[sl] if sl else np.zeros(profiles.shape[1])
+                                expected.append(float(np.dot(block, profiles[j])))
+                    got = np.asarray(getattr(at, name), dtype=float)
+                    assert got.view(np.int64).tolist() == (
+                        np.array(expected).view(np.int64).tolist()), name
 
 
 class TestCoefficientRows:

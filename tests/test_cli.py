@@ -535,6 +535,23 @@ class TestVerifyCommand:
         assert "ERROR 2:" in err and "needs at least one draw" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("perturb", ["1e-9", "1e-300"])
+    def test_perturb_below_twice_the_largest_tolerance_is_usage_error(self, tmp_path, capsys,
+                                                                      perturb):
+        # a passing error is below its tolerance: only an offset of twice the
+        # largest tolerance, 1e-5 for the jacobian suite, must fail every suite
+        out = tmp_path / "verify.json"
+        assert run("verify", "--count", 20, "--perturb", perturb, "--output", out) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR 2:"), captured.err
+        assert "below 2e-05" in lines[0] and captured.out == ""
+        assert not out.exists()
+
+    def test_perturb_at_twice_the_largest_tolerance_fails_every_suite(self, capsys):
+        assert run("verify", "--count", 20, "--perturb", "2e-5") == 5
+        assert capsys.readouterr().out.count("FAIL") == 5
+
     def test_small_run_passes_and_reports(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
         assert run("verify", "--count", 25, "--seed", 5, "--output", out) == 0

@@ -1,17 +1,19 @@
 """The loop behind the verify suites: one pass over the draws serves every
 suite, a suite run alone equals its entry in a full run, a NaN or infinite
-error fails, and the jacobian suite's batch over a slice of draws gives the
-scalar references' errors bit for bit and the draw-by-draw walk's error."""
+error fails, a perturb too small to fail every suite is refused, and the
+batches over a slice of draws (the log effects at theta and the jacobian
+suite's difference points) give the scalar references' values bit for bit
+and the draw-by-draw walk's error."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ormediate import MediatorParams, OutcomeParams, natural_effects, verify
+from ormediate import MediatorParams, OutcomeParams, effects, natural_effects, verify
 from ormediate.delta import jacobian_log_effects
-from ormediate.exceptions import PredictorOverflowError, SchemaError
-from ormediate.oracle import finite_diff
+from ormediate.exceptions import MediationError, PredictorOverflowError, SchemaError
+from ormediate.oracle import finite_diff, tables_from_params
 from ormediate.verify import SUITE_NAMES, random_problem, run_all, run_suite
 
 
@@ -48,23 +50,95 @@ def test_worst_is_max_on_finite_errors():
 
 
 @pytest.mark.parametrize(
-    "names, calls",
+    "names, batched",
     [
-        (SUITE_NAMES, 20),
-        (("oracle-equivalence",), 20),
-        (("decomposition",), 20),
-        (("jacobian",), 0),
+        (SUITE_NAMES, True),
+        (("oracle-equivalence",), True),
+        (("decomposition",), True),
+        (("jacobian",), False),
     ],
 )
-def test_natural_effects_once_per_draw(monkeypatch, names, calls):
+def test_one_theta_batch_per_slice_and_spec(monkeypatch, names, batched):
+    """The log effects at theta take one batch per spec of each slice, in
+    the order the specs first appear, when a suite reads them, and none for
+    the jacobian suite alone; natural_effects is never called."""
+    count, step = 150, verify._DRAW_SLICE
     seen = []
-    natural_effects = verify.natural_effects
-    monkeypatch.setattr(
-        verify, "natural_effects", lambda *args: seen.append(args) or natural_effects(*args)
-    )
-    results = verify._run(names, seed=3, count=20, perturb=0.0)
+    evaluate = verify._log_effects_at_rows
+
+    def counting(spec, thetas, contrasts):
+        if thetas.shape[1] == 1:  # the jacobian suite's rows hold 2 dim + 1 points per draw
+            seen.append((spec, len(contrasts)))
+        return evaluate(spec, thetas, contrasts)
+
+    monkeypatch.setattr(verify, "_log_effects_at_rows", counting)
+    monkeypatch.setattr(effects, "natural_effects", lambda *args: pytest.fail("natural_effects"))
+    results = verify._run(names, seed=3, count=count, perturb=0.0)
     assert all(r.passed for r in results)
-    assert len(seen) == calls
+
+    rng = np.random.default_rng(3)
+    specs = [random_problem(rng)[0] for _ in range(count)]
+    expected = []
+    for start in range(0, count, step):
+        in_slice = specs[start:start + step]
+        expected += [(spec, in_slice.count(spec)) for spec in dict.fromkeys(in_slice)]
+    assert len(expected) > count // step
+    assert seen == (expected if batched else [])
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_log_effects_at_theta_equal_natural_effects(seed):
+    rng = np.random.default_rng(seed)
+    draws = [verify._draw(rng, i) for i in range(300)]
+    step = verify._DRAW_SLICE
+    for start in range(0, len(draws), step):
+        verify._log_effects_at_theta(draws[start:start + step])
+    batched = np.array([d.log_effects for d in draws])
+    reference = np.array([natural_effects(d.outcome, d.mediator, d.contrast).log_values()
+                          for d in draws])
+    assert batched.tobytes() == reference.tobytes()
+
+
+def _overflowing_draws():
+    """Twelve draws, each of spec (0, 0) but draw 0 and draw 9 of (1, 1).
+    Draw 5 overflows at the outcome predictor, draw 9 at the mediator odds.
+    The log effects at theta batch the (1, 1) draws first and meet draw 9's
+    error; the draw-by-draw walk meets draw 5's."""
+
+    def draw(rng, i):
+        pq = (1, 1) if i in (0, 9) else (0, 0)
+        spec, outcome, mediator, contrast = random_problem(rng, *pq)
+        if i == 5:
+            outcome = OutcomeParams(spec, intercept=800.0)
+        if i == 9:
+            mediator = MediatorParams(spec, intercept=800.0)
+        return verify._Draw(spec, outcome, mediator, contrast)
+
+    return draw
+
+
+@pytest.mark.parametrize("name", ["oracle-equivalence", "decomposition"])
+def test_failing_draw_in_a_slice_raises_its_draw_major_error(monkeypatch, name):
+    draw = _overflowing_draws()
+    rng = np.random.default_rng(0)
+    draws = [draw(rng, i) for i in range(12)]
+    with pytest.raises(PredictorOverflowError, match="^mediator linear predictor"):
+        verify._log_effects_at_theta(draws)
+
+    # the draw-by-draw walk: the oracle suite takes the tables first
+    rng = np.random.default_rng(0)
+    with pytest.raises(MediationError) as walk:
+        for i in range(12):
+            d = draw(rng, i)
+            if name == "oracle-equivalence":
+                tables_from_params(d.outcome, d.mediator, d.contrast)
+            natural_effects(d.outcome, d.mediator, d.contrast)
+
+    tolerance, _, errors = verify._SUITES[name]
+    monkeypatch.setitem(verify._SUITES, name, (tolerance, draw, errors))
+    with pytest.raises(MediationError) as run:
+        run_suite(name, seed=0, count=12)
+    assert type(run.value) is type(walk.value) and str(run.value) == str(walk.value)
 
 
 @pytest.mark.parametrize("perturb", [1e-3, math.nan])
@@ -72,6 +146,29 @@ def test_perturbed_run_without_draws_raises(perturb):
     with pytest.raises(SchemaError, match="needs at least one draw"):
         run_all(count=0, perturb=perturb)
     assert all(r.passed for r in run_all(count=0))
+
+
+@pytest.mark.parametrize("perturb", [1e-9, -1e-9, 1e-300, 5e-324, 1.99e-5])
+def test_perturb_below_twice_the_largest_tolerance_raises(perturb):
+    with pytest.raises(SchemaError, match="twice the largest tolerance"):
+        run_all(count=20, perturb=perturb)
+    with pytest.raises(SchemaError, match="twice the largest tolerance"):
+        run_suite("jacobian", count=20, perturb=perturb)
+
+
+def test_perturb_bound_follows_the_suites_run():
+    # decomposition's tolerance is 1e-12, so 1e-9 is far enough out to fail it
+    assert not run_suite("decomposition", seed=0, count=20, perturb=1e-9).passed
+    with pytest.raises(SchemaError, match="below 2e-12"):
+        run_suite("decomposition", count=20, perturb=1e-12)
+
+
+@pytest.mark.parametrize("perturb", [2e-5, -2e-5])
+@pytest.mark.parametrize("count", [1, 20])
+def test_perturb_at_twice_the_largest_tolerance_fails_every_suite(perturb, count):
+    for seed in range(3):
+        results = run_all(seed=seed, count=count, perturb=perturb)
+        assert not any(r.passed for r in results), [r.line() for r in results]
 
 
 def _reference_jacobian_error(problem) -> float:
