@@ -56,10 +56,9 @@ def _logistic(eta: float) -> float:
 
 
 def _table(values, shape, name) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)  # a copy, so the caller's array stays its own
     if arr.shape != shape:
         raise SchemaError(f"{name} must have shape {shape}, got {arr.shape}")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -85,13 +84,14 @@ class ProbabilityTables:
         object.__setattr__(self, "q_y", _table(self.q_y, (2, 2), "q_y"))
         object.__setattr__(self, "p_w", _table(self.p_w, (2,), "p_w"))
         object.__setattr__(self, "q_w", _table(self.q_w, (2,), "q_w"))
+        # array methods: np.min and np.max cost a dispatch each on these 2- and 4-cell tables
         for p, q, name in ((self.p_y, self.q_y, "p_y"), (self.p_w, self.q_w, "p_w")):
-            if np.min(p) < PROB_GUARD or np.min(q) < PROB_GUARD:
+            if p.min() < PROB_GUARD or q.min() < PROB_GUARD:
                 raise DegenerateProbabilityError(
                     f"{name} table touches the boundary (min cell "
-                    f"{min(np.min(p), np.min(q)):.3e} < {PROB_GUARD:g})"
+                    f"{min(p.min(), q.min()):.3e} < {PROB_GUARD:g})"
                 )
-            if np.max(np.abs(p + q - 1.0)) > 1e-12:
+            if np.abs(p + q - 1.0).max() > 1e-12:
                 raise SchemaError(f"{name} and its complement do not sum to 1")
 
     @classmethod

@@ -24,16 +24,17 @@ order. The first four suites check the same ``random_problem`` stream and
 ``g-y-identity`` keeps its own. A suite's worst error is the largest over its
 draws, and a NaN error fails the suite.
 
-The draws of one model spec are batched. When ``oracle-equivalence`` or
-``decomposition`` runs, a slice first evaluates the log effects at each
-draw's coefficient vector, one evaluation per spec, and both suites read
-them. The ``jacobian`` suite stacks each draw's coefficient vector and
-central-difference points into one evaluation of the log effects, and the
-analytic Jacobians into one evaluation of the Jacobian algebra. Each row
-rounds as the draw-by-draw evaluation does, so every error keeps its bits.
-The other suites are a plain loop over the slice. A slice that raises is run
-again draw-major, each suite on one draw at a time through the same
-functions, so the error raised is the one the draw-by-draw walk meets first.
+The draws of one model spec are batched. ``oracle-equivalence`` and
+``decomposition`` read the log effects at each draw's coefficient vector
+theta, and ``jacobian`` the log effects at theta and its central-difference
+points. A slice first evaluates them, once per spec: at theta alone, or at
+every difference point when the jacobian suite runs, which serves all
+three. The jacobian suite takes its analytic Jacobians from one evaluation
+of the Jacobian algebra per spec. Each row rounds as the draw-by-draw
+evaluation does, so every error keeps its bits. The other suites are a plain
+loop over the slice. A slice that raises is run again draw-major, each suite
+on one draw at a time through the same functions, so the error raised is
+the one the draw-by-draw walk meets first.
 
 Every suite accepts a ``perturb`` offset that is added to one side of the
 comparison.  It exists purely as a fault-injection knob: a nonzero value,
@@ -142,9 +143,11 @@ class SuiteResult:
 
 @dataclass
 class _Draw:
-    """One ``random_problem`` draw. Its log effects at theta are set for a
-    whole slice by :func:`_log_effects_at_theta`, or, on a draw-major re-run,
-    evaluated on first use; every suite that checks the draw shares them."""
+    """One ``random_problem`` draw and the log effects its suites read: at
+    theta, and at theta and its central-difference points (rows of
+    :func:`_difference_rows`). A slice sets them for all its draws at once
+    (:func:`_log_effects_of_slice`); on a draw-major re-run each is evaluated
+    on first use."""
 
     spec: ModelSpec
     outcome: OutcomeParams
@@ -157,7 +160,14 @@ class _Draw:
 
     @cached_property
     def log_effects(self) -> np.ndarray:
-        return _log_effects_at_rows(self.spec, self.theta[None, None], [self.contrast])[0, 0]
+        return self._log_effects_at(self.theta[None])[0]
+
+    @cached_property
+    def difference_logs(self) -> np.ndarray:
+        return self._log_effects_at(_difference_rows(self.theta, _STEP)[0])
+
+    def _log_effects_at(self, rows: np.ndarray) -> np.ndarray:
+        return _log_effects_at_rows(self.spec, rows[None], [self.contrast])[0]
 
 
 def _draw(rng: np.random.Generator, i: int) -> _Draw:
@@ -179,13 +189,18 @@ def _by_spec(problems) -> dict:
     return by_spec
 
 
-def _log_effects_at_theta(problems) -> None:
-    """Set each draw's log effects at theta, one evaluation per spec."""
+def _log_effects_of_slice(problems, differences: bool) -> None:
+    """Set each draw's log effects at theta and, if ``differences``, at its
+    central-difference points too, whose row 0 is theta: one evaluation per
+    spec serves all three suites that read them."""
     for spec, group in _by_spec(problems).items():
-        thetas = np.array([problems[i].theta for i in group])[:, None]
-        logs = _log_effects_at_rows(spec, thetas, [problems[i].contrast for i in group])
-        for i, row in zip(group, logs[:, 0]):
-            problems[i].log_effects = row
+        thetas = np.array([problems[i].theta for i in group])
+        rows = _difference_rows(thetas, _STEP)[0] if differences else thetas[:, None]
+        logs = _log_effects_at_rows(spec, rows, [problems[i].contrast for i in group])
+        for i, values in zip(group, logs):
+            problems[i].log_effects = values[0]
+            if differences:
+                problems[i].difference_logs = values
 
 
 def _each_draw(check):
@@ -214,17 +229,17 @@ def _decomposition_errors(problem: _Draw, perturb):
 
 @np.errstate(all="ignore")  # an infinite perturb makes inf/inf here, which must not warn
 def _jacobian_errors(problems, perturb):
-    """The draws of one spec are one batch: their thetas and all 2 dim
-    difference points of each take one pass of the log effects, and their
-    analytic Jacobians one pass of the Jacobian algebra."""
+    """The draws of one spec are one batch: their analytic Jacobians take one
+    pass of the Jacobian algebra, against the central differences of the log
+    effects at their difference points."""
     errors = [None] * len(problems)
     for spec, group in _by_spec(problems).items():
         contrasts = [problems[i].contrast for i in group]
         thetas = np.array([problems[i].theta for i in group])
         oy, mw, x, xs, delta, z, v = _at_contrasts(spec, thetas[:, None], contrasts)
         jac = _log_jacobian(spec, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1) + perturb
-        rows, h = _difference_rows(thetas, 1e-6)
-        fd = _difference_quotients(_log_effects_at_rows(spec, rows, contrasts), h)
+        values = np.array([problems[i].difference_logs for i in group])
+        fd = _difference_quotients(values, _difference_rows(thetas, _STEP)[1])
         worst = np.max(np.abs(jac - fd) / np.maximum(1.0, np.abs(jac)), axis=(1, 2))
         for i, e in zip(group, worst.tolist()):
             errors[i] = (e,)
@@ -264,8 +279,10 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# the suites that read the log effects at theta of each draw
-_AT_THETA = frozenset({"oracle-equivalence", "decomposition"})
+# the suites that read a draw's log effects, and the jacobian suite's relative
+# central-difference step
+_LOG_EFFECTS = frozenset({"oracle-equivalence", "decomposition", "jacobian"})
+_STEP = 1e-6
 
 # draws per slice, so only one slice of problems lives at a time: the jacobian
 # suite over 300 draws costs 256, 135, 107, 94 and 79 ms at slices of 8, 32, 64,
@@ -281,15 +298,16 @@ def _worse(worst: float, errors) -> float:
     return worst
 
 
-def _slice_errors(suites, problems, perturb, at_theta: bool) -> list:
-    """Each suite's error tuples over one slice of draws, after the log
-    effects at theta if ``at_theta``. A slice that raises is run again
+def _slice_errors(names, problems, perturb) -> list:
+    """The error tuples of each suite of ``names`` over one slice of draws,
+    after the log effects they read. A slice that raises is run again
     draw-major, each suite on one draw at a time, so the error raised is the
     first one the draw-by-draw walk meets."""
+    suites = [_SUITES[name][2] for name in names]
 
     def batch():
-        if at_theta:
-            _log_effects_at_theta(problems)
+        if not _LOG_EFFECTS.isdisjoint(names):
+            _log_effects_of_slice(problems, "jacobian" in names)
         return [suite(problems, perturb) for suite in suites]
 
     def draw_major():
@@ -319,8 +337,7 @@ def _run(names, seed: int, count: int, perturb: float) -> tuple[SuiteResult, ...
         rng = np.random.default_rng(seed)
         for start in range(0, count, _DRAW_SLICE):
             problems = [draw(rng, i) for i in range(start, min(start + _DRAW_SLICE, count))]
-            per_suite = _slice_errors([_SUITES[name][2] for name in checks], problems, perturb,
-                                      not _AT_THETA.isdisjoint(checks))
+            per_suite = _slice_errors(checks, problems, perturb)
             for name, errors in zip(checks, per_suite):
                 worst[name] = _worse(worst[name], chain.from_iterable(errors))
     results = []

@@ -50,25 +50,25 @@ def test_worst_is_max_on_finite_errors():
 
 
 @pytest.mark.parametrize(
-    "names, batched",
+    "names, differences",
     [
         (SUITE_NAMES, True),
-        (("oracle-equivalence",), True),
-        (("decomposition",), True),
-        (("jacobian",), False),
+        (("oracle-equivalence",), False),
+        (("decomposition",), False),
+        (("jacobian",), True),
     ],
 )
-def test_one_theta_batch_per_slice_and_spec(monkeypatch, names, batched):
-    """The log effects at theta take one batch per spec of each slice, in
-    the order the specs first appear, when a suite reads them, and none for
-    the jacobian suite alone; natural_effects is never called."""
+def test_one_log_effects_evaluation_per_slice_and_spec(monkeypatch, names, differences):
+    """Each spec of each slice, in the order the specs first appear, takes one
+    evaluation of the log effects: at theta alone, or at theta and its 2 dim
+    difference points when the jacobian suite runs, which then serves the
+    other two suites too; natural_effects is never called."""
     count, step = 150, verify._DRAW_SLICE
     seen = []
     evaluate = verify._log_effects_at_rows
 
     def counting(spec, thetas, contrasts):
-        if thetas.shape[1] == 1:  # the jacobian suite's rows hold 2 dim + 1 points per draw
-            seen.append((spec, len(contrasts)))
+        seen.append((spec, len(contrasts), thetas.shape[1]))
         return evaluate(spec, thetas, contrasts)
 
     monkeypatch.setattr(verify, "_log_effects_at_rows", counting)
@@ -81,18 +81,20 @@ def test_one_theta_batch_per_slice_and_spec(monkeypatch, names, batched):
     expected = []
     for start in range(0, count, step):
         in_slice = specs[start:start + step]
-        expected += [(spec, in_slice.count(spec)) for spec in dict.fromkeys(in_slice)]
+        for spec in dict.fromkeys(in_slice):
+            dim = spec.n_outcome_coefs + spec.n_mediator_coefs
+            expected.append((spec, in_slice.count(spec), 2 * dim + 1 if differences else 1))
     assert len(expected) > count // step
-    assert seen == (expected if batched else [])
+    assert seen == expected
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
-def test_log_effects_at_theta_equal_natural_effects(seed):
+def test_log_effects_of_a_slice_equal_natural_effects(seed):
     rng = np.random.default_rng(seed)
     draws = [verify._draw(rng, i) for i in range(300)]
     step = verify._DRAW_SLICE
     for start in range(0, len(draws), step):
-        verify._log_effects_at_theta(draws[start:start + step])
+        verify._log_effects_of_slice(draws[start:start + step], False)
     batched = np.array([d.log_effects for d in draws])
     reference = np.array([natural_effects(d.outcome, d.mediator, d.contrast).log_values()
                           for d in draws])
@@ -102,7 +104,7 @@ def test_log_effects_at_theta_equal_natural_effects(seed):
 def _overflowing_draws():
     """Twelve draws, each of spec (0, 0) but draw 0 and draw 9 of (1, 1).
     Draw 5 overflows at the outcome predictor, draw 9 at the mediator odds.
-    The log effects at theta batch the (1, 1) draws first and meet draw 9's
+    The slice's log effects evaluate the (1, 1) draws first and meet draw 9's
     error; the draw-by-draw walk meets draw 5's."""
 
     def draw(rng, i):
@@ -119,11 +121,14 @@ def _overflowing_draws():
 
 @pytest.mark.parametrize("name", ["oracle-equivalence", "decomposition"])
 def test_failing_draw_in_a_slice_raises_its_draw_major_error(monkeypatch, name):
+    """A slice whose shared log effects fail raises the error of the first
+    failing draw in draw order, through the draw-major re-run."""
     draw = _overflowing_draws()
     rng = np.random.default_rng(0)
     draws = [draw(rng, i) for i in range(12)]
-    with pytest.raises(PredictorOverflowError, match="^mediator linear predictor"):
-        verify._log_effects_at_theta(draws)
+    for differences in (False, True):
+        with pytest.raises(PredictorOverflowError, match="^mediator linear predictor"):
+            verify._log_effects_of_slice(draws, differences)
 
     # the draw-by-draw walk: the oracle suite takes the tables first
     rng = np.random.default_rng(0)
@@ -195,8 +200,10 @@ def test_batched_jacobian_errors_equal_the_scalar_references(seed):
     draws = [verify._draw(rng, i) for i in range(300)]
     assert len({(d.spec.p, d.spec.q) for d in draws}) == 9
     suite, step = verify._SUITES["jacobian"][2], verify._DRAW_SLICE
-    batched = [e for start in range(0, len(draws), step)
-               for (e,) in suite(draws[start:start + step], 0.0)]
+    batched = []
+    for start in range(0, len(draws), step):
+        verify._log_effects_of_slice(draws[start:start + step], True)
+        batched += [e for (e,) in suite(draws[start:start + step], 0.0)]
     reference = [_reference_jacobian_error(d) for d in draws]
     assert np.array(batched).tobytes() == np.array(reference).tobytes()
 
