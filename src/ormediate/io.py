@@ -85,7 +85,7 @@ def read_table(path: str | Path) -> dict[str, np.ndarray]:
     """
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8", newline="") as handle:
+        with path.open("r", encoding="utf-8-sig", newline="") as handle:
             header = _read_header(path, csv.reader(handle))
             matrix = _load_body(handle, len(header))
         if matrix is None:
@@ -134,7 +134,7 @@ def _load_body(handle, width: int) -> np.ndarray | None:
 
 def _read_rows(path: Path) -> tuple[list[str], np.ndarray]:
     """The per-line parser: `float` on every cell, line-numbered errors."""
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = _read_header(path, reader)
         rows = []
@@ -273,7 +273,10 @@ def _string(value, *, where: str) -> str:
 def _number(value, *, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: number is outside the range of a double") from None
 
 
 def _require_keys(doc: Mapping, expected: set[str], *, where: str) -> None:
@@ -752,7 +755,9 @@ def load_json(path: str | Path) -> dict:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer beyond Python's digit limit, or
+        # nesting deeper than the recursion limit
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -24,17 +24,18 @@ order. The first four suites check the same ``random_problem`` stream and
 ``g-y-identity`` keeps its own. A suite's worst error is the largest over its
 draws, and a NaN error fails the suite.
 
-The draws of one model spec are batched. ``oracle-equivalence`` and
-``decomposition`` read the log effects at each draw's coefficient vector
-theta, and ``jacobian`` the log effects at theta and its central-difference
-points. A slice first evaluates them, once per spec: at theta alone, or at
-every difference point when the jacobian suite runs, which serves all
-three. The jacobian suite takes its analytic Jacobians from one evaluation
-of the Jacobian algebra per spec. Each row rounds as the draw-by-draw
-evaluation does, so every error keeps its bits. The other suites are a plain
-loop over the slice. A slice that raises is run again draw-major, each suite
-on one draw at a time through the same functions, so the error raised is
-the one the draw-by-draw walk meets first.
+Every ``random_problem`` draw is one of the widest spec, p = q = 2, with zero
+coefficients and covariates where its own spec has none, so a slice is one
+batch in that layout. ``oracle-equivalence`` and ``decomposition`` read the
+log effects at each draw's coefficient vector theta, and ``jacobian`` at theta
+and its central-difference points. A slice evaluates them in one call: at
+theta alone, or at every difference point when the jacobian suite runs, which
+serves all three. The jacobian suite takes its analytic Jacobians from one
+evaluation of the Jacobian algebra, and a draw's error is the largest over its
+own coefficients. Each row rounds as in the draw's own spec, so every error
+keeps its bits. The other suites loop over the slice, each draw in its own
+spec: ``oracle-equivalence`` checks the padded closed form against the draw's
+own mediation formula.
 
 Every suite accepts a ``perturb`` offset that is added to one side of the
 comparison.  It exists purely as a fault-injection knob: a nonzero value,
@@ -51,14 +52,14 @@ command line and the tests exercise identical code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 
 import numpy as np
 
 from .delta import _log_jacobian
-from .effects import _at_contrasts, _batch_or_loop, _bridge_inputs, _bridge_value
+from .effects import _at_contrasts, _bridge_inputs, _bridge_value
 from .effects import _log_effects_at_rows
 from .exceptions import SchemaError
 from .model import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
@@ -123,6 +124,19 @@ def _spec(p: int, q: int) -> ModelSpec:
     )
 
 
+_WIDE = _spec(2, 2)
+
+
+@cache
+def _columns(spec: ModelSpec) -> np.ndarray:
+    """The places of a spec's coefficients in the layout of ``_WIDE``, found by
+    term name: the covariates of ``_spec(p, q)`` are the first p z and q v of
+    ``_WIDE``'s, so each block takes the first places of that block there."""
+    outcome, mediator = _WIDE.outcome_terms(), _WIDE.mediator_terms()
+    return np.array([outcome.index(t) for t in spec.outcome_terms()]
+                    + [len(outcome) + mediator.index(t) for t in spec.mediator_terms()])
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     """Outcome of one verification suite."""
@@ -143,31 +157,29 @@ class SuiteResult:
 
 @dataclass
 class _Draw:
-    """One ``random_problem`` draw and the log effects its suites read: at
-    theta, and at theta and its central-difference points (rows of
-    :func:`_difference_rows`). A slice sets them for all its draws at once
-    (:func:`_log_effects_of_slice`); on a draw-major re-run each is evaluated
-    on first use."""
+    """One ``random_problem`` draw, its theta and contrast padded to the layout
+    of ``_WIDE`` (:func:`_columns`; ``z`` and ``v`` with 0.0), and the log
+    effects its suites read there: at theta, and at theta and its
+    central-difference points (rows of :func:`_difference_rows`). A slice
+    sets them for all its draws at once (:func:`_log_effects_of_slice`)."""
 
     spec: ModelSpec
     outcome: OutcomeParams
     mediator: MediatorParams
     contrast: Contrast
+    theta: np.ndarray = field(init=False)
+    wide: Contrast = field(init=False)
+    log_effects: np.ndarray = field(init=False, repr=False)
+    difference_logs: np.ndarray = field(init=False, repr=False)
 
-    @cached_property
-    def theta(self) -> np.ndarray:
-        return np.concatenate([self.outcome.active_vector(), self.mediator.active_vector()])
-
-    @cached_property
-    def log_effects(self) -> np.ndarray:
-        return self._log_effects_at(self.theta[None])[0]
-
-    @cached_property
-    def difference_logs(self) -> np.ndarray:
-        return self._log_effects_at(_difference_rows(self.theta, _STEP)[0])
-
-    def _log_effects_at(self, rows: np.ndarray) -> np.ndarray:
-        return _log_effects_at_rows(self.spec, rows[None], [self.contrast])[0]
+    def __post_init__(self):
+        self.theta = np.zeros(_WIDE.n_outcome_coefs + _WIDE.n_mediator_coefs)
+        self.theta[_columns(self.spec)] = np.concatenate(
+            [self.outcome.active_vector(), self.mediator.active_vector()]
+        )
+        z, v = self.contrast.profile.z, self.contrast.profile.v
+        profile = CovariateProfile(z + (0.0,) * (2 - len(z)), v + (0.0,) * (2 - len(v)))
+        self.wide = Contrast(self.contrast.x, self.contrast.x_star, profile)
 
 
 def _draw(rng: np.random.Generator, i: int) -> _Draw:
@@ -181,26 +193,17 @@ def _draw_g_y(rng: np.random.Generator, i: int):
     return outcome, mediator, x
 
 
-def _by_spec(problems) -> dict:
-    """The indices of a slice's draws, grouped by spec in draw order."""
-    by_spec = {}
-    for i, problem in enumerate(problems):
-        by_spec.setdefault(problem.spec, []).append(i)
-    return by_spec
-
-
 def _log_effects_of_slice(problems, differences: bool) -> None:
     """Set each draw's log effects at theta and, if ``differences``, at its
-    central-difference points too, whose row 0 is theta: one evaluation per
-    spec serves all three suites that read them."""
-    for spec, group in _by_spec(problems).items():
-        thetas = np.array([problems[i].theta for i in group])
-        rows = _difference_rows(thetas, _STEP)[0] if differences else thetas[:, None]
-        logs = _log_effects_at_rows(spec, rows, [problems[i].contrast for i in group])
-        for i, values in zip(group, logs):
-            problems[i].log_effects = values[0]
-            if differences:
-                problems[i].difference_logs = values
+    central-difference points too, whose row 0 is theta: one evaluation in the
+    layout of ``_WIDE`` serves the slice and all three suites that read them."""
+    thetas = np.array([problem.theta for problem in problems])
+    rows = _difference_rows(thetas, _STEP)[0] if differences else thetas[:, None]
+    logs = _log_effects_at_rows(_WIDE, rows, [problem.wide for problem in problems])
+    for problem, values in zip(problems, logs):
+        problem.log_effects = values[0]
+        if differences:
+            problem.difference_logs = values
 
 
 def _each_draw(check):
@@ -229,21 +232,19 @@ def _decomposition_errors(problem: _Draw, perturb):
 
 @np.errstate(all="ignore")  # an infinite perturb makes inf/inf here, which must not warn
 def _jacobian_errors(problems, perturb):
-    """The draws of one spec are one batch: their analytic Jacobians take one
-    pass of the Jacobian algebra, against the central differences of the log
-    effects at their difference points."""
-    errors = [None] * len(problems)
-    for spec, group in _by_spec(problems).items():
-        contrasts = [problems[i].contrast for i in group]
-        thetas = np.array([problems[i].theta for i in group])
-        oy, mw, x, xs, delta, z, v = _at_contrasts(spec, thetas[:, None], contrasts)
-        jac = _log_jacobian(spec, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1) + perturb
-        values = np.array([problems[i].difference_logs for i in group])
-        fd = _difference_quotients(values, _difference_rows(thetas, _STEP)[1])
-        worst = np.max(np.abs(jac - fd) / np.maximum(1.0, np.abs(jac)), axis=(1, 2))
-        for i, e in zip(group, worst.tolist()):
-            errors[i] = (e,)
-    return errors
+    """The analytic Jacobians of a slice take one pass of the Jacobian algebra
+    in the layout of ``_WIDE``, against the central differences of the log
+    effects at their difference points. A draw's error is the largest over its
+    own columns: a padded one reads exactly 0 at perturb 0, but under a
+    perturb it would read |perturb| / max(1, |perturb|)."""
+    thetas = np.array([problem.theta for problem in problems])
+    contrasts = [problem.wide for problem in problems]
+    oy, mw, x, xs, delta, z, v = _at_contrasts(_WIDE, thetas[:, None], contrasts)
+    jac = _log_jacobian(_WIDE, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1) + perturb
+    values = np.array([problem.difference_logs for problem in problems])
+    fd = _difference_quotients(values, _difference_rows(thetas, _STEP)[1])
+    errors = np.abs(jac - fd) / np.maximum(1.0, np.abs(jac))
+    return [(float(e[:, _columns(problem.spec)].max()),) for e, problem in zip(errors, problems)]
 
 
 @_each_draw
@@ -300,21 +301,15 @@ def _worse(worst: float, errors) -> float:
 
 def _slice_errors(names, problems, perturb) -> list:
     """The error tuples of each suite of ``names`` over one slice of draws,
-    after the log effects they read. A slice that raises is run again
-    draw-major, each suite on one draw at a time, so the error raised is the
-    first one the draw-by-draw walk meets."""
-    suites = [_SUITES[name][2] for name in names]
-
-    def batch():
-        if not _LOG_EFFECTS.isdisjoint(names):
-            _log_effects_of_slice(problems, "jacobian" in names)
-        return [suite(problems, perturb) for suite in suites]
-
-    def draw_major():
-        per_draw = [[suite([problem], perturb)[0] for suite in suites] for problem in problems]
-        return list(zip(*per_draw))
-
-    return _batch_or_loop(batch, draw_major)
+    after the log effects they read."""
+    if not _LOG_EFFECTS.isdisjoint(names):
+        _log_effects_of_slice(problems, "jacobian" in names)
+    # No suite raises on these draws, so the first error of a slice is the
+    # draw-by-draw walk's without a re-run: random_problem draws coefficients
+    # in U[-2, 2] and the contrast and profile in U[-1, 1], with p, q <= 2, so
+    # |eta_Y| <= 24, |eta_W| <= 12 and every probability is at least
+    # logistic(-24) ~ 3.8e-11, far above PROB_GUARD (1e-15).
+    return [_SUITES[name][2](problems, perturb) for name in names]
 
 
 def _run(names, seed: int, count: int, perturb: float) -> tuple[SuiteResult, ...]:

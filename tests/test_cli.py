@@ -165,6 +165,18 @@ class TestFitCommand:
         truth = natural_effects(outcome, mediator, Contrast(1.0, 0.0, profile))
         assert abs(te["log"] - truth.log_values()[4]) < 4.0 * te["se_log"]
 
+    def test_byte_order_mark_is_accepted(self, sim_csv, tmp_path):
+        """A CSV that starts with a UTF-8 byte-order mark, as spreadsheet
+        programs write it, gives the report of the same file without it."""
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + sim_csv.read_bytes())
+        reports = []
+        for path in (sim_csv, marked):
+            out = tmp_path / f"{path.stem}.json"
+            assert run("fit", "--input", path, "--z", "age,edu,loans", "--output", out) == 0
+            reports.append(out.read_text().replace(str(path), "INPUT"))
+        assert reports[0] == reports[1]
+
     def test_missing_column_is_named(self, sim_csv, capsys):
         assert run("fit", "--input", sim_csv, "--z", "age,haircut") == 2
         assert "haircut" in capsys.readouterr().err
@@ -475,6 +487,48 @@ class TestMalformedCoefficientFiles:
         assert run("effects", "--coef-file", path) == 2
         err = capsys.readouterr().err
         assert err.startswith("ERROR 2:") and where in err, err
+
+
+_HUGE = 10 ** 400  # an integer literal of 401 digits, beyond the double range
+
+
+class TestOutOfRangeDocuments:
+    """A number beyond the double range, or a document nested past the
+    recursion limit, ends in one ERROR 2 line: never a traceback."""
+
+    def _error_line(self, capsys, *argv):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR 2:"), err
+        return lines[0]
+
+    @pytest.mark.parametrize("command, edit, where", [
+        ("effects", _set("outcome", "intercept", _HUGE), "outcome.intercept"),
+        ("effects", _set("contrast", "x", _HUGE), "contrast.x"),
+        ("simulate", _set("marginals", "exposure", "p", _HUGE), "marginals.exposure.p"),
+        ("effects", _set("vcov", {"outcome": [[_HUGE if i == j == 0 else float(i == j)
+                                               for j in range(7)] for i in range(7)],
+                                  "mediator": np.eye(2).tolist()}), "vcov.outcome"),
+    ], ids=["intercept", "contrast", "marginal", "vcov"])
+    def test_huge_integer_names_the_field(self, tmp_path, capsys, command, edit, where):
+        doc = load_json(Path(ormediate.__file__).parent / "fixtures" / "microcredit_table1.json")
+        edit(doc)
+        path = tmp_path / "coef.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--coef-file", path]
+        if command == "simulate":
+            argv += ["--n", 10, "--output", tmp_path / "sim.csv"]
+        line = self._error_line(capsys, *argv)
+        assert line.startswith(f"ERROR 2: {where}: ") and "range of a double" in line
+        assert not (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000, "1" * 5000],
+                             ids=["nested", "too-many-digits"])
+    def test_unparsable_document(self, tmp_path, capsys, text):
+        path = tmp_path / "coef.json"
+        path.write_text(text)
+        assert "invalid JSON" in self._error_line(capsys, "effects", "--coef-file", path)
 
 
 class TestCompareCommand:

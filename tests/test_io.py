@@ -63,6 +63,19 @@ class TestTables:
         back = read_table(path)
         assert back["y"].shape == (0,) and back["x"].shape == (0,)
 
+    @pytest.mark.parametrize("line_by_line", [False, True])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, line_by_line):
+        if line_by_line:
+            monkeypatch.setattr(table_io, "_load_body", lambda handle, width: None)
+        cols = {"y": np.array([1.0, 0.0, 1.0]), "x": np.array([0.1 + 0.2, -3.5e300, -0.0])}
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_table(plain, cols)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = read_table(plain), read_table(marked)
+        assert list(a) == list(b) == ["y", "x"]
+        for name in cols:
+            assert a[name].tobytes() == b[name].tobytes() == cols[name].tobytes()
+
     def test_read_errors(self, tmp_path):
         with pytest.raises(SchemaError, match="cannot read"):
             read_table(tmp_path / "nope.csv")

@@ -13,7 +13,7 @@ import pytest
 from ormediate import MediatorParams, OutcomeParams, effects, natural_effects, verify
 from ormediate.delta import jacobian_log_effects
 from ormediate.exceptions import MediationError, PredictorOverflowError, SchemaError
-from ormediate.oracle import finite_diff, tables_from_params
+from ormediate.oracle import finite_diff
 from ormediate.verify import SUITE_NAMES, random_problem, run_all, run_suite
 
 
@@ -58,34 +58,36 @@ def test_worst_is_max_on_finite_errors():
         (("jacobian",), True),
     ],
 )
-def test_one_log_effects_evaluation_per_slice_and_spec(monkeypatch, names, differences):
-    """Each spec of each slice, in the order the specs first appear, takes one
-    evaluation of the log effects: at theta alone, or at theta and its 2 dim
-    difference points when the jacobian suite runs, which then serves the
-    other two suites too; natural_effects is never called."""
+def test_one_evaluation_per_slice(monkeypatch, names, differences):
+    """Each slice takes one evaluation of the log effects, in the layout of
+    the widest spec: at theta alone, or at theta and its 2 dim difference
+    points when the jacobian suite runs, which then serves the other two
+    suites too. The jacobian suite adds one evaluation of the Jacobian
+    algebra per slice; natural_effects is never called."""
     count, step = 150, verify._DRAW_SLICE
-    seen = []
-    evaluate = verify._log_effects_at_rows
+    seen, jacobians = [], []
+    evaluate, jacobian = verify._log_effects_at_rows, verify._log_jacobian
 
     def counting(spec, thetas, contrasts):
         seen.append((spec, len(contrasts), thetas.shape[1]))
         return evaluate(spec, thetas, contrasts)
 
+    def counting_jacobian(spec, oy, mw, x, *args):
+        jacobians.append((spec, len(x)))
+        return jacobian(spec, oy, mw, x, *args)
+
     monkeypatch.setattr(verify, "_log_effects_at_rows", counting)
+    monkeypatch.setattr(verify, "_log_jacobian", counting_jacobian)
     monkeypatch.setattr(effects, "natural_effects", lambda *args: pytest.fail("natural_effects"))
     results = verify._run(names, seed=3, count=count, perturb=0.0)
     assert all(r.passed for r in results)
 
-    rng = np.random.default_rng(3)
-    specs = [random_problem(rng)[0] for _ in range(count)]
-    expected = []
-    for start in range(0, count, step):
-        in_slice = specs[start:start + step]
-        for spec in dict.fromkeys(in_slice):
-            dim = spec.n_outcome_coefs + spec.n_mediator_coefs
-            expected.append((spec, in_slice.count(spec), 2 * dim + 1 if differences else 1))
-    assert len(expected) > count // step
-    assert seen == expected
+    widest = verify._spec(2, 2)
+    dim = widest.n_outcome_coefs + widest.n_mediator_coefs
+    assert dim == 18
+    sizes = [min(step, count - start) for start in range(0, count, step)]
+    assert seen == [(widest, n, 2 * dim + 1 if differences else 1) for n in sizes]
+    assert jacobians == ([(widest, n) for n in sizes] if "jacobian" in names else [])
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -104,8 +106,8 @@ def test_log_effects_of_a_slice_equal_natural_effects(seed):
 def _overflowing_draws():
     """Twelve draws, each of spec (0, 0) but draw 0 and draw 9 of (1, 1).
     Draw 5 overflows at the outcome predictor, draw 9 at the mediator odds.
-    The slice's log effects evaluate the (1, 1) draws first and meet draw 9's
-    error; the draw-by-draw walk meets draw 5's."""
+    A slice evaluated spec by spec, (1, 1) first, would meet draw 9's error;
+    the draw-by-draw walk meets draw 5's."""
 
     def draw(rng, i):
         pq = (1, 1) if i in (0, 9) else (0, 0)
@@ -119,24 +121,21 @@ def _overflowing_draws():
     return draw
 
 
-@pytest.mark.parametrize("name", ["oracle-equivalence", "decomposition"])
+@pytest.mark.parametrize("name", ["decomposition", "jacobian"])
 def test_failing_draw_in_a_slice_raises_its_draw_major_error(monkeypatch, name):
     """A slice whose shared log effects fail raises the error of the first
-    failing draw in draw order, through the draw-major re-run."""
+    failing draw in draw order, across the draws' specs."""
     draw = _overflowing_draws()
     rng = np.random.default_rng(0)
     draws = [draw(rng, i) for i in range(12)]
     for differences in (False, True):
-        with pytest.raises(PredictorOverflowError, match="^mediator linear predictor"):
+        with pytest.raises(PredictorOverflowError, match="^outcome linear predictor 800.0"):
             verify._log_effects_of_slice(draws, differences)
 
-    # the draw-by-draw walk: the oracle suite takes the tables first
     rng = np.random.default_rng(0)
     with pytest.raises(MediationError) as walk:
         for i in range(12):
             d = draw(rng, i)
-            if name == "oracle-equivalence":
-                tables_from_params(d.outcome, d.mediator, d.contrast)
             natural_effects(d.outcome, d.mediator, d.contrast)
 
     tolerance, _, errors = verify._SUITES[name]
@@ -176,9 +175,10 @@ def test_perturb_at_twice_the_largest_tolerance_fails_every_suite(perturb, count
         assert not any(r.passed for r in results), [r.line() for r in results]
 
 
-def _reference_jacobian_error(problem) -> float:
+def _reference_jacobian_error(problem, perturb=0.0) -> float:
     """One draw's jacobian-suite error from the scalar references: the analytic
-    Jacobian against central differences of natural_effects."""
+    Jacobian, offset by ``perturb``, against central differences of
+    natural_effects."""
     spec, outcome, mediator, contrast = (problem.spec, problem.outcome, problem.mediator,
                                          problem.contrast)
     ky = spec.n_outcome_coefs
@@ -188,10 +188,19 @@ def _reference_jacobian_error(problem) -> float:
                                MediatorParams.from_vector(spec, theta[ky:]),
                                contrast).log_values()
 
-    jac = jacobian_log_effects(outcome, mediator, contrast)
+    jac = jacobian_log_effects(outcome, mediator, contrast) + perturb
     theta = np.concatenate([outcome.active_vector(), mediator.active_vector()])
     fd = finite_diff(log_effects, theta, 1e-6)
     return float(np.max(np.abs(jac - fd) / np.maximum(1.0, np.abs(jac))))
+
+
+def _batched_jacobian_errors(draws, perturb) -> list:
+    suite, step = verify._SUITES["jacobian"][2], verify._DRAW_SLICE
+    batched = []
+    for start in range(0, len(draws), step):
+        verify._log_effects_of_slice(draws[start:start + step], True)
+        batched += [e for (e,) in suite(draws[start:start + step], perturb)]
+    return batched
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -199,13 +208,39 @@ def test_batched_jacobian_errors_equal_the_scalar_references(seed):
     rng = np.random.default_rng(seed)
     draws = [verify._draw(rng, i) for i in range(300)]
     assert len({(d.spec.p, d.spec.q) for d in draws}) == 9
-    suite, step = verify._SUITES["jacobian"][2], verify._DRAW_SLICE
-    batched = []
-    for start in range(0, len(draws), step):
-        verify._log_effects_of_slice(draws[start:start + step], True)
-        batched += [e for (e,) in suite(draws[start:start + step], 0.0)]
+    batched = _batched_jacobian_errors(draws, 0.0)
     reference = [_reference_jacobian_error(d) for d in draws]
     assert np.array(batched).tobytes() == np.array(reference).tobytes()
+
+
+@pytest.mark.parametrize("perturb", [2e-5, -1e-3, 0.5])
+def test_perturbed_jacobian_errors_equal_the_scalar_references(perturb):
+    rng = np.random.default_rng(1)
+    draws = [verify._draw(rng, i) for i in range(100)]
+    batched = _batched_jacobian_errors(draws, perturb)
+    reference = [_reference_jacobian_error(d, perturb) for d in draws]
+    assert np.array(batched).tobytes() == np.array(reference).tobytes()
+
+
+def test_padded_draws_keep_their_own_coefficients_and_jacobian_bits():
+    """Each draw's coefficients sit at its own columns of the widest layout,
+    with zeros elsewhere; there its analytic Jacobian equals its own spec's
+    bit for bit, and the padded columns read exactly 0."""
+    rng = np.random.default_rng(1)
+    draws = [verify._draw(rng, i) for i in range(100)]
+    thetas = np.array([d.theta for d in draws])
+    widest = verify._spec(2, 2)
+    oy, mw, x, xs, delta, z, v = effects._at_contrasts(widest, thetas[:, None],
+                                                       [d.wide for d in draws])
+    jacobians = verify._log_jacobian(widest, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1)
+    for d, theta, jac in zip(draws, thetas, jacobians):
+        own = verify._columns(d.spec)
+        padded = np.setdiff1d(np.arange(theta.size), own)
+        assert theta[own].tobytes() == np.concatenate(
+            [d.outcome.active_vector(), d.mediator.active_vector()]).tobytes()
+        assert not theta[padded].any() and not jac[:, padded].any()
+        reference = jacobian_log_effects(d.outcome, d.mediator, d.contrast)
+        assert jac[:, own].tobytes() == reference.tobytes()
 
 
 def test_failing_slice_raises_the_draw_by_draw_error(monkeypatch):
