@@ -58,6 +58,19 @@ class TestEffectsCommand:
         text = capsys.readouterr().out
         assert "edu1_loans2" in text and "odds-ratio" in text
 
+    def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        """A coefficient file that starts with a UTF-8 byte-order mark gives
+        the effects of the same file without it."""
+        plain = Path(ormediate.__file__).parent / "fixtures" / "microcredit_table1.json"
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for path in (plain, marked):
+            capsys.readouterr()
+            assert run("effects", "--coef-file", path) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and "pnde" in outputs[0]
+
     def test_all_zero_coefficients_give_unit_effects(self, tmp_path):
         spec = ModelSpec()
         doc = coefficients_to_doc(spec, OutcomeParams(spec), MediatorParams(spec))

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,140 @@ class TestTables:
             write_table(missing / "t.csv", {"a": np.zeros(2)})
         with pytest.raises(SchemaError, match="cannot write"):
             save_json({"a": 1}, missing / "d.json")
+
+
+R = table_io._MIN_RANGE_ROWS
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _ranges(monkeypatch, count):
+    monkeypatch.setattr(table_io, "_range_count", lambda rows: count)
+
+
+def _split_columns(n):
+    rng = np.random.default_rng(n)
+    return {
+        "y": rng.integers(0, 2, n).astype(float),
+        "x": rng.normal(size=n),
+        "z": np.where(rng.random(n) < 0.5, -0.0, 1.0),
+    }
+
+
+def _per_line_error(path):
+    """The SchemaError text read_table gives from the per-line parser."""
+    try:
+        table_io._read_rows(path)
+    except SchemaError as exc:
+        return str(exc)
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 text ({exc})"
+    raise AssertionError("the per-line parser accepted the file")
+
+
+_BODY = "".join(f"{i}.5,{-i}e-3\n" for i in range(60))
+
+
+class TestRangeSplit:
+    """Tables cut into row ranges, one per process, read and write as one range does."""
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("n", [0, 1, R - 1, R, R + 1, 2 * R + 1])
+    def test_write_bytes_equal_one_range(self, tmp_path, monkeypatch, count, n):
+        cols = _split_columns(n)
+        _ranges(monkeypatch, 1)
+        write_table(tmp_path / "one.csv", cols)
+        _ranges(monkeypatch, count)
+        write_table(tmp_path / "split.csv", cols)
+        _no_child_left()
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    def test_children_format_all_but_the_first_range(self, tmp_path, monkeypatch):
+        # the parent formats one range; a failed child's range it formats again
+        calls = []
+        write_rows = table_io._write_rows
+        monkeypatch.setattr(table_io, "_write_rows", lambda *a: calls.append(a[2:]) or write_rows(*a))
+        cols = _split_columns(2 * R + 1)
+        _ranges(monkeypatch, 1)
+        write_table(tmp_path / "one.csv", cols)
+        _ranges(monkeypatch, 3)
+        calls.clear()
+        write_table(tmp_path / "split.csv", cols)
+        assert calls == [(0, (2 * R + 1) // 3)]
+        monkeypatch.setattr(table_io, "_format_rows", lambda *a: False)
+        calls.clear()
+        write_table(tmp_path / "failed.csv", cols)
+        assert len(calls) == 3
+        _no_child_left()
+        one = (tmp_path / "one.csv").read_bytes()
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "failed.csv").read_bytes() == one
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("text", [
+        "a,b\n" + _BODY,
+        ("a,b\n" + _BODY).replace("\n", "\r\n"),
+        ("a,b\n" + _BODY).replace("\n", "\r"),
+        "\ufeffa,b\n" + _BODY,
+        '"a\nb",c\n' + _BODY,
+        "a,b\n" + _BODY[:-1],
+    ], ids=["lf", "crlf", "cr", "bom", "multiline-header", "no-final-newline"])
+    def test_read_arrays_equal_one_range(self, tmp_path, monkeypatch, count, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(table_io, "_read_rows", None)  # no fallback
+        _ranges(monkeypatch, 1)
+        one = read_table(path)
+        _ranges(monkeypatch, count)
+        split = read_table(path)
+        _no_child_left()
+        assert list(split) == list(one) and len(one) == 2
+        for name in one:
+            assert len(one[name]) == 60
+            assert split[name].tobytes() == one[name].tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("last, wording", [
+        (b"59.5,zebra\n", "line 61: could not convert"),
+        (b"59.5\n", "line 61 has 1 fields"),
+        (b"\n59.5,1.0\n", "line 61 has 0 fields"),
+        (b"59.5,\xff\n", "not UTF-8 text"),
+    ], ids=["bad-cell", "short-row", "blank-line", "undecodable"])
+    def test_errors_in_the_last_range_are_the_per_line_parsers(self, tmp_path, monkeypatch,
+                                                                count, last, wording):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n" + _BODY.encode()[: -len("59.5,-59e-3\n")] + last)
+        _ranges(monkeypatch, count)
+        with pytest.raises(SchemaError) as got:
+            read_table(path)
+        _no_child_left()
+        assert str(got.value) == _per_line_error(path)
+        assert wording in str(got.value)
+
+    def test_an_error_in_the_first_range_stops_the_children(self, tmp_path, monkeypatch):
+        # the parent's own range fails while its children still parse theirs
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n0.5,zebra\n" + _BODY.encode() * 500)
+        _ranges(monkeypatch, 3)
+        with pytest.raises(SchemaError, match="line 2: could not convert") as got:
+            read_table(path)
+        _no_child_left()
+        assert str(got.value) == _per_line_error(path)
+
+    def test_a_failed_reader_child_reads_the_whole_file_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        path.write_bytes(("a,b\n" + _BODY).encode())
+        _ranges(monkeypatch, 3)
+        monkeypatch.setattr(table_io, "_send_rows", lambda *a: False)
+        rows = table_io._read_rows
+        fallbacks = []
+        monkeypatch.setattr(table_io, "_read_rows", lambda p: fallbacks.append(p) or rows(p))
+        back = read_table(path)
+        _no_child_left()
+        assert fallbacks == [path]
+        assert back["a"].tolist() == [i + 0.5 for i in range(60)]
 
 
 def _finite_column(n):
@@ -674,6 +809,15 @@ class TestBundledFixture:
         assert set(cs.covariate_marginals) == {"age", "edu", "loans"}
         assert cs.exposure_marginal.kind == "bernoulli"
         assert cs.description
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """A coefficient file that starts with a UTF-8 byte-order mark, as
+        spreadsheet and Windows editors write it, loads as the plain file."""
+        fixture = Path(table_io.__file__).parent / "fixtures" / "microcredit_table1.json"
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+        assert load_json(marked) == load_json(fixture)
+        assert load_coefficients(marked) == load_coefficients(fixture)
 
     def test_unknown_name_lists_fixtures(self, tmp_path):
         with pytest.raises(SchemaError, match="microcredit_table1"):
