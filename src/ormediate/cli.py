@@ -217,9 +217,15 @@ def _check_seed(seed: int) -> None:
 
 
 def _check_level(level: float) -> None:
-    """The range check of ``logit._wald_quantile``, made before any work."""
+    """The range check of ``logit._wald_quantile``, made before any work. A
+    level so near 1 that 1/2 + level/2 rounds to 1 is refused too: its Wald
+    quantile is infinite, and so is every interval bound it would report."""
     if not 0.0 < level < 1.0:
         raise SchemaError(f"confidence level must be in (0, 1), got {level!r}")
+    if 0.5 + level / 2.0 == 1.0:
+        raise SchemaError(
+            f"confidence level {level!r} is too close to 1: its Wald quantile is infinite"
+        )
 
 
 def _resolve_levels(args, stored: tuple[float, float] | None) -> tuple[float, float]:
@@ -569,8 +575,11 @@ def _cmd_simulate(args) -> int:
     from .simulate import simulate_dataset
 
     coef = load_coefficients(args.coef_file)
-    if args.n < 0:
-        raise SchemaError(f"--n must be non-negative, got {args.n}")
+    if not 0 <= args.n <= sys.maxsize // 8:  # numpy refuses a longer float64 column
+        raise SchemaError(
+            f"--n must be between 0 and {sys.maxsize // 8}, the most rows a float64 column "
+            f"holds, got {args.n}"
+        )
     _check_seed(args.seed)
     data = simulate_dataset(
         coef.spec,

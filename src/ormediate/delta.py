@@ -39,7 +39,6 @@ from .effects import (
     EFFECT_ORDER,
     EffectSet,
     _at_contrasts,
-    _batch_or_loop,
     _bridge_inputs,
     _bridge_value,
     _check_joint_spec,
@@ -47,7 +46,7 @@ from .effects import (
     _log_effects,
     a_term_inputs,
 )
-from .exceptions import CovarianceError, NumericalError, SchemaError
+from .exceptions import CovarianceError, MediationError, NumericalError, SchemaError
 from .logit import FittedModel, _two_sided_p, _wald_quantile
 from .model import (
     MEDIATOR_BLOCKS,
@@ -349,10 +348,11 @@ def infer_many(
     the calls made one by one bit for bit, and a failure raises the error of
     the first contrast whose call fails."""
     contrasts = list(contrasts)
-    return _batch_or_loop(
-        lambda: _infer_rows(spec, outcome_fit, mediator_fit, contrasts, level),
-        lambda: [infer(spec, outcome_fit, mediator_fit, c, level) for c in contrasts],
-    )
+    try:
+        return _infer_rows(spec, outcome_fit, mediator_fit, contrasts, level)
+    except (MediationError, ArithmeticError, ValueError):
+        # the calls one by one: the batch fails with the first failing call's error
+        return [infer(spec, outcome_fit, mediator_fit, c, level) for c in contrasts]
 
 
 @np.errstate(all="ignore")  # as Python float arithmetic, which does not warn

@@ -38,8 +38,8 @@ next to 1), useful for quantifying the error of the approximate pipeline.
 The bridge inputs, bridge values and log effects are written once, for floats
 (``natural_effects``) and for columns over a batch of rows alike (see
 :mod:`ormediate.model`); ``_log_effects_at_rows`` evaluates many coefficient
-vectors at one contrast per draw. A batch that fails is evaluated again row
-by row, so its error is the one the first failing row raises on its own.
+vectors at one contrast per draw, with none of the checks of
+``natural_effects``: its caller, ``verify``, judges the values it gives.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MediationError, NumericalError, SchemaError
+from .exceptions import NumericalError, SchemaError
 from .model import (
     Contrast,
     CovariateProfile,
@@ -266,16 +266,6 @@ def natural_effects(
     return EffectSet(*logs, log_cde_at=_log_cde_at(oy, contrast.delta), contrast=contrast)
 
 
-def _batch_or_loop(batch, loop):
-    """batch() evaluates N rows at once and loop() one row at a time, in order.
-    When the batch fails, the loop's result or error is the answer, so a batch
-    fails with the error of the first failing row."""
-    try:
-        return batch()
-    except (MediationError, ArithmeticError, ValueError):
-        return loop()
-
-
 def _at_contrasts(spec: ModelSpec, thetas: np.ndarray, contrasts) -> tuple:
     """The predictor algebra of coefficient rows at one contrast per draw:
     ``thetas`` (G, M, outcome then mediator coefficients) holds M rows for
@@ -295,53 +285,21 @@ def _at_contrasts(spec: ModelSpec, thetas: np.ndarray, contrasts) -> tuple:
     return oy, mw, x, xs, x - xs, z, v
 
 
+@np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
 def _log_effects_at_rows(spec: ModelSpec, thetas: np.ndarray, contrasts) -> np.ndarray:
     """``natural_effects(...).log_values()`` at each coefficient row of
     ``thetas`` (G, M, outcome then mediator coefficients), row [j, i] at
     ``contrasts[j]``: (G, M, 5).
 
-    The result equals the rows evaluated one by one bit for bit, and a
-    failure raises the error of the first failing row, draw by draw. Each
+    The values equal the rows evaluated one by one bit for bit. Each
     covariate block takes one stacked product over all the rows. The rows
-    skip ``from_vector``; one finiteness check and ``EffectSet``'s checks,
-    vectorised, stand in for theirs.
+    skip the checks of ``from_vector`` and ``EffectSet``, and an error is
+    that of the first failing entry of a predictor column, not necessarily
+    of the first failing row.
     """
-    ky = spec.n_outcome_coefs
-
-    @np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
-    def batch():
-        if not np.isfinite(thetas).all():
-            raise SchemaError("a coefficient row is not finite")
-        oy, mw, x, xs, delta, _, _ = _at_contrasts(spec, thetas, contrasts)
-        logs = np.column_stack(_log_effects(oy, mw, x, xs, delta))
-        cde = _log_cde_at(oy, delta)
-        tol = 1e-12 * np.maximum(1.0, np.abs(logs).max(axis=1))
-        te = logs[:, 4]
-        ok = (
-            np.isfinite(logs).all(axis=1)
-            & np.isfinite(cde[0])
-            & np.isfinite(cde[1])
-            & (np.abs(logs[:, 0] + logs[:, 1] - te) <= tol)
-            & (np.abs(logs[:, 2] + logs[:, 3] - te) <= tol)
-        )
-        if not ok.all():
-            raise SchemaError("a coefficient row fails the EffectSet checks")
-        return logs.reshape(thetas.shape[:2] + (5,))
-
-    def loop():
-        return np.array([
-            [
-                natural_effects(
-                    OutcomeParams.from_vector(spec, theta[:ky]),
-                    MediatorParams.from_vector(spec, theta[ky:]),
-                    contrast,
-                ).log_values()
-                for theta in rows
-            ]
-            for rows, contrast in zip(thetas, contrasts)
-        ])
-
-    return _batch_or_loop(batch, loop)
+    oy, mw, x, xs, delta, _, _ = _at_contrasts(spec, thetas, contrasts)
+    logs = np.column_stack(_log_effects(oy, mw, x, xs, delta))
+    return logs.reshape(thetas.shape[:2] + (5,))
 
 
 def approx_effects(

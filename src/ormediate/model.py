@@ -37,13 +37,17 @@ costs six dot products however many predictors it needs.
 
 The same two classes evaluate a batch of rows in one numpy pass: G draws of
 coefficient rows, each draw at its own profile. One parameter set at N
-profiles (``infer_many`` over a report's profiles) is N draws of one row; the
-``verify`` jacobian suite makes one draw of each problem's coefficient vector
-and its central-difference points. The fields are then float64 columns
-instead of floats and the predictor expressions are unchanged, so each row
-gets the bits of the scalar path: elementwise arithmetic rounds as Python
-floats do, each row's sum is still one dot product, and exp and log go
-through ``math`` entry by entry (numpy's own round differently).
+profiles (``infer_many`` over a report's profiles) is N draws of one row; a
+``verify`` slice is one draw per problem, of its coefficient vector and, when
+the jacobian suite runs, its central-difference points. The fields are then
+float64 columns instead of floats and the predictor expressions are
+unchanged, so each row gets the bits of the scalar path: elementwise
+arithmetic rounds as Python floats do, each row's sum is still one dot
+product, and exp and log go through ``math`` entry by entry (numpy's own
+round differently). A failing batch raises the error of the first failing
+entry of the first failing column. ``infer_many`` then evaluates its rows
+one by one, so its error is the first failing row's; ``verify`` does not,
+as its draws keep every predictor far inside the exp range.
 """
 
 from __future__ import annotations

@@ -28,11 +28,15 @@ Every ``random_problem`` draw is one of the widest spec, p = q = 2, with zero
 coefficients and covariates where its own spec has none, so a slice is one
 batch in that layout. ``oracle-equivalence`` and ``decomposition`` read the
 log effects at each draw's coefficient vector theta, and ``jacobian`` at theta
-and its central-difference points. A slice evaluates them in one call: at
-theta alone, or at every difference point when the jacobian suite runs, which
-serves all three. The jacobian suite takes its analytic Jacobians from one
-evaluation of the Jacobian algebra, and a draw's error is the largest over its
-own coefficients. Each row rounds as in the draw's own spec, so every error
+and its central-difference points. When one of them runs, a slice pads its
+draws into that layout and evaluates the closed form once, with no checks of
+its own: at theta alone, or at every difference point when the jacobian
+suite runs, which serves all three. Each suite gets the same record of the
+slice: the draws in their own specs, the padded thetas and contrasts, and the
+log effects. So a fault in the closed form reaches the suites and fails them.
+The jacobian suite takes its analytic Jacobians from one evaluation of the
+Jacobian algebra, and a draw's error is the largest over its own
+coefficients. Each row rounds as in the draw's own spec, so every error
 keeps its bits. The other suites loop over the slice, each draw in its own
 spec: ``oracle-equivalence`` checks the padded closed form against the draw's
 own mediation formula.
@@ -52,7 +56,7 @@ command line and the tests exercise identical code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
@@ -155,35 +159,23 @@ class SuiteResult:
         )
 
 
-@dataclass
-class _Draw:
-    """One ``random_problem`` draw, its theta and contrast padded to the layout
-    of ``_WIDE`` (:func:`_columns`; ``z`` and ``v`` with 0.0), and the log
-    effects its suites read there: at theta, and at theta and its
-    central-difference points (rows of :func:`_difference_rows`). A slice
-    sets them for all its draws at once (:func:`_log_effects_of_slice`)."""
+@dataclass(frozen=True)
+class _Slice:
+    """One slice of draws, as every suite reads it. ``problems`` are the draws
+    as drawn. When a suite reads log effects, ``thetas`` (G, 18) and
+    ``contrasts`` hold the ``random_problem`` draws padded to the layout of
+    ``_WIDE`` (:func:`_columns`; z and v with 0.0), and ``logs`` (G, M, 5) the
+    log effects there: at theta alone (M = 1), or at theta and its
+    central-difference points (rows of :func:`_difference_rows`, row 0 theta)."""
 
-    spec: ModelSpec
-    outcome: OutcomeParams
-    mediator: MediatorParams
-    contrast: Contrast
-    theta: np.ndarray = field(init=False)
-    wide: Contrast = field(init=False)
-    log_effects: np.ndarray = field(init=False, repr=False)
-    difference_logs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.theta = np.zeros(_WIDE.n_outcome_coefs + _WIDE.n_mediator_coefs)
-        self.theta[_columns(self.spec)] = np.concatenate(
-            [self.outcome.active_vector(), self.mediator.active_vector()]
-        )
-        z, v = self.contrast.profile.z, self.contrast.profile.v
-        profile = CovariateProfile(z + (0.0,) * (2 - len(z)), v + (0.0,) * (2 - len(v)))
-        self.wide = Contrast(self.contrast.x, self.contrast.x_star, profile)
+    problems: list
+    thetas: np.ndarray | None = None
+    contrasts: list | None = None
+    logs: np.ndarray | None = None
 
 
-def _draw(rng: np.random.Generator, i: int) -> _Draw:
-    return _Draw(*random_problem(rng))
+def _draw(rng: np.random.Generator, i: int):
+    return random_problem(rng)
 
 
 def _draw_g_y(rng: np.random.Generator, i: int):
@@ -193,66 +185,67 @@ def _draw_g_y(rng: np.random.Generator, i: int):
     return outcome, mediator, x
 
 
-def _log_effects_of_slice(problems, differences: bool) -> None:
-    """Set each draw's log effects at theta and, if ``differences``, at its
-    central-difference points too, whose row 0 is theta: one evaluation in the
-    layout of ``_WIDE`` serves the slice and all three suites that read them."""
-    thetas = np.array([problem.theta for problem in problems])
+def _evaluate_slice(problems, differences: bool) -> _Slice:
+    """The slice of ``random_problem`` draws ``problems`` padded to the layout
+    of ``_WIDE``, with its log effects at theta and, if ``differences``, at
+    the central-difference points too: one evaluation serves the slice and all
+    three suites that read them."""
+    thetas = np.zeros((len(problems), _WIDE.n_outcome_coefs + _WIDE.n_mediator_coefs))
+    contrasts = []
+    for theta, (spec, outcome, mediator, contrast) in zip(thetas, problems):
+        theta[_columns(spec)] = np.concatenate(
+            [outcome.active_vector(), mediator.active_vector()])
+        z, v = contrast.profile.z, contrast.profile.v
+        profile = CovariateProfile(z + (0.0,) * (2 - len(z)), v + (0.0,) * (2 - len(v)))
+        contrasts.append(Contrast(contrast.x, contrast.x_star, profile))
     rows = _difference_rows(thetas, _STEP)[0] if differences else thetas[:, None]
-    logs = _log_effects_at_rows(_WIDE, rows, [problem.wide for problem in problems])
-    for problem, values in zip(problems, logs):
-        problem.log_effects = values[0]
-        if differences:
-            problem.difference_logs = values
+    return _Slice(problems, thetas, contrasts, _log_effects_at_rows(_WIDE, rows, contrasts))
 
 
 def _each_draw(check):
     """The suite that runs ``check``, the errors of one draw, on each draw of
     a slice in turn."""
 
-    def suite(problems, perturb):
-        return [tuple(check(problem, perturb)) for problem in problems]
+    def suite(batch: _Slice, perturb):
+        return [tuple(check(problem, perturb)) for problem in batch.problems]
 
     return suite
 
 
-@_each_draw
-def _oracle_errors(problem: _Draw, perturb):
-    tables = tables_from_params(problem.outcome, problem.mediator, problem.contrast)
-    reference = np.asarray(mediation_formula_effects(tables).log_values())
-    return (float(np.max(np.abs(problem.log_effects + perturb - reference))),)
+def _oracle_errors(batch: _Slice, perturb):
+    reference = np.array([
+        mediation_formula_effects(tables_from_params(*problem[1:])).log_values()
+        for problem in batch.problems
+    ])
+    return zip(np.max(np.abs(batch.logs[:, 0] + perturb - reference), axis=1))
 
 
-@_each_draw
-def _decomposition_errors(problem: _Draw, perturb):
-    logs = problem.log_effects
-    te = logs[4] + perturb
-    return abs(te - logs[0] - logs[1]), abs(te - logs[2] - logs[3])
+def _decomposition_errors(batch: _Slice, perturb):
+    logs = batch.logs[:, 0]
+    te = logs[:, 4] + perturb
+    return zip(abs(te - logs[:, 0] - logs[:, 1]), abs(te - logs[:, 2] - logs[:, 3]))
 
 
 @np.errstate(all="ignore")  # an infinite perturb makes inf/inf here, which must not warn
-def _jacobian_errors(problems, perturb):
+def _jacobian_errors(batch: _Slice, perturb):
     """The analytic Jacobians of a slice take one pass of the Jacobian algebra
     in the layout of ``_WIDE``, against the central differences of the log
     effects at their difference points. A draw's error is the largest over its
     own columns: a padded one reads exactly 0 at perturb 0, but under a
     perturb it would read |perturb| / max(1, |perturb|)."""
-    thetas = np.array([problem.theta for problem in problems])
-    contrasts = [problem.wide for problem in problems]
-    oy, mw, x, xs, delta, z, v = _at_contrasts(_WIDE, thetas[:, None], contrasts)
+    oy, mw, x, xs, delta, z, v = _at_contrasts(_WIDE, batch.thetas[:, None], batch.contrasts)
     jac = _log_jacobian(_WIDE, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1) + perturb
-    values = np.array([problem.difference_logs for problem in problems])
-    fd = _difference_quotients(values, _difference_rows(thetas, _STEP)[1])
+    fd = _difference_quotients(batch.logs, _difference_rows(batch.thetas, _STEP)[1])
     errors = np.abs(jac - fd) / np.maximum(1.0, np.abs(jac))
-    return [(float(e[:, _columns(problem.spec)].max()),) for e, problem in zip(errors, problems)]
+    return [(float(e[:, _columns(spec)].max()),) for e, (spec, *_) in zip(errors, batch.problems)]
 
 
 @_each_draw
-def _bracketing_errors(problem: _Draw, perturb):
+def _bracketing_errors(problem, perturb):
     # the four bridge terms from the inputs natural_effects itself evaluates
-    contrast = problem.contrast
-    oy = _OutcomeAt(problem.outcome, contrast.profile.z)
-    mw = _MediatorAt(problem.mediator, contrast.profile.v)
+    _, outcome, mediator, contrast = problem
+    oy = _OutcomeAt(outcome, contrast.profile.z)
+    mw = _MediatorAt(mediator, contrast.profile.v)
     for k, p2, p3, p4 in _bridge_inputs(oy, mw, contrast.x, contrast.x_star):
         value = _bridge_value(k, p2, p3, p4) + perturb
         collapsed = _bridge_value(1.0, p2, p3, p4) + perturb
@@ -269,7 +262,7 @@ def _g_y_errors(problem, perturb):
 
 
 # name -> (tolerance, draw function, errors of a slice of draws: one tuple per
-# draw); suites sharing a draw function share its draws
+# draw, from its _Slice); suites sharing a draw function share its draws
 _SUITES = {
     "oracle-equivalence": (1e-10, _draw, _oracle_errors),
     "decomposition": (1e-12, _draw, _decomposition_errors),
@@ -301,15 +294,17 @@ def _worse(worst: float, errors) -> float:
 
 def _slice_errors(names, problems, perturb) -> list:
     """The error tuples of each suite of ``names`` over one slice of draws,
-    after the log effects they read."""
-    if not _LOG_EFFECTS.isdisjoint(names):
-        _log_effects_of_slice(problems, "jacobian" in names)
-    # No suite raises on these draws, so the first error of a slice is the
-    # draw-by-draw walk's without a re-run: random_problem draws coefficients
+    evaluated once for all of them."""
+    if _LOG_EFFECTS.isdisjoint(names):
+        batch = _Slice(problems)
+    else:
+        batch = _evaluate_slice(problems, "jacobian" in names)
+    # No suite raises on these draws, so a slice needs no draw-by-draw re-run
+    # to find its first failing draw: random_problem draws coefficients
     # in U[-2, 2] and the contrast and profile in U[-1, 1], with p, q <= 2, so
     # |eta_Y| <= 24, |eta_W| <= 12 and every probability is at least
     # logistic(-24) ~ 3.8e-11, far above PROB_GUARD (1e-15).
-    return [_SUITES[name][2](problems, perturb) for name in names]
+    return [_SUITES[name][2](batch, perturb) for name in names]
 
 
 def _run(names, seed: int, count: int, perturb: float) -> tuple[SuiteResult, ...]:

@@ -2,8 +2,8 @@
 time: the covariate sums of a batch against ``np.dot`` row by row,
 coefficient rows at one profile (the verify jacobian suite's
 central-difference points) and profiles at one coefficient vector
-(``infer_many``). Equality is bitwise, and a failing batch raises the error of
-the first failing row."""
+(``infer_many``). Equality is bitwise, and a failing ``infer_many`` batch
+raises the error of the first failing row."""
 
 import math
 
@@ -249,35 +249,6 @@ class TestOverflowParity:
         loop = _raised(lambda: [natural_effects(outcome, mediator, c) for c in contrasts])
         assert message in loop
         assert _raised(lambda: infer_many(spec, fy, fw, contrasts)) == loop
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_coefficient_rows(self, case):
-        spec, outcome, mediator, contrasts, message = self._rows(case)
-        # one profile, the coefficients moved instead: scale the covariate
-        # blocks by each row's covariate value, so row i's predictors are the
-        # profile rows' predictors above at a covariate value of 1
-        profile = CovariateProfile(z=(1.0,), v=(1.0,))
-        ky = spec.n_outcome_coefs
-        base = _theta(outcome, mediator)
-        rows = []
-        for c in contrasts:
-            row = base.copy()
-            for b, sl in spec.layout(OUTCOME_BLOCKS):
-                if b.flag:
-                    row[sl] *= c.profile.z[0]
-            row[ky + 2:] *= c.profile.v[0]
-            rows.append(row)
-        rows = np.array(rows)
-        contrast = Contrast(0.0, 1.0, profile)
-
-        def loop():
-            for row in rows:
-                natural_effects(OutcomeParams.from_vector(spec, row[:ky]),
-                                MediatorParams.from_vector(spec, row[ky:]), contrast)
-
-        assert message in _raised(loop)
-        batch = _raised(lambda: _log_effects_at_rows(spec, rows[None], [contrast]))
-        assert batch == _raised(loop)
 
     def test_predictors_at_the_bound_pass(self, no_loop):
         """Predictors of exactly +709.0 (k at x) and -709.0 (the outcome at

@@ -445,6 +445,14 @@ class TestFileErrors:
          "contrast levels must be finite"),
         (["effects", "--coef-file", "microcredit_table1", "--x-star=-inf"],
          "contrast levels must be finite"),
+        # numpy refuses a float64 column of these many rows before allocating it
+        (["simulate", "--coef-file", "microcredit_table1", "--n", str(10 ** 20),
+          "--output", "{tmp}/sim.csv"], "--n"),
+        (["simulate", "--coef-file", "microcredit_table1", "--n", str(2 ** 62),
+          "--output", "{tmp}/sim.csv"], "--n"),
+        # the largest double below 1: 1/2 + level/2 rounds to 1, an infinite quantile
+        (["effects", "--coef-file", "microcredit_table1", "--level", "0.9999999999999999"],
+         "too close to 1"),
     ])
     def test_bad_seed_and_level(self, tmp_path, argv, flag):
         argv = [a.format(tmp=tmp_path) for a in argv]

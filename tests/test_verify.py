@@ -1,18 +1,18 @@
 """The loop behind the verify suites: one pass over the draws serves every
 suite, a suite run alone equals its entry in a full run, a NaN or infinite
-error fails, a perturb too small to fail every suite is refused, and the
+error fails, a perturb too small to fail every suite is refused, the
 batches over a slice of draws (the log effects at theta and the jacobian
-suite's difference points) give the scalar references' values bit for bit
-and the draw-by-draw walk's error."""
+suite's difference points) give the scalar references' values bit for bit,
+and a fault in the closed form fails the suites instead of raising."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ormediate import MediatorParams, OutcomeParams, effects, natural_effects, verify
+from ormediate import MediatorParams, OutcomeParams, cli, effects, natural_effects, verify
 from ormediate.delta import jacobian_log_effects
-from ormediate.exceptions import MediationError, PredictorOverflowError, SchemaError
+from ormediate.exceptions import PredictorOverflowError, SchemaError
 from ormediate.oracle import finite_diff
 from ormediate.verify import SUITE_NAMES, random_problem, run_all, run_suite
 
@@ -35,7 +35,8 @@ def test_nan_error_sticks_under_larger_finite_errors(monkeypatch):
     tolerance, draw, _ = verify._SUITES["decomposition"]
     errors = iter([(math.nan,), (1e-14, 2e-14), (3e-14,)])
     monkeypatch.setitem(verify._SUITES, "decomposition",
-                        (tolerance, draw, lambda draws, perturb: [next(errors) for _ in draws]))
+                        (tolerance, draw,
+                         lambda batch, perturb: [next(errors) for _ in batch.problems]))
     result = run_suite("decomposition", seed=0, count=3)
     assert math.isnan(result.worst)
     assert not result.passed
@@ -95,54 +96,46 @@ def test_log_effects_of_a_slice_equal_natural_effects(seed):
     rng = np.random.default_rng(seed)
     draws = [verify._draw(rng, i) for i in range(300)]
     step = verify._DRAW_SLICE
-    for start in range(0, len(draws), step):
-        verify._log_effects_of_slice(draws[start:start + step], False)
-    batched = np.array([d.log_effects for d in draws])
-    reference = np.array([natural_effects(d.outcome, d.mediator, d.contrast).log_values()
-                          for d in draws])
+    batched = np.concatenate([verify._evaluate_slice(draws[start:start + step], False).logs[:, 0]
+                              for start in range(0, len(draws), step)])
+    reference = np.array([natural_effects(outcome, mediator, contrast).log_values()
+                          for _, outcome, mediator, contrast in draws])
     assert batched.tobytes() == reference.tobytes()
 
 
-def _overflowing_draws():
-    """Twelve draws, each of spec (0, 0) but draw 0 and draw 9 of (1, 1).
-    Draw 5 overflows at the outcome predictor, draw 9 at the mediator odds.
-    A slice evaluated spec by spec, (1, 1) first, would meet draw 9's error;
-    the draw-by-draw walk meets draw 5's."""
+def test_fault_in_the_closed_form_fails_the_suites(monkeypatch, capsys):
+    """log TE off by 1e-9 in the closed form itself: the two suites that
+    compare it fail, and nothing raises before them."""
+    log_effects = effects._log_effects
+
+    def faulty(*args):
+        logs = log_effects(*args)
+        return (*logs[:4], logs[4] + 1e-9)
+
+    monkeypatch.setattr(effects, "_log_effects", faulty)
+    failed = [r.name for r in run_all(seed=1, count=300) if not r.passed]
+    assert failed == ["oracle-equivalence", "decomposition"]
+    assert cli.main(["verify", "--count", "300", "--seed", "1"]) == 5
+    out, err = capsys.readouterr()
+    assert "FAIL oracle-equivalence" in out and "3/5 suites passed" in out
+    assert "ERROR" not in err
+
+
+def test_overflowing_draw_raises_its_typed_error(monkeypatch):
+    """Draw 5 overflows at the outcome predictor: every suite of the
+    random_problem draws ends in that PredictorOverflowError."""
 
     def draw(rng, i):
-        pq = (1, 1) if i in (0, 9) else (0, 0)
-        spec, outcome, mediator, contrast = random_problem(rng, *pq)
+        spec, outcome, mediator, contrast = random_problem(rng)
         if i == 5:
             outcome = OutcomeParams(spec, intercept=800.0)
-        if i == 9:
-            mediator = MediatorParams(spec, intercept=800.0)
-        return verify._Draw(spec, outcome, mediator, contrast)
+        return spec, outcome, mediator, contrast
 
-    return draw
-
-
-@pytest.mark.parametrize("name", ["decomposition", "jacobian"])
-def test_failing_draw_in_a_slice_raises_its_draw_major_error(monkeypatch, name):
-    """A slice whose shared log effects fail raises the error of the first
-    failing draw in draw order, across the draws' specs."""
-    draw = _overflowing_draws()
-    rng = np.random.default_rng(0)
-    draws = [draw(rng, i) for i in range(12)]
-    for differences in (False, True):
-        with pytest.raises(PredictorOverflowError, match="^outcome linear predictor 800.0"):
-            verify._log_effects_of_slice(draws, differences)
-
-    rng = np.random.default_rng(0)
-    with pytest.raises(MediationError) as walk:
-        for i in range(12):
-            d = draw(rng, i)
-            natural_effects(d.outcome, d.mediator, d.contrast)
-
-    tolerance, _, errors = verify._SUITES[name]
-    monkeypatch.setitem(verify._SUITES, name, (tolerance, draw, errors))
-    with pytest.raises(MediationError) as run:
-        run_suite(name, seed=0, count=12)
-    assert type(run.value) is type(walk.value) and str(run.value) == str(walk.value)
+    for name in ("oracle-equivalence", "decomposition", "jacobian", "bracketing"):
+        tolerance, _, errors = verify._SUITES[name]
+        monkeypatch.setitem(verify._SUITES, name, (tolerance, draw, errors))
+        with pytest.raises(PredictorOverflowError, match="^outcome linear predictor 800.0 "):
+            run_suite(name, seed=0, count=12)
 
 
 @pytest.mark.parametrize("perturb", [1e-3, math.nan])
@@ -179,8 +172,7 @@ def _reference_jacobian_error(problem, perturb=0.0) -> float:
     """One draw's jacobian-suite error from the scalar references: the analytic
     Jacobian, offset by ``perturb``, against central differences of
     natural_effects."""
-    spec, outcome, mediator, contrast = (problem.spec, problem.outcome, problem.mediator,
-                                         problem.contrast)
+    spec, outcome, mediator, contrast = problem
     ky = spec.n_outcome_coefs
 
     def log_effects(theta):
@@ -198,8 +190,8 @@ def _batched_jacobian_errors(draws, perturb) -> list:
     suite, step = verify._SUITES["jacobian"][2], verify._DRAW_SLICE
     batched = []
     for start in range(0, len(draws), step):
-        verify._log_effects_of_slice(draws[start:start + step], True)
-        batched += [e for (e,) in suite(draws[start:start + step], perturb)]
+        batch = verify._evaluate_slice(draws[start:start + step], True)
+        batched += [e for (e,) in suite(batch, perturb)]
     return batched
 
 
@@ -207,7 +199,7 @@ def _batched_jacobian_errors(draws, perturb) -> list:
 def test_batched_jacobian_errors_equal_the_scalar_references(seed):
     rng = np.random.default_rng(seed)
     draws = [verify._draw(rng, i) for i in range(300)]
-    assert len({(d.spec.p, d.spec.q) for d in draws}) == 9
+    assert len({(spec.p, spec.q) for spec, *_ in draws}) == 9
     batched = _batched_jacobian_errors(draws, 0.0)
     reference = [_reference_jacobian_error(d) for d in draws]
     assert np.array(batched).tobytes() == np.array(reference).tobytes()
@@ -228,45 +220,16 @@ def test_padded_draws_keep_their_own_coefficients_and_jacobian_bits():
     bit for bit, and the padded columns read exactly 0."""
     rng = np.random.default_rng(1)
     draws = [verify._draw(rng, i) for i in range(100)]
-    thetas = np.array([d.theta for d in draws])
+    batch = verify._evaluate_slice(draws, False)
+    thetas = batch.thetas
     widest = verify._spec(2, 2)
-    oy, mw, x, xs, delta, z, v = effects._at_contrasts(widest, thetas[:, None],
-                                                       [d.wide for d in draws])
+    oy, mw, x, xs, delta, z, v = effects._at_contrasts(widest, thetas[:, None], batch.contrasts)
     jacobians = verify._log_jacobian(widest, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1)
-    for d, theta, jac in zip(draws, thetas, jacobians):
-        own = verify._columns(d.spec)
+    for (spec, outcome, mediator, contrast), theta, jac in zip(draws, thetas, jacobians):
+        own = verify._columns(spec)
         padded = np.setdiff1d(np.arange(theta.size), own)
         assert theta[own].tobytes() == np.concatenate(
-            [d.outcome.active_vector(), d.mediator.active_vector()]).tobytes()
+            [outcome.active_vector(), mediator.active_vector()]).tobytes()
         assert not theta[padded].any() and not jac[:, padded].any()
-        reference = jacobian_log_effects(d.outcome, d.mediator, d.contrast)
+        reference = jacobian_log_effects(outcome, mediator, contrast)
         assert jac[:, own].tobytes() == reference.tobytes()
-
-
-def test_failing_slice_raises_the_draw_by_draw_error(monkeypatch):
-    """Draw 5 overflows at the outcome predictor p3 = 1 + e_y(x, 0), draw 9 at
-    the mediator odds p2 = e_w(x), which the batch takes first: the batch of
-    the slice meets draw 9's error, the draw-by-draw walk draw 5's."""
-
-    def draw(rng, i):
-        spec, outcome, mediator, contrast = random_problem(rng, 0, 0)
-        if i == 5:
-            outcome = OutcomeParams(spec, intercept=800.0)
-        if i == 9:
-            mediator = MediatorParams(spec, intercept=800.0)
-        return verify._Draw(spec, outcome, mediator, contrast)
-
-    rng = np.random.default_rng(0)
-    draws = [draw(rng, i) for i in range(12)]
-    with pytest.raises(PredictorOverflowError, match="^mediator linear predictor"):
-        verify._SUITES["jacobian"][2](draws, 0.0)
-    with pytest.raises(PredictorOverflowError) as walk:
-        for d in draws:
-            jacobian_log_effects(d.outcome, d.mediator, d.contrast)
-    assert str(walk.value).startswith("outcome linear predictor 800.0")
-
-    tolerance, _, errors = verify._SUITES["jacobian"]
-    monkeypatch.setitem(verify._SUITES, "jacobian", (tolerance, draw, errors))
-    with pytest.raises(PredictorOverflowError) as run:
-        run_suite("jacobian", seed=0, count=12)
-    assert str(run.value) == str(walk.value)
