@@ -28,12 +28,20 @@ Importing this module loads only ``argparse`` and the exception classes, so
 ``_cmd_*`` handler imports the modules it runs once the arguments are parsed:
 ``simulate`` never loads the delta method, and no command but ``verify``
 loads the oracle or the verification suites.
+
+Once the arguments are parsed, and only if numpy is not loaded yet, `main`
+sets ``OPENBLAS_NUM_THREADS=1`` whatever the caller set, so a command loads
+OpenBLAS with one thread.  By default OpenBLAS starts one worker thread per
+core, and those workers spin for CPU time that the design-sized products here
+never repay; one thread gives the same bytes.  A caller that loaded numpy first
+(a library user, a test calling `main`) keeps its own setting and environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -581,19 +589,22 @@ def _cmd_simulate(args) -> int:
             f"holds, got {args.n}"
         )
     _check_seed(args.seed)
-    data = simulate_dataset(
-        coef.spec,
-        coef.outcome,
-        coef.mediator,
-        args.n,
-        args.seed,
-        covariate_marginals=coef.covariate_marginals,
-        exposure_marginal=coef.exposure_marginal,
-    )
-    columns = dataset_columns(
-        data, outcome=args.outcome, mediator=args.mediator, exposure=args.exposure
-    )
-    write_table(args.output, columns)
+    try:
+        data = simulate_dataset(
+            coef.spec,
+            coef.outcome,
+            coef.mediator,
+            args.n,
+            args.seed,
+            covariate_marginals=coef.covariate_marginals,
+            exposure_marginal=coef.exposure_marginal,
+        )
+        columns = dataset_columns(
+            data, outcome=args.outcome, mediator=args.mediator, exposure=args.exposure
+        )
+        write_table(args.output, columns)
+    except MemoryError as exc:
+        raise SchemaError(f"--n {args.n} rows do not fit in memory ({exc})") from exc
     print(f"wrote {data.n} rows ({', '.join(columns)}) to {args.output}")
     return EXIT_OK
 
@@ -678,6 +689,10 @@ def _fail(code: int, exc: Exception) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if "numpy" not in sys.modules:
+        # read by OpenBLAS when numpy loads; its default is one spinning worker
+        # per core, which the small products here never use
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         return args.handler(args)
     except SchemaError as exc:

@@ -320,9 +320,11 @@ class _Children:
     """The forked children of one call.  On leaving the `with`, a child not
     yet reaped is no longer wanted: it is killed, and every child is reaped.
 
-    A child runs no BLAS and takes no lock, so forking while OpenBLAS's
-    threads are alive is safe (Python 3.12 and later warn about any fork in a
-    process with threads).  A child leaves only through os._exit."""
+    Under the CLI the forking process has no OpenBLAS threads: `cli.main`
+    loads OpenBLAS with one.  A library caller's process may still have them;
+    a child runs no BLAS and takes no lock, so that fork is safe too (Python
+    3.12 and later warn about any fork in a process with threads).  A child
+    leaves only through os._exit."""
 
     def __init__(self):
         self._running: list[int] = []

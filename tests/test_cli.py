@@ -156,6 +156,17 @@ class TestSimulateCommand:
                    "--seed", 1, "--output", tmp_path / "x.csv") == 2
         assert "ERROR 2:" in capsys.readouterr().err
 
+    def test_n_beyond_memory_is_schema_error(self, tmp_path, capsys):
+        # within the float64-column bound, but no draw can allocate 8 EiB
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--coef-file", "microcredit_table1",
+                   "--n", 1152921504606846975, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("ERROR 2: --n 1152921504606846975 rows do not fit in memory")
+        assert not out.exists()
+
 
 class TestFitCommand:
     def test_pipeline_recovers_truth(self, sim_csv, tmp_path):

@@ -1,6 +1,7 @@
 """The package exports its names lazily, and each command imports only the
 modules it runs: ``import ormediate.cli``, ``--help`` and ``--version`` load
-no numpy, and a command never loads a module it does not use."""
+no numpy and leave the environment alone, and a command never loads a module
+it does not use."""
 
 import json
 import pkgutil
@@ -33,21 +34,23 @@ def _child(code: str) -> subprocess.CompletedProcess:
                           env=child_env())
 
 
-def _loaded(*argv) -> set[str]:
-    """The modules in a fresh interpreter's sys.modules after ``main(argv)``."""
+def _loaded(*argv) -> tuple[set[str], bool]:
+    """The modules in a fresh interpreter's sys.modules after ``main(argv)``,
+    and whether importing the CLI and running main changed os.environ."""
     code = (
-        "import json, sys\n"
+        "import json, os, sys\n"
+        "before = dict(os.environ)\n"
         "from ormediate.cli import main\n"
         "try:\n"
         f"    code = main({list(map(str, argv))!r})\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "sys.stderr.write(json.dumps([code, sorted(sys.modules)]))\n"
+        "sys.stderr.write(json.dumps([code, sorted(sys.modules), dict(os.environ) != before]))\n"
     )
     proc = _child(code)
-    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    code, modules, changed = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
-    return set(modules)
+    return set(modules), changed
 
 
 class TestExports:
@@ -96,22 +99,26 @@ def test_the_package_has_twelve_modules():
 
 class TestCommandImports:
     def test_importing_the_cli_loads_no_numpy(self):
-        proc = _child("import sys, ormediate.cli; assert 'numpy' not in sys.modules, 'numpy'")
+        proc = _child("import os, sys; before = dict(os.environ); import ormediate.cli; "
+                      "assert 'numpy' not in sys.modules, 'numpy'; "
+                      "assert dict(os.environ) == before, 'environ'")
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_load_no_numpy(self, flag):
-        loaded = _loaded(flag)
+        loaded, changed = _loaded(flag)
         assert "numpy" not in loaded and "ormediate.model" not in loaded
+        assert not changed
 
     def test_effects_loads_no_oracle_verify_or_simulate(self):
-        loaded = _loaded("effects", "--coef-file", "microcredit_table1")
+        loaded, changed = _loaded("effects", "--coef-file", "microcredit_table1")
         assert "ormediate.effects" in loaded
+        assert changed  # a command sets OPENBLAS_NUM_THREADS
         assert not loaded & {"ormediate.oracle", "ormediate.verify", "ormediate.simulate"}
 
     def test_simulate_loads_no_inference(self, tmp_path):
-        loaded = _loaded("simulate", "--coef-file", "microcredit_table1", "--n", 10,
-                         "--output", tmp_path / "sim.csv")
+        loaded, _ = _loaded("simulate", "--coef-file", "microcredit_table1", "--n", 10,
+                            "--output", tmp_path / "sim.csv")
         assert "ormediate.simulate" in loaded
         assert not loaded & {"ormediate.delta", "ormediate.effects", "ormediate.oracle",
                              "ormediate.verify", "statistics"}
