@@ -25,9 +25,20 @@ environment detail, so identical invocations produce identical bytes.
 
 Importing this module loads only ``argparse`` and the exception classes, so
 ``--help``, ``--version`` and usage errors load no numeric code.  Each
-``_cmd_*`` handler imports the modules it runs once the arguments are parsed:
-``simulate`` never loads the delta method, and no command but ``verify``
-loads the oracle or the verification suites.
+``_cmd_*`` handler imports the modules it runs once the arguments are parsed.
+Besides ``model``, ``record`` and ``jsonio`` (the report writer), they are:
+
+* ``fit``: ``io``, ``logit``, ``effects`` and ``delta``
+* ``effects``: ``io`` and ``effects``, and ``delta`` and ``logit`` when the
+  file carries covariances
+* ``compare``: ``io`` and ``effects``
+* ``simulate``: ``io`` and ``simulate``
+* ``verify``: ``verify``, ``oracle``, ``effects`` and ``delta``, and no CSV,
+  coefficient-document or fitting code (``io``, ``logit``)
+
+The records these modules define are plain classes (``record.Record``), so
+importing a module generates and compiles no code, and no command loads
+``dataclasses``.
 
 Once the arguments are parsed, and only if numpy is not loaded yet, `main`
 sets ``OPENBLAS_NUM_THREADS=1`` whatever the caller set, so a command loads
@@ -216,6 +227,9 @@ def _parse_grid(text: str) -> list[float]:
         raise SchemaError(f"--grid must be comma-separated numbers: {exc}")
     if not grid:
         raise SchemaError("--grid is empty")
+    for beta0 in grid:
+        if not math.isfinite(beta0):
+            raise SchemaError(f"--grid intercept {beta0!r} is not finite")
     return grid
 
 
@@ -269,14 +283,11 @@ def _resolve_profiles(args, coef: CoefficientSet) -> list[tuple[str, CovariatePr
 
 def _load_resolved(args) -> CoefficientSet:
     """The --coef-file set with its exposure levels and profiles resolved."""
-    import dataclasses
-
     from .io import load_coefficients
 
     coef = load_coefficients(args.coef_file)
     levels = _resolve_levels(args, coef.exposure_levels)
-    return dataclasses.replace(coef, exposure_levels=levels,
-                               profiles=tuple(_resolve_profiles(args, coef)))
+    return coef._replace(exposure_levels=levels, profiles=tuple(_resolve_profiles(args, coef)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +377,7 @@ def _effect_sections(coef: CoefficientSet, level: float) -> dict:
 
 
 def _report(command: str, config: dict, **sections) -> dict:
-    from .io import REPORT_FORMAT
+    from .jsonio import REPORT_FORMAT
 
     doc = {
         "format": REPORT_FORMAT,
@@ -383,7 +394,7 @@ def _emit(doc: dict, output: str | None) -> None:
     if lines:
         sys.stdout.write("\n".join(lines) + "\n")
     if output:
-        from .io import save_json
+        from .jsonio import save_json
 
         save_json(doc, output)
 
@@ -614,11 +625,11 @@ def _cmd_compare(args) -> int:
     from .io import profile_values
     from .model import Contrast, OutcomeParams
 
+    grid = _parse_grid(args.grid)  # a bad --grid fails before the file is read
     coef = _load_resolved(args)
     x, x_star = coef.exposure_levels
     name, prof = coef.profiles[0]
     contrast = Contrast(x, x_star, prof)
-    grid = _parse_grid(args.grid)
 
     rows = []
     for beta0 in grid:
@@ -657,11 +668,9 @@ def _cmd_verify(args) -> int:
     if args.count < 0:
         raise SchemaError(f"--count must be non-negative, got {args.count}")
     _check_seed(args.seed)
-    import dataclasses
-
     # import the report writer before the run: without a bytecode cache,
-    # compiling io.py on top of the run's heap raised the peak RSS by 0.6 MB
-    from . import io
+    # compiling it on top of the run's heap raised the peak RSS by 0.6 MB
+    from . import jsonio
     from .verify import run_all
 
     results = run_all(seed=args.seed, count=args.count, perturb=args.perturb)
@@ -669,7 +678,7 @@ def _cmd_verify(args) -> int:
     doc = _report(
         "verify",
         {"seed": args.seed, "count": args.count, "perturb": args.perturb},
-        suites=[{**dataclasses.asdict(r), "line": r.line()} for r in results],
+        suites=[{**r._asdict(), "line": r.line()} for r in results],
         passed=passed,
     )
     _emit(doc, args.output)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .effects import (
     a_term_inputs,
 )
 from .exceptions import CovarianceError, MediationError, NumericalError, SchemaError
-from .logit import FittedModel, _two_sided_p, _wald_quantile
 from .model import (
     MEDIATOR_BLOCKS,
     OUTCOME_BLOCKS,
@@ -59,6 +57,11 @@ from .model import (
     _MediatorAt,
     _OutcomeAt,
 )
+from .record import Record, ValueRecord, _set
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .logit import FittedModel
 
 __all__ = [
     "EffectInference",
@@ -186,22 +189,34 @@ def jacobian_log_effects(
     )
 
 
-@dataclass(frozen=True)
-class EffectInference:
+class EffectInference(ValueRecord):
     """One effect with its delta-method uncertainty, on both scales."""
 
-    name: str
-    log_estimate: float
-    or_estimate: float
-    se_log: float
-    se_or: float
-    ci_lower: float
-    ci_upper: float
-    p_value: float
+    __slots__ = FIELDS = ("name", "log_estimate", "or_estimate", "se_log", "se_or",
+                          "ci_lower", "ci_upper", "p_value")
+
+    def __init__(
+        self,
+        name: str,
+        log_estimate: float,
+        or_estimate: float,
+        se_log: float,
+        se_or: float,
+        ci_lower: float,
+        ci_upper: float,
+        p_value: float,
+    ):
+        _set(self, "name", name)
+        _set(self, "log_estimate", log_estimate)
+        _set(self, "or_estimate", or_estimate)
+        _set(self, "se_log", se_log)
+        _set(self, "se_or", se_or)
+        _set(self, "ci_lower", ci_lower)
+        _set(self, "ci_upper", ci_upper)
+        _set(self, "p_value", p_value)
 
 
-@dataclass(frozen=True, eq=False)
-class InferenceResult:
+class InferenceResult(Record):
     """Point estimates, covariances, and per-effect summaries at one contrast.
 
     ``effects`` holds the five natural effects in EFFECT_ORDER; ``cde`` the
@@ -211,13 +226,26 @@ class InferenceResult:
     them.
     """
 
-    effect_set: EffectSet
-    effects: tuple[EffectInference, ...]
-    cde: tuple[EffectInference, ...]
-    cov_log: np.ndarray
-    cov_or: np.ndarray
-    jacobian: np.ndarray
-    level: float
+    __slots__ = FIELDS = ("effect_set", "effects", "cde", "cov_log", "cov_or", "jacobian",
+                          "level")
+
+    def __init__(
+        self,
+        effect_set: EffectSet,
+        effects: tuple[EffectInference, ...],
+        cde: tuple[EffectInference, ...],
+        cov_log: np.ndarray,
+        cov_or: np.ndarray,
+        jacobian: np.ndarray,
+        level: float,
+    ):
+        _set(self, "effect_set", effect_set)
+        _set(self, "effects", effects)
+        _set(self, "cde", cde)
+        _set(self, "cov_log", cov_log)
+        _set(self, "cov_or", cov_or)
+        _set(self, "jacobian", jacobian)
+        _set(self, "level", level)
 
     def by_name(self) -> dict[str, EffectInference]:
         out = {e.name: e for e in self.effects}
@@ -234,7 +262,8 @@ def _check_variances(var: np.ndarray, not_finite: str, negative: str) -> None:
         raise CovarianceError(negative.format(np.min(var)))
 
 
-def _summarise(name: str, log_est: float, var_log: float, zq: float) -> EffectInference:
+def _summarise(name: str, log_est: float, var_log: float, zq: float,
+               two_sided_p) -> EffectInference:
     se_log = math.sqrt(var_log)
     try:
         or_est = math.exp(log_est)
@@ -247,7 +276,7 @@ def _summarise(name: str, log_est: float, var_log: float, zq: float) -> EffectIn
         ) from None
     if se_log > 0.0:
         zstat = log_est / se_log
-        p = _two_sided_p(zstat)
+        p = two_sided_p(zstat)
     else:
         p = 1.0 if log_est == 0.0 else 0.0
     return EffectInference(
@@ -282,13 +311,15 @@ def _summaries(effect_sets, jac, cov_log, g_cde, outcome_vcov, zq: float, level:
     and the stacked gradients (N, ky) of log CDE(0) and log CDE(1). The
     checks run over all rows at once; with N = 1 they raise in the order of
     the effects they check."""
+    from .logit import _two_sided_p  # imported here: verify's Jacobians load no fitter
+
     var_log = np.diagonal(cov_log, axis1=1, axis2=2)
     _check_variances(var_log, "a delta-method variance is not finite",
                      "delta-method variance {:.3e} is negative beyond roundoff")
     var_log = np.clip(var_log, 0.0, None).tolist()
     effects = [
         tuple(
-            _summarise(name, log_est, var, zq)
+            _summarise(name, log_est, var, zq, _two_sided_p)
             for name, log_est, var in zip(EFFECT_ORDER, es.log_values(), row)
         )
         for es, row in zip(effect_sets, var_log)
@@ -302,7 +333,7 @@ def _summaries(effect_sets, jac, cov_log, g_cde, outcome_vcov, zq: float, level:
         _check_variances(var, f"CDE({w}) variance is not finite",
                          f"negative CDE({w}) variance {{:.3e}}")
         cde.append([
-            _summarise(f"cde{w}", es.log_cde_at[w], max(v, 0.0), zq)
+            _summarise(f"cde{w}", es.log_cde_at[w], max(v, 0.0), zq, _two_sided_p)
             for es, v in zip(effect_sets, var.tolist())
         ])
 
@@ -367,6 +398,8 @@ def _infer_rows(
     Jacobians as columns over the contrasts, the covariances as one stacked
     J Sigma J^T (equal slice by slice to the 2-d product), and one stacked
     summary."""
+    from .logit import _wald_quantile
+
     zq = _wald_quantile(level)
     outcome, mediator, sigma = _fitted_params(spec, outcome_fit, mediator_fit)
     if not contrasts:

@@ -45,7 +45,6 @@ vectors at one contrast per draw, with none of the checks of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +59,7 @@ from .model import (
     _MediatorAt,
     _OutcomeAt,
 )
+from .record import Record, ValueRecord, _set
 
 __all__ = [
     "EFFECT_ORDER",
@@ -139,38 +139,40 @@ def a_term(
     return _bridge_value(*a_term_inputs(outcome, mediator, x_outcome, x_mediator, profile))
 
 
-@dataclass(frozen=True, eq=False)
-class EffectSet:
+class EffectSet(Record):
     """The five natural effects plus the controlled direct effect, on the log
     odds-ratio scale, at one contrast. Construction re-checks the
     multiplicative decomposition TE = PNDE*TNIE = TNDE*PNIE."""
 
-    log_pnde: float
-    log_tnie: float
-    log_tnde: float
-    log_pnie: float
-    log_te: float
-    log_cde_at: dict[int, float]
-    contrast: Contrast
+    __slots__ = FIELDS = ("log_pnde", "log_tnie", "log_tnde", "log_pnie", "log_te",
+                          "log_cde_at", "contrast")
 
-    def __post_init__(self):
-        logs = [self.log_pnde, self.log_tnie, self.log_tnde, self.log_pnie, self.log_te]
+    def __init__(
+        self,
+        log_pnde: float,
+        log_tnie: float,
+        log_tnde: float,
+        log_pnie: float,
+        log_te: float,
+        log_cde_at: dict[int, float],
+        contrast: Contrast,
+    ):
+        logs = [log_pnde, log_tnie, log_tnde, log_pnie, log_te]
         if not all(math.isfinite(v) for v in logs):
             raise SchemaError(f"non-finite log effects {logs}")
-        cde = {int(w): float(v) for w, v in self.log_cde_at.items()}
+        cde = {int(w): float(v) for w, v in log_cde_at.items()}
         if sorted(cde) != [0, 1] or not all(math.isfinite(v) for v in cde.values()):
             raise SchemaError("log_cde_at must map w in {0, 1} to finite values")
-        object.__setattr__(self, "log_cde_at", cde)
         scale = max(1.0, *(abs(v) for v in logs))
         tol = 1e-12 * scale
-        if abs(self.log_pnde + self.log_tnie - self.log_te) > tol or (
-            abs(self.log_tnde + self.log_pnie - self.log_te) > tol
-        ):
+        if abs(log_pnde + log_tnie - log_te) > tol or abs(log_tnde + log_pnie - log_te) > tol:
             raise SchemaError(
                 "effect decomposition TE = PNDE*TNIE = TNDE*PNIE is violated: "
-                f"log TE = {self.log_te!r} vs {self.log_pnde + self.log_tnie!r} "
-                f"and {self.log_tnde + self.log_pnie!r}"
+                f"log TE = {log_te!r} vs {log_pnde + log_tnie!r} "
+                f"and {log_tnde + log_pnie!r}"
             )
+        for name, value in zip(self.FIELDS, (*logs, cde, contrast)):
+            _set(self, name, value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EffectSet):
@@ -341,16 +343,26 @@ def approx_effects(
     )
 
 
-@dataclass(frozen=True)
-class SpecialCaseReport:
+class SpecialCaseReport(ValueRecord):
     """Structural zeros detected in the coefficients, and the effect identities
     they imply at any contrast."""
 
-    exposure_outcome_null: bool
-    mediator_outcome_null: bool
-    exposure_mediator_null: bool
-    degenerate_contrast: bool
-    identities: tuple[str, ...]
+    __slots__ = FIELDS = ("exposure_outcome_null", "mediator_outcome_null",
+                          "exposure_mediator_null", "degenerate_contrast", "identities")
+
+    def __init__(
+        self,
+        exposure_outcome_null: bool,
+        mediator_outcome_null: bool,
+        exposure_mediator_null: bool,
+        degenerate_contrast: bool,
+        identities: tuple[str, ...],
+    ):
+        _set(self, "exposure_outcome_null", exposure_outcome_null)
+        _set(self, "mediator_outcome_null", mediator_outcome_null)
+        _set(self, "exposure_mediator_null", exposure_mediator_null)
+        _set(self, "degenerate_contrast", degenerate_contrast)
+        _set(self, "identities", identities)
 
 
 def _group_is_null(params, factor: str) -> bool:

@@ -9,6 +9,7 @@ coefficient vectors (grouped by block, excluded blocks omitted), and
 optionally: per-model covariance matrices, a default exposure contrast, named
 covariate profiles, and simulation marginals.  Fit reports embed one of these
 documents, so a report can be fed anywhere a coefficient file is accepted.
+JSON text is written and read by :mod:`ormediate.jsonio`, re-exported here.
 A marginal is a :class:`Marginal`, defined here beside the documents that
 carry it (``simulate`` re-exports it), so reading a document never loads the
 simulator.
@@ -24,16 +25,15 @@ import numbers
 import os
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass, field
 from importlib import resources
 from io import BytesIO, TextIOWrapper
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .exceptions import SchemaError
+from .jsonio import REPORT_FORMAT, load_json, save_json, write_json
 from .model import (
     BLOCK_FLAGS,
     CovariateProfile,
@@ -42,6 +42,7 @@ from .model import (
     ModelSpec,
     OutcomeParams,
 )
+from .record import ValueRecord, _set
 
 if TYPE_CHECKING:
     from .logit import FittedModel
@@ -68,7 +69,6 @@ __all__ = [
 ]
 
 COEFFICIENT_FORMAT = "ormediate-coefficients"
-REPORT_FORMAT = "ormediate-report"
 
 # rows formatted per write, so the strings in memory stay small
 _WRITE_ROWS = 8192
@@ -479,26 +479,24 @@ def _require_keys(doc: Mapping, expected: set[str], *, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Marginal:
+class Marginal(ValueRecord):
     """Sampling law for one simulated column: bernoulli(p) or uniform(low, high)."""
 
-    kind: str
-    p: float = 0.5
-    low: float = 0.0
-    high: float = 1.0
+    __slots__ = FIELDS = ("kind", "p", "low", "high")
 
-    def __post_init__(self):
-        if self.kind == "bernoulli":
-            if not 0.0 <= self.p <= 1.0:
-                raise SchemaError(f"bernoulli probability {self.p!r} outside [0, 1]")
-        elif self.kind == "uniform":
-            if not (math.isfinite(self.low) and math.isfinite(self.high)) or (
-                self.high < self.low
-            ):
-                raise SchemaError(f"bad uniform range [{self.low!r}, {self.high!r}]")
+    def __init__(self, kind: str, p: float = 0.5, low: float = 0.0, high: float = 1.0):
+        if kind == "bernoulli":
+            if not 0.0 <= p <= 1.0:
+                raise SchemaError(f"bernoulli probability {p!r} outside [0, 1]")
+        elif kind == "uniform":
+            if not (math.isfinite(low) and math.isfinite(high)) or high < low:
+                raise SchemaError(f"bad uniform range [{low!r}, {high!r}]")
         else:
-            raise SchemaError(f"unknown marginal kind {self.kind!r}")
+            raise SchemaError(f"unknown marginal kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "p", p)
+        _set(self, "low", low)
+        _set(self, "high", high)
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "bernoulli":
@@ -506,20 +504,39 @@ class Marginal:
         return rng.uniform(self.low, self.high, n)
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Parsed contents of a coefficient document."""
+class CoefficientSet(ValueRecord):
+    """Parsed contents of a coefficient document; no covariate marginals by
+    default."""
 
-    spec: ModelSpec
-    outcome: OutcomeParams
-    mediator: MediatorParams
-    outcome_vcov: np.ndarray | None = None
-    mediator_vcov: np.ndarray | None = None
-    exposure_levels: tuple[float, float] | None = None
-    profiles: tuple[tuple[str, CovariateProfile], ...] = ()
-    exposure_marginal: Marginal | None = None
-    covariate_marginals: dict[str, Marginal] = field(default_factory=dict)
-    description: str = ""
+    __slots__ = FIELDS = ("spec", "outcome", "mediator", "outcome_vcov", "mediator_vcov",
+                          "exposure_levels", "profiles", "exposure_marginal",
+                          "covariate_marginals", "description")
+
+    def __init__(
+        self,
+        spec: ModelSpec,
+        outcome: OutcomeParams,
+        mediator: MediatorParams,
+        outcome_vcov: np.ndarray | None = None,
+        mediator_vcov: np.ndarray | None = None,
+        exposure_levels: tuple[float, float] | None = None,
+        profiles: tuple[tuple[str, CovariateProfile], ...] = (),
+        exposure_marginal: Marginal | None = None,
+        covariate_marginals: dict[str, Marginal] | None = None,
+        description: str = "",
+    ):
+        _set(self, "spec", spec)
+        _set(self, "outcome", outcome)
+        _set(self, "mediator", mediator)
+        _set(self, "outcome_vcov", outcome_vcov)
+        _set(self, "mediator_vcov", mediator_vcov)
+        _set(self, "exposure_levels", exposure_levels)
+        _set(self, "profiles", profiles)
+        _set(self, "exposure_marginal", exposure_marginal)
+        if covariate_marginals is None:
+            covariate_marginals = {}
+        _set(self, "covariate_marginals", covariate_marginals)
+        _set(self, "description", description)
 
     @property
     def has_vcov(self) -> bool:
@@ -792,158 +809,8 @@ def coefficients_from_doc(doc: Mapping) -> CoefficientSet:
 
 
 # ---------------------------------------------------------------------------
-# JSON plumbing and the bundled fixtures
+# the bundled fixtures
 # ---------------------------------------------------------------------------
-
-
-_FLOAT_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_WRITE_CHUNK = 1 << 16  # characters buffered between writes to the handle
-
-
-def _json_scalar(value) -> str | None:
-    """json's spelling of a scalar, or None for a list, tuple or dict."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _FLOAT_SPELLING.get(text, text)
-    if isinstance(value, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-# _json_scalar for each exact type it meets most, in one call; float.__repr__
-# says nan, inf and -inf, which _json_scalars respells
-_SPELLERS = {
-    float: float.__repr__,
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-    **dict.fromkeys((list, tuple, dict), lambda _: None),
-}
-
-
-def _json_scalars(values) -> list:
-    """:func:`_json_scalar` of each value."""
-    texts = [_SPELLERS.get(type(v), _json_scalar)(v) for v in values]
-    if not _FLOAT_SPELLING.keys().isdisjoint(texts):
-        texts = [_FLOAT_SPELLING.get(t, t) for t in texts]
-    return texts
-
-
-def _json_head(key) -> str:
-    """A dict key, coerced to a str as json coerces it and spelled, then ": "."""
-    if not isinstance(key, str):
-        if not (isinstance(key, (float, int)) or key is None):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-            )
-        key = _json_scalar(key)
-    return encode_basestring_ascii(key) + ": "
-
-
-def _json_template(mapping: dict, newline: str, templates: dict) -> str:
-    """The text of a dict of scalars whose lines start at ``newline``, with
-    a %s for each value. Dicts with the same str keys share one template;
-    others get their own, since 1, 1.0 and True are one key spelled three ways."""
-    shape = (tuple(mapping), newline)
-    template = templates.get(shape)
-    if template is None:
-        inner = newline + "  "
-        items = [_json_head(key).replace("%", "%%") + "%s" for key in mapping]
-        template = "{" + inner + ("," + inner).join(items) + newline + "}"
-        if all(type(key) is str for key in mapping):
-            templates[shape] = template
-    return template
-
-
-def _json_blocks(container, newline: str, put, templates: dict) -> None:
-    """Pass the text of ``json.dumps(container, indent=2)`` to ``put`` in
-    blocks, for a list, tuple or dict whose lines start at ``newline`` (a
-    line break and its indent). A container that holds only scalars is one
-    block, made by one join or one template; the others put a block between
-    child containers."""
-    if not container:
-        put("{}" if isinstance(container, dict) else "[]")
-        return
-    inner = newline + "  "
-    if isinstance(container, dict):
-        children = list(container.values())
-        texts = _json_scalars(children)
-        if None not in texts:
-            put(_json_template(container, newline, templates) % tuple(texts))
-            return
-        opening, closing, heads = "{", "}", list(map(_json_head, container))
-    else:
-        children = container
-        texts = _json_scalars(children)
-        if None not in texts:
-            put("[" + inner + ("," + inner).join(texts) + newline + "]")
-            return
-        opening, closing, heads = "[", "]", itertools.repeat("")
-    sep = opening + inner
-    for head, text, child in zip(heads, texts, children):
-        if text is None:
-            put(sep + head)
-            _json_blocks(child, inner, put, templates)
-        else:
-            put(sep + head + text)
-        sep = "," + inner
-    put(newline + closing)
-
-
-def write_json(doc, handle) -> None:
-    """Write ``json.dumps(doc, indent=2) + "\\n"`` to a text handle, in
-    writes of about 64k characters."""
-    buffer: list[str] = []
-    size = 0
-
-    def put(text: str) -> None:
-        nonlocal size
-        buffer.append(text)
-        size += len(text)
-        if size >= _WRITE_CHUNK:
-            handle.write("".join(buffer))
-            buffer.clear()
-            size = 0
-
-    if isinstance(doc, (list, tuple, dict)):
-        _json_blocks(doc, "\n", put, {})
-    else:
-        buffer.append(_json_scalar(doc))
-    buffer.append("\n")
-    handle.write("".join(buffer))
-
-
-def save_json(doc: Mapping, path: str | Path) -> None:
-    try:
-        with Path(path).open("w", encoding="utf-8") as handle:
-            write_json(doc, handle)
-    except OSError as exc:
-        raise SchemaError(f"cannot write {path}: {exc}") from exc
-
-
-def load_json(path: str | Path) -> dict:
-    try:
-        with Path(path).open("r", encoding="utf-8-sig") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
-    except (ValueError, RecursionError) as exc:
-        # a JSONDecodeError, an integer beyond Python's digit limit, or
-        # nesting deeper than the recursion limit
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def bundled_fixture_names() -> tuple[str, ...]:

@@ -20,7 +20,6 @@ columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .exceptions import (
     SeparationError,
     SingularDesignError,
 )
+from .record import Record, _set
 
 __all__ = ["FittedModel", "fit", "predict_prob", "wald_table"]
 
@@ -44,21 +44,33 @@ _BLOCK_ROWS = 8192
 _SCREEN_RTOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class FittedModel:
+class FittedModel(Record):
     """A converged logistic fit.
 
     ``coefficients`` follow the design column order; ``vcov`` is the inverse
     observed information at the optimum.
     """
 
-    coefficients: np.ndarray
-    vcov: np.ndarray
-    log_likelihood: float
-    iterations: int
-    converged: bool
-    n: int
-    column_names: tuple[str, ...]
+    __slots__ = FIELDS = ("coefficients", "vcov", "log_likelihood", "iterations", "converged",
+                          "n", "column_names")
+
+    def __init__(
+        self,
+        coefficients: np.ndarray,
+        vcov: np.ndarray,
+        log_likelihood: float,
+        iterations: int,
+        converged: bool,
+        n: int,
+        column_names: tuple[str, ...],
+    ):
+        _set(self, "coefficients", coefficients)
+        _set(self, "vcov", vcov)
+        _set(self, "log_likelihood", log_likelihood)
+        _set(self, "iterations", iterations)
+        _set(self, "converged", converged)
+        _set(self, "n", n)
+        _set(self, "column_names", column_names)
 
     @property
     def standard_errors(self) -> np.ndarray:

@@ -54,13 +54,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
 from .exceptions import PredictorOverflowError, SchemaError
+from .record import Record, ValueRecord, _set
 
 __all__ = [
     "BLOCK_FLAGS",
@@ -124,8 +124,7 @@ def _clean_names(names: Sequence[str], role: str) -> tuple[str, ...]:
     return names
 
 
-@dataclass(frozen=True, eq=False)
-class Block:
+class Block(Record):
     """One coefficient block: the parameter attribute that holds it, the
     ``ModelSpec`` flag that switches it (None for the four always-present
     scalars), and whether its design column carries the x and w factors.
@@ -135,10 +134,13 @@ class Block:
     identity, so a block table hashes cheaply as a cache key.
     """
 
-    attr: str
-    flag: str | None
-    x: bool
-    w: bool
+    __slots__ = FIELDS = ("attr", "flag", "x", "w")
+
+    def __init__(self, attr: str, flag: str | None, x: bool, w: bool):
+        _set(self, "attr", attr)
+        _set(self, "flag", flag)
+        _set(self, "x", x)
+        _set(self, "w", w)
 
 
 OUTCOME_BLOCKS = (
@@ -160,34 +162,39 @@ MEDIATOR_BLOCKS = (
 BLOCK_FLAGS = tuple(b.flag for b in OUTCOME_BLOCKS + MEDIATOR_BLOCKS if b.flag)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(ValueRecord):
     """Which covariates and interaction blocks the two models carry.
 
     ``z_names`` are outcome-model covariates, ``v_names`` mediator-model
     covariates; a name may appear in both. The boolean flags switch whole
     coefficient blocks: ``z``/``xz``/``wz``/``xwz`` for the outcome model and
     ``v``/``xv`` for the mediator model. The exposure, mediator, and their
-    product term are always present in the outcome model.
+    product term are always present in the outcome model. A spec has no
+    ``__slots__``: its cached properties live in its ``__dict__``.
     """
 
-    z_names: tuple[str, ...] = ()
-    v_names: tuple[str, ...] = ()
-    z: bool = True
-    xz: bool = False
-    wz: bool = False
-    xwz: bool = False
-    v: bool = True
-    xv: bool = False
+    FIELDS = ("z_names", "v_names", "z", "xz", "wz", "xwz", "v", "xv")
 
-    def __post_init__(self):
-        object.__setattr__(self, "z_names", _clean_names(self.z_names, "outcome covariate"))
-        object.__setattr__(self, "v_names", _clean_names(self.v_names, "mediator covariate"))
-        if self.xwz and not (self.xz and self.wz):
+    def __init__(
+        self,
+        z_names: Sequence[str] = (),
+        v_names: Sequence[str] = (),
+        z: bool = True,
+        xz: bool = False,
+        wz: bool = False,
+        xwz: bool = False,
+        v: bool = True,
+        xv: bool = False,
+    ):
+        _set(self, "z_names", _clean_names(z_names, "outcome covariate"))
+        _set(self, "v_names", _clean_names(v_names, "mediator covariate"))
+        for name, flag in zip(self.FIELDS[2:], (z, xz, wz, xwz, v, xv)):
+            _set(self, name, flag)
+        if xwz and not (xz and wz):
             raise SchemaError("xwz interactions require the xz and wz blocks")
-        if (self.xz or self.wz) and not self.z:
+        if (xz or wz) and not z:
             raise SchemaError("covariate interactions require the z main-effect block")
-        if self.xv and not self.v:
+        if xv and not v:
             raise SchemaError("xv interactions require the v main-effect block")
 
     @property
@@ -268,17 +275,15 @@ def _profile_values(values: Sequence[float], role: str) -> tuple[float, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class CovariateProfile:
+class CovariateProfile(ValueRecord):
     """Fixed covariate values (z for the outcome model, v for the mediator model)
     at which conditional effects are evaluated."""
 
-    z: tuple[float, ...] = ()
-    v: tuple[float, ...] = ()
+    __slots__ = FIELDS = ("z", "v")
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", _profile_values(self.z, "z"))
-        object.__setattr__(self, "v", _profile_values(self.v, "v"))
+    def __init__(self, z: Sequence[float] = (), v: Sequence[float] = ()):
+        _set(self, "z", _profile_values(z, "z"))
+        _set(self, "v", _profile_values(v, "v"))
 
     @classmethod
     def from_named(cls, spec: ModelSpec, values: Mapping[str, float]) -> "CovariateProfile":
@@ -304,18 +309,17 @@ class CovariateProfile:
             )
 
 
-@dataclass(frozen=True)
-class Contrast:
+class Contrast(ValueRecord):
     """Exposure contrast x vs x* evaluated at a covariate profile."""
 
-    x: float
-    x_star: float
-    profile: CovariateProfile = CovariateProfile()
+    __slots__ = FIELDS = ("x", "x_star", "profile")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "x_star", float(self.x_star))
-        if not (math.isfinite(self.x) and math.isfinite(self.x_star)):
+    def __init__(self, x: float, x_star: float, profile: CovariateProfile = CovariateProfile()):
+        x, x_star = float(x), float(x_star)
+        _set(self, "x", x)
+        _set(self, "x_star", x_star)
+        _set(self, "profile", profile)
+        if not (math.isfinite(x) and math.isfinite(x_star)):
             raise SchemaError("contrast levels must be finite")
 
     @property
@@ -344,26 +348,28 @@ def _dot(coefs: np.ndarray, values: Sequence[float]) -> float:
     return float(np.dot(coefs, np.asarray(values, dtype=float)))
 
 
-@dataclass(frozen=True, eq=False)
-class _Params:
+class _Params(Record):
     """Validation, equality and vector packing shared by both parameter
-    containers, driven by the class's block table."""
+    containers, driven by the class's block table. The fields are ``spec``
+    and then the blocks, each in the subclass's ``__init__`` order."""
 
+    __slots__ = ("spec",)
     BLOCKS: ClassVar[tuple[Block, ...]]
     MODEL: ClassVar[str]
 
-    spec: ModelSpec
-
-    def __post_init__(self):
-        for b, width, included in self.spec._table(self.BLOCKS)[0]:
-            value = getattr(self, b.attr)
+    def _store(self, spec: ModelSpec, blocks: tuple) -> None:
+        """Check and store ``spec`` and the ``blocks``, given in field order."""
+        _set(self, "spec", spec)
+        values = dict(zip(self.FIELDS[1:], blocks))
+        for b, width, included in spec._table(self.BLOCKS)[0]:
+            value = values[b.attr]
             if b.flag is not None:
                 value = _block(value, width, included, b.flag)
             else:
                 value = float(value)
                 if not math.isfinite(value):
                     raise SchemaError(f"{self.MODEL} coefficient {b.attr} is not finite")
-            object.__setattr__(self, b.attr, value)
+            _set(self, b.attr, value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -393,7 +399,6 @@ class _Params:
         return cls(spec, **{b.attr: vec[sl] if b.flag else vec[sl.start] for b, sl in layout})
 
 
-@dataclass(frozen=True, eq=False)
 class OutcomeParams(_Params):
     """Coefficients of the outcome logistic model, stored block by block.
 
@@ -401,17 +406,27 @@ class OutcomeParams(_Params):
     predictors, layouts, or gradients.
     """
 
+    __slots__ = ("intercept", "exposure", "mediator", "exposure_mediator", "confounders",
+                 "exposure_confounders", "mediator_confounders", "exposure_mediator_confounders")
+    FIELDS = ("spec", *__slots__)
     BLOCKS = OUTCOME_BLOCKS
     MODEL = "outcome"
 
-    intercept: float = 0.0
-    exposure: float = 0.0
-    mediator: float = 0.0
-    exposure_mediator: float = 0.0
-    confounders: np.ndarray | None = field(default=None)
-    exposure_confounders: np.ndarray | None = field(default=None)
-    mediator_confounders: np.ndarray | None = field(default=None)
-    exposure_mediator_confounders: np.ndarray | None = field(default=None)
+    def __init__(
+        self,
+        spec: ModelSpec,
+        intercept: float = 0.0,
+        exposure: float = 0.0,
+        mediator: float = 0.0,
+        exposure_mediator: float = 0.0,
+        confounders: Sequence[float] | None = None,
+        exposure_confounders: Sequence[float] | None = None,
+        mediator_confounders: Sequence[float] | None = None,
+        exposure_mediator_confounders: Sequence[float] | None = None,
+    ):
+        self._store(spec, (intercept, exposure, mediator, exposure_mediator, confounders,
+                           exposure_confounders, mediator_confounders,
+                           exposure_mediator_confounders))
 
     def linear_predictor(self, x: float, w: float, z: Sequence[float]) -> float:
         """logit P(Y=1 | x, w, z); one fixed evaluation order everywhere so the
@@ -526,17 +541,23 @@ class _OutcomeAt(_At):
         return _checked_exp(self.mediator_log_or(x), "mediator-outcome odds ratio")
 
 
-@dataclass(frozen=True, eq=False)
 class MediatorParams(_Params):
     """Coefficients of the mediator logistic model, stored block by block."""
 
+    __slots__ = ("intercept", "exposure", "confounders", "exposure_confounders")
+    FIELDS = ("spec", *__slots__)
     BLOCKS = MEDIATOR_BLOCKS
     MODEL = "mediator"
 
-    intercept: float = 0.0
-    exposure: float = 0.0
-    confounders: np.ndarray | None = field(default=None)
-    exposure_confounders: np.ndarray | None = field(default=None)
+    def __init__(
+        self,
+        spec: ModelSpec,
+        intercept: float = 0.0,
+        exposure: float = 0.0,
+        confounders: Sequence[float] | None = None,
+        exposure_confounders: Sequence[float] | None = None,
+    ):
+        self._store(spec, (intercept, exposure, confounders, exposure_confounders))
 
     def linear_predictor(self, x: float, v: Sequence[float]) -> float:
         return _MediatorAt(self, v).eta(x)
@@ -594,33 +615,35 @@ def _binary_column(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(Record):
     """Observed columns: binary outcome y, binary mediator w, exposure x, and
-    named covariates. All columns share one row count."""
+    named covariates (none by default). All columns share one row count."""
 
-    y: np.ndarray
-    w: np.ndarray
-    x: np.ndarray
-    covariates: dict[str, np.ndarray] = field(default_factory=dict)
+    __slots__ = FIELDS = ("y", "w", "x", "covariates")
 
-    def __post_init__(self):
-        object.__setattr__(self, "y", _binary_column(self.y, "y"))
-        object.__setattr__(self, "w", _binary_column(self.w, "w"))
-        x = np.asarray(self.x, dtype=float).reshape(-1)
+    def __init__(
+        self,
+        y: Sequence[float],
+        w: Sequence[float],
+        x: Sequence[float],
+        covariates: Mapping[str, Sequence[float]] | None = None,
+    ):
+        _set(self, "y", _binary_column(y, "y"))
+        _set(self, "w", _binary_column(w, "w"))
+        x = np.asarray(x, dtype=float).reshape(-1)
         if not np.all(np.isfinite(x)):
             raise SchemaError("column 'x' contains non-finite values")
         x.setflags(write=False)
-        object.__setattr__(self, "x", x)
+        _set(self, "x", x)
         cov = {}
-        for name, values in dict(self.covariates).items():
+        for name, values in dict(covariates or {}).items():
             arr = np.asarray(values, dtype=float).reshape(-1)
             if not np.all(np.isfinite(arr)):
                 raise SchemaError(f"covariate {name!r} contains non-finite values")
             arr.setflags(write=False)
             cov[name] = arr
-        object.__setattr__(self, "covariates", cov)
-        lengths = {self.y.size, self.w.size, self.x.size} | {a.size for a in cov.values()}
+        _set(self, "covariates", cov)
+        lengths = {self.y.size, self.w.size, x.size} | {a.size for a in cov.values()}
         if len(lengths) != 1:
             raise SchemaError(f"columns have mismatched lengths {sorted(lengths)}")
 

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
 from .effects import EffectSet, _bridge_value, _check_joint_spec, _term_inputs
 from .exceptions import DegenerateProbabilityError, SchemaError
 from .model import Contrast, MediatorParams, OutcomeParams, _MediatorAt, _OutcomeAt
+from .record import Record, ValueRecord, _set
 
 __all__ = [
     "ProbabilityTables",
@@ -63,8 +63,7 @@ def _table(values, shape, name) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilityTables:
+class ProbabilityTables(Record):
     """Conditional probability tables at one contrast.
 
     Row 0 is the active exposure level x, row 1 the reference level x*;
@@ -73,17 +72,14 @@ class ProbabilityTables:
     can supply them to full precision.
     """
 
-    p_y: np.ndarray
-    p_w: np.ndarray
-    q_y: np.ndarray
-    q_w: np.ndarray
-    contrast: Contrast
+    __slots__ = FIELDS = ("p_y", "p_w", "q_y", "q_w", "contrast")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p_y", _table(self.p_y, (2, 2), "p_y"))
-        object.__setattr__(self, "q_y", _table(self.q_y, (2, 2), "q_y"))
-        object.__setattr__(self, "p_w", _table(self.p_w, (2,), "p_w"))
-        object.__setattr__(self, "q_w", _table(self.q_w, (2,), "q_w"))
+    def __init__(self, p_y, p_w, q_y, q_w, contrast: Contrast):
+        _set(self, "p_y", _table(p_y, (2, 2), "p_y"))
+        _set(self, "q_y", _table(q_y, (2, 2), "q_y"))
+        _set(self, "p_w", _table(p_w, (2,), "p_w"))
+        _set(self, "q_w", _table(q_w, (2,), "q_w"))
+        _set(self, "contrast", contrast)
         # array methods: np.min and np.max cost a dispatch each on these 2- and 4-cell tables
         for p, q, name in ((self.p_y, self.q_y, "p_y"), (self.p_w, self.q_w, "p_w")):
             if p.min() < PROB_GUARD or q.min() < PROB_GUARD:
@@ -157,14 +153,16 @@ def mediation_formula_effects(tables: ProbabilityTables) -> EffectSet:
     )
 
 
-@dataclass(frozen=True)
-class GyCheckResult:
+class GyCheckResult(ValueRecord):
     """Three independent computations of the bridge term A[x, x] for a
     no-covariate model; all must coincide."""
 
-    a_direct: float
-    a_from_g: float
-    a_from_risk_ratio: float
+    __slots__ = FIELDS = ("a_direct", "a_from_g", "a_from_risk_ratio")
+
+    def __init__(self, a_direct: float, a_from_g: float, a_from_risk_ratio: float):
+        _set(self, "a_direct", a_direct)
+        _set(self, "a_from_g", a_from_g)
+        _set(self, "a_from_risk_ratio", a_from_risk_ratio)
 
     @property
     def residual_g(self) -> float:

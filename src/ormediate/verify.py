@@ -56,7 +56,6 @@ command line and the tests exercise identical code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
@@ -70,6 +69,7 @@ from .model import Contrast, CovariateProfile, MediatorParams, ModelSpec, Outcom
 from .model import _MediatorAt, _OutcomeAt
 from .oracle import _difference_quotients, _difference_rows, g_y_check
 from .oracle import mediation_formula_effects, tables_from_params
+from .record import ValueRecord, _set
 
 __all__ = [
     "SUITE_NAMES",
@@ -141,15 +141,17 @@ def _columns(spec: ModelSpec) -> np.ndarray:
                     + [len(outcome) + mediator.index(t) for t in spec.mediator_terms()])
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(ValueRecord):
     """Outcome of one verification suite."""
 
-    name: str
-    count: int
-    tolerance: float
-    worst: float
-    passed: bool
+    __slots__ = FIELDS = ("name", "count", "tolerance", "worst", "passed")
+
+    def __init__(self, name: str, count: int, tolerance: float, worst: float, passed: bool):
+        _set(self, "name", name)
+        _set(self, "count", count)
+        _set(self, "tolerance", tolerance)
+        _set(self, "worst", worst)
+        _set(self, "passed", passed)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -159,8 +161,7 @@ class SuiteResult:
         )
 
 
-@dataclass(frozen=True)
-class _Slice:
+class _Slice(ValueRecord):
     """One slice of draws, as every suite reads it. ``problems`` are the draws
     as drawn. When a suite reads log effects, ``thetas`` (G, 18) and
     ``contrasts`` hold the ``random_problem`` draws padded to the layout of
@@ -168,10 +169,19 @@ class _Slice:
     log effects there: at theta alone (M = 1), or at theta and its
     central-difference points (rows of :func:`_difference_rows`, row 0 theta)."""
 
-    problems: list
-    thetas: np.ndarray | None = None
-    contrasts: list | None = None
-    logs: np.ndarray | None = None
+    __slots__ = FIELDS = ("problems", "thetas", "contrasts", "logs")
+
+    def __init__(
+        self,
+        problems: list,
+        thetas: np.ndarray | None = None,
+        contrasts: list | None = None,
+        logs: np.ndarray | None = None,
+    ):
+        _set(self, "problems", problems)
+        _set(self, "thetas", thetas)
+        _set(self, "contrasts", contrasts)
+        _set(self, "logs", logs)
 
 
 def _draw(rng: np.random.Generator, i: int):

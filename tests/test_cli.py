@@ -605,6 +605,20 @@ class TestCompareCommand:
                    "--grid", " , ") == 2
         assert "ERROR 2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["nan", "1e400", "-2,inf", "-inf,-4"])
+    def test_non_finite_grid_names_the_flag(self, tmp_path, capsys, grid):
+        out = tmp_path / "cmp.json"
+        assert run("compare", "--coef-file", "microcredit_table1", f"--grid={grid}",
+                   "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 2: --grid") and "not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["nan", "a,b"])
+    def test_grid_is_checked_before_the_coefficient_file(self, tmp_path, capsys, grid):
+        assert run("compare", "--coef-file", tmp_path / "missing.json", "--grid", grid) == 2
+        assert capsys.readouterr().err.startswith("ERROR 2: --grid")
+
 
 class TestVerifyCommand:
     def test_zero_count_trivially_passes(self, capsys):

@@ -12,6 +12,7 @@ import pytest
 
 import ormediate
 from helpers import child_env
+from ormediate.cli import main
 
 EXPORTS = {
     "Contrast", "ConvergenceError", "CovarianceError", "CovariateProfile",
@@ -93,8 +94,8 @@ def test_module_imports_on_its_own(module):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_the_package_has_twelve_modules():
-    assert len(MODULES) == 12
+def test_the_package_has_fourteen_modules():
+    assert len(MODULES) == 14
 
 
 class TestCommandImports:
@@ -115,6 +116,28 @@ class TestCommandImports:
         assert "ormediate.effects" in loaded
         assert changed  # a command sets OPENBLAS_NUM_THREADS
         assert not loaded & {"ormediate.oracle", "ormediate.verify", "ormediate.simulate"}
+
+    def test_verify_loads_no_io_fitting_csv_or_dataclasses(self):
+        loaded, _ = _loaded("verify", "--count", 20)
+        assert "ormediate.verify" in loaded
+        assert not loaded & {"ormediate.io", "ormediate.logit", "csv", "dataclasses"}
+
+    @pytest.mark.parametrize("command", ["effects", "fit", "simulate", "compare"])
+    def test_no_command_loads_dataclasses(self, tmp_path, command):
+        csv = tmp_path / "sim.csv"
+        module, argv = {
+            "effects": ("effects", ["--coef-file", "microcredit_table1"]),
+            "fit": ("logit", ["--input", csv, "--z", "age,edu,loans"]),
+            "simulate": ("simulate", ["--coef-file", "microcredit_table1", "--n", 10,
+                                      "--output", tmp_path / "out.csv"]),
+            "compare": ("effects", ["--coef-file", "microcredit_table1"]),
+        }[command]
+        if command == "fit":
+            assert main(["simulate", "--coef-file", "microcredit_table1", "--n", "500",
+                         "--output", str(csv)]) == 0
+        loaded, _ = _loaded(command, *argv)
+        assert f"ormediate.{module}" in loaded
+        assert "dataclasses" not in loaded
 
     def test_simulate_loads_no_inference(self, tmp_path):
         loaded, _ = _loaded("simulate", "--coef-file", "microcredit_table1", "--n", 10,

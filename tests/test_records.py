@@ -2,8 +2,10 @@
 order, keyword and positional construction, no assignment, and equality and
 hashing only where a record compares by value."""
 
+import copy
 import functools
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -217,4 +219,12 @@ def test_defaults():
     assert Dataset(y=[0, 1], w=[1, 0], x=[0.0, 1.0]).covariates == {}
     coef = CoefficientSet(spec, outcome, MediatorParams(spec))
     assert _values(coef)[3:] == [None, None, None, (), None, {}, ""]
-    assert Dataset(y=[1], w=[1], x=[1.0]).covariates is not Dataset(y=[1], w=[1], x=[1.0]).covariates
+    one, two = (Dataset(y=[1], w=[1], x=[1.0]) for _ in range(2))
+    assert one.covariates is not two.covariates
+
+
+def test_copy_and_pickle_rebuild_an_equal_record(record):
+    for again in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(again) is type(record)
+        assert all(_same(a, b) for a, b in zip(_values(again), _values(record)))
