@@ -279,16 +279,8 @@ def _summarise(name: str, log_est: float, var_log: float, zq: float,
         p = two_sided_p(zstat)
     else:
         p = 1.0 if log_est == 0.0 else 0.0
-    return EffectInference(
-        name=name,
-        log_estimate=log_est,
-        or_estimate=or_est,
-        se_log=se_log,
-        se_or=or_est * se_log,
-        ci_lower=ci_lower,
-        ci_upper=ci_upper,
-        p_value=p,
-    )
+    # positional: binding eight keywords costs a third of the construction
+    return EffectInference(name, log_est, or_est, se_log, or_est * se_log, ci_lower, ci_upper, p)
 
 
 def _fitted_params(spec: ModelSpec, outcome_fit: FittedModel, mediator_fit: FittedModel):
