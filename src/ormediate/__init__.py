@@ -6,6 +6,7 @@ defines it. So ``import ormediate.cli`` and ``ormediate --help`` load no
 numeric code; each command imports only the modules it runs.
 """
 
+import os
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -75,3 +76,12 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, which `taskset`
+    and a cgroup cpuset narrow, or the CPU count where there is no mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1

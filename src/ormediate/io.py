@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from . import _usable_cpus
 from .exceptions import SchemaError
 from .jsonio import REPORT_FORMAT, load_json, save_json, write_json
 from .model import (
@@ -292,11 +293,7 @@ def _range_count(rows: int) -> int:
     _MIN_RANGE_ROWS rows each, and one where there is no fork."""
     if not hasattr(os, "fork"):
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, rows // _MIN_RANGE_ROWS))
+    return max(1, min(_usable_cpus(), rows // _MIN_RANGE_ROWS))
 
 
 def _row_ranges(n: int, count: int) -> list[tuple[int, int]]:

@@ -6,8 +6,11 @@ the log-likelihood is non-decreasing. Each candidate costs one pass over the
 design: blocks of ``_BLOCK_ROWS`` rows are read once, and each block adds its
 share of the log-likelihood, score and information while it is in cache, so
 an accepted candidate brings the next score and information with it and no
-temporary grows with n. Convergence requires both a small score
-(max |score| < 1e-8) and a small relative log-likelihood change (< 1e-10).
+temporary grows with n. The blocks of a large design are shared out among
+threads, one per usable CPU, and their shares are added in block order, so
+the bits do not depend on how many threads there are. Convergence requires
+both a small score (max |score| < 1e-8) and a small relative log-likelihood
+change (< 1e-10).
 
 Rank-deficient designs and quasi-separated responses raise immediately rather
 than returning garbage coefficients, and so does a column large enough to
@@ -20,9 +23,12 @@ columns.
 from __future__ import annotations
 
 import math
+import threading
+from contextvars import copy_context
 
 import numpy as np
 
+from . import _usable_cpus
 from .exceptions import (
     ConvergenceError,
     NumericalError,
@@ -40,6 +46,7 @@ _LOGLIK_REL_TOL = 1e-10
 _MAX_HALVINGS = 10
 _SEPARATION_BOUND = 15.0
 _BLOCK_ROWS = 8192
+_WORKER_BLOCKS = 4  # the fewest blocks a thread of its own takes
 # eigenvalue ratio of X'X above which the design is full rank without an SVD
 _SCREEN_RTOL = 1e-8
 
@@ -121,21 +128,82 @@ def _evaluate(
     one pass over blocks of ``_BLOCK_ROWS`` rows.
 
     Each block's predictor, probabilities and weighted rows are formed while
-    the block is in cache, and its partial sums are added in block order, so
-    no n-length temporary is made and a repeat call is bit-identical.
+    the block is in cache, so no n-length temporary is made. The blocks are
+    cut into one contiguous range per usable CPU, with at least
+    ``_WORKER_BLOCKS`` blocks in each; the caller's thread takes the first
+    range and a thread of its own each other one, run in a copy of the
+    caller's context (so under its ``np.errstate``). numpy releases the GIL
+    in its ufuncs and in BLAS, so the ranges run at once. The caller then
+    adds the partial sums in block order, so the result does not depend on
+    the number of threads and a repeat call is bit-identical. Every thread
+    has ended when this returns, and an exception raised in a block is
+    raised here, the first in block order.
     """
     n, k = X.shape
+    starts = range(0, n, _BLOCK_ROWS)
+    count = max(1, min(_usable_cpus(), len(starts) // _WORKER_BLOCKS))
+    ranges = [starts[len(starts) * i // count : len(starts) * (i + 1) // count]
+              for i in range(count)]
+    partials: list = [None] * count
+
+    def work(i: int) -> None:
+        try:
+            partials[i] = [_block_sums(X, y, beta, start) for start in ranges[i]]
+        except BaseException as exc:  # raised by the caller, in block order
+            partials[i] = exc
+
+    own, threads = [0], []
+    try:
+        for i in range(1, count):
+            thread = threading.Thread(target=copy_context().run, args=(work, i))
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had: the caller takes the range
+                own.append(i)
+            else:
+                threads.append(thread)
+        for i in own:
+            work(i)
+    finally:
+        for thread in threads:
+            thread.join()
     ll, score, info = 0.0, np.zeros(k), np.zeros((k, k))
-    for start in range(0, n, _BLOCK_ROWS):
-        xb, yb = X[start : start + _BLOCK_ROWS], y[start : start + _BLOCK_ROWS]
-        eta = xb @ beta
-        # log(1 + e^eta) in np.logaddexp(0, eta)'s stable form, but several
-        # times faster: numpy vectorises exp and log1p, not logaddexp
-        ll += float(yb @ eta - (np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))).sum())
-        mu = 0.5 * (1.0 + np.tanh(0.5 * eta))
-        score += xb.T @ (yb - mu)
-        info += (xb * (mu * (1.0 - mu))[:, None]).T @ xb
+    for part in partials:
+        if isinstance(part, BaseException):
+            raise part
+        for block_ll, block_score, block_info in part:
+            ll += block_ll
+            score += block_score
+            info += block_info
     return ll, score, info
+
+
+def _block_sums(
+    X: np.ndarray, y: np.ndarray, beta: np.ndarray, start: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The log-likelihood, score and information of the block at row
+    ``start``. Two work vectors are reused in place, which rounds as the
+    plain expressions ``yb @ eta - (max(eta, 0) + log1p(exp(-|eta|))).sum()``,
+    ``mu = 0.5 * (1 + tanh(0.5 * eta))``, ``xb.T @ (yb - mu)`` and
+    ``(xb * (mu * (1 - mu))[:, None]).T @ xb`` do, with fewer numpy calls:
+    each call releases and retakes the GIL that the threads share."""
+    xb, yb = X[start : start + _BLOCK_ROWS], y[start : start + _BLOCK_ROWS]
+    eta = xb @ beta
+    # log(1 + e^eta) in np.logaddexp(0, eta)'s stable form, but several
+    # times faster: numpy vectorises exp and log1p, not logaddexp
+    tmp = np.copysign(eta, -1.0)
+    np.log1p(np.exp(tmp, out=tmp), out=tmp)
+    acc = np.maximum(eta, 0.0)
+    acc += tmp
+    ll = float(yb @ eta) - float(acc.sum())
+    mu = np.multiply(eta, 0.5, out=tmp)
+    np.tanh(mu, out=mu)
+    mu += 1.0
+    mu *= 0.5
+    score = xb.T @ np.subtract(yb, mu, out=acc)
+    weight = np.subtract(1.0, mu, out=acc)
+    weight *= mu
+    return ll, score, (xb * weight[:, None]).T @ xb
 
 
 def fit(
@@ -158,13 +226,17 @@ def fit(
     order. The design is read once per step-halving candidate and is not
     copied when it is already a C-contiguous float array; the rank check
     reads the information at zero and falls back to an SVD of the design only
-    when that leaves doubt.
+    when that leaves doubt. A pass over a large design runs on one thread per
+    usable CPU (``taskset`` narrows them), and the result is the same bits
+    whatever their number.
     """
     X = np.ascontiguousarray(design, dtype=float)
     y = np.ascontiguousarray(response, dtype=float).reshape(-1)
     if X.ndim != 2:
         raise SchemaError(f"design must be 2-d, got shape {X.shape}")
     n, k = X.shape
+    if k == 0:
+        raise SchemaError("design has no columns")
     if y.size != n:
         raise SchemaError(f"response length {y.size} does not match {n} design rows")
     if not np.all(np.isfinite(X)):

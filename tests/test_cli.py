@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from ormediate import (
 from ormediate import cli, delta
 from ormediate.cli import main
 from ormediate.delta import infer_many
+from ormediate.effects import EFFECT_ORDER
 from ormediate.io import (
     coefficients_to_doc, load_coefficients, load_json, read_table, save_json, write_table,
 )
+from ormediate.logit import _BLOCK_ROWS, _WORKER_BLOCKS
 from ormediate.verify import run_suite
 from helpers import child_env, microcredit_params
 
@@ -189,6 +192,22 @@ class TestFitCommand:
         truth = natural_effects(outcome, mediator, Contrast(1.0, 0.0, profile))
         assert abs(te["log"] - truth.log_values()[4]) < 4.0 * te["se_log"]
 
+    def test_reported_p_values_and_intervals_follow_from_log_and_se(self, sim_csv, tmp_path):
+        # each p-value is erfc(|log / se| / sqrt 2), each interval exp(log -+ z se)
+        out = tmp_path / "fit.json"
+        assert run("fit", "--input", sim_csv, "--z", "age,edu,loans", "--x", 2,
+                   "--x-star", -0.5, "--level", 0.9, "--output", out) == 0
+        zq = NormalDist().inv_cdf(0.95)
+        entries = [e for table in load_json(out)["effects"] for e in table["effects"]]
+        assert [e["name"] for e in entries] == [*EFFECT_ORDER, "cde0", "cde1"]
+        for e in entries:
+            log, se = e["log"], e["se_log"]
+            assert se > 0.0
+            assert e["p_value"] == pytest.approx(math.erfc(abs(log / se) / math.sqrt(2.0)),
+                                                 rel=1e-12), e["name"]
+            assert e["ci_lower"] == pytest.approx(math.exp(log - zq * se), rel=1e-12)
+            assert e["ci_upper"] == pytest.approx(math.exp(log + zq * se), rel=1e-12)
+
     def test_byte_order_mark_is_accepted(self, sim_csv, tmp_path):
         """A CSV that starts with a UTF-8 byte-order mark, as spreadsheet
         programs write it, gives the report of the same file without it."""
@@ -341,6 +360,21 @@ class TestFileErrors:
         # naming the column, and no warning on stderr
         cols = read_table(sim_csv)
         cols["age"][0] = 1e308
+        write_table(tmp_path / "big.csv", cols)
+        line = self._error_line("fit", "--input", tmp_path / "big.csv", "--z", "age,edu,loans",
+                                code=4)
+        assert line == ("ERROR 4: the information matrix overflows: column 'age' reaches "
+                        "|value| 1e+308; rescale it")
+
+    def test_overflowing_information_in_the_last_block(self, tmp_path):
+        # the same in the last row of a table whose pass runs on up to three
+        # threads: a worker ignores the overflow as the caller does
+        path = tmp_path / "sim.csv"
+        rows = 3 * _WORKER_BLOCKS * _BLOCK_ROWS + 1
+        assert run("simulate", "--coef-file", "microcredit_table1", "--n", rows,
+                   "--seed", 11, "--output", path) == 0
+        cols = read_table(path)
+        cols["age"][-1] = 1e308
         write_table(tmp_path / "big.csv", cols)
         line = self._error_line("fit", "--input", tmp_path / "big.csv", "--z", "age,edu,loans",
                                 code=4)

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from ormediate import (
     simulate_dataset,
 )
 from ormediate.delta import a_term_key_derivatives, grad_a_term
-from ormediate.effects import a_term, a_term_inputs
+from ormediate.effects import _log_cde_at, a_term, a_term_inputs
+from ormediate.model import _OutcomeAt
 from ormediate.oracle import finite_diff
 from helpers import microcredit_params, random_problem
 
@@ -307,3 +309,51 @@ class TestInfer:
         hi = self._with_level(spec, 0.99)
         te_lo, te_hi = lo.by_name()["te"], hi.by_name()["te"]
         assert te_hi.ci_upper - te_hi.ci_lower > te_lo.ci_upper - te_lo.ci_lower
+
+
+class TestReportedValues:
+    """Each p-value, interval and CDE standard error of an inference,
+    recomputed from its definition at contrasts of several widths."""
+
+    SPEC = ModelSpec(z_names=("a", "b"), v_names=("c",), xz=True, wz=True, xwz=True, xv=True)
+    PROFILE = CovariateProfile(z=(0.4, -1.2), v=(0.7,))
+
+    def _fits(self):
+        spec, rng = self.SPEC, np.random.default_rng(41)
+        fits = []
+        for params, k in ((OutcomeParams, spec.n_outcome_coefs),
+                          (MediatorParams, spec.n_mediator_coefs)):
+            root = rng.normal(size=(k, k)) * 0.05
+            fits.append(FittedModel(
+                coefficients=0.4 * rng.normal(size=k), vcov=root @ root.T + 1e-3 * np.eye(k),
+                log_likelihood=0.0, iterations=0, converged=True, n=10,
+                column_names=spec.terms(params.BLOCKS),
+            ))
+        return fits
+
+    @pytest.mark.parametrize("x, x_star", [(1.0, 0.0), (2.0, 0.0), (-0.5, 0.5), (1.0, 0.5)])
+    def test_p_values_and_intervals_follow_from_log_and_se(self, x, x_star):
+        fy, fw = self._fits()
+        res = infer(self.SPEC, fy, fw, Contrast(x, x_star, self.PROFILE), level=0.9)
+        zq = NormalDist().inv_cdf(0.95)
+        for e in res.effects + res.cde:
+            assert e.se_log > 0.0 and e.se_log != 1.0
+            assert e.p_value == pytest.approx(
+                math.erfc(abs(e.log_estimate / e.se_log) / math.sqrt(2.0)), rel=1e-12), e.name
+            assert e.ci_lower == pytest.approx(math.exp(e.log_estimate - zq * e.se_log),
+                                               rel=1e-12)
+            assert e.ci_upper == pytest.approx(math.exp(e.log_estimate + zq * e.se_log),
+                                               rel=1e-12)
+
+    @pytest.mark.parametrize("x, x_star", [(2.0, 0.0), (-0.5, 0.5), (1.0, 0.5)])
+    def test_cde_standard_errors_match_a_finite_difference_gradient(self, x, x_star):
+        fy, fw = self._fits()
+        spec, delta = self.SPEC, x - x_star
+        res = infer(spec, fy, fw, Contrast(x, x_star, self.PROFILE))
+        for w, cde in enumerate(res.cde):
+            def log_cde(theta, w=w):
+                oy = _OutcomeAt(OutcomeParams.from_vector(spec, theta), self.PROFILE.z)
+                return _log_cde_at(oy, delta)[w]
+
+            grad = finite_diff(log_cde, fy.coefficients)
+            assert cde.se_log == pytest.approx(math.sqrt(grad @ fy.vcov @ grad), rel=1e-6)

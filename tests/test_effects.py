@@ -242,6 +242,25 @@ class TestApproxEffects:
         gaps = np.abs(np.array(exact.log_values()) - np.array(approx.log_values()))
         assert np.all(gaps < 0.02)
 
+    @pytest.mark.parametrize("x, x_star", [(2.0, 0.0), (-0.5, 0.5), (1.5, 1.0)])
+    def test_rare_outcome_gap_small_at_any_contrast_width(self, x, x_star):
+        # the approximation is the rare-outcome limit of the exact effects
+        # whatever x - x*; the direct effects carry (bx + bxz'z)(x - x*)
+        spec = ModelSpec(z_names=("a",), xz=True)
+        rare = OutcomeParams(spec, intercept=-14.0, exposure=1.2, mediator=0.7,
+                             exposure_mediator=0.3, confounders=(0.2,),
+                             exposure_confounders=(-0.4,))
+        mediator = MediatorParams(spec, intercept=0.1, exposure=0.6)
+        contrast = Contrast(x, x_star, CovariateProfile(z=(0.8,)))
+        exact = natural_effects(rare, mediator, contrast)
+        approx = approx_effects(rare, mediator, contrast)
+        assert np.max(np.abs(np.subtract(exact.log_values(), approx.log_values()))) < 1e-4
+        ew_xs = math.exp(0.1 + 0.6 * x_star)
+        k_x, k_xs = math.exp(0.7 + 0.3 * x), math.exp(0.7 + 0.3 * x_star)
+        assert approx.log_pnde == pytest.approx(
+            (1.2 - 0.4 * 0.8) * (x - x_star) + math.log((1 + k_x * ew_xs) / (1 + k_xs * ew_xs)),
+            rel=1e-12)
+
     def test_common_outcome_gap_visible(self):
         # at the published coefficients the outcome is common, the
         # approximation is biased, and the exact direct effects differ

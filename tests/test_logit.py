@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,14 @@ from ormediate import (
     wald_table,
 )
 from ormediate import logit
-from ormediate.logit import _BLOCK_ROWS, _RANK_RTOL, _evaluate, _two_sided_p, _wald_quantile
+from ormediate.logit import (
+    _BLOCK_ROWS,
+    _RANK_RTOL,
+    _WORKER_BLOCKS,
+    _evaluate,
+    _two_sided_p,
+    _wald_quantile,
+)
 from ormediate.oracle import finite_diff
 
 
@@ -111,6 +120,11 @@ class TestFit:
         with pytest.raises(SchemaError):
             fit(np.array([[1.0, np.nan]]), np.array([1.0]))
 
+    def test_design_with_no_columns_is_a_schema_error(self, monkeypatch):
+        monkeypatch.setattr(logit, "_evaluate", lambda *a: pytest.fail("a pass ran"))
+        with pytest.raises(SchemaError, match="no columns"):
+            fit(np.zeros((3, 0)), [0.0, 1.0, 0.0])
+
 
 class TestKernel:
     @pytest.mark.parametrize("seed", range(5))
@@ -172,6 +186,125 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak < X.nbytes / 4
+
+
+class TestThreadedPass:
+    """A pass shares its blocks out among one thread per usable CPU, and the
+    bits never depend on how many there are."""
+
+    @staticmethod
+    def _problem():
+        # three threads' worth of blocks, and a short last block
+        rng = np.random.default_rng(29)
+        n = 3 * _WORKER_BLOCKS * _BLOCK_ROWS + 2 * _BLOCK_ROWS + 101
+        X, y = _sim_design(rng, n, [-0.4, 0.6, -0.3, 0.2, 0.5])
+        return X, y
+
+    @staticmethod
+    def _threads_seen(monkeypatch, cpus: int) -> dict:
+        """Sets the usable CPUs to `cpus` and returns a map, filled as passes
+        run, from each thread that computed a block to the block starts."""
+        monkeypatch.setattr(logit, "_usable_cpus", lambda: cpus)
+        seen: dict[threading.Thread, list[int]] = {}
+        block_sums = logit._block_sums
+
+        def recording(X, y, beta, start):
+            seen.setdefault(threading.current_thread(), []).append(start)
+            return block_sums(X, y, beta, start)
+
+        monkeypatch.setattr(logit, "_block_sums", recording)
+        return seen
+
+    def test_the_thread_count_does_not_change_the_bits(self, monkeypatch):
+        X, y = self._problem()
+        beta = np.array([-0.2, 0.5, -0.1, 0.3, 0.4])
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads trade the GIL as often as they can
+        try:
+            for cpus in (1, 2, 3):
+                seen = self._threads_seen(monkeypatch, cpus)
+                ll, score, info = _evaluate(X, y, beta)
+                assert len(seen) == cpus
+                # each thread takes a contiguous range of blocks, the caller the first
+                ranges = sorted(seen.values())
+                assert seen[threading.current_thread()] == ranges[0]
+                assert [s for r in ranges for s in r] == list(range(0, len(y), _BLOCK_ROWS))
+                model = fit(X, y)
+                results.append((repr(ll), score.tobytes(), info.tobytes(),
+                                model.coefficients.tobytes(), model.vcov.tobytes(),
+                                repr(model.log_likelihood), model.iterations))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+
+    def test_a_thread_takes_at_least_its_share_of_blocks(self, monkeypatch):
+        X, y = self._problem()
+        rows = (2 * _WORKER_BLOCKS - 1) * _BLOCK_ROWS  # one block short of two threads
+        seen = self._threads_seen(monkeypatch, 8)
+        _evaluate(X[:rows], y[:rows], np.zeros(5))
+        assert list(seen) == [threading.current_thread()]
+        seen = self._threads_seen(monkeypatch, 8)
+        _evaluate(X[: rows + 1], y[: rows + 1], np.zeros(5))
+        assert len(seen) == 2
+
+    def test_no_thread_outlives_a_fit(self, monkeypatch):
+        X, y = self._problem()
+        before = threading.active_count()
+        seen = self._threads_seen(monkeypatch, 3)
+        model = fit(X, y)
+        # the caller, and two threads of their own for each pass
+        assert len(seen) == 1 + 2 * (model.iterations + 1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_overflow_in_the_last_block_raises_without_a_warning(self, monkeypatch, cpus):
+        # the pass at beta = 0 runs under np.errstate(over="ignore"); a worker
+        # thread runs in the caller's context, so it ignores the overflow too
+        # (pytest makes a RuntimeWarning an error, which would surface here)
+        X, y = self._problem()
+        X[-1, 2] = -1e308
+        seen = self._threads_seen(monkeypatch, cpus)
+        with pytest.raises(NumericalError, match=r"column 'age' reaches \|value\| 1e\+308"):
+            fit(X, y, column_names=("const", "z", "age", "edu", "loans"))
+        last = (len(y) - 1) // _BLOCK_ROWS * _BLOCK_ROWS
+        assert last not in seen[threading.current_thread()]
+
+    def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
+        X, y = self._problem()
+        seen = self._threads_seen(monkeypatch, 3)
+        failure = ZeroDivisionError("in the last block")
+        last = (len(y) - 1) // _BLOCK_ROWS * _BLOCK_ROWS
+        block_sums = logit._block_sums
+
+        def failing(X, y, beta, start):
+            if start == last:
+                raise failure
+            return block_sums(X, y, beta, start)
+
+        monkeypatch.setattr(logit, "_block_sums", failing)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError) as err:
+            _evaluate(X, y, np.zeros(5))
+        assert err.value is failure
+        assert len(seen) == 3
+        assert threading.active_count() == before
+
+    def test_the_caller_takes_a_range_whose_thread_cannot_start(self, monkeypatch):
+        X, y = self._problem()
+        beta = np.array([0.1, -0.2, 0.3, -0.4, 0.5])
+        monkeypatch.setattr(logit, "_usable_cpus", lambda: 3)
+        threaded = _evaluate(X, y, beta)
+
+        def refuse(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        seen = self._threads_seen(monkeypatch, 3)
+        ll, score, info = _evaluate(X, y, beta)
+        assert list(seen) == [threading.current_thread()]
+        assert (ll, score.tobytes(), info.tobytes()) == (
+            threaded[0], threaded[1].tobytes(), threaded[2].tobytes())
 
 
 class TestRankScreen:
