@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 # the exported names of each submodule
 _EXPORTS = {
-    "delta": ("EffectInference", "InferenceResult", "infer", "infer_many", "jacobian_log_effects"),
+    "delta": ("EffectInference", "InferenceResult", "infer", "infer_many"),
     "effects": (
         "EFFECT_ORDER",
         "EffectSet",
@@ -21,6 +21,7 @@ _EXPORTS = {
         "a_term",
         "a_term_inputs",
         "approx_effects",
+        "jacobian_log_effects",
         "natural_effects",
         "special_case_report",
     ),

@@ -1,21 +1,11 @@
 """Delta-method inference for the log odds-ratio mediation effects.
 
 The five log effects are smooth functions of the stacked coefficient vector
-theta = (outcome coefficients, mediator coefficients). Writing A for a bridge
-term (see :mod:`ormediate.effects`), A depends on theta only through three
-predictors, so three key derivatives determine its whole gradient:
-
-    d_b0 = dA/d(intercept)   for the outcome blocks without a w factor
-    d_bw = dA/d(mediator)    for the outcome blocks with a w factor
-    d_g0 = dA/d(g intercept) for every mediator block
-
-Each block of the model tables (``model.OUTCOME_BLOCKS``, ``MEDIATOR_BLOCKS``)
-enters its predictor linearly, so one rule gives every entry: the key
-derivative, times the exposure level if the block carries an x factor, times
-the covariate value for a covariate block. Stacking the four bridge gradients
-into rows for (log PNDE, log TNIE, log TNDE, log PNIE, log TE) and
-sandwiching the block-diagonal coefficient covariance gives the covariance of
-the log effects; the odds-ratio scale follows by scaling with the estimates.
+theta = (outcome coefficients, mediator coefficients). Their Jacobian is
+built in :mod:`ormediate.effects`, beside the values it differentiates.
+Sandwiching the block-diagonal coefficient covariance with it gives the
+covariance of the log effects; the odds-ratio scale follows by scaling with
+the estimates.
 
 Confidence intervals are computed on the log scale and exponentiated, so they
 are always positive and respect the reciprocal symmetry of odds ratios.
@@ -38,26 +28,14 @@ from .effects import (
     EFFECT_ORDER,
     EffectSet,
     _at_contrasts,
-    _bridge_inputs,
-    _bridge_value,
-    _check_joint_spec,
+    _exposure_gradient,
     _log_cde_at,
     _log_effects,
-    a_term_inputs,
+    _log_jacobian,
 )
 from .exceptions import CovarianceError, MediationError, NumericalError, SchemaError
-from .model import (
-    MEDIATOR_BLOCKS,
-    OUTCOME_BLOCKS,
-    Contrast,
-    CovariateProfile,
-    MediatorParams,
-    ModelSpec,
-    OutcomeParams,
-    _MediatorAt,
-    _OutcomeAt,
-)
-from .record import Record, ValueRecord, _set
+from .model import Contrast, MediatorParams, ModelSpec, OutcomeParams
+from .record import Record, ValueRecord
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -66,9 +44,6 @@ if TYPE_CHECKING:
 __all__ = [
     "EffectInference",
     "InferenceResult",
-    "a_term_key_derivatives",
-    "grad_a_term",
-    "jacobian_log_effects",
     "infer",
     "infer_many",
 ]
@@ -77,143 +52,11 @@ __all__ = [
 _VAR_TOL = 1e-12
 
 
-def a_term_key_derivatives(k, p2, p3, p4):
-    """(d_b0, d_bw, d_g0): the three independent partials of one bridge term
-    with inputs (k, p2, p3, p4), of floats or of columns.
-
-    At k = 1 both d_b0 and d_g0 vanish identically (the numerators are the
-    same products commuted), which is what makes null-mediator models give
-    exactly zero indirect-effect gradients outside the mediator coefficients.
-    """
-    s = p2 * p3 + p4
-    num = k * p2 * p3 + p4
-    d_b0 = ((k * p2 * (p3 - 1.0) + (p4 - 1.0)) * s - num * (p2 * (p3 - 1.0) + (p4 - 1.0))) / (
-        s * s
-    )
-    d_bw = ((k * p2 * p3 + (p4 - 1.0)) * s - num * (p4 - 1.0)) / (s * s)
-    d_g0 = ((k * p2 * p3) * s - num * (p2 * p3)) / (s * s)
-    return d_b0, d_bw, d_g0
-
-
-def grad_a_term(
-    outcome: OutcomeParams,
-    mediator: MediatorParams,
-    x_outcome: float,
-    x_mediator: float,
-    profile: CovariateProfile,
-) -> np.ndarray:
-    """Gradient of A[x_outcome, x_mediator | profile] over the stacked active
-    coefficient vector (outcome layout first, then mediator layout)."""
-    inputs = a_term_inputs(outcome, mediator, x_outcome, x_mediator, profile)
-    return _bridge_gradient(outcome.spec, inputs, x_outcome, x_mediator, profile.z, profile.v)
-
-
-def _bridge_gradient(spec: ModelSpec, inputs: tuple, x_outcome, x_mediator, z, v) -> np.ndarray:
-    """:func:`grad_a_term` for bridge-term inputs (k, p2, p3, p4) already
-    evaluated: each entry is (d·x)·c_j, the block's key derivative d, times its
-    model's exposure level if it has an x factor, times each covariate value
-    c_j. Floats give shape (dim,); a batch of N columns, with z and v of shape
-    (p, N) and (q, N), gives (dim, N)."""
-    d_b0, d_bw, d_g0 = a_term_key_derivatives(*inputs)
-    grad = []
-    for blocks, keys, x, c in (
-        (OUTCOME_BLOCKS, (d_b0, d_bw), x_outcome, z),
-        (MEDIATOR_BLOCKS, (d_g0,), x_mediator, v),
-    ):
-        for b, _ in spec.layout(blocks):
-            d = keys[b.w] * x if b.x else keys[b.w]
-            if b.flag is None:
-                grad.append(d)
-            else:
-                grad += [d * cj for cj in c]
-    return np.array(grad)
-
-
-def _exposure_gradient(spec: ModelSpec, delta, z, dim: int, w: float | None = None) -> np.ndarray:
-    """Gradient of an exposure log odds ratio times D = x - x*, over the
-    first ``dim`` coefficients: the prefactor (bx + bxz'z) D when w is None,
-    log CDE(w) = (bx + bxw w + bxz'z + bxwz' w z) D otherwise. Each x block
-    gets (w·c_j)·D, or c_j·D without a w factor. The prefactor leaves its w
-    blocks at +0.0 rather than setting them to 0.0·D, which is -0.0 if D < 0.
-    A batch passes z of shape (p, N) and D of shape (N,) and gets (dim, N)."""
-    z = np.asarray(z)
-    g = np.zeros((dim,) + z.shape[1:])
-    for b, sl in spec.layout(OUTCOME_BLOCKS):
-        if b.x and (w is not None or not b.w):
-            c = z if b.flag else 1.0
-            g[sl] = (w * c if b.w else c) * delta
-    return g
-
-
-def _log_jacobian(spec: ModelSpec, oy: _OutcomeAt, mw: _MediatorAt, x, xs, delta, z, v):
-    """Jacobian of the five log effects, (5, dim), or (5, dim, N) for a batch
-    of N profiles; see :func:`jacobian_log_effects`."""
-
-    def dlog(inputs, x1, x2):
-        return _bridge_gradient(spec, inputs, x1, x2, z, v) / _bridge_value(*inputs)
-
-    in_xx, in_xxs, in_xsx, in_xsxs = _bridge_inputs(oy, mw, x, xs)
-    l_xx = dlog(in_xx, x, x)
-    l_xxs = dlog(in_xxs, x, xs)
-    l_xsx = dlog(in_xsx, xs, x)
-    l_xsxs = dlog(in_xsxs, xs, xs)
-    d1 = _exposure_gradient(spec, delta, z, l_xx.shape[0])
-    return np.stack(
-        [
-            d1 + (l_xxs - l_xsxs),  # log PNDE
-            l_xx - l_xxs,  # log TNIE
-            d1 + (l_xx - l_xsx),  # log TNDE
-            l_xsx - l_xsxs,  # log PNIE
-            d1 + (l_xx - l_xsxs),  # log TE
-        ]
-    )
-
-
-def jacobian_log_effects(
-    outcome: OutcomeParams, mediator: MediatorParams, contrast: Contrast
-) -> np.ndarray:
-    """5 x dim(theta) Jacobian of (log PNDE, log TNIE, log TNDE, log PNIE,
-    log TE); by construction row_te = row_pnde + row_tnie = row_tnde + row_pnie
-    up to roundoff."""
-    prof = contrast.profile
-    _check_joint_spec(outcome, mediator, prof)
-    return _log_jacobian(
-        outcome.spec,
-        _OutcomeAt(outcome, prof.z),
-        _MediatorAt(mediator, prof.v),
-        contrast.x,
-        contrast.x_star,
-        contrast.delta,
-        prof.z,
-        prof.v,
-    )
-
-
 class EffectInference(ValueRecord):
     """One effect with its delta-method uncertainty, on both scales."""
 
     __slots__ = FIELDS = ("name", "log_estimate", "or_estimate", "se_log", "se_or",
                           "ci_lower", "ci_upper", "p_value")
-
-    def __init__(
-        self,
-        name: str,
-        log_estimate: float,
-        or_estimate: float,
-        se_log: float,
-        se_or: float,
-        ci_lower: float,
-        ci_upper: float,
-        p_value: float,
-    ):
-        _set(self, "name", name)
-        _set(self, "log_estimate", log_estimate)
-        _set(self, "or_estimate", or_estimate)
-        _set(self, "se_log", se_log)
-        _set(self, "se_or", se_or)
-        _set(self, "ci_lower", ci_lower)
-        _set(self, "ci_upper", ci_upper)
-        _set(self, "p_value", p_value)
 
 
 class InferenceResult(Record):
@@ -228,24 +71,6 @@ class InferenceResult(Record):
 
     __slots__ = FIELDS = ("effect_set", "effects", "cde", "cov_log", "cov_or", "jacobian",
                           "level")
-
-    def __init__(
-        self,
-        effect_set: EffectSet,
-        effects: tuple[EffectInference, ...],
-        cde: tuple[EffectInference, ...],
-        cov_log: np.ndarray,
-        cov_or: np.ndarray,
-        jacobian: np.ndarray,
-        level: float,
-    ):
-        _set(self, "effect_set", effect_set)
-        _set(self, "effects", effects)
-        _set(self, "cde", cde)
-        _set(self, "cov_log", cov_log)
-        _set(self, "cov_or", cov_or)
-        _set(self, "jacobian", jacobian)
-        _set(self, "level", level)
 
     def by_name(self) -> dict[str, EffectInference]:
         out = {e.name: e for e in self.effects}
@@ -329,16 +154,10 @@ def _summaries(effect_sets, jac, cov_log, g_cde, outcome_vcov, zq: float, level:
             for es, v in zip(effect_sets, var.tolist())
         ])
 
+    # positional, as in _summarise: keywords cost more to bind
     return [
-        InferenceResult(
-            effect_set=es,
-            effects=effects[i],
-            cde=(cde[0][i], cde[1][i]),
-            cov_log=cov_log[i],
-            cov_or=cov_or[i],
-            jacobian=jac[i],
-            level=level,
-        )
+        InferenceResult(es, effects[i], (cde[0][i], cde[1][i]), cov_log[i], cov_or[i], jac[i],
+                        level)
         for i, es in enumerate(effect_sets)
     ]
 

@@ -31,15 +31,37 @@ With D = x - x* and the prefactor br(z) = bx + bxz'z, the natural effects are
 
 so that TE = PNDE * TNIE = TNDE * PNIE by construction.
 
+A bridge term that is not a positive finite number (k p2 p3 or p2 p3
+overflows), or a log effect that is not finite, raises a NumericalError that
+names it; so does a ratio of bridge terms that underflows to 0.
+
 ``approx_effects`` computes the classical rare-outcome approximations of the
 same five effects (the forms obtained when the outcome odds e_y are dropped
 next to 1), useful for quantifying the error of the approximate pipeline.
 
-The bridge inputs, bridge values and log effects are written once, for floats
-(``natural_effects``) and for columns over a batch of rows alike (see
-:mod:`ormediate.model`); ``_log_effects_at_rows`` evaluates many coefficient
-vectors at one contrast per draw, with none of the checks of
-``natural_effects``: its caller, ``verify``, judges the values it gives.
+The Jacobian of the five log effects over the stacked coefficient vector
+theta = (outcome coefficients, mediator coefficients), which the delta
+method (:mod:`ormediate.delta`) and ``verify`` use, derives from the same
+bridge inputs. A bridge term depends on theta only through three
+predictors, so three key derivatives determine its whole gradient:
+
+    d_b0 = dA/d(intercept)   for the outcome blocks without a w factor
+    d_bw = dA/d(mediator)    for the outcome blocks with a w factor
+    d_g0 = dA/d(g intercept) for every mediator block
+
+Each block of the model tables (``model.OUTCOME_BLOCKS``, ``MEDIATOR_BLOCKS``)
+enters its predictor linearly, so one rule gives every entry: the key
+derivative, times the exposure level if the block carries an x factor, times
+the covariate value for a covariate block. Stacking the four bridge gradients
+into rows for (log PNDE, log TNIE, log TNDE, log PNIE, log TE) gives the
+Jacobian.
+
+The bridge inputs, bridge values, log effects and their Jacobian are written
+once, for floats (``natural_effects``, ``jacobian_log_effects``) and for
+columns over a batch of rows alike (see :mod:`ormediate.model`);
+``_log_effects_at_rows`` evaluates many coefficient vectors at one contrast
+per draw, with none of the checks of ``natural_effects``: its caller,
+``verify``, judges the values it gives.
 """
 
 from __future__ import annotations
@@ -50,6 +72,8 @@ import numpy as np
 
 from .exceptions import NumericalError, SchemaError
 from .model import (
+    MEDIATOR_BLOCKS,
+    OUTCOME_BLOCKS,
     Contrast,
     CovariateProfile,
     MediatorParams,
@@ -67,6 +91,9 @@ __all__ = [
     "SpecialCaseReport",
     "a_term",
     "a_term_inputs",
+    "a_term_key_derivatives",
+    "grad_a_term",
+    "jacobian_log_effects",
     "natural_effects",
     "approx_effects",
     "special_case_report",
@@ -74,6 +101,8 @@ __all__ = [
 
 # Row/report order used everywhere downstream (delta method, CLI tables).
 EFFECT_ORDER = ("pnde", "tnie", "tnde", "pnie", "te")
+# the four bridge terms of one contrast, in the order of _bridge_inputs
+_BRIDGE_TERMS = ("A[x, x]", "A[x, x*]", "A[x*, x]", "A[x*, x*]")
 
 
 def _check_joint_spec(outcome: OutcomeParams, mediator: MediatorParams, profile: CovariateProfile):
@@ -231,14 +260,22 @@ def _log_cde_at(oy: _OutcomeAt, delta: float) -> dict[int, float]:
     return {0: oy.exposure_log_or(0.0) * delta, 1: oy.exposure_log_or(1.0) * delta}
 
 
+def _outside(value, low: float, high: float):
+    """The first entry of a float or column that is not strictly between low
+    and high (NaN included), or None if there is none."""
+    if isinstance(value, np.ndarray):
+        ok = (value > low) & (value < high)
+        return None if ok.all() else value.tolist()[int(np.argmin(ok))]
+    return None if low < value < high else value
+
+
 def _log_effects(oy: _OutcomeAt, mw: _MediatorAt, x, xs, delta) -> tuple:
     """(log PNDE, log TNIE, log TNDE, log PNIE, log TE), of floats or columns."""
-    a_xx, a_xxs, a_xsx, a_xsxs = (
-        _bridge_value(*inputs) for inputs in _bridge_inputs(oy, mw, x, xs)
-    )
+    bridges = [_bridge_value(*inputs) for inputs in _bridge_inputs(oy, mw, x, xs)]
+    a_xx, a_xxs, a_xsx, a_xsxs = bridges
     pref = oy.exposure_main_log_or() * delta
     try:
-        return (
+        logs = (
             pref + _each(math.log, a_xxs / a_xsxs),
             _each(math.log, a_xx / a_xxs),
             pref + _each(math.log, a_xx / a_xsx),
@@ -246,11 +283,27 @@ def _log_effects(oy: _OutcomeAt, mw: _MediatorAt, x, xs, delta) -> tuple:
             pref + _each(math.log, a_xx / a_xsxs),
         )
     except ValueError:
-        # the bridge terms are positive, so only a ratio that underflowed to
-        # 0 reaches math.log's domain error
+        # a bridge term is never negative, so only a ratio that is 0 reaches
+        # math.log's domain error
         raise NumericalError(
             "a ratio of bridge terms underflows to 0, so its log effect is not representable"
         ) from None
+    except ZeroDivisionError:
+        logs = ()  # a bridge term is 0.0, which the check below names
+    # A lies between min(k, 1) and max(k, 1), so only an overflowed product
+    # takes it out of (0, inf)
+    for term, a in zip(_BRIDGE_TERMS, bridges):
+        bad = _outside(a, 0.0, math.inf)
+        if bad is not None:
+            raise NumericalError(f"bridge term {term} is {bad!r}: k p2 p3 or p2 p3 overflows")
+    for name, value in zip(EFFECT_ORDER, logs):
+        bad = _outside(value, -math.inf, math.inf)
+        if bad is not None:
+            raise NumericalError(
+                f"log {name.upper()} is {bad!r}: a ratio of bridge terms or the prefactor "
+                "overflows"
+            )
+    return logs
 
 
 def natural_effects(
@@ -266,6 +319,118 @@ def natural_effects(
     logs = _log_effects(oy, _MediatorAt(mediator, prof.v), contrast.x, contrast.x_star,
                         contrast.delta)
     return EffectSet(*logs, log_cde_at=_log_cde_at(oy, contrast.delta), contrast=contrast)
+
+
+def a_term_key_derivatives(k, p2, p3, p4):
+    """(d_b0, d_bw, d_g0): the three independent partials of one bridge term
+    with inputs (k, p2, p3, p4), of floats or of columns.
+
+    At k = 1 both d_b0 and d_g0 vanish identically (the numerators are the
+    same products commuted), which is what makes null-mediator models give
+    exactly zero indirect-effect gradients outside the mediator coefficients.
+    """
+    s = p2 * p3 + p4
+    num = k * p2 * p3 + p4
+    d_b0 = ((k * p2 * (p3 - 1.0) + (p4 - 1.0)) * s - num * (p2 * (p3 - 1.0) + (p4 - 1.0))) / (
+        s * s
+    )
+    d_bw = ((k * p2 * p3 + (p4 - 1.0)) * s - num * (p4 - 1.0)) / (s * s)
+    d_g0 = ((k * p2 * p3) * s - num * (p2 * p3)) / (s * s)
+    return d_b0, d_bw, d_g0
+
+
+def grad_a_term(
+    outcome: OutcomeParams,
+    mediator: MediatorParams,
+    x_outcome: float,
+    x_mediator: float,
+    profile: CovariateProfile,
+) -> np.ndarray:
+    """Gradient of A[x_outcome, x_mediator | profile] over the stacked active
+    coefficient vector (outcome layout first, then mediator layout)."""
+    inputs = a_term_inputs(outcome, mediator, x_outcome, x_mediator, profile)
+    return _bridge_gradient(outcome.spec, inputs, x_outcome, x_mediator, profile.z, profile.v)
+
+
+def _bridge_gradient(spec: ModelSpec, inputs: tuple, x_outcome, x_mediator, z, v) -> np.ndarray:
+    """:func:`grad_a_term` for bridge-term inputs (k, p2, p3, p4) already
+    evaluated: each entry is (d·x)·c_j, the block's key derivative d, times its
+    model's exposure level if it has an x factor, times each covariate value
+    c_j. Floats give shape (dim,); a batch of N columns, with z and v of shape
+    (p, N) and (q, N), gives (dim, N)."""
+    d_b0, d_bw, d_g0 = a_term_key_derivatives(*inputs)
+    grad = []
+    for blocks, keys, x, c in (
+        (OUTCOME_BLOCKS, (d_b0, d_bw), x_outcome, z),
+        (MEDIATOR_BLOCKS, (d_g0,), x_mediator, v),
+    ):
+        for b, _ in spec.layout(blocks):
+            d = keys[b.w] * x if b.x else keys[b.w]
+            if b.flag is None:
+                grad.append(d)
+            else:
+                grad += [d * cj for cj in c]
+    return np.array(grad)
+
+
+def _exposure_gradient(spec: ModelSpec, delta, z, dim: int, w: float | None = None) -> np.ndarray:
+    """Gradient of an exposure log odds ratio times D = x - x*, over the
+    first ``dim`` coefficients: the prefactor (bx + bxz'z) D when w is None,
+    log CDE(w) = (bx + bxw w + bxz'z + bxwz' w z) D otherwise. Each x block
+    gets (w·c_j)·D, or c_j·D without a w factor. The prefactor leaves its w
+    blocks at +0.0 rather than setting them to 0.0·D, which is -0.0 if D < 0.
+    A batch passes z of shape (p, N) and D of shape (N,) and gets (dim, N)."""
+    z = np.asarray(z)
+    g = np.zeros((dim,) + z.shape[1:])
+    for b, sl in spec.layout(OUTCOME_BLOCKS):
+        if b.x and (w is not None or not b.w):
+            c = z if b.flag else 1.0
+            g[sl] = (w * c if b.w else c) * delta
+    return g
+
+
+def _log_jacobian(spec: ModelSpec, oy: _OutcomeAt, mw: _MediatorAt, x, xs, delta, z, v):
+    """Jacobian of the five log effects, (5, dim), or (5, dim, N) for a batch
+    of N profiles; see :func:`jacobian_log_effects`."""
+
+    def dlog(inputs, x1, x2):
+        return _bridge_gradient(spec, inputs, x1, x2, z, v) / _bridge_value(*inputs)
+
+    in_xx, in_xxs, in_xsx, in_xsxs = _bridge_inputs(oy, mw, x, xs)
+    l_xx = dlog(in_xx, x, x)
+    l_xxs = dlog(in_xxs, x, xs)
+    l_xsx = dlog(in_xsx, xs, x)
+    l_xsxs = dlog(in_xsxs, xs, xs)
+    d1 = _exposure_gradient(spec, delta, z, l_xx.shape[0])
+    return np.stack(
+        [
+            d1 + (l_xxs - l_xsxs),  # log PNDE
+            l_xx - l_xxs,  # log TNIE
+            d1 + (l_xx - l_xsx),  # log TNDE
+            l_xsx - l_xsxs,  # log PNIE
+            d1 + (l_xx - l_xsxs),  # log TE
+        ]
+    )
+
+
+def jacobian_log_effects(
+    outcome: OutcomeParams, mediator: MediatorParams, contrast: Contrast
+) -> np.ndarray:
+    """5 x dim(theta) Jacobian of (log PNDE, log TNIE, log TNDE, log PNIE,
+    log TE); by construction row_te = row_pnde + row_tnie = row_tnde + row_pnie
+    up to roundoff."""
+    prof = contrast.profile
+    _check_joint_spec(outcome, mediator, prof)
+    return _log_jacobian(
+        outcome.spec,
+        _OutcomeAt(outcome, prof.z),
+        _MediatorAt(mediator, prof.v),
+        contrast.x,
+        contrast.x_star,
+        contrast.delta,
+        prof.z,
+        prof.v,
+    )
 
 
 def _at_contrasts(spec: ModelSpec, thetas: np.ndarray, contrasts) -> tuple:
@@ -349,20 +514,6 @@ class SpecialCaseReport(ValueRecord):
 
     __slots__ = FIELDS = ("exposure_outcome_null", "mediator_outcome_null",
                           "exposure_mediator_null", "degenerate_contrast", "identities")
-
-    def __init__(
-        self,
-        exposure_outcome_null: bool,
-        mediator_outcome_null: bool,
-        exposure_mediator_null: bool,
-        degenerate_contrast: bool,
-        identities: tuple[str, ...],
-    ):
-        _set(self, "exposure_outcome_null", exposure_outcome_null)
-        _set(self, "mediator_outcome_null", mediator_outcome_null)
-        _set(self, "exposure_mediator_null", exposure_mediator_null)
-        _set(self, "degenerate_contrast", degenerate_contrast)
-        _set(self, "identities", identities)
 
 
 def _group_is_null(params, factor: str) -> bool:

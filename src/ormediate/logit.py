@@ -36,7 +36,7 @@ from .exceptions import (
     SeparationError,
     SingularDesignError,
 )
-from .record import Record, _set
+from .record import Record
 
 __all__ = ["FittedModel", "fit", "predict_prob", "wald_table"]
 
@@ -60,24 +60,6 @@ class FittedModel(Record):
 
     __slots__ = FIELDS = ("coefficients", "vcov", "log_likelihood", "iterations", "converged",
                           "n", "column_names")
-
-    def __init__(
-        self,
-        coefficients: np.ndarray,
-        vcov: np.ndarray,
-        log_likelihood: float,
-        iterations: int,
-        converged: bool,
-        n: int,
-        column_names: tuple[str, ...],
-    ):
-        _set(self, "coefficients", coefficients)
-        _set(self, "vcov", vcov)
-        _set(self, "log_likelihood", log_likelihood)
-        _set(self, "iterations", iterations)
-        _set(self, "converged", converged)
-        _set(self, "n", n)
-        _set(self, "column_names", column_names)
 
     @property
     def standard_errors(self) -> np.ndarray:

@@ -136,12 +136,6 @@ class Block(Record):
 
     __slots__ = FIELDS = ("attr", "flag", "x", "w")
 
-    def __init__(self, attr: str, flag: str | None, x: bool, w: bool):
-        _set(self, "attr", attr)
-        _set(self, "flag", flag)
-        _set(self, "x", x)
-        _set(self, "w", w)
-
 
 OUTCOME_BLOCKS = (
     Block("intercept", None, False, False),

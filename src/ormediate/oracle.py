@@ -159,11 +159,6 @@ class GyCheckResult(ValueRecord):
 
     __slots__ = FIELDS = ("a_direct", "a_from_g", "a_from_risk_ratio")
 
-    def __init__(self, a_direct: float, a_from_g: float, a_from_risk_ratio: float):
-        _set(self, "a_direct", a_direct)
-        _set(self, "a_from_g", a_from_g)
-        _set(self, "a_from_risk_ratio", a_from_risk_ratio)
-
     @property
     def residual_g(self) -> float:
         return abs(self.a_from_g - self.a_direct)

@@ -61,15 +61,14 @@ from itertools import chain
 
 import numpy as np
 
-from .delta import _log_jacobian
-from .effects import _at_contrasts, _bridge_inputs, _bridge_value
+from .effects import _at_contrasts, _bridge_inputs, _bridge_value, _log_jacobian
 from .effects import _log_effects_at_rows
 from .exceptions import SchemaError
 from .model import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
 from .model import _MediatorAt, _OutcomeAt
 from .oracle import _difference_quotients, _difference_rows, g_y_check
 from .oracle import mediation_formula_effects, tables_from_params
-from .record import ValueRecord, _set
+from .record import ValueRecord
 
 __all__ = [
     "SUITE_NAMES",
@@ -146,13 +145,6 @@ class SuiteResult(ValueRecord):
 
     __slots__ = FIELDS = ("name", "count", "tolerance", "worst", "passed")
 
-    def __init__(self, name: str, count: int, tolerance: float, worst: float, passed: bool):
-        _set(self, "name", name)
-        _set(self, "count", count)
-        _set(self, "tolerance", tolerance)
-        _set(self, "worst", worst)
-        _set(self, "passed", passed)
-
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
@@ -170,18 +162,6 @@ class _Slice(ValueRecord):
     central-difference points (rows of :func:`_difference_rows`, row 0 theta)."""
 
     __slots__ = FIELDS = ("problems", "thetas", "contrasts", "logs")
-
-    def __init__(
-        self,
-        problems: list,
-        thetas: np.ndarray | None = None,
-        contrasts: list | None = None,
-        logs: np.ndarray | None = None,
-    ):
-        _set(self, "problems", problems)
-        _set(self, "thetas", thetas)
-        _set(self, "contrasts", contrasts)
-        _set(self, "logs", logs)
 
 
 def _draw(rng: np.random.Generator, i: int):
@@ -306,7 +286,7 @@ def _slice_errors(names, problems, perturb) -> list:
     """The error tuples of each suite of ``names`` over one slice of draws,
     evaluated once for all of them."""
     if _LOG_EFFECTS.isdisjoint(names):
-        batch = _Slice(problems)
+        batch = _Slice(problems, None, None, None)
     else:
         batch = _evaluate_slice(problems, "jacobian" in names)
     # No suite raises on these draws, so a slice needs no draw-by-draw re-run

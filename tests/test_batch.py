@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from ormediate import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
 from ormediate import delta, effects
-from ormediate.delta import infer, infer_many, jacobian_log_effects
-from ormediate.effects import _log_effects_at_rows, natural_effects
+from ormediate.delta import infer, infer_many
+from ormediate.effects import _log_effects_at_rows, jacobian_log_effects, natural_effects
 from ormediate.exceptions import NumericalError, PredictorOverflowError
 from ormediate.logit import FittedModel
 from ormediate.model import MEDIATOR_BLOCKS, OUTCOME_BLOCKS, _MediatorAt, _OutcomeAt
@@ -311,6 +311,49 @@ class TestBridgeRatioUnderflow:
         ok = Contrast(1.0, 0.0, CovariateProfile(z=(1.0,), v=(0.3,)))
         with pytest.raises(NumericalError, match="underflows to 0"):
             infer_many(spec, fy, fw, [ok, contrast, ok])
+
+
+class TestBridgeTermOverflow:
+    """Every predictor inside the exp range, yet at z = 1, v = 0 the product
+    k p2 p3 of the bridge term A[x, x] overflows: the bundled fixture's
+    outcome model with the mediator intercept at 707.5, which v = 1 cancels.
+    Each path raises a NumericalError that names the term, not EffectSet's
+    SchemaError for non-finite logs."""
+
+    def _problem(self):
+        spec = _overflow_problem()
+        outcome = OutcomeParams(spec, intercept=-1.542, exposure=1.903, mediator=0.758,
+                                exposure_mediator=0.137, confounders=[0.481])
+        mediator = MediatorParams(spec, intercept=707.5, exposure=0.262, confounders=[-707.5])
+        contrast = Contrast(1.0, 0.0, CovariateProfile(z=(1.0,), v=(0.0,)))
+        return spec, outcome, mediator, contrast
+
+    def test_natural_effects(self):
+        spec, outcome, mediator, contrast = self._problem()
+        with pytest.raises(NumericalError, match=r"bridge term A\[x, x\] is inf"):
+            natural_effects(outcome, mediator, contrast)
+
+    def test_coefficient_rows(self):
+        spec, outcome, mediator, contrast = self._problem()
+        rows = np.vstack([_theta(outcome, mediator)] * 3)
+        with pytest.raises(NumericalError, match=r"bridge term A\[x, x\] is inf"):
+            _log_effects_at_rows(spec, rows[None], [contrast])
+
+    def test_profiles(self):
+        spec, outcome, mediator, contrast = self._problem()
+        fy, fw = _fits(spec, outcome, mediator, np.random.default_rng(5))
+        ok = Contrast(1.0, 0.0, CovariateProfile(z=(1.0,), v=(1.0,)))
+        with pytest.raises(NumericalError, match=r"bridge term A\[x, x\] is inf"):
+            infer_many(spec, fy, fw, [ok, contrast, ok])
+
+    def test_a_bridge_term_of_zero_is_named(self):
+        # p2 p3 overflows while k p2 p3 stays finite, so A = 0.0: a ratio
+        # over it divides by zero
+        spec = ModelSpec()
+        outcome = OutcomeParams(spec, intercept=700.0, mediator=-700.0)
+        mediator = MediatorParams(spec, intercept=700.0)
+        with pytest.raises(NumericalError, match=r"bridge term A\[x, x\] is 0\.0"):
+            natural_effects(outcome, mediator, Contrast(1.0, 0.0))
 
 
 class TestPrefactorSignOfZero:

@@ -381,6 +381,17 @@ class TestFileErrors:
         assert line == ("ERROR 4: the information matrix overflows: column 'age' reaches "
                         "|value| 1e+308; rescale it")
 
+    @pytest.mark.parametrize("command, intercept", [("effects", 707.5), ("compare", 708.0)])
+    def test_overflowing_bridge_term(self, tmp_path, command, intercept):
+        # every predictor stays inside +/-709, yet k p2 p3 of A[x, x] overflows
+        # at the profiles with loans > 0: a NumericalError, not a SchemaError
+        doc = load_json(Path(ormediate.__file__).parent / "fixtures" / "microcredit_table1.json")
+        doc["mediator"]["intercept"] = intercept
+        path = tmp_path / "coef.json"
+        path.write_text(json.dumps(doc))
+        line = self._error_line(command, "--coef-file", path, code=4)
+        assert line == "ERROR 4: bridge term A[x, x] is inf: k p2 p3 or p2 p3 overflows"
+
     def test_undecodable_csv(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"y,w,x\n1.0,0.0,\xff\n")

@@ -22,7 +22,7 @@ from ormediate import (
     natural_effects,
     simulate_dataset,
 )
-from ormediate.delta import a_term_key_derivatives, grad_a_term
+from ormediate.effects import a_term_key_derivatives, grad_a_term
 from ormediate.effects import _log_cde_at, a_term, a_term_inputs
 from ormediate.model import _OutcomeAt
 from ormediate.oracle import finite_diff

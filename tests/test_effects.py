@@ -12,7 +12,7 @@ from ormediate.effects import (
     natural_effects,
     special_case_report,
 )
-from ormediate.delta import grad_a_term, jacobian_log_effects
+from ormediate.effects import grad_a_term, jacobian_log_effects
 from ormediate.oracle import tables_from_params
 from helpers import microcredit_params, microcredit_spec, random_problem
 

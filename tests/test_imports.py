@@ -120,7 +120,8 @@ class TestCommandImports:
     def test_verify_loads_no_io_fitting_csv_or_dataclasses(self):
         loaded, _ = _loaded("verify", "--count", 20)
         assert "ormediate.verify" in loaded
-        assert not loaded & {"ormediate.io", "ormediate.logit", "csv", "dataclasses"}
+        assert not loaded & {"ormediate.io", "ormediate.logit", "ormediate.delta", "csv",
+                             "dataclasses"}
 
     @pytest.mark.parametrize("command", ["effects", "fit", "simulate", "compare"])
     def test_no_command_loads_dataclasses(self, tmp_path, command):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ormediate import Contrast, model
-from ormediate.delta import grad_a_term, jacobian_log_effects
+from ormediate.effects import grad_a_term, jacobian_log_effects
 from ormediate.effects import approx_effects, natural_effects
 from ormediate.oracle import g_y_check, tables_from_params
 from ormediate.verify import random_problem

@@ -33,7 +33,8 @@ from ormediate import (
 from ormediate.io import CoefficientSet
 from ormediate.model import OUTCOME_BLOCKS, Block
 from ormediate.oracle import GyCheckResult
-from ormediate.verify import SuiteResult
+from ormediate.record import Record
+from ormediate.verify import SuiteResult, _Slice
 
 SPEC = ModelSpec(z_names=("age", "edu"), v_names=("edu",), xz=True)
 OUTCOME = OutcomeParams(SPEC, intercept=-1.0, exposure=0.5, mediator=0.7, exposure_mediator=0.1,
@@ -101,6 +102,9 @@ VALUE_RECORDS = [ModelSpec, CovariateProfile, Contrast, EffectInference, Special
 # records with their own __eq__ and no hash
 CUSTOM_EQ = [OutcomeParams, MediatorParams, EffectSet]
 IDENTITY_RECORDS = [Dataset, FittedModel, InferenceResult, ProbabilityTables, Block]
+# records that only store their fields, through the shared Record.__init__
+SHARED_INIT = [EffectInference, InferenceResult, FittedModel, SpecialCaseReport, SuiteResult,
+               _Slice, Block, GyCheckResult]
 
 
 def _inference() -> InferenceResult:
@@ -221,6 +225,39 @@ def test_defaults():
     assert _values(coef)[3:] == [None, None, None, (), None, {}, ""]
     one, two = (Dataset(y=[1], w=[1], x=[1.0]) for _ in range(2))
     assert one.covariates is not two.covariates
+
+
+def _stored_fields(cls) -> dict:
+    """The fields of one instance of a record that only stores them, by name."""
+    if cls is _Slice:
+        return {"problems": [], "thetas": None, "contrasts": None, "logs": None}
+    return dict(zip(RECORDS[cls][0], _values(RECORDS[cls][1]())))
+
+
+@pytest.mark.parametrize("cls", SHARED_INIT, ids=lambda cls: cls.__name__)
+def test_the_shared_constructor_refuses_what_a_signature_would(cls):
+    assert cls.__init__ is Record.__init__
+    fields = _stored_fields(cls)
+    names, values = list(fields), list(fields.values())
+    record = cls(*values)
+    with pytest.raises(TypeError, match=f"missing a required argument: '{names[-1]}'"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(**fields, bogus=1)
+    with pytest.raises(TypeError, match="too many positional arguments"):
+        cls(*values, 1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
+        cls(*values[:-1], **{names[0]: values[0]})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        record._replace(bogus=1)
+
+
+def test_a_record_with_its_own_constructor_keeps_its_defaults():
+    defaults = [p.default for p in inspect.signature(Marginal).parameters.values()]
+    assert defaults == [inspect.Parameter.empty, 0.5, 0.0, 1.0]
+    assert inspect.signature(Contrast).parameters["profile"].default == CovariateProfile()
+    assert str(inspect.signature(EffectInference)) == (
+        "(name, log_estimate, or_estimate, se_log, se_or, ci_lower, ci_upper, p_value)")
 
 
 def test_copy_and_pickle_rebuild_an_equal_record(record):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ormediate import MediatorParams, OutcomeParams, cli, effects, natural_effects, verify
-from ormediate.delta import jacobian_log_effects
+from ormediate.effects import jacobian_log_effects
 from ormediate.exceptions import PredictorOverflowError, SchemaError
 from ormediate.oracle import finite_diff
 from ormediate.verify import SUITE_NAMES, random_problem, run_all, run_suite
