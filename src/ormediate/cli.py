@@ -361,19 +361,8 @@ def _effect_sections(coef: CoefficientSet, level: float) -> dict:
     if not coef.has_vcov:
         notes.append("no covariance matrices in the coefficient file: "
                      "point estimates only")
-    coef_doc = coefficients_to_doc(
-        spec,
-        coef.outcome,
-        coef.mediator,
-        outcome_vcov=coef.outcome_vcov,
-        mediator_vcov=coef.mediator_vcov,
-        exposure_levels=coef.exposure_levels,
-        profiles=profiles,
-        exposure_marginal=coef.exposure_marginal,
-        covariate_marginals=coef.covariate_marginals,
-        description=coef.description,
-    )
-    return {"coefficients": coef_doc, "effects": tables, "diagnostics": {"notes": notes}}
+    return {"coefficients": coefficients_to_doc(coef), "effects": tables,
+            "diagnostics": {"notes": notes}}
 
 
 def _report(command: str, config: dict, **sections) -> dict:

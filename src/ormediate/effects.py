@@ -273,6 +273,12 @@ def _log_effects(oy: _OutcomeAt, mw: _MediatorAt, x, xs, delta) -> tuple:
     """(log PNDE, log TNIE, log TNDE, log PNIE, log TE), of floats or columns."""
     bridges = [_bridge_value(*inputs) for inputs in _bridge_inputs(oy, mw, x, xs)]
     a_xx, a_xxs, a_xsx, a_xsxs = bridges
+    # A lies between min(k, 1) and max(k, 1), so only an overflowed product
+    # takes it out of (0, inf)
+    for term, a in zip(_BRIDGE_TERMS, bridges):
+        bad = _outside(a, 0.0, math.inf)
+        if bad is not None:
+            raise NumericalError(f"bridge term {term} is {bad!r}: k p2 p3 or p2 p3 overflows")
     pref = oy.exposure_main_log_or() * delta
     try:
         logs = (
@@ -283,19 +289,11 @@ def _log_effects(oy: _OutcomeAt, mw: _MediatorAt, x, xs, delta) -> tuple:
             pref + _each(math.log, a_xx / a_xsxs),
         )
     except ValueError:
-        # a bridge term is never negative, so only a ratio that is 0 reaches
-        # math.log's domain error
+        # every bridge term is positive and finite, so only a ratio that
+        # underflows to 0 reaches math.log's domain error
         raise NumericalError(
             "a ratio of bridge terms underflows to 0, so its log effect is not representable"
         ) from None
-    except ZeroDivisionError:
-        logs = ()  # a bridge term is 0.0, which the check below names
-    # A lies between min(k, 1) and max(k, 1), so only an overflowed product
-    # takes it out of (0, inf)
-    for term, a in zip(_BRIDGE_TERMS, bridges):
-        bad = _outside(a, 0.0, math.inf)
-        if bad is not None:
-            raise NumericalError(f"bridge term {term} is {bad!r}: k p2 p3 or p2 p3 overflows")
     for name, value in zip(EFFECT_ORDER, logs):
         bad = _outside(value, -math.inf, math.inf)
         if bad is not None:
@@ -331,12 +329,24 @@ def a_term_key_derivatives(k, p2, p3, p4):
     """
     s = p2 * p3 + p4
     num = k * p2 * p3 + p4
-    d_b0 = ((k * p2 * (p3 - 1.0) + (p4 - 1.0)) * s - num * (p2 * (p3 - 1.0) + (p4 - 1.0))) / (
-        s * s
-    )
-    d_bw = ((k * p2 * p3 + (p4 - 1.0)) * s - num * (p4 - 1.0)) / (s * s)
-    d_g0 = ((k * p2 * p3) * s - num * (p2 * p3)) / (s * s)
+    d_b0 = _quotient_partial(k * p2 * (p3 - 1.0) + (p4 - 1.0), p2 * (p3 - 1.0) + (p4 - 1.0),
+                             num, s)
+    d_bw = _quotient_partial(k * p2 * p3 + (p4 - 1.0), p4 - 1.0, num, s)
+    d_g0 = _quotient_partial(k * p2 * p3, p2 * p3, num, s)
     return d_b0, d_bw, d_g0
+
+
+def _quotient_partial(u, v, num, s):
+    """The partial (u s - num v) / s^2 of num / s, where u and v are the
+    partials of num and s. Past s of about 1.3e154 the products overflow
+    while the partial itself does not; there it is u/s - (num/s)(v/s)."""
+    d = (u * s - num * v) / (s * s)
+    if isinstance(d, np.ndarray):
+        bad = ~np.isfinite(d)
+        if bad.any():
+            d[bad] = (u / s - (num / s) * (v / s))[bad]
+        return d
+    return d if math.isfinite(d) else u / s - (num / s) * (v / s)
 
 
 def grad_a_term(

@@ -7,8 +7,11 @@ bit-identical values.
 Coefficient documents are JSON files that carry a model layout, both fitted
 coefficient vectors (grouped by block, excluded blocks omitted), and
 optionally: per-model covariance matrices, a default exposure contrast, named
-covariate profiles, and simulation marginals.  Fit reports embed one of these
-documents, so a report can be fed anywhere a coefficient file is accepted.
+covariate profiles, and simulation marginals.  In memory a document is one
+:class:`CoefficientSet`, which checks its own invariants when built;
+``coefficients_to_doc`` writes a set and ``coefficients_from_doc`` reads one.
+Fit reports embed one of these documents, so a report can be fed anywhere a
+coefficient file is accepted.
 JSON text is written and read by :mod:`ormediate.jsonio`, re-exported here.
 A marginal is a :class:`Marginal`, defined here beside the documents that
 carry it (``simulate`` re-exports it), so reading a document never loads the
@@ -503,7 +506,10 @@ class Marginal(ValueRecord):
 
 class CoefficientSet(ValueRecord):
     """Parsed contents of a coefficient document; no covariate marginals by
-    default."""
+    default. Building one, by ``_replace`` too, checks that both parameter
+    sets belong to ``spec``, that covariances come for both models or for
+    neither, that profile names are distinct, and that covariate marginals
+    name only model covariates."""
 
     __slots__ = FIELDS = ("spec", "outcome", "mediator", "outcome_vcov", "mediator_vcov",
                           "exposure_levels", "profiles", "exposure_marginal",
@@ -522,6 +528,17 @@ class CoefficientSet(ValueRecord):
         covariate_marginals: dict[str, Marginal] | None = None,
         description: str = "",
     ):
+        if outcome.spec != spec or mediator.spec != spec:
+            raise SchemaError("coefficient vectors were built for a different model layout")
+        if (outcome_vcov is None) != (mediator_vcov is None):
+            raise SchemaError("provide covariance matrices for both models or neither")
+        if len({name for name, _ in profiles}) != len(profiles):
+            raise SchemaError("profile names must be distinct")
+        if covariate_marginals is None:
+            covariate_marginals = {}
+        unknown = set(covariate_marginals) - set(spec.covariate_names())
+        if unknown:
+            raise SchemaError(f"marginals given for unknown covariates {sorted(unknown)}")
         _set(self, "spec", spec)
         _set(self, "outcome", outcome)
         _set(self, "mediator", mediator)
@@ -530,14 +547,12 @@ class CoefficientSet(ValueRecord):
         _set(self, "exposure_levels", exposure_levels)
         _set(self, "profiles", profiles)
         _set(self, "exposure_marginal", exposure_marginal)
-        if covariate_marginals is None:
-            covariate_marginals = {}
         _set(self, "covariate_marginals", covariate_marginals)
         _set(self, "description", description)
 
     @property
     def has_vcov(self) -> bool:
-        return self.outcome_vcov is not None and self.mediator_vcov is not None
+        return self.outcome_vcov is not None
 
     def fitted_models(self) -> tuple[FittedModel, FittedModel]:
         """Wrap the stored vectors as fitted models for the inference layer."""
@@ -630,62 +645,42 @@ def _marginal_from_doc(doc, *, where: str) -> Marginal:
     raise SchemaError(f"{where}: unknown marginal kind {kind!r}")
 
 
-def coefficients_to_doc(
-    spec: ModelSpec,
-    outcome: OutcomeParams,
-    mediator: MediatorParams,
-    *,
-    outcome_vcov: np.ndarray | None = None,
-    mediator_vcov: np.ndarray | None = None,
-    exposure_levels: tuple[float, float] | None = None,
-    profiles: tuple[tuple[str, CovariateProfile], ...] = (),
-    exposure_marginal: Marginal | None = None,
-    covariate_marginals: Mapping[str, Marginal] | None = None,
-    description: str = "",
-) -> dict:
+def coefficients_to_doc(coef: CoefficientSet) -> dict:
     """Serialize a coefficient set to a JSON-ready document."""
-    if outcome.spec != spec or mediator.spec != spec:
-        raise SchemaError("coefficient vectors were built for a different model layout")
+    spec = coef.spec
     doc: dict = {
         "format": COEFFICIENT_FORMAT,
         "version": 1,
-        "description": description,
+        "description": coef.description,
         "model": spec_to_doc(spec),
-        "outcome": _params_to_doc(outcome),
-        "mediator": _params_to_doc(mediator),
+        "outcome": _params_to_doc(coef.outcome),
+        "mediator": _params_to_doc(coef.mediator),
     }
-    if (outcome_vcov is None) != (mediator_vcov is None):
-        raise SchemaError("provide covariance matrices for both models or neither")
-    if outcome_vcov is not None:
+    if coef.has_vcov:
         doc["vcov"] = {
-            "outcome": np.asarray(outcome_vcov, dtype=float).tolist(),
-            "mediator": np.asarray(mediator_vcov, dtype=float).tolist(),
+            "outcome": np.asarray(coef.outcome_vcov, dtype=float).tolist(),
+            "mediator": np.asarray(coef.mediator_vcov, dtype=float).tolist(),
         }
-    if exposure_levels is not None:
+    if coef.exposure_levels is not None:
         doc["contrast"] = {
-            "x": float(exposure_levels[0]),
-            "x_star": float(exposure_levels[1]),
+            "x": float(coef.exposure_levels[0]),
+            "x_star": float(coef.exposure_levels[1]),
         }
-    if profiles:
-        names = [name for name, _ in profiles]
-        if len(set(names)) != len(names):
-            raise SchemaError("profile names must be distinct")
+    if coef.profiles:
         doc["profiles"] = [
             {"name": name, "values": profile_values(spec, profile)}
-            for name, profile in profiles
+            for name, profile in coef.profiles
         ]
-    if exposure_marginal is not None or covariate_marginals:
+    marginals = coef.covariate_marginals
+    if coef.exposure_marginal is not None or marginals:
         entry: dict = {}
-        if exposure_marginal is not None:
-            entry["exposure"] = _marginal_to_doc(exposure_marginal)
-        if covariate_marginals:
-            unknown = set(covariate_marginals) - set(spec.covariate_names())
-            if unknown:
-                raise SchemaError(f"marginals given for unknown covariates {sorted(unknown)}")
+        if coef.exposure_marginal is not None:
+            entry["exposure"] = _marginal_to_doc(coef.exposure_marginal)
+        if marginals:
             entry["covariates"] = {
-                name: _marginal_to_doc(covariate_marginals[name])
+                name: _marginal_to_doc(marginals[name])
                 for name in spec.covariate_names()
-                if name in covariate_marginals
+                if name in marginals
             }
         doc["marginals"] = entry
     return doc
@@ -769,27 +764,19 @@ def coefficients_from_doc(doc: Mapping) -> CoefficientSet:
         values = _object(entry["values"], where=f"{where}.values")
         values = {k: _number(v, where=f"{where}.values.{k}") for k, v in values.items()}
         profiles.append((name, CovariateProfile.from_named(spec, values)))
-    names = [name for name, _ in profiles]
-    if len(set(names)) != len(names):
-        raise SchemaError("coefficient document: duplicate profile names")
 
-    exposure_marginal = None
-    covariate_marginals: dict[str, Marginal] = {}
+    exposure_marginal = covariate_marginals = None
     if "marginals" in doc and doc["marginals"] is not None:
         entry = doc["marginals"]
         if not isinstance(entry, Mapping) or set(entry) - {"exposure", "covariates"}:
             raise SchemaError("marginals: expected keys 'exposure' and/or 'covariates'")
         if "exposure" in entry:
-            exposure_marginal = _marginal_from_doc(
-                entry["exposure"], where="marginals.exposure"
-            )
+            exposure_marginal = _marginal_from_doc(entry["exposure"], where="marginals.exposure")
         covariates = _object(entry.get("covariates", {}), where="marginals.covariates")
-        for name, sub in covariates.items():
-            if name not in spec.covariate_names():
-                raise SchemaError(f"marginals: unknown covariate {name!r}")
-            covariate_marginals[name] = _marginal_from_doc(
-                sub, where=f"marginals.covariates[{name!r}]"
-            )
+        covariate_marginals = {
+            name: _marginal_from_doc(sub, where=f"marginals.covariates[{name!r}]")
+            for name, sub in covariates.items()
+        }
 
     return CoefficientSet(
         spec=spec,

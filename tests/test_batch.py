@@ -282,17 +282,16 @@ class TestOverflowParity:
 
 
 class TestBridgeRatioUnderflow:
-    """Every predictor inside the exp range, yet at z = v = 0 the bridge term
-    A[x*, x*] is so much larger than A[x, x*] that their ratio underflows to
-    0: each path raises a NumericalError, never math.log's ValueError."""
+    """Every predictor inside the exp range and every bridge term positive and
+    finite, yet A[x, x*] = 9.9e-305 over A[x*, x*] = 2.7e307 underflows to 0:
+    each path raises a NumericalError, never math.log's ValueError."""
 
     def _problem(self):
-        spec = _overflow_problem()
-        outcome = OutcomeParams(spec, mediator=709.0, confounders=[-709.0],
-                                exposure_mediator=-1.0)
-        mediator = MediatorParams(spec, intercept=-0.5)
-        contrast = Contrast(1.0, 0.0, CovariateProfile(z=(0.0,), v=(0.0,)))
-        return spec, outcome, mediator, contrast
+        spec = ModelSpec()
+        outcome = OutcomeParams(spec, intercept=-709.0, exposure=1409.0, mediator=709.0,
+                                exposure_mediator=-1418.0)
+        mediator = MediatorParams(spec)
+        return spec, outcome, mediator, Contrast(1.0, 0.0)
 
     def test_natural_effects(self):
         spec, outcome, mediator, contrast = self._problem()
@@ -308,7 +307,7 @@ class TestBridgeRatioUnderflow:
     def test_profiles(self):
         spec, outcome, mediator, contrast = self._problem()
         fy, fw = _fits(spec, outcome, mediator, np.random.default_rng(3))
-        ok = Contrast(1.0, 0.0, CovariateProfile(z=(1.0,), v=(0.3,)))
+        ok = Contrast(0.5, 0.0)
         with pytest.raises(NumericalError, match="underflows to 0"):
             infer_many(spec, fy, fw, [ok, contrast, ok])
 
@@ -318,7 +317,8 @@ class TestBridgeTermOverflow:
     k p2 p3 of the bridge term A[x, x] overflows: the bundled fixture's
     outcome model with the mediator intercept at 707.5, which v = 1 cancels.
     Each path raises a NumericalError that names the term, not EffectSet's
-    SchemaError for non-finite logs."""
+    SchemaError for non-finite logs. So does the numerator term A[x*, x] when
+    it overflows at z = v = 0, though a ratio over it would underflow."""
 
     def _problem(self):
         spec = _overflow_problem()
@@ -326,6 +326,14 @@ class TestBridgeTermOverflow:
                                 exposure_mediator=0.137, confounders=[0.481])
         mediator = MediatorParams(spec, intercept=707.5, exposure=0.262, confounders=[-707.5])
         contrast = Contrast(1.0, 0.0, CovariateProfile(z=(1.0,), v=(0.0,)))
+        return spec, outcome, mediator, contrast
+
+    def _numerator_problem(self):
+        spec = _overflow_problem()
+        outcome = OutcomeParams(spec, mediator=709.0, confounders=[-709.0],
+                                exposure_mediator=-1.0)
+        mediator = MediatorParams(spec, intercept=-0.5)
+        contrast = Contrast(1.0, 0.0, CovariateProfile(z=(0.0,), v=(0.0,)))
         return spec, outcome, mediator, contrast
 
     def test_natural_effects(self):
@@ -344,6 +352,24 @@ class TestBridgeTermOverflow:
         fy, fw = _fits(spec, outcome, mediator, np.random.default_rng(5))
         ok = Contrast(1.0, 0.0, CovariateProfile(z=(1.0,), v=(1.0,)))
         with pytest.raises(NumericalError, match=r"bridge term A\[x, x\] is inf"):
+            infer_many(spec, fy, fw, [ok, contrast, ok])
+
+    def test_numerator_term_natural_effects(self):
+        spec, outcome, mediator, contrast = self._numerator_problem()
+        with pytest.raises(NumericalError, match=r"bridge term A\[x\*, x\] is inf"):
+            natural_effects(outcome, mediator, contrast)
+
+    def test_numerator_term_coefficient_rows(self):
+        spec, outcome, mediator, contrast = self._numerator_problem()
+        rows = np.vstack([_theta(outcome, mediator)] * 3)
+        with pytest.raises(NumericalError, match=r"bridge term A\[x\*, x\] is inf"):
+            _log_effects_at_rows(spec, rows[None], [contrast])
+
+    def test_numerator_term_profiles(self):
+        spec, outcome, mediator, contrast = self._numerator_problem()
+        fy, fw = _fits(spec, outcome, mediator, np.random.default_rng(3))
+        ok = Contrast(1.0, 0.0, CovariateProfile(z=(1.0,), v=(0.3,)))
+        with pytest.raises(NumericalError, match=r"bridge term A\[x\*, x\] is inf"):
             infer_many(spec, fy, fw, [ok, contrast, ok])
 
     def test_a_bridge_term_of_zero_is_named(self):

@@ -24,7 +24,8 @@ from ormediate.cli import main
 from ormediate.delta import infer_many
 from ormediate.effects import EFFECT_ORDER
 from ormediate.io import (
-    coefficients_to_doc, load_coefficients, load_json, read_table, save_json, write_table,
+    CoefficientSet, coefficients_to_doc, load_coefficients, load_json, read_table, save_json,
+    write_table,
 )
 from ormediate.logit import _BLOCK_ROWS, _WORKER_BLOCKS
 from ormediate.verify import run_suite
@@ -76,7 +77,7 @@ class TestEffectsCommand:
 
     def test_all_zero_coefficients_give_unit_effects(self, tmp_path):
         spec = ModelSpec()
-        doc = coefficients_to_doc(spec, OutcomeParams(spec), MediatorParams(spec))
+        doc = coefficients_to_doc(CoefficientSet(spec, OutcomeParams(spec), MediatorParams(spec)))
         path = tmp_path / "zero.json"
         save_json(doc, path)
         out = tmp_path / "eff.json"
@@ -91,10 +92,10 @@ class TestEffectsCommand:
         vec[5] = 0.0
         vec[6] = 0.0
         outcome = OutcomeParams.from_vector(cs.spec, vec)
-        doc = coefficients_to_doc(
+        doc = coefficients_to_doc(CoefficientSet(
             cs.spec, outcome, cs.mediator,
             exposure_levels=(1.0, 0.0), profiles=cs.profiles,
-        )
+        ))
         path = tmp_path / "null_w.json"
         save_json(doc, path)
         out = tmp_path / "eff.json"
@@ -310,12 +311,12 @@ class TestInferenceBatches:
         mediator = MediatorParams.from_vector(spec, 0.3 * rng.normal(size=spec.n_mediator_coefs))
         profiles = tuple((f"p{i}", CovariateProfile(z=[rng.normal()], v=[rng.normal()]))
                          for i in range(300))
-        doc = coefficients_to_doc(
+        doc = coefficients_to_doc(CoefficientSet(
             spec, outcome, mediator,
             outcome_vcov=0.01 * np.eye(spec.n_outcome_coefs),
             mediator_vcov=0.01 * np.eye(spec.n_mediator_coefs),
             exposure_levels=(1.0, 0.0), profiles=profiles,
-        )
+        ))
         path = tmp_path / "coef.json"
         save_json(doc, path)
         return path
@@ -417,37 +418,51 @@ class TestFileErrors:
         assert "cannot write" in self._error_line(
             "effects", "--coef-file", "microcredit_table1", "--output", out)
 
-    def test_non_finite_variance(self, tmp_path):
-        # every predictor within the exp bound, yet (p2 p3 + p4)^2 overflows
-        # in the key derivatives, so the Jacobian and the variances are NaN
+    @staticmethod
+    def _wide_bridge_document(path, variance):
+        """Every predictor within the exp bound, yet at the profile the
+        products (p2 p3 + p4)^2 of the key derivatives overflow; both
+        covariances ``variance`` times the identity."""
         spec = ModelSpec(z_names=("a",), v_names=("b",), xz=True, wz=True, xwz=True, xv=True)
         outcome = OutcomeParams(spec, mediator=709.0, confounders=[-709.0],
                                 exposure_mediator=-1.0)
         mediator = MediatorParams(spec, intercept=-0.5)
-        doc = coefficients_to_doc(
+        save_json(coefficients_to_doc(CoefficientSet(
             spec, outcome, mediator,
-            outcome_vcov=0.01 * np.eye(spec.n_outcome_coefs),
-            mediator_vcov=0.01 * np.eye(spec.n_mediator_coefs),
+            outcome_vcov=variance * np.eye(spec.n_outcome_coefs),
+            mediator_vcov=variance * np.eye(spec.n_mediator_coefs),
             exposure_levels=(1.0, 0.0),
             profiles=(("p", CovariateProfile(z=[0.5], v=[0.3])),),
-        )
-        save_json(doc, tmp_path / "coef.json")
+        )), path)
+        return path
+
+    def test_non_finite_variance(self, tmp_path):
+        # a coefficient variance of 1e308 takes J Sigma J^T past the double range
+        coef = self._wide_bridge_document(tmp_path / "coef.json", 1e308)
         out = tmp_path / "effects.json"
-        line = self._error_line("effects", "--coef-file", tmp_path / "coef.json",
-                                  "--output", out, code=4)
+        line = self._error_line("effects", "--coef-file", coef, "--output", out, code=4)
         assert "variance is not finite" in line
         assert not out.exists()
+
+    def test_overflowing_key_derivative_products_give_finite_errors(self, tmp_path):
+        coef = self._wide_bridge_document(tmp_path / "coef.json", 0.01)
+        out = tmp_path / "effects.json"
+        assert main(["effects", "--coef-file", str(coef), "--output", str(out)]) == 0
+        entries = load_json(out)["effects"][0]["effects"]
+        assert len(entries) == 7
+        assert all(math.isfinite(e["se_log"]) for e in entries)
+        assert max(e["se_log"] for e in entries) > 0.0
 
     def test_overflowing_interval_bound(self, tmp_path):
         # at x - x* = 200 the upper bound of a log-scale interval passes 709
         spec = ModelSpec()
         outcome = OutcomeParams(spec, intercept=-0.7, exposure=0.9, mediator=0.6)
         mediator = MediatorParams(spec, intercept=0.1, exposure=0.5)
-        doc = coefficients_to_doc(
+        doc = coefficients_to_doc(CoefficientSet(
             spec, outcome, mediator,
             outcome_vcov=np.eye(spec.n_outcome_coefs),
             mediator_vcov=np.eye(spec.n_mediator_coefs),
-        )
+        ))
         save_json(doc, tmp_path / "coef.json")
         out = tmp_path / "effects.json"
         line = self._error_line("effects", "--coef-file", tmp_path / "coef.json",
@@ -466,12 +481,12 @@ class TestFileErrors:
         profiles = tuple((f"p{i}", CovariateProfile(z=[big.get(i, i / 100.0)]))
                          for i in range(300))
         assert cli._INFER_BATCH < 270 <= 2 * cli._INFER_BATCH
-        doc = coefficients_to_doc(
+        doc = coefficients_to_doc(CoefficientSet(
             spec, outcome, mediator,
             outcome_vcov=0.01 * np.eye(spec.n_outcome_coefs),
             mediator_vcov=0.01 * np.eye(spec.n_mediator_coefs),
             exposure_levels=(1.0, 0.0), profiles=profiles,
-        )
+        ))
         save_json(doc, tmp_path / "coef.json")
         out = tmp_path / "effects.json"
         line = self._error_line("effects", "--coef-file", tmp_path / "coef.json",
@@ -565,6 +580,24 @@ class TestMalformedCoefficientFiles:
         err = capsys.readouterr().err
         assert err.startswith("ERROR 2:") and where in err, err
 
+    @pytest.mark.parametrize("edit, message", [
+        (_set("outcome", {"intercept": 0.0, "exposure": 0.0, "mediator": 0.0,
+                          "exposure_mediator": 0.0}), "outcome: missing coefficients"),
+        (_set("vcov", {"outcome": np.eye(7).tolist()}), "vcov: missing keys ['mediator']"),
+        (_set("profiles", 1, "name", "edu0_loans0"), "profile names must be distinct"),
+        (_set("marginals", "covariates", "height", {"kind": "bernoulli", "p": 0.5}),
+         "marginals given for unknown covariates ['height']"),
+    ], ids=["parameters-of-another-layout", "one-covariance", "duplicate-profile-names",
+            "marginal-of-no-covariate"])
+    def test_broken_set_invariant_is_schema_error(self, tmp_path, capsys, edit, message):
+        doc = load_json(Path(ormediate.__file__).parent / "fixtures" / "microcredit_table1.json")
+        edit(doc)
+        path = tmp_path / "coef.json"
+        save_json(doc, path)
+        assert run("effects", "--coef-file", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 2:") and message in err, err
+
 
 _HUGE = 10 ** 400  # an integer literal of 401 digits, beyond the double range
 
@@ -632,8 +665,8 @@ class TestCompareCommand:
         vec[5] = 0.0
         vec[6] = 0.0
         outcome = OutcomeParams.from_vector(cs.spec, vec)
-        doc = coefficients_to_doc(cs.spec, outcome, cs.mediator,
-                                  exposure_levels=(1.0, 0.0), profiles=cs.profiles)
+        doc = coefficients_to_doc(CoefficientSet(cs.spec, outcome, cs.mediator,
+                                                 exposure_levels=(1.0, 0.0), profiles=cs.profiles))
         path = tmp_path / "null_w.json"
         save_json(doc, path)
         out = tmp_path / "cmp.json"

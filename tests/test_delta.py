@@ -67,6 +67,26 @@ class TestKeyDerivatives:
         # at k=1 the bridge derivative in bw collapses to p2*p3 / (p2*p3 + p4)
         assert d_bw == pytest.approx((1.7 * 2.9) / (1.7 * 2.9 + 5.7), rel=1e-12)
 
+    @pytest.mark.parametrize("intercept", [300.0, 354.0, 400.0, 550.0, 700.0])
+    def test_finite_past_an_overflowing_square_of_the_denominator(self, intercept):
+        # from a mediator intercept of about 354, s = p2 p3 + p4 passes 1.3e154
+        # and s * s overflows, while every predictor stays inside +/-709
+        spec = ModelSpec()
+        outcome = OutcomeParams(spec, intercept=-1.542, exposure=1.903, mediator=0.758,
+                                exposure_mediator=0.137)
+        mediator = MediatorParams(spec, intercept=intercept)
+        contrast = Contrast(1.0, 0.0)
+        jac = jacobian_log_effects(outcome, mediator, contrast)
+        fd = finite_diff(
+            lambda t: np.array(natural_effects(*_split_theta(spec, t), contrast).log_values()),
+            _stack_theta(outcome, mediator),
+        )
+        assert np.abs(jac - fd).max() < 1e-8
+        fits = [FittedModel(params.active_vector(), np.eye(k), 0.0, 0, True, 10,
+                            spec.terms(params.BLOCKS))
+                for params, k in ((outcome, 4), (mediator, 2))]
+        assert np.array_equal(infer_many(spec, *fits, [contrast] * 2)[1].jacobian, jac)
+
 
 class TestGradATerm:
     def test_no_covariate_assembly(self):
@@ -239,26 +259,39 @@ class TestInfer:
         with pytest.raises(CovarianceError):
             infer(spec, fy, fw, Contrast(1.0, 0.0))
 
-    def test_non_finite_variance_raises(self):
-        # every predictor within the exp bound, yet (p2 p3 + p4)^2 overflows
-        # in the key derivatives, so the Jacobian is NaN
+    @staticmethod
+    def _wide_bridge_problem(variance):
+        """Every predictor within the exp bound, yet at the contrast's profile
+        the products (p2 p3 + p4)^2 of the key derivatives overflow; both
+        covariances ``variance`` times the identity."""
         spec = ModelSpec(z_names=("a",), v_names=("b",), xz=True, wz=True, xwz=True, xv=True)
         outcome = OutcomeParams(spec, mediator=709.0, confounders=[-709.0],
                                 exposure_mediator=-1.0)
         mediator = MediatorParams(spec, intercept=-0.5)
         fy, fw = (
             FittedModel(
-                coefficients=params.active_vector(), vcov=0.01 * np.eye(k),
+                coefficients=params.active_vector(), vcov=variance * np.eye(k),
                 log_likelihood=0.0, iterations=0, converged=True, n=10,
                 column_names=spec.terms(params.BLOCKS),
             )
             for params, k in ((outcome, spec.n_outcome_coefs), (mediator, spec.n_mediator_coefs))
         )
-        contrast = Contrast(1.0, 0.0, CovariateProfile(z=[0.5], v=[0.3]))
+        return spec, fy, fw, Contrast(1.0, 0.0, CovariateProfile(z=[0.5], v=[0.3]))
+
+    def test_non_finite_variance_raises(self):
+        # a coefficient variance of 1e308 takes J Sigma J^T past the double range
+        spec, fy, fw, contrast = self._wide_bridge_problem(1e308)
         with pytest.raises(CovarianceError, match="not finite"):
             infer(spec, fy, fw, contrast)
         with pytest.raises(CovarianceError, match="not finite"):
             infer_many(spec, fy, fw, [contrast, contrast])
+
+    def test_overflowing_key_derivative_products_give_finite_errors(self):
+        spec, fy, fw, contrast = self._wide_bridge_problem(0.01)
+        for res in (infer(spec, fy, fw, contrast), *infer_many(spec, fy, fw, [contrast] * 2)):
+            assert np.isfinite(res.jacobian).all()
+            se = [e.se_log for e in (*res.effects, *res.cde)]
+            assert all(math.isfinite(v) for v in se) and max(se) > 0.0
 
     def test_non_finite_cde_variance_raises(self):
         # the effect variances stay finite (the mediator odds are ~e^-700),

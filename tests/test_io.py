@@ -25,6 +25,7 @@ from ormediate.model import MEDIATOR_BLOCKS, OUTCOME_BLOCKS
 from ormediate.io import (
     COEFFICIENT_FORMAT,
     REPORT_FORMAT,
+    CoefficientSet,
     bind_dataset,
     bundled_fixture_names,
     coefficients_from_doc,
@@ -463,7 +464,7 @@ def _full_coefficient_doc():
     vo = np.arange(49, dtype=float).reshape(7, 7) / 100.0
     vo = (vo + vo.T) / 2.0
     vm = np.array([[0.04, 0.01], [0.01, 0.09]])
-    return coefficients_to_doc(
+    return coefficients_to_doc(CoefficientSet(
         spec,
         outcome,
         mediator,
@@ -474,7 +475,7 @@ def _full_coefficient_doc():
         exposure_marginal=Marginal("bernoulli", p=0.55),
         covariate_marginals={"age": Marginal("uniform", low=17.0, high=70.0)},
         description="round-trip check",
-    )
+    ))
 
 
 class TestCoefficientDocs:
@@ -507,8 +508,8 @@ class TestCoefficientDocs:
             for a in (np.random.default_rng(3).normal(size=(4, 4)),
                       np.random.default_rng(4).normal(size=(2, 2)))
         )
-        doc = coefficients_to_doc(spec, outcome, mediator,
-                                  outcome_vcov=vo, mediator_vcov=vm)
+        doc = coefficients_to_doc(CoefficientSet(spec, outcome, mediator,
+                                                 outcome_vcov=vo, mediator_vcov=vm))
         path = tmp_path / "c.json"
         save_json(doc, path)
         cs = coefficients_from_doc(load_json(path))
@@ -565,7 +566,7 @@ class TestCoefficientDocs:
         outcome = OutcomeParams(spec, intercept=0.0)
         mediator = MediatorParams(spec, intercept=0.0)
         with pytest.raises(SchemaError, match="both models or neither"):
-            coefficients_to_doc(spec, outcome, mediator, outcome_vcov=np.eye(4))
+            coefficients_to_doc(CoefficientSet(spec, outcome, mediator, outcome_vcov=np.eye(4)))
 
     def test_report_wrapper_is_unwrapped(self):
         inner = _full_coefficient_doc()
@@ -580,15 +581,16 @@ class TestCoefficientDocs:
         outcome = OutcomeParams(spec, intercept=0.0, confounders=(0.1, 0.2))
         mediator = MediatorParams(spec, intercept=0.0, confounders=(0.3,))
         prof = CovariateProfile(z=(1.5, 2.5), v=(1.5,))
-        doc = coefficients_to_doc(spec, outcome, mediator, profiles=(("only", prof),))
+        doc = coefficients_to_doc(CoefficientSet(spec, outcome, mediator,
+                                                 profiles=(("only", prof),)))
         assert doc["profiles"][0]["values"] == {"a": 1.5, "b": 2.5}
         cs = coefficients_from_doc(doc)
         assert cs.profiles[0][1].z == (1.5, 2.5)
         assert cs.profiles[0][1].v == (1.5,)
         conflicted = CovariateProfile(z=(1.5, 2.5), v=(9.0,))
         with pytest.raises(SchemaError, match="shared covariate"):
-            coefficients_to_doc(spec, outcome, mediator,
-                                profiles=(("bad", conflicted),))
+            coefficients_to_doc(CoefficientSet(spec, outcome, mediator,
+                                               profiles=(("bad", conflicted),)))
 
     def test_fitted_models_feed_inference(self):
         spec = ModelSpec()
@@ -598,8 +600,8 @@ class TestCoefficientDocs:
         vo = 0.01 * np.eye(4)
         vm = 0.02 * np.eye(2)
         cs = coefficients_from_doc(
-            coefficients_to_doc(spec, outcome, mediator,
-                                outcome_vcov=vo, mediator_vcov=vm)
+            coefficients_to_doc(CoefficientSet(spec, outcome, mediator,
+                                               outcome_vcov=vo, mediator_vcov=vm))
         )
         fy, fw = cs.fitted_models()
         res = infer(spec, fy, fw, Contrast(1.0, 0.0))
@@ -609,6 +611,61 @@ class TestCoefficientDocs:
         cs = load_coefficients("microcredit_table1")
         with pytest.raises(SchemaError, match="covariance"):
             cs.fitted_models()
+
+
+class TestCoefficientSetInvariants:
+    """The four invariants a CoefficientSet checks itself, once: each raises
+    a SchemaError from the constructor, from ``_replace`` and from a
+    document that breaks it."""
+
+    def test_parameters_of_another_layout(self):
+        cs = coefficients_from_doc(_full_coefficient_doc())
+        other = OutcomeParams(ModelSpec())
+        with pytest.raises(SchemaError, match="different model layout"):
+            CoefficientSet(cs.spec, other, cs.mediator)
+        with pytest.raises(SchemaError, match="different model layout"):
+            cs._replace(mediator=MediatorParams(ModelSpec()))
+        doc = _full_coefficient_doc()
+        doc["outcome"] = {"intercept": 0.0, "exposure": 0.0, "mediator": 0.0,
+                          "exposure_mediator": 0.0}  # the layout of ModelSpec()
+        with pytest.raises(SchemaError, match=r"outcome: missing coefficients \['confounders'\]"):
+            coefficients_from_doc(doc)
+
+    def test_covariances_for_both_models_or_neither(self):
+        cs = coefficients_from_doc(_full_coefficient_doc())
+        with pytest.raises(SchemaError, match="both models or neither"):
+            CoefficientSet(cs.spec, cs.outcome, cs.mediator, mediator_vcov=cs.mediator_vcov)
+        with pytest.raises(SchemaError, match="both models or neither"):
+            cs._replace(outcome_vcov=None)
+        doc = _full_coefficient_doc()
+        del doc["vcov"]["mediator"]
+        with pytest.raises(SchemaError, match=r"vcov: missing keys \['mediator'\]"):
+            coefficients_from_doc(doc)
+
+    def test_profile_names_are_distinct(self):
+        cs = coefficients_from_doc(_full_coefficient_doc())
+        twice = cs.profiles[:1] * 2
+        with pytest.raises(SchemaError, match="profile names must be distinct"):
+            CoefficientSet(cs.spec, cs.outcome, cs.mediator, profiles=twice)
+        with pytest.raises(SchemaError, match="profile names must be distinct"):
+            cs._replace(profiles=cs.profiles + twice)
+        doc = _full_coefficient_doc()
+        doc["profiles"][3]["name"] = "p1"
+        with pytest.raises(SchemaError, match="profile names must be distinct"):
+            coefficients_from_doc(doc)
+
+    def test_marginals_name_model_covariates(self):
+        cs = coefficients_from_doc(_full_coefficient_doc())
+        height = {"height": Marginal("bernoulli", p=0.5)}
+        message = r"marginals given for unknown covariates \['height'\]"
+        with pytest.raises(SchemaError, match=message):
+            CoefficientSet(cs.spec, cs.outcome, cs.mediator, covariate_marginals=height)
+        with pytest.raises(SchemaError, match=message):
+            cs._replace(covariate_marginals={**cs.covariate_marginals, **height})
+        doc = _full_coefficient_doc()
+        doc["marginals"]["covariates"]["height"] = {"kind": "bernoulli", "p": 0.5}
+        with pytest.raises(SchemaError, match=message):
+            coefficients_from_doc(doc)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -627,11 +684,18 @@ def _covariance(draw, k: int) -> np.ndarray:
     return m
 
 
+def _marginals(draw) -> Marginal:
+    if draw(st.booleans()):
+        return Marginal("bernoulli", p=draw(st.floats(min_value=0.0, max_value=1.0)))
+    low, high = sorted((draw(_finite), draw(_finite)))
+    return Marginal("uniform", low=low, high=high)
+
+
 @st.composite
 def _coefficient_sets(draw):
-    """Keyword arguments of coefficients_to_doc: a marginality-respecting flag
-    set, p and q in 0..3 drawn from one name pool (so covariates can be
-    shared), and optional covariances, contrast and profiles."""
+    """A CoefficientSet: a marginality-respecting flag set, p and q in 0..3
+    drawn from one name pool (so covariates can be shared), and optional
+    covariances, contrast, profiles, marginals and description."""
     pool = ["age", "edu", "loans", "income"]
     z_names = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
     v_names = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
@@ -642,13 +706,7 @@ def _coefficient_sets(draw):
     spec = ModelSpec(z_names=tuple(z_names), v_names=tuple(v_names),
                      z=z, xz=xz, wz=wz, xwz=xwz, v=v, xv=xv)
     ky, kw = spec.n_outcome_coefs, spec.n_mediator_coefs
-    kwargs = {
-        "spec": spec,
-        "outcome": OutcomeParams.from_vector(
-            spec, draw(st.lists(_finite, min_size=ky, max_size=ky))),
-        "mediator": MediatorParams.from_vector(
-            spec, draw(st.lists(_finite, min_size=kw, max_size=kw))),
-    }
+    kwargs = {}
     if draw(st.booleans()):
         kwargs["outcome_vcov"] = _covariance(draw, ky)
         kwargs["mediator_vcov"] = _covariance(draw, kw)
@@ -660,29 +718,39 @@ def _coefficient_sets(draw):
             spec, {n: draw(_finite) for n in spec.covariate_names()}))
         for name in names
     )
-    return kwargs
+    if draw(st.booleans()):
+        kwargs["exposure_marginal"] = _marginals(draw)
+    kwargs["covariate_marginals"] = {
+        name: _marginals(draw) for name in spec.covariate_names() if draw(st.booleans())
+    }
+    kwargs["description"] = draw(st.text(max_size=8))
+    return CoefficientSet(
+        spec,
+        OutcomeParams.from_vector(spec, draw(st.lists(_finite, min_size=ky, max_size=ky))),
+        MediatorParams.from_vector(spec, draw(st.lists(_finite, min_size=kw, max_size=kw))),
+        **kwargs,
+    )
 
 
 class TestCoefficientDocProperties:
     @settings(deadline=None, max_examples=150)
-    @given(kwargs=_coefficient_sets())
-    def test_round_trip_through_json_text(self, kwargs):
-        doc = coefficients_to_doc(**kwargs)
+    @given(coef=_coefficient_sets())
+    def test_round_trip_through_json_text(self, coef):
+        doc = coefficients_to_doc(coef)
         cs = coefficients_from_doc(json.loads(json.dumps(doc, indent=2)))
-        assert cs.spec == kwargs["spec"]
-        assert cs.outcome == kwargs["outcome"] and cs.mediator == kwargs["mediator"]
+        assert cs.spec == coef.spec
+        assert cs.outcome == coef.outcome and cs.mediator == coef.mediator
         for key in ("outcome_vcov", "mediator_vcov"):
-            if key in kwargs:
-                assert np.array_equal(getattr(cs, key), kwargs[key])
-            else:
+            if getattr(coef, key) is None:
                 assert getattr(cs, key) is None
-        assert cs.exposure_levels == kwargs.get("exposure_levels")
-        assert cs.profiles == kwargs["profiles"]
-        assert coefficients_to_doc(
-            cs.spec, cs.outcome, cs.mediator,
-            outcome_vcov=cs.outcome_vcov, mediator_vcov=cs.mediator_vcov,
-            exposure_levels=cs.exposure_levels, profiles=cs.profiles,
-        ) == doc
+            else:
+                assert np.array_equal(getattr(cs, key), getattr(coef, key))
+        assert cs.exposure_levels == coef.exposure_levels
+        assert cs.profiles == coef.profiles
+        assert cs.exposure_marginal == coef.exposure_marginal
+        assert cs.covariate_marginals == coef.covariate_marginals
+        assert cs.description == coef.description
+        assert coefficients_to_doc(cs) == doc
 
 
 _JSON_SCALARS = st.one_of(

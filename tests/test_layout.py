@@ -8,7 +8,7 @@ import json
 import numpy as np
 
 from ormediate import MediatorParams, ModelSpec, OutcomeParams
-from ormediate.io import coefficients_to_doc, load_coefficients
+from ormediate.io import CoefficientSet, coefficients_to_doc, load_coefficients
 from ormediate.model import CovariateProfile, mediator_design, outcome_design
 
 # SHA-256 digests taken from the hand-written layout, before the block table.
@@ -54,7 +54,7 @@ def _specs():
 
 def test_microcredit_document_bytes():
     cs = load_coefficients("microcredit_table1")
-    doc = coefficients_to_doc(
+    doc = coefficients_to_doc(CoefficientSet(
         cs.spec,
         cs.outcome,
         cs.mediator,
@@ -63,7 +63,7 @@ def test_microcredit_document_bytes():
         exposure_marginal=cs.exposure_marginal,
         covariate_marginals=cs.covariate_marginals,
         description=cs.description,
-    )
+    ))
     assert _digest([_doc_bytes(doc)]) == GOLDEN["microcredit_table1"]
 
 
@@ -77,7 +77,7 @@ def test_all_blocks_document_bytes():
     mediator = MediatorParams.from_vector(spec, rng.normal(size=spec.n_mediator_coefs))
     a = rng.normal(size=(spec.n_outcome_coefs,) * 2)
     b = rng.normal(size=(spec.n_mediator_coefs,) * 2)
-    doc = coefficients_to_doc(
+    doc = coefficients_to_doc(CoefficientSet(
         spec,
         outcome,
         mediator,
@@ -85,7 +85,7 @@ def test_all_blocks_document_bytes():
         mediator_vcov=b @ b.T,
         exposure_levels=(1.5, -0.25),
         profiles=(("p1", CovariateProfile(z=(41.0, 1.0), v=(1.0, -2.5))),),
-    )
+    ))
     assert _digest([_doc_bytes(doc)]) == GOLDEN["all_blocks_doc"]
 
 

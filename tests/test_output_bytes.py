@@ -10,7 +10,7 @@ import pytest
 
 from ormediate import CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
 from ormediate.cli import main
-from ormediate.io import coefficients_to_doc, save_json
+from ormediate.io import CoefficientSet, coefficients_to_doc, save_json
 
 # SHA-256 digests of the --output files: verify and effects taken from the
 # one-profile-at-a-time evaluation, effects-point and fit-* from the separate
@@ -72,9 +72,9 @@ def _sweep_document(vcov=True):
     )
     if not vcov:
         vcovs = [None, None]
-    return coefficients_to_doc(spec, outcome, mediator,
-                               outcome_vcov=vcovs[0], mediator_vcov=vcovs[1],
-                               exposure_levels=(1.0, 0.0), profiles=profiles)
+    return coefficients_to_doc(CoefficientSet(spec, outcome, mediator,
+                                              outcome_vcov=vcovs[0], mediator_vcov=vcovs[1],
+                                              exposure_levels=(1.0, 0.0), profiles=profiles))
 
 
 def _effects_digest(tmp_path, monkeypatch, document) -> str:
