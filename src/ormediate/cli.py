@@ -40,6 +40,14 @@ The records these modules define are plain classes (``record.Record``), so
 importing a module generates and compiles no code, and no command loads
 ``dataclasses``.
 
+The effect tables of a report with many profiles are made in contiguous
+ranges of profiles, one per usable CPU with at least _MIN_RANGE_PROFILES
+each; a forked child makes each range but the first. The parent computes
+every number of a child's range that needs BLAS before the fork, so a child
+runs only pure Python and non-BLAS numpy, and hands back the JSON and the
+text of its tables. The bytes and errors never depend on the number of
+ranges; see ``_effect_tables``.
+
 Once the arguments are parsed, and only if numpy is not loaded yet, `main`
 sets ``OPENBLAS_NUM_THREADS=1`` whatever the caller set, so a command loads
 OpenBLAS with one thread.  By default OpenBLAS starts one worker thread per
@@ -74,10 +82,15 @@ EXIT_NUMERIC = 4
 EXIT_VERIFY = 5
 
 _DEFAULT_GRID = "-2,-4,-6,-8,-10,-12,-14"
-# contrasts per infer_many call, so only one slice of results lives at a time;
-# each call costs about 1 ms whatever its size, and from 128 to 1000 contrasts
-# per call the cost per contrast is flat
+# contrasts per slice of a report (one infer_many call, or one delta-method
+# stack), so only one slice of results lives at a time; each call costs about
+# 1 ms whatever its size, and from 128 to 1000 contrasts per call the cost per
+# contrast is flat
 _INFER_BATCH = 256
+# fewest profiles worth a report process of their own: at 200 profiles two
+# processes make the tables of a fully interacted set in 31 ms against 42,
+# at 100 in 24 against 16 (2-core guest, medians of 80)
+_MIN_RANGE_PROFILES = 100
 
 
 # ---------------------------------------------------------------------------
@@ -332,37 +345,168 @@ def _point_entries(effect_set: EffectSet) -> list[dict]:
     ]
 
 
-def _effect_sections(coef: CoefficientSet, level: float) -> dict:
+def _effect_sections(coef: CoefficientSet, level: float, json: bool) -> dict:
     """The ``coefficients``, ``effects`` and ``diagnostics`` sections of a
     report on ``coef``, whose exposure levels and profiles are resolved:
-    delta-method inference when it has covariances, point estimates otherwise."""
-    from .effects import natural_effects, special_case_report
-    from .io import coefficients_to_doc, profile_values
+    delta-method inference when it has covariances, point estimates otherwise.
+    The effects hold their JSON only if ``json``; see :func:`_effect_tables`."""
+    from .effects import special_case_report
+    from .io import coefficients_to_doc
     from .model import Contrast
 
-    spec, profiles = coef.spec, coef.profiles
-    contrasts = [Contrast(*coef.exposure_levels, prof) for _, prof in profiles]
-    if coef.has_vcov:
-        from .delta import infer_many
-
-        fits = coef.fitted_models()
-        entries = []
-        for start in range(0, len(contrasts), _INFER_BATCH):
-            batch = contrasts[start:start + _INFER_BATCH]
-            entries += map(_inference_entries, infer_many(spec, *fits, batch, level=level))
-    else:
-        entries = [_point_entries(natural_effects(coef.outcome, coef.mediator, c))
-                   for c in contrasts]
-    tables = [
-        {"profile": name, "values": profile_values(spec, prof), "effects": e}
-        for (name, prof), e in zip(profiles, entries)
-    ]
+    contrasts = [Contrast(*coef.exposure_levels, prof) for _, prof in coef.profiles]
+    effects = _effect_tables(_Sweep(coef, contrasts, level), json)
     notes = list(special_case_report(coef.outcome, coef.mediator, contrasts[0]).identities)
     if not coef.has_vcov:
         notes.append("no covariance matrices in the coefficient file: "
                      "point estimates only")
-    return {"coefficients": coefficients_to_doc(coef), "effects": tables,
+    return {"coefficients": coefficients_to_doc(coef), "effects": effects,
             "diagnostics": {"notes": notes}}
+
+
+class _Sweep:
+    """The contrasts at a report's profiles, whose effect entries are made in
+    slices of at most _INFER_BATCH contrasts from the start of a range. A
+    slice's entries come from the calls of the serial path (``infer_many``,
+    or ``natural_effects`` contrast by contrast), unless :meth:`prepare` has
+    computed its numbers that need BLAS (its delta-method stack, or its
+    effect sets) ahead of a fork: a child makes them with no BLAS."""
+
+    def __init__(self, coef: CoefficientSet, contrasts: list, level: float):
+        self.coef, self.contrasts, self.level = coef, contrasts, level
+        self.fits = coef.fitted_models() if coef.has_vcov else None
+        self.prepared: dict[int, object] = {}  # slice start -> its numbers that need BLAS
+
+    def prepare(self, lo: int, hi: int) -> bool:
+        """Compute the numbers that need BLAS of each slice of profiles lo to
+        hi; False if a slice fails (the serial path's calls then raise)."""
+        coef = self.coef
+        if self.fits:
+            from .delta import _stacked
+        else:
+            from .effects import natural_effects
+        try:
+            for start in range(lo, hi, _INFER_BATCH):
+                batch = self.contrasts[start:min(start + _INFER_BATCH, hi)]
+                self.prepared[start] = (
+                    _stacked(coef.spec, *self.fits, batch, self.level) if self.fits
+                    else [natural_effects(coef.outcome, coef.mediator, c) for c in batch]
+                )
+        except (MediationError, ArithmeticError, ValueError):
+            return False
+        return True
+
+    def entries(self, lo: int, hi: int) -> list[list[dict]]:
+        """The effect entries of the slice of profiles lo to hi."""
+        coef, prepared = self.coef, self.prepared.get(lo)
+        if self.fits:
+            from .delta import _summaries, infer_many
+
+            results = (_summaries(prepared) if prepared is not None else
+                       infer_many(coef.spec, *self.fits, self.contrasts[lo:hi], level=self.level))
+            return list(map(_inference_entries, results))
+        if prepared is not None:
+            return list(map(_point_entries, prepared))
+        from .effects import natural_effects
+
+        return [_point_entries(natural_effects(coef.outcome, coef.mediator, c))
+                for c in self.contrasts[lo:hi]]
+
+
+class _Effects(list):
+    """The ``effects`` section of a report: a ``jsonio.Verbatim`` per table,
+    its JSON at the indent of the section (unused if no JSON is wanted),
+    and ``lines``, the text rendering of each range of tables, each table
+    after a blank line."""
+
+    def __init__(self, parts: list[tuple[list[str], str]]):
+        from .jsonio import Verbatim
+
+        super().__init__(Verbatim(text) for texts, _ in parts for text in texts)
+        self.lines = [lines for _, lines in parts]
+
+
+# where the lines of a table in a report's effects list start
+_TABLE_INDENT = "\n    "
+
+
+def _range_tables(sweep: _Sweep, lo: int, hi: int, json: bool) -> tuple[list[str], str]:
+    """The JSON of each table of profiles lo to hi (none unless ``json``) and
+    their text, as :class:`_Effects` holds them."""
+    from .io import profile_values
+    from .jsonio import _json_blocks
+
+    spec, profiles = sweep.coef.spec, sweep.coef.profiles
+    texts: list[str] = []
+    lines: list[str] = []
+    templates: dict = {}
+    for start in range(lo, hi, _INFER_BATCH):
+        stop = min(start + _INFER_BATCH, hi)
+        for (name, prof), entries in zip(profiles[start:stop], sweep.entries(start, stop)):
+            table = {"profile": name, "values": profile_values(spec, prof), "effects": entries}
+            if json:
+                blocks: list[str] = []
+                _json_blocks(table, _TABLE_INDENT, blocks.append, templates)
+                texts.append("".join(blocks))
+            lines.append("")
+            lines += _render_effect_table(table)
+    return texts, "\n".join(lines)
+
+
+def _send_tables(sink, sweep: _Sweep, lo: int, hi: int, json: bool) -> bool:
+    """A report child's work: the tables of profiles lo to hi, to the parent."""
+    import marshal
+
+    marshal.dump(_range_tables(sweep, lo, hi, json), sink)
+    sink.flush()
+    return True
+
+
+def _effect_tables(sweep: _Sweep, json: bool) -> _Effects:
+    """The tables of every profile, cut into contiguous ranges: one per usable
+    CPU, with at least _MIN_RANGE_PROFILES profiles each. The parent prepares
+    each range but the first and forks a child to make it, which runs no BLAS
+    and takes no lock; then it makes the first range itself and takes the
+    others in order. It makes a range itself, through the serial path, when
+    the range's numbers fail to prepare (and then every later range too), its
+    child cannot start or its child fails, and only once the ranges before it
+    have succeeded, so an error is the serial path's. The tables never depend
+    on the number of processes."""
+    import marshal
+    from contextlib import ExitStack
+
+    from .io import _Children, _range_count, _row_ranges
+
+    n = len(sweep.contrasts)
+    first, *rest = _row_ranges(n, _range_count(n, _MIN_RANGE_PROFILES))
+    with ExitStack() as stack:
+        children = stack.enter_context(_Children())
+        forked = []
+        prepared = True
+        for lo, hi in rest:
+            pid = stream = None
+            prepared = prepared and sweep.prepare(lo, hi)
+            if prepared:
+                try:
+                    read_end, write_end = os.pipe()
+                except OSError:
+                    pass
+                else:
+                    with open(write_end, "wb") as sink:
+                        pid = children.fork(_send_tables, sink, sweep, lo, hi, json)
+                    stream = stack.enter_context(open(read_end, "rb"))
+            sweep.prepared.clear()  # the child holds its own copy
+            forked.append((lo, hi, pid, stream))
+        parts = [_range_tables(sweep, *first, json)]
+        for lo, hi, pid, stream in forked:
+            try:
+                part = marshal.load(stream) if stream else None
+            except (OSError, EOFError, ValueError, TypeError):  # a child that ended early
+                part = None
+            if not children.reap(pid) or part is None:
+                part = _range_tables(sweep, lo, hi, json)
+            parts.append(part)
+    return _Effects(parts)
 
 
 def _report(command: str, config: dict, **sections) -> dict:
@@ -381,7 +525,8 @@ def _report(command: str, config: dict, **sections) -> dict:
 def _emit(doc: dict, output: str | None) -> None:
     lines = _render(doc)
     if lines:
-        sys.stdout.write("\n".join(lines) + "\n")
+        lines.append("")  # the last line's break, without a copy of the text
+        sys.stdout.write("\n".join(lines))
     if output:
         from .jsonio import save_json
 
@@ -408,9 +553,7 @@ def _render(doc: dict) -> list[str]:
         lines.append(
             f"exposure contrast: x={_fmt(contrast['x'])} vs x*={_fmt(contrast['x_star'])}"
         )
-        for table in doc["effects"]:
-            lines.append("")
-            lines += _render_effect_table(table)
+        lines += doc["effects"].lines
     if "rows" in doc:
         lines += _render_compare(doc)
     if "suites" in doc:
@@ -553,7 +696,7 @@ def _cmd_fit(args) -> int:
             "outcome": _model_doc(outcome_fit, args.level),
             "mediator": _model_doc(mediator_fit, args.level),
         },
-        **_effect_sections(coef, args.level),
+        **_effect_sections(coef, args.level, json=bool(args.output)),
     )
     _emit(doc, args.output)
     return EXIT_OK
@@ -572,7 +715,7 @@ def _cmd_effects(args) -> int:
             "level": args.level,
             "mode": "inference" if coef.has_vcov else "point-estimates",
         },
-        **_effect_sections(coef, args.level),
+        **_effect_sections(coef, args.level, json=bool(args.output)),
     )
     _emit(doc, args.output)
     return EXIT_OK

@@ -14,7 +14,11 @@ are always positive and respect the reciprocal symmetry of odds ratios.
 gradients are columns over the contrasts, built by the same functions as the
 single-contrast Jacobian, and the covariances one stacked J Sigma J^T, which
 equals the 2-d product slice by slice. ``infer`` is ``infer_many`` at one
-contrast, so there is one delta-method path.
+contrast, so there is one delta-method path. A batch runs in two stages:
+``_stacked`` makes every number that calls BLAS (the effects, the Jacobians,
+J Sigma J^T and the CDE variances g V g^T), and ``_summaries`` makes the
+results from them with no BLAS, so a forked child of a process with BLAS
+threads may run it (the CLI's report ranges do).
 """
 
 from __future__ import annotations
@@ -122,14 +126,30 @@ def _fitted_params(spec: ModelSpec, outcome_fit: FittedModel, mediator_fit: Fitt
     return outcome, mediator, sigma
 
 
-def _summaries(effect_sets, jac, cov_log, g_cde, outcome_vcov, zq: float, level: float):
-    """The :class:`InferenceResult` of each of N contrasts from its effects,
-    the stacked Jacobians (N, 5, dim) and log-scale covariances (N, 5, 5),
-    and the stacked gradients (N, ky) of log CDE(0) and log CDE(1). The
-    checks run over all rows at once; with N = 1 they raise in the order of
-    the effects they check."""
+class _Stack(Record):
+    """The numbers of N contrasts that need BLAS, from which :func:`_summaries`
+    builds their results with none: the contrasts, their log effects (N, 5)
+    and log CDE(0), log CDE(1) (N, 2) as lists of floats, the stacked
+    Jacobians (N, 5, dim) and log-scale covariances (N, 5, 5), the CDE
+    variances g V g^T (N, 2), and the Wald quantile of ``level``."""
+
+    __slots__ = FIELDS = ("contrasts", "logs", "cde", "jac", "cov_log", "var_cde", "zq", "level")
+
+
+def _summaries(stack: _Stack) -> list[InferenceResult]:
+    """The :class:`InferenceResult` of each contrast of a stack, through no
+    BLAS. The checks run over all rows at once; with one row they raise in
+    the order of the effects they check."""
+    if not stack.contrasts:
+        return []
     from .logit import _two_sided_p  # imported here: verify's Jacobians load no fitter
 
+    zq, level = stack.zq, stack.level
+    effect_sets = [
+        EffectSet(*row, log_cde_at={0: c0, 1: c1}, contrast=c)
+        for row, (c0, c1), c in zip(stack.logs, stack.cde, stack.contrasts)
+    ]
+    cov_log = stack.cov_log
     var_log = np.diagonal(cov_log, axis1=1, axis2=2)
     _check_variances(var_log, "a delta-method variance is not finite",
                      "delta-method variance {:.3e} is negative beyond roundoff")
@@ -145,8 +165,7 @@ def _summaries(effect_sets, jac, cov_log, g_cde, outcome_vcov, zq: float, level:
     cov_or = cov_log * (ors[:, :, None] * ors[:, None, :])
 
     cde = []
-    for w, g in enumerate(g_cde):
-        var = (g[:, None, :] @ outcome_vcov @ g[:, :, None])[:, 0, 0]
+    for w, var in enumerate(stack.var_cde.T):
         _check_variances(var, f"CDE({w}) variance is not finite",
                          f"negative CDE({w}) variance {{:.3e}}")
         cde.append([
@@ -156,8 +175,8 @@ def _summaries(effect_sets, jac, cov_log, g_cde, outcome_vcov, zq: float, level:
 
     # positional, as in _summarise: keywords cost more to bind
     return [
-        InferenceResult(es, effects[i], (cde[0][i], cde[1][i]), cov_log[i], cov_or[i], jac[i],
-                        level)
+        InferenceResult(es, effects[i], (cde[0][i], cde[1][i]), cov_log[i], cov_or[i],
+                        stack.jac[i], level)
         for i, es in enumerate(effect_sets)
     ]
 
@@ -197,7 +216,6 @@ def infer_many(
         return [infer(spec, outcome_fit, mediator_fit, c, level) for c in contrasts]
 
 
-@np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
 def _infer_rows(
     spec: ModelSpec,
     outcome_fit: FittedModel,
@@ -205,32 +223,43 @@ def _infer_rows(
     contrasts: list[Contrast],
     level: float,
 ) -> list[InferenceResult]:
-    """The batch behind :func:`infer` and :func:`infer_many`: the effects and
-    Jacobians as columns over the contrasts, the covariances as one stacked
-    J Sigma J^T (equal slice by slice to the 2-d product), and one stacked
-    summary."""
+    """The batch behind :func:`infer` and :func:`infer_many`: one stack, then
+    one summary of all its rows."""
+    return _summaries(_stacked(spec, outcome_fit, mediator_fit, contrasts, level))
+
+
+@np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
+def _stacked(
+    spec: ModelSpec,
+    outcome_fit: FittedModel,
+    mediator_fit: FittedModel,
+    contrasts: list[Contrast],
+    level: float,
+) -> _Stack:
+    """The BLAS stage of a batch: the effects and Jacobians as columns over
+    the contrasts, the covariances as one stacked J Sigma J^T (equal slice by
+    slice to the 2-d product), and the CDE variances as one stacked g V g^T."""
     from .logit import _wald_quantile
 
     zq = _wald_quantile(level)
     outcome, mediator, sigma = _fitted_params(spec, outcome_fit, mediator_fit)
     if not contrasts:
-        return []
+        return _Stack(contrasts, [], [], None, None, None, zq, level)
     theta = np.concatenate([outcome.active_vector(), mediator.active_vector()])
     rows = np.broadcast_to(theta, (len(contrasts), 1, theta.size))  # one draw per contrast
     oy, mw, x, xs, delta, z, v = _at_contrasts(spec, rows, contrasts)
     logs = np.column_stack(_log_effects(oy, mw, x, xs, delta)).tolist()
     cde = np.column_stack([_log_cde_at(oy, delta)[w] for w in (0, 1)]).tolist()
-    effect_sets = [
-        EffectSet(*row, log_cde_at={0: c0, 1: c1}, contrast=c)
-        for row, (c0, c1), c in zip(logs, cde, contrasts)
-    ]
     jac = np.ascontiguousarray(
         _log_jacobian(spec, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1)
     )
     cov_log = jac @ sigma @ jac.transpose(0, 2, 1)
     cov_log = (cov_log + cov_log.transpose(0, 2, 1)) / 2.0
-    g_cde = [
-        _exposure_gradient(spec, delta, z.T, spec.n_outcome_coefs, w).T.copy()
-        for w in (0.0, 1.0)
-    ]
-    return _summaries(effect_sets, jac, cov_log, g_cde, outcome_fit.vcov, zq, level)
+    var_cde = np.column_stack([
+        (g[:, None, :] @ outcome_fit.vcov @ g[:, :, None])[:, 0, 0]
+        for g in (
+            _exposure_gradient(spec, delta, z.T, spec.n_outcome_coefs, w).T.copy()
+            for w in (0.0, 1.0)
+        )
+    ])
+    return _Stack(contrasts, logs, cde, jac, cov_log, var_cde, zq, level)

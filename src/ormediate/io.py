@@ -177,7 +177,9 @@ def _send_rows(sink, data: bytes, lo: int, hi: int, width: int) -> bool:
 def _load_body(chunk: bytes, width: int) -> np.ndarray | None:
     """Whole lines of a table body through np.loadtxt; None unless that gives
     one row of `width` values per line."""
-    lines = chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+    lines = chunk.count(b"\n")
+    if b"\r" in chunk:  # a lone \r ends a line too
+        lines += chunk.count(b"\r") - chunk.count(b"\r\n")
     lines += not chunk.endswith((b"\n", b"\r"))  # a last line with no break
     handle = TextIOWrapper(BytesIO(chunk), encoding="utf-8", newline="")
     try:
@@ -291,12 +293,12 @@ def _column_strings(arr: np.ndarray) -> list[str]:
     return list(map(repr, arr.tolist()))
 
 
-def _range_count(rows: int) -> int:
-    """Processes for a table of `rows` rows: one per usable CPU, with at least
-    _MIN_RANGE_ROWS rows each, and one where there is no fork."""
+def _range_count(rows: int, minimum: int = _MIN_RANGE_ROWS) -> int:
+    """Processes for `rows` rows of work: one per usable CPU, with at least
+    `minimum` rows each, and one where there is no fork."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(_usable_cpus(), rows // _MIN_RANGE_ROWS))
+    return max(1, min(_usable_cpus(), rows // minimum))
 
 
 def _row_ranges(n: int, count: int) -> list[tuple[int, int]]:
@@ -508,8 +510,10 @@ class CoefficientSet(ValueRecord):
     """Parsed contents of a coefficient document; no covariate marginals by
     default. Building one, by ``_replace`` too, checks that both parameter
     sets belong to ``spec``, that covariances come for both models or for
-    neither, that profile names are distinct, and that covariate marginals
-    name only model covariates."""
+    neither, that each is a covariance of its model (see
+    :func:`_checked_vcov`), that profile names are distinct, and that
+    covariate marginals name only model covariates. It holds each covariance
+    as a float array of its own."""
 
     __slots__ = FIELDS = ("spec", "outcome", "mediator", "outcome_vcov", "mediator_vcov",
                           "exposure_levels", "profiles", "exposure_marginal",
@@ -532,6 +536,10 @@ class CoefficientSet(ValueRecord):
             raise SchemaError("coefficient vectors were built for a different model layout")
         if (outcome_vcov is None) != (mediator_vcov is None):
             raise SchemaError("provide covariance matrices for both models or neither")
+        if outcome_vcov is not None:
+            outcome_vcov = _checked_vcov(outcome_vcov, spec.n_outcome_coefs, where="vcov.outcome")
+            mediator_vcov = _checked_vcov(mediator_vcov, spec.n_mediator_coefs,
+                                          where="vcov.mediator")
         if len({name for name, _ in profiles}) != len(profiles):
             raise SchemaError("profile names must be distinct")
         if covariate_marginals is None:
@@ -609,12 +617,21 @@ def _params_from_doc(cls, spec: ModelSpec, doc, *, where: str):
     return cls(spec, **kwargs)
 
 
-def _vcov_from_doc(entry, size: int, *, where: str) -> np.ndarray:
-    rows = [_list(row, where=where) for row in _list(entry, where=where)]
-    if len(rows) != size or any(len(row) != size for row in rows):
-        lengths = [len(row) for row in rows]
+def _vcov_from_doc(entry, *, where: str) -> list[list[float]]:
+    return [[_number(v, where=where) for v in _list(row, where=where)]
+            for row in _list(entry, where=where)]
+
+
+def _checked_vcov(vcov, size: int, *, where: str) -> np.ndarray:
+    """``vcov`` as a float array of its own, once it is a ``size`` x ``size``
+    matrix of finite entries, exactly symmetric, with no negative variance."""
+    try:
+        lengths = [len(row) for row in vcov]
+    except TypeError:  # not a sequence of rows
+        lengths = None
+    if lengths != [size] * size:
         raise SchemaError(f"{where}: covariance must be {size}x{size}, got row lengths {lengths}")
-    arr = np.array([[_number(v, where=where) for v in row] for row in rows])
+    arr = np.array(vcov, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{where}: covariance contains non-finite entries")
     # exact: fit writes (V + V^T) / 2, which is symmetric to the bit
@@ -657,10 +674,8 @@ def coefficients_to_doc(coef: CoefficientSet) -> dict:
         "mediator": _params_to_doc(coef.mediator),
     }
     if coef.has_vcov:
-        doc["vcov"] = {
-            "outcome": np.asarray(coef.outcome_vcov, dtype=float).tolist(),
-            "mediator": np.asarray(coef.mediator_vcov, dtype=float).tolist(),
-        }
+        doc["vcov"] = {"outcome": coef.outcome_vcov.tolist(),
+                       "mediator": coef.mediator_vcov.tolist()}
     if coef.exposure_levels is not None:
         doc["contrast"] = {
             "x": float(coef.exposure_levels[0]),
@@ -742,12 +757,8 @@ def coefficients_from_doc(doc: Mapping) -> CoefficientSet:
     outcome_vcov = mediator_vcov = None
     if "vcov" in doc and doc["vcov"] is not None:
         _require_keys(doc["vcov"], {"outcome", "mediator"}, where="vcov")
-        outcome_vcov = _vcov_from_doc(
-            doc["vcov"]["outcome"], spec.n_outcome_coefs, where="vcov.outcome"
-        )
-        mediator_vcov = _vcov_from_doc(
-            doc["vcov"]["mediator"], spec.n_mediator_coefs, where="vcov.mediator"
-        )
+        outcome_vcov = _vcov_from_doc(doc["vcov"]["outcome"], where="vcov.outcome")
+        mediator_vcov = _vcov_from_doc(doc["vcov"]["mediator"], where="vcov.mediator")
 
     exposure_levels = None
     if "contrast" in doc and doc["contrast"] is not None:

@@ -301,7 +301,8 @@ class TestRoundTrip:
 
 
 class TestInferenceBatches:
-    """effects passes its contrasts to infer_many in slices of _INFER_BATCH."""
+    """effects stacks its contrasts (``delta._stacked``, which ``infer_many``
+    calls too) in slices of _INFER_BATCH, in every range of profiles."""
 
     @pytest.fixture()
     def coef_file(self, tmp_path):
@@ -324,11 +325,13 @@ class TestInferenceBatches:
     def test_no_call_exceeds_the_batch(self, coef_file, tmp_path, monkeypatch):
         sizes = []
 
-        def counting(spec, outcome_fit, mediator_fit, contrasts, level=0.95):
-            sizes.append(len(contrasts))
-            return infer_many(spec, outcome_fit, mediator_fit, contrasts, level)
+        stacked = delta._stacked
 
-        monkeypatch.setattr(delta, "infer_many", counting)  # cli imports it when it runs
+        def counting(spec, outcome_fit, mediator_fit, contrasts, level):
+            sizes.append(len(contrasts))
+            return stacked(spec, outcome_fit, mediator_fit, contrasts, level)
+
+        monkeypatch.setattr(delta, "_stacked", counting)  # cli imports it when it runs
         assert run("effects", "--coef-file", coef_file, "--output", tmp_path / "a.json") == 0
         assert max(sizes) <= cli._INFER_BATCH and sum(sizes) == 300 and len(sizes) > 1
 

@@ -21,6 +21,7 @@ from ormediate import (
     simulate_dataset,
 )
 from ormediate import io as table_io
+from ormediate.jsonio import Verbatim
 from ormediate.model import MEDIATOR_BLOCKS, OUTCOME_BLOCKS
 from ormediate.io import (
     COEFFICIENT_FORMAT,
@@ -272,6 +273,28 @@ class TestRangeSplit:
         for name in one:
             assert len(one[name]) == 60
             assert split[name].tobytes() == one[name].tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("final", [True, False], ids=["final-break", "no-final-break"])
+    @pytest.mark.parametrize("breaks", [["\r\n"], ["\r"], ["\n", "\r\n", "\r"], ["\r", "\n"]],
+                             ids=["crlf", "cr", "mixed", "cr-lf-alternating"])
+    def test_line_breaks_give_the_per_line_parsers_arrays(self, tmp_path, monkeypatch, count,
+                                                          final, breaks):
+        # the fast reader counts a \r only in a range that has one
+        lines = ["a,b", *(f"{i}.5,{-i}e-3" for i in range(60))]
+        text = "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+        if not final:
+            text = text.rstrip("\r\n")
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        header, matrix = table_io._read_rows(path)
+        monkeypatch.setattr(table_io, "_read_rows", None)  # no fallback
+        _ranges(monkeypatch, count)
+        back = read_table(path)
+        _no_child_left()
+        assert list(back) == header == ["a", "b"]
+        for j, name in enumerate(header):
+            assert back[name].tobytes() == matrix[:, j].tobytes()
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("last, wording", [
@@ -613,10 +636,62 @@ class TestCoefficientDocs:
             cs.fitted_models()
 
 
+# each covariance check: the model whose matrix breaks it, how, and the message
+_BAD_VCOVS = {
+    "size": ("outcome", lambda v: v[:3, :3],
+             r"vcov\.outcome: covariance must be 7x7, got row lengths \[3, 3, 3\]"),
+    "finite": ("mediator", lambda v: _with(v, (0, 0), np.inf),
+               r"vcov\.mediator: covariance contains non-finite entries"),
+    "symmetric": ("mediator", lambda v: _with(v, (0, 1), 0.0),
+                  r"vcov\.mediator: covariance is not symmetric"),
+    "variance": ("outcome", lambda v: _with(v, (3, 3), -1e-300),
+                 r"vcov\.outcome: covariance has a negative variance on its diagonal"),
+}
+
+
+def _with(matrix, index, value):
+    out = np.array(matrix)
+    out[index] = value
+    return out
+
+
 class TestCoefficientSetInvariants:
-    """The four invariants a CoefficientSet checks itself, once: each raises
-    a SchemaError from the constructor, from ``_replace`` and from a
-    document that breaks it."""
+    """The invariants a CoefficientSet checks itself, once: each raises a
+    SchemaError from the constructor, from ``_replace`` and from a document
+    that breaks it."""
+
+    @pytest.mark.parametrize("check", sorted(_BAD_VCOVS))
+    def test_covariances_belong_to_their_models(self, check):
+        which, breaking, message = _BAD_VCOVS[check]
+        cs = coefficients_from_doc(_full_coefficient_doc())
+        bad = {f"{which}_vcov": breaking(getattr(cs, f"{which}_vcov"))}
+        with pytest.raises(SchemaError, match=message):
+            CoefficientSet(cs.spec, cs.outcome, cs.mediator, **{
+                "outcome_vcov": cs.outcome_vcov, "mediator_vcov": cs.mediator_vcov, **bad})
+        with pytest.raises(SchemaError, match=message):
+            cs._replace(**bad)
+        doc = _full_coefficient_doc()
+        doc["vcov"][which] = bad[f"{which}_vcov"].tolist()
+        with pytest.raises(SchemaError, match=message):
+            coefficients_from_doc(doc)
+
+    def test_the_writer_gets_no_covariance_its_reader_refuses(self):
+        spec = ModelSpec()
+        with pytest.raises(SchemaError, match=r"vcov\.outcome: covariance must be 4x4, "
+                                              r"got row lengths \[3, 3, 3\]"):
+            CoefficientSet(spec, OutcomeParams(spec), MediatorParams(spec),
+                           outcome_vcov=np.eye(3), mediator_vcov=[[1, 0.5], [0, 1]])
+
+    def test_a_covariance_is_held_as_a_float_array_of_its_own(self):
+        spec = ModelSpec()
+        given = [[1, 0.5], [0.5, 1]]
+        cs = CoefficientSet(spec, OutcomeParams(spec), MediatorParams(spec),
+                            outcome_vcov=np.eye(4), mediator_vcov=given)
+        given[0][0] = 9
+        assert cs.mediator_vcov.dtype == float
+        assert cs.mediator_vcov.tolist() == [[1.0, 0.5], [0.5, 1.0]]
+        assert coefficients_from_doc(coefficients_to_doc(cs)).mediator_vcov.tolist() == \
+            [[1.0, 0.5], [0.5, 1.0]]
 
     def test_parameters_of_another_layout(self):
         cs = coefficients_from_doc(_full_coefficient_doc())
@@ -798,6 +873,18 @@ class TestJsonWriter:
     @example(doc=[{"%s": 1, "a%%": "%d"}, {"%s": 2, "a%%": "%"}, [{"%s": 3, "a%%": 4}]])
     def test_bytes_equal_json_dumps(self, doc):
         assert _written(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @settings(deadline=None, max_examples=200)
+    @given(doc=_json_documents().filter(lambda d: isinstance(d, (list, tuple, dict))))
+    @example(doc={"a": 1, "b": [2, {"c": "%s"}], "%d": None})
+    def test_verbatim_values_are_copied_as_they_stand(self, doc):
+        def verbatim(value):  # its text at the indent of a top-level container's values
+            return Verbatim(json.dumps(value, indent=2).replace("\n", "\n  "))
+
+        made = ({key: verbatim(value) for key, value in doc.items()} if isinstance(doc, dict)
+                else [verbatim(value) for value in doc])
+        assert _written(made) == json.dumps(doc, indent=2) + "\n"
+        assert _written(verbatim(doc)) == json.dumps(doc, indent=2).replace("\n", "\n  ") + "\n"
 
     @pytest.mark.parametrize("doc", [None, True, 0, -0.0, float("nan"), "text", [], {}])
     def test_top_level_scalars_and_empty_containers(self, doc):
