@@ -40,13 +40,13 @@ The records these modules define are plain classes (``record.Record``), so
 importing a module generates and compiles no code, and no command loads
 ``dataclasses``.
 
-The effect tables of a report with many profiles are made in contiguous
-ranges of profiles, one per usable CPU with at least _MIN_RANGE_PROFILES
-each; a forked child makes each range but the first. The parent computes
-every number of a child's range that needs BLAS before the fork, so a child
-runs only pure Python and non-BLAS numpy, and hands back the JSON and the
-text of its tables. The bytes and errors never depend on the number of
-ranges; see ``_effect_tables``.
+The delta-method effect tables of a report with many profiles are made in
+contiguous ranges of profiles, one per usable CPU with at least
+_MIN_RANGE_PROFILES each; a forked child makes each range but the first.
+The parent computes every number of a child's range that needs BLAS before
+the fork, so a child runs only pure Python and non-BLAS numpy, and hands
+back the JSON and the text of its tables. The bytes and errors never depend
+on the number of ranges; see ``_effect_tables``.
 
 Once the arguments are parsed, and only if numpy is not loaded yet, `main`
 sets ``OPENBLAS_NUM_THREADS=1`` whatever the caller set, so a command loads
@@ -345,23 +345,28 @@ def _point_entries(effect_set: EffectSet) -> list[dict]:
     ]
 
 
-def _effect_sections(coef: CoefficientSet, level: float, json: bool) -> dict:
+def _effect_sections(coef: CoefficientSet, level: float, json: bool) -> tuple[dict, list[str]]:
     """The ``coefficients``, ``effects`` and ``diagnostics`` sections of a
     report on ``coef``, whose exposure levels and profiles are resolved:
-    delta-method inference when it has covariances, point estimates otherwise.
-    The effects hold their JSON only if ``json``; see :func:`_effect_tables`."""
+    delta-method inference when it has covariances, point estimates otherwise;
+    and the text of the effect tables, for :func:`_emit`. The ``effects``
+    section holds each table's JSON text only if ``json``, and is empty
+    otherwise; see :func:`_effect_tables`."""
     from .effects import special_case_report
     from .io import coefficients_to_doc
+    from .jsonio import _Verbatim
     from .model import Contrast
 
     contrasts = [Contrast(*coef.exposure_levels, prof) for _, prof in coef.profiles]
-    effects = _effect_tables(_Sweep(coef, contrasts, level), json)
+    texts, lines = _effect_tables(_Sweep(coef, contrasts, level), json)
     notes = list(special_case_report(coef.outcome, coef.mediator, contrasts[0]).identities)
     if not coef.has_vcov:
         notes.append("no covariance matrices in the coefficient file: "
                      "point estimates only")
-    return {"coefficients": coefficients_to_doc(coef), "effects": effects,
-            "diagnostics": {"notes": notes}}
+    sections = {"coefficients": coefficients_to_doc(coef),
+                "effects": [_Verbatim(text) for text in texts],
+                "diagnostics": {"notes": notes}}
+    return sections, lines
 
 
 class _Sweep:
@@ -369,61 +374,42 @@ class _Sweep:
     slices of at most _INFER_BATCH contrasts from the start of a range. A
     slice's entries come from the calls of the serial path (``infer_many``,
     or ``natural_effects`` contrast by contrast), unless :meth:`prepare` has
-    computed its numbers that need BLAS (its delta-method stack, or its
-    effect sets) ahead of a fork: a child makes them with no BLAS."""
+    computed its delta-method stack ahead of a fork: a child makes them from
+    the stack with no BLAS."""
 
     def __init__(self, coef: CoefficientSet, contrasts: list, level: float):
         self.coef, self.contrasts, self.level = coef, contrasts, level
         self.fits = coef.fitted_models() if coef.has_vcov else None
-        self.prepared: dict[int, object] = {}  # slice start -> its numbers that need BLAS
+        self.prepared: dict = {}  # slice start -> its delta-method stack
 
     def prepare(self, lo: int, hi: int) -> bool:
-        """Compute the numbers that need BLAS of each slice of profiles lo to
-        hi; False if a slice fails (the serial path's calls then raise)."""
-        coef = self.coef
-        if self.fits:
-            from .delta import _stacked
-        else:
-            from .effects import natural_effects
+        """Stack each slice of profiles lo to hi (``delta._stacked``, every
+        number that needs BLAS); False if a slice fails (the serial path's
+        calls then raise)."""
+        from .delta import _stacked
+
         try:
             for start in range(lo, hi, _INFER_BATCH):
                 batch = self.contrasts[start:min(start + _INFER_BATCH, hi)]
-                self.prepared[start] = (
-                    _stacked(coef.spec, *self.fits, batch, self.level) if self.fits
-                    else [natural_effects(coef.outcome, coef.mediator, c) for c in batch]
-                )
+                self.prepared[start] = _stacked(self.coef.spec, *self.fits, batch, self.level)
         except (MediationError, ArithmeticError, ValueError):
             return False
         return True
 
     def entries(self, lo: int, hi: int) -> list[list[dict]]:
         """The effect entries of the slice of profiles lo to hi."""
-        coef, prepared = self.coef, self.prepared.get(lo)
-        if self.fits:
-            from .delta import _summaries, infer_many
+        coef = self.coef
+        if not self.fits:
+            from .effects import natural_effects
 
-            results = (_summaries(prepared) if prepared is not None else
-                       infer_many(coef.spec, *self.fits, self.contrasts[lo:hi], level=self.level))
-            return list(map(_inference_entries, results))
-        if prepared is not None:
-            return list(map(_point_entries, prepared))
-        from .effects import natural_effects
+            return [_point_entries(natural_effects(coef.outcome, coef.mediator, c))
+                    for c in self.contrasts[lo:hi]]
+        from .delta import _summaries, infer_many
 
-        return [_point_entries(natural_effects(coef.outcome, coef.mediator, c))
-                for c in self.contrasts[lo:hi]]
-
-
-class _Effects(list):
-    """The ``effects`` section of a report: a ``jsonio.Verbatim`` per table,
-    its JSON at the indent of the section (unused if no JSON is wanted),
-    and ``lines``, the text rendering of each range of tables, each table
-    after a blank line."""
-
-    def __init__(self, parts: list[tuple[list[str], str]]):
-        from .jsonio import Verbatim
-
-        super().__init__(Verbatim(text) for texts, _ in parts for text in texts)
-        self.lines = [lines for _, lines in parts]
+        prepared = self.prepared.get(lo)
+        results = (_summaries(prepared) if prepared is not None else
+                   infer_many(coef.spec, *self.fits, self.contrasts[lo:hi], level=self.level))
+        return list(map(_inference_entries, results))
 
 
 # where the lines of a table in a report's effects list start
@@ -431,8 +417,9 @@ _TABLE_INDENT = "\n    "
 
 
 def _range_tables(sweep: _Sweep, lo: int, hi: int, json: bool) -> tuple[list[str], str]:
-    """The JSON of each table of profiles lo to hi (none unless ``json``) and
-    their text, as :class:`_Effects` holds them."""
+    """The JSON text of each table of profiles lo to hi, at the indent of the
+    report's ``effects`` list (none unless ``json``), and their text, each
+    table after a blank line."""
     from .io import profile_values
     from .jsonio import _json_blocks
 
@@ -462,23 +449,28 @@ def _send_tables(sink, sweep: _Sweep, lo: int, hi: int, json: bool) -> bool:
     return True
 
 
-def _effect_tables(sweep: _Sweep, json: bool) -> _Effects:
-    """The tables of every profile, cut into contiguous ranges: one per usable
-    CPU, with at least _MIN_RANGE_PROFILES profiles each. The parent prepares
-    each range but the first and forks a child to make it, which runs no BLAS
-    and takes no lock; then it makes the first range itself and takes the
-    others in order. It makes a range itself, through the serial path, when
-    the range's numbers fail to prepare (and then every later range too), its
-    child cannot start or its child fails, and only once the ranges before it
-    have succeeded, so an error is the serial path's. The tables never depend
-    on the number of processes."""
+def _effect_tables(sweep: _Sweep, json: bool) -> tuple[list[str], list[str]]:
+    """The JSON texts of every table (see :func:`_range_tables`) and the text
+    of each range of tables. With covariances, the profiles are cut into
+    contiguous ranges: one per usable CPU, with at least _MIN_RANGE_PROFILES
+    profiles each. The parent prepares each range but the first and forks a
+    child to make it, which runs no BLAS and takes no lock; then it makes the
+    first range itself and takes the others in order. It makes a range
+    itself, through the serial path, when the range's numbers fail to prepare
+    (and then every later range too), its child cannot start or its child
+    fails, and only once the ranges before it have succeeded, so an error is
+    the serial path's. Point estimates stay in one range: each calls BLAS, so
+    the parent would make all of them before a fork and leave a child only
+    their entries and text. The tables never depend on the number of
+    processes."""
     import marshal
     from contextlib import ExitStack
 
     from .io import _Children, _range_count, _row_ranges
 
     n = len(sweep.contrasts)
-    first, *rest = _row_ranges(n, _range_count(n, _MIN_RANGE_PROFILES))
+    count = _range_count(n, _MIN_RANGE_PROFILES) if sweep.fits else 1
+    first, *rest = _row_ranges(n, count)
     with ExitStack() as stack:
         children = stack.enter_context(_Children())
         forked = []
@@ -506,7 +498,7 @@ def _effect_tables(sweep: _Sweep, json: bool) -> _Effects:
             if not children.reap(pid) or part is None:
                 part = _range_tables(sweep, lo, hi, json)
             parts.append(part)
-    return _Effects(parts)
+    return [text for texts, _ in parts for text in texts], [lines for _, lines in parts]
 
 
 def _report(command: str, config: dict, **sections) -> dict:
@@ -522,8 +514,10 @@ def _report(command: str, config: dict, **sections) -> dict:
     return doc
 
 
-def _emit(doc: dict, output: str | None) -> None:
-    lines = _render(doc)
+def _emit(doc: dict, output: str | None, tables: list[str] = ()) -> None:
+    """Print the text of ``doc``, with ``tables`` (the text of its effect
+    tables), and write ``doc`` to ``output`` if one is given."""
+    lines = _render(doc, tables)
     if lines:
         lines.append("")  # the last line's break, without a copy of the text
         sys.stdout.write("\n".join(lines))
@@ -542,7 +536,7 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _render(doc: dict) -> list[str]:
+def _render(doc: dict, tables: list[str]) -> list[str]:
     lines: list[str] = []
     if "models" in doc:
         for which in ("outcome", "mediator"):
@@ -553,7 +547,7 @@ def _render(doc: dict) -> list[str]:
         lines.append(
             f"exposure contrast: x={_fmt(contrast['x'])} vs x*={_fmt(contrast['x_star'])}"
         )
-        lines += doc["effects"].lines
+        lines += tables
     if "rows" in doc:
         lines += _render_compare(doc)
     if "suites" in doc:
@@ -677,6 +671,11 @@ def _cmd_fit(args) -> int:
         profiles=tuple(profiles),
         description=f"fitted from {args.input} (n={data.n})",
     )
+    models = {
+        "outcome": _model_doc(outcome_fit, args.level),
+        "mediator": _model_doc(mediator_fit, args.level),
+    }
+    sections, tables = _effect_sections(coef, args.level, json=bool(args.output))
     doc = _report(
         "fit",
         {
@@ -692,13 +691,10 @@ def _cmd_fit(args) -> int:
             "level": args.level,
             "profile_source": "given" if args.profile else "sample-means",
         },
-        models={
-            "outcome": _model_doc(outcome_fit, args.level),
-            "mediator": _model_doc(mediator_fit, args.level),
-        },
-        **_effect_sections(coef, args.level, json=bool(args.output)),
+        models=models,
+        **sections,
     )
-    _emit(doc, args.output)
+    _emit(doc, args.output, tables)
     return EXIT_OK
 
 
@@ -706,6 +702,7 @@ def _cmd_effects(args) -> int:
     _check_level(args.level)  # a bad --level fails before any work, in either mode
     coef = _load_resolved(args)
     x, x_star = coef.exposure_levels
+    sections, tables = _effect_sections(coef, args.level, json=bool(args.output))
     doc = _report(
         "effects",
         {
@@ -715,9 +712,9 @@ def _cmd_effects(args) -> int:
             "level": args.level,
             "mode": "inference" if coef.has_vcov else "point-estimates",
         },
-        **_effect_sections(coef, args.level, json=bool(args.output)),
+        **sections,
     )
-    _emit(doc, args.output)
+    _emit(doc, args.output, tables)
     return EXIT_OK
 
 

@@ -136,6 +136,7 @@ class _Stack(Record):
     __slots__ = FIELDS = ("contrasts", "logs", "cde", "jac", "cov_log", "var_cde", "zq", "level")
 
 
+@np.errstate(all="ignore")  # as in _stacked: cov_or overflows where two log effects pass 709
 def _summaries(stack: _Stack) -> list[InferenceResult]:
     """The :class:`InferenceResult` of each contrast of a stack, through no
     BLAS. The checks run over all rows at once; with one row they raise in

@@ -3,8 +3,8 @@ through, and the reader of coefficient files.
 
 :func:`write_json` writes exactly ``json.dumps(doc, indent=2) + "\n"``, with
 fewer calls: a list or dict that holds only scalars is one block of text.
-A value may also be a :class:`Verbatim`, JSON text made ahead (by a forked
-process, say) that the writer copies as it stands.
+A value inside a list or dict may also be a ``_Verbatim``, JSON text made
+ahead (by a forked process, say) that the writer copies as it stands.
 This module is apart from :mod:`ormediate.io`, which re-exports it, so a
 command that only writes a report (``verify``) loads no CSV or
 coefficient-document code.
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .exceptions import SchemaError
 
-__all__ = ["REPORT_FORMAT", "Verbatim", "load_json", "save_json", "write_json"]
+__all__ = ["REPORT_FORMAT", "load_json", "save_json", "write_json"]
 
 REPORT_FORMAT = "ormediate-report"
 
@@ -27,7 +27,7 @@ _FLOAT_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _WRITE_CHUNK = 1 << 16  # characters buffered between writes to the handle
 
 
-class Verbatim:
+class _Verbatim:
     """JSON text that the writer copies as it stands, in place of one value
     of a list or dict: the text ``write_json`` would write for that value
     there, the indents of its lines included."""
@@ -40,7 +40,7 @@ class Verbatim:
 
 def _json_scalar(value) -> str | None:
     """json's spelling of a scalar, or None for a list, tuple, dict or
-    :class:`Verbatim`."""
+    ``_Verbatim``."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -54,7 +54,7 @@ def _json_scalar(value) -> str | None:
     if isinstance(value, float):
         text = float.__repr__(value)
         return _FLOAT_SPELLING.get(text, text)
-    if isinstance(value, (list, tuple, dict, Verbatim)):
+    if isinstance(value, (list, tuple, dict, _Verbatim)):
         return None
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -110,8 +110,8 @@ def _json_blocks(container, newline: str, put, templates: dict) -> None:
     blocks, for a list, tuple or dict whose lines start at ``newline`` (a
     line break and its indent). A container that holds only scalars is one
     block, made by one join or one template; the others put a block between
-    child containers. A :class:`Verbatim` is its own text."""
-    if isinstance(container, Verbatim):
+    child containers. A ``_Verbatim`` is its own text."""
+    if isinstance(container, _Verbatim):
         put(container.text)
         return
     if not container:
@@ -158,7 +158,7 @@ def write_json(doc, handle) -> None:
             buffer.clear()
             size = 0
 
-    if isinstance(doc, (list, tuple, dict, Verbatim)):
+    if isinstance(doc, (list, tuple, dict)):
         _json_blocks(doc, "\n", put, {})
     else:
         buffer.append(_json_scalar(doc))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -292,6 +293,28 @@ class TestInfer:
             assert np.isfinite(res.jacobian).all()
             se = [e.se_log for e in (*res.effects, *res.cde)]
             assert all(math.isfinite(v) for v in se) and max(se) > 0.0
+
+    def test_an_odds_ratio_covariance_beyond_the_double_range_is_no_warning(self):
+        # log PNDE = log TE = 400: each odds ratio and bound is finite, but
+        # their products in cov_or pass 1.8e308, as Python floats do silently
+        spec = ModelSpec()
+        outcome = OutcomeParams(spec, exposure=400.0)
+        fy, fw = (
+            FittedModel(
+                coefficients=params.active_vector(), vcov=1e-4 * np.eye(k),
+                log_likelihood=0.0, iterations=0, converged=True, n=10,
+                column_names=spec.terms(params.BLOCKS),
+            )
+            for params, k in ((outcome, 4), (MediatorParams(spec), 2))
+        )
+        contrast = Contrast(1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [infer(spec, fy, fw, contrast), *infer_many(spec, fy, fw, [contrast] * 2)]
+        for res in results:
+            pnde = res.by_name()["pnde"]
+            assert pnde.log_estimate == 400.0 and math.isfinite(pnde.ci_upper)
+            assert res.cov_or[0, 0] == math.inf
 
     def test_non_finite_cde_variance_raises(self):
         # the effect variances stay finite (the mediator odds are ~e^-700),

@@ -187,6 +187,21 @@ class TestEffectRanges:
         assert serial[0] == 4 and "outcome linear predictor 734.7" in serial[2]
         assert effects(document, count) == serial
 
+    @pytest.mark.parametrize("vcov, forks", [(True, 2), (False, 0)],
+                             ids=["inference", "point"])
+    def test_only_inference_tables_are_forked(self, effects, monkeypatch, vcov, forks):
+        # a point estimate calls BLAS, so the parent would make every one
+        started = []
+        fork = table_io._Children.fork
+
+        def counting(children, work, *args):
+            started.append(work)
+            return fork(children, work, *args)
+
+        monkeypatch.setattr(table_io._Children, "fork", counting)
+        assert effects(_sweep_document(vcov), 3)[0] == 0
+        assert started == [cli._send_tables] * forks
+
     def test_a_fork_that_fails_leaves_the_bytes(self, effects, tmp_path, monkeypatch):
         def no_fork():
             raise OSError("no process to spare")
@@ -204,9 +219,8 @@ class TestEffectRanges:
             return False  # the child exits 1
 
         monkeypatch.setattr(cli, "_send_tables", failing)
-        for vcov, key in ((True, "effects"), (False, "effects-point")):
-            assert effects(_sweep_document(vcov), 3, "--output", "effects.json")[0] == 0
-            assert _digest(tmp_path / "effects.json") == GOLDEN[key]
+        assert effects(_sweep_document(), 3, "--output", "effects.json")[0] == 0
+        assert _digest(tmp_path / "effects.json") == GOLDEN["effects"]
 
 
 _FIT_FLAGS = {
