@@ -40,13 +40,11 @@ The records these modules define are plain classes (``record.Record``), so
 importing a module generates and compiles no code, and no command loads
 ``dataclasses``.
 
-The delta-method effect tables of a report with many profiles are made in
-contiguous ranges of profiles, one per usable CPU with at least
-_MIN_RANGE_PROFILES each; a forked child makes each range but the first.
-The parent computes every number of a child's range that needs BLAS before
-the fork, so a child runs only pure Python and non-BLAS numpy, and hands
-back the JSON and the text of its tables. The bytes and errors never depend
-on the number of ranges; see ``_effect_tables``.
+The effect tables of a report are made in one process, in slices of at
+most _INFER_BATCH profiles: each slice's delta-method numbers come from one
+stack (``delta._table_rows``), and each table's JSON and text from one
+template shared by the tables with the same profile keys; see
+``_effect_tables``.
 
 Once the arguments are parsed, and only if numpy is not loaded yet, `main`
 sets ``OPENBLAS_NUM_THREADS=1`` whatever the caller set, so a command loads
@@ -68,8 +66,6 @@ from .exceptions import FitError, MediationError, NumericalError, SchemaError
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
-    from .delta import InferenceResult
-    from .effects import EffectSet
     from .io import CoefficientSet
     from .model import CovariateProfile, ModelSpec
 
@@ -82,15 +78,10 @@ EXIT_NUMERIC = 4
 EXIT_VERIFY = 5
 
 _DEFAULT_GRID = "-2,-4,-6,-8,-10,-12,-14"
-# contrasts per slice of a report (one infer_many call, or one delta-method
-# stack), so only one slice of results lives at a time; each call costs about
-# 1 ms whatever its size, and from 128 to 1000 contrasts per call the cost per
-# contrast is flat
+# contrasts per slice of a report (one delta-method stack), so only one slice
+# of numbers lives at a time; each stack costs about 1 ms whatever its size,
+# and from 128 to 1000 contrasts per stack the cost per contrast is flat
 _INFER_BATCH = 256
-# fewest profiles worth a report process of their own: at 200 profiles two
-# processes make the tables of a fully interacted set in 31 ms against 42,
-# at 100 in 24 against 16 (2-core guest, medians of 80)
-_MIN_RANGE_PROFILES = 100
 
 
 # ---------------------------------------------------------------------------
@@ -320,32 +311,12 @@ def _model_doc(model, level: float) -> dict:
     }
 
 
-def _inference_entries(result: InferenceResult) -> list[dict]:
-    return [
-        {
-            "name": e.name,
-            "log": e.log_estimate,
-            "odds_ratio": e.or_estimate,
-            "se_log": e.se_log,
-            "se_or": e.se_or,
-            "ci_lower": e.ci_lower,
-            "ci_upper": e.ci_upper,
-            "p_value": e.p_value,
-        }
-        for e in (*result.effects, *result.cde)
-    ]
+# the numbers of each effect in a report table, in the order of delta._effect_rows
+_INFERENCE_FIELDS = ("log", "odds_ratio", "se_log", "se_or", "ci_lower", "ci_upper", "p_value")
+_POINT_FIELDS = ("log", "odds_ratio")
 
 
-def _point_entries(effect_set: EffectSet) -> list[dict]:
-    # odds_ratios() is keyed by the natural effects in EFFECT_ORDER, then cde0, cde1
-    ors = effect_set.odds_ratios()
-    logs = [*effect_set.log_values(), effect_set.log_cde_at[0], effect_set.log_cde_at[1]]
-    return [
-        {"name": name, "log": log, "odds_ratio": ors[name]} for name, log in zip(ors, logs)
-    ]
-
-
-def _effect_sections(coef: CoefficientSet, level: float, json: bool) -> tuple[dict, list[str]]:
+def _effect_sections(coef: CoefficientSet, level: float, json: bool) -> tuple[dict, str]:
     """The ``coefficients``, ``effects`` and ``diagnostics`` sections of a
     report on ``coef``, whose exposure levels and profiles are resolved:
     delta-method inference when it has covariances, point estimates otherwise;
@@ -358,7 +329,7 @@ def _effect_sections(coef: CoefficientSet, level: float, json: bool) -> tuple[di
     from .model import Contrast
 
     contrasts = [Contrast(*coef.exposure_levels, prof) for _, prof in coef.profiles]
-    texts, lines = _effect_tables(_Sweep(coef, contrasts, level), json)
+    texts, lines = _effect_tables(coef, contrasts, level, json)
     notes = list(special_case_report(coef.outcome, coef.mediator, contrasts[0]).identities)
     if not coef.has_vcov:
         notes.append("no covariance matrices in the coefficient file: "
@@ -369,136 +340,110 @@ def _effect_sections(coef: CoefficientSet, level: float, json: bool) -> tuple[di
     return sections, lines
 
 
-class _Sweep:
-    """The contrasts at a report's profiles, whose effect entries are made in
-    slices of at most _INFER_BATCH contrasts from the start of a range. A
-    slice's entries come from the calls of the serial path (``infer_many``,
-    or ``natural_effects`` contrast by contrast), unless :meth:`prepare` has
-    computed its delta-method stack ahead of a fork: a child makes them from
-    the stack with no BLAS."""
+def _point_rows(coef: CoefficientSet, contrasts: list) -> list[list[float]]:
+    """The (log, odds ratio) of each effect at each contrast, effect by effect
+    in the order of ``EffectSet.odds_ratios``, one flat row per contrast."""
+    from .effects import natural_effects
 
-    def __init__(self, coef: CoefficientSet, contrasts: list, level: float):
-        self.coef, self.contrasts, self.level = coef, contrasts, level
-        self.fits = coef.fitted_models() if coef.has_vcov else None
-        self.prepared: dict = {}  # slice start -> its delta-method stack
+    rows = []
+    for contrast in contrasts:
+        effect_set = natural_effects(coef.outcome, coef.mediator, contrast)
+        logs = (*effect_set.log_values(), effect_set.log_cde_at[0], effect_set.log_cde_at[1])
+        rows.append([v for pair in zip(logs, effect_set.odds_ratios().values()) for v in pair])
+    return rows
 
-    def prepare(self, lo: int, hi: int) -> bool:
-        """Stack each slice of profiles lo to hi (``delta._stacked``, every
-        number that needs BLAS); False if a slice fails (the serial path's
-        calls then raise)."""
-        from .delta import _stacked
 
-        try:
-            for start in range(lo, hi, _INFER_BATCH):
-                batch = self.contrasts[start:min(start + _INFER_BATCH, hi)]
-                self.prepared[start] = _stacked(self.coef.spec, *self.fits, batch, self.level)
-        except (MediationError, ArithmeticError, ValueError):
-            return False
-        return True
+def _effect_tables(coef: CoefficientSet, contrasts: list, level: float,
+                   json: bool) -> tuple[list[str], str]:
+    """The JSON text of the effect table of each profile, at the indent of the
+    report's ``effects`` list (none unless ``json``), and the text of all of
+    them, each table after a blank line. The numbers come in slices of at
+    most _INFER_BATCH contrasts: ``delta._table_rows`` with covariances,
+    ``natural_effects`` contrast by contrast without."""
+    from functools import partial
 
-    def entries(self, lo: int, hi: int) -> list[list[dict]]:
-        """The effect entries of the slice of profiles lo to hi."""
-        coef = self.coef
-        if not self.fits:
-            from .effects import natural_effects
+    from .io import profile_values
 
-            return [_point_entries(natural_effects(coef.outcome, coef.mediator, c))
-                    for c in self.contrasts[lo:hi]]
-        from .delta import _summaries, infer_many
+    spec = coef.spec
+    if coef.has_vcov:
+        from .delta import _table_rows
 
-        prepared = self.prepared.get(lo)
-        results = (_summaries(prepared) if prepared is not None else
-                   infer_many(coef.spec, *self.fits, self.contrasts[lo:hi], level=self.level))
-        return list(map(_inference_entries, results))
+        rows_of = partial(_table_rows, spec, *coef.fitted_models(), level=level)
+        fields = _INFERENCE_FIELDS
+    else:
+        rows_of, fields = partial(_point_rows, coef), _POINT_FIELDS
+    texts: list[str] = []
+    lines: list[str] = []
+    templates: dict = {}
+    for start in range(0, len(contrasts), _INFER_BATCH):
+        rows = rows_of(contrasts[start:start + _INFER_BATCH])
+        for (name, prof), row in zip(coef.profiles[start:], rows):
+            text, table_lines = _table_texts(name, profile_values(spec, prof), row, fields,
+                                             templates, json)
+            if json:
+                texts.append(text)
+            lines += ("", table_lines)
+    return texts, "\n".join(lines)
 
 
 # where the lines of a table in a report's effects list start
 _TABLE_INDENT = "\n    "
 
 
-def _range_tables(sweep: _Sweep, lo: int, hi: int, json: bool) -> tuple[list[str], str]:
-    """The JSON text of each table of profiles lo to hi, at the indent of the
-    report's ``effects`` list (none unless ``json``), and their text, each
-    table after a blank line."""
-    from .io import profile_values
-    from .jsonio import _json_blocks
+def _table_templates(keys: tuple, fields: tuple):
+    """The JSON and the text templates of the tables whose profile values
+    have ``keys`` and whose effects have ``fields``, and the getter of a
+    table's numbers (values, then effects) in the order of the text's. The
+    writers make them from a table whose profile is %s, whose keys have their
+    % doubled and whose numbers are slots: a %s in the JSON (a float's str is
+    its repr), and in the text the % conversion of its format, noted in the
+    order the text formats them."""
+    from operator import itemgetter
 
-    spec, profiles = sweep.coef.spec, sweep.coef.profiles
-    texts: list[str] = []
-    lines: list[str] = []
-    templates: dict = {}
-    for start in range(lo, hi, _INFER_BATCH):
-        stop = min(start + _INFER_BATCH, hi)
-        for (name, prof), entries in zip(profiles[start:stop], sweep.entries(start, stop)):
-            table = {"profile": name, "values": profile_values(spec, prof), "effects": entries}
-            if json:
-                blocks: list[str] = []
-                _json_blocks(table, _TABLE_INDENT, blocks.append, templates)
-                texts.append("".join(blocks))
-            lines.append("")
-            lines += _render_effect_table(table)
-    return texts, "\n".join(lines)
+    from .effects import _TABLE_ORDER
+    from .jsonio import _json_blocks, _Verbatim
+
+    order: list[int] = []
+
+    class Slot(_Verbatim):
+        def __format__(self, spec: str) -> str:
+            order.append(slots.index(self))
+            return "%" + spec.lstrip(">")
+
+    slots = [Slot("%s") for _ in range(len(keys) + len(_TABLE_ORDER) * len(fields))]
+    numbers = iter(slots)
+    table = {"profile": "%s",
+             "values": {key.replace("%", "%%"): next(numbers) for key in keys},
+             "effects": [{"name": name, **{field: next(numbers) for field in fields}}
+                         for name in _TABLE_ORDER]}
+    blocks: list[str] = []
+    _json_blocks(table, _TABLE_INDENT, blocks.append, {})
+    text = "\n".join(_render_effect_table(table))
+    return "".join(blocks), text, itemgetter(*order)
 
 
-def _send_tables(sink, sweep: _Sweep, lo: int, hi: int, json: bool) -> bool:
-    """A report child's work: the tables of profiles lo to hi, to the parent."""
-    import marshal
+def _table_texts(name: str, values: dict, row: list, fields: tuple, templates: dict,
+                 json: bool) -> tuple[str | None, str]:
+    """The JSON text of one effect table at the indent of the report's
+    ``effects`` list (None unless ``json``) and its text lines, joined: the
+    table of profile ``name`` with ``values``, whose effects have the numbers
+    of ``row``, ``fields`` each. Each is one ``%`` over a template shared by
+    the tables with the same value keys; a number that is not finite is
+    spelled as json spells it."""
+    shape = (tuple(values), fields)
+    if shape not in templates:
+        templates[shape] = _table_templates(*shape)
+    json_template, text_template, text_order = templates[shape]
+    numbers = (*values.values(), *row)
+    text = text_template % (name, *text_order(numbers))
+    if not json:
+        return None, text
+    from .jsonio import _json_scalars, encode_basestring_ascii
 
-    marshal.dump(_range_tables(sweep, lo, hi, json), sink)
-    sink.flush()
-    return True
-
-
-def _effect_tables(sweep: _Sweep, json: bool) -> tuple[list[str], list[str]]:
-    """The JSON texts of every table (see :func:`_range_tables`) and the text
-    of each range of tables. With covariances, the profiles are cut into
-    contiguous ranges: one per usable CPU, with at least _MIN_RANGE_PROFILES
-    profiles each. The parent prepares each range but the first and forks a
-    child to make it, which runs no BLAS and takes no lock; then it makes the
-    first range itself and takes the others in order. It makes a range
-    itself, through the serial path, when the range's numbers fail to prepare
-    (and then every later range too), its child cannot start or its child
-    fails, and only once the ranges before it have succeeded, so an error is
-    the serial path's. Point estimates stay in one range: each calls BLAS, so
-    the parent would make all of them before a fork and leave a child only
-    their entries and text. The tables never depend on the number of
-    processes."""
-    import marshal
-    from contextlib import ExitStack
-
-    from .io import _Children, _range_count, _row_ranges
-
-    n = len(sweep.contrasts)
-    count = _range_count(n, _MIN_RANGE_PROFILES) if sweep.fits else 1
-    first, *rest = _row_ranges(n, count)
-    with ExitStack() as stack:
-        children = stack.enter_context(_Children())
-        forked = []
-        prepared = True
-        for lo, hi in rest:
-            pid = stream = None
-            prepared = prepared and sweep.prepare(lo, hi)
-            if prepared:
-                try:
-                    read_end, write_end = os.pipe()
-                except OSError:
-                    pass
-                else:
-                    with open(write_end, "wb") as sink:
-                        pid = children.fork(_send_tables, sink, sweep, lo, hi, json)
-                    stream = stack.enter_context(open(read_end, "rb"))
-            sweep.prepared.clear()  # the child holds its own copy
-            forked.append((lo, hi, pid, stream))
-        parts = [_range_tables(sweep, *first, json)]
-        for lo, hi, pid, stream in forked:
-            try:
-                part = marshal.load(stream) if stream else None
-            except (OSError, EOFError, ValueError, TypeError):  # a child that ended early
-                part = None
-            if not children.reap(pid) or part is None:
-                part = _range_tables(sweep, lo, hi, json)
-            parts.append(part)
-    return [text for texts, _ in parts for text in texts], [lines for _, lines in parts]
+    if not math.isfinite(sum(numbers)):  # a sum past the double range is inf too
+        numbers = _json_scalars(numbers)
+    # the template quotes the name
+    return json_template % (encode_basestring_ascii(name)[1:-1], *numbers), text
 
 
 def _report(command: str, config: dict, **sections) -> dict:
@@ -514,7 +459,7 @@ def _report(command: str, config: dict, **sections) -> dict:
     return doc
 
 
-def _emit(doc: dict, output: str | None, tables: list[str] = ()) -> None:
+def _emit(doc: dict, output: str | None, tables: str = "") -> None:
     """Print the text of ``doc``, with ``tables`` (the text of its effect
     tables), and write ``doc`` to ``output`` if one is given."""
     lines = _render(doc, tables)
@@ -536,7 +481,7 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _render(doc: dict, tables: list[str]) -> list[str]:
+def _render(doc: dict, tables: str) -> list[str]:
     lines: list[str] = []
     if "models" in doc:
         for which in ("outcome", "mediator"):
@@ -547,7 +492,7 @@ def _render(doc: dict, tables: list[str]) -> list[str]:
         lines.append(
             f"exposure contrast: x={_fmt(contrast['x'])} vs x*={_fmt(contrast['x_star'])}"
         )
-        lines += tables
+        lines.append(tables)
     if "rows" in doc:
         lines += _render_compare(doc)
     if "suites" in doc:

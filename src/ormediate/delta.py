@@ -16,9 +16,9 @@ single-contrast Jacobian, and the covariances one stacked J Sigma J^T, which
 equals the 2-d product slice by slice. ``infer`` is ``infer_many`` at one
 contrast, so there is one delta-method path. A batch runs in two stages:
 ``_stacked`` makes every number that calls BLAS (the effects, the Jacobians,
-J Sigma J^T and the CDE variances g V g^T), and ``_summaries`` makes the
-results from them with no BLAS, so a forked child of a process with BLAS
-threads may run it (the CLI's report ranges do).
+J Sigma J^T and the CDE variances g V g^T), and ``_effect_rows`` the seven
+numbers of each effect from them: ``infer_many``'s records hold them, and
+``_table_rows`` hands them to the CLI's tables with no record per effect.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .effects import (
+    _TABLE_ORDER,
     EFFECT_ORDER,
     EffectSet,
     _at_contrasts,
@@ -91,27 +92,6 @@ def _check_variances(var: np.ndarray, not_finite: str, negative: str) -> None:
         raise CovarianceError(negative.format(np.min(var)))
 
 
-def _summarise(name: str, log_est: float, var_log: float, zq: float,
-               two_sided_p) -> EffectInference:
-    se_log = math.sqrt(var_log)
-    try:
-        or_est = math.exp(log_est)
-        ci_lower = math.exp(log_est - zq * se_log)
-        ci_upper = math.exp(log_est + zq * se_log)
-    except OverflowError:
-        raise NumericalError(
-            f"{name} odds ratio or its confidence bound overflows exp(): log estimate "
-            f"{log_est!r}, log-scale standard error {se_log!r}"
-        ) from None
-    if se_log > 0.0:
-        zstat = log_est / se_log
-        p = two_sided_p(zstat)
-    else:
-        p = 1.0 if log_est == 0.0 else 0.0
-    # positional: binding eight keywords costs a third of the construction
-    return EffectInference(name, log_est, or_est, se_log, or_est * se_log, ci_lower, ci_upper, p)
-
-
 def _fitted_params(spec: ModelSpec, outcome_fit: FittedModel, mediator_fit: FittedModel):
     """The parameters of the two fits, and the block-diagonal covariance of
     theta (the two likelihoods share no parameters)."""
@@ -127,8 +107,8 @@ def _fitted_params(spec: ModelSpec, outcome_fit: FittedModel, mediator_fit: Fitt
 
 
 class _Stack(Record):
-    """The numbers of N contrasts that need BLAS, from which :func:`_summaries`
-    builds their results with none: the contrasts, their log effects (N, 5)
+    """The numbers of N contrasts that need BLAS, from which :func:`_effect_rows`
+    makes their effects with none: the contrasts, their log effects (N, 5)
     and log CDE(0), log CDE(1) (N, 2) as lists of floats, the stacked
     Jacobians (N, 5, dim) and log-scale covariances (N, 5, 5), the CDE
     variances g V g^T (N, 2), and the Wald quantile of ``level``."""
@@ -136,50 +116,90 @@ class _Stack(Record):
     __slots__ = FIELDS = ("contrasts", "logs", "cde", "jac", "cov_log", "var_cde", "zq", "level")
 
 
-@np.errstate(all="ignore")  # as in _stacked: cov_or overflows where two log effects pass 709
-def _summaries(stack: _Stack) -> list[InferenceResult]:
-    """The :class:`InferenceResult` of each contrast of a stack, through no
-    BLAS. The checks run over all rows at once; with one row they raise in
-    the order of the effects they check."""
-    if not stack.contrasts:
-        return []
-    from .logit import _two_sided_p  # imported here: verify's Jacobians load no fitter
+def _effect_set(stack: _Stack, i: int) -> EffectSet:
+    """The :class:`EffectSet` of row ``i`` of a stack, which checks it."""
+    c0, c1 = stack.cde[i]
+    return EffectSet(*stack.logs[i], log_cde_at={0: c0, 1: c1}, contrast=stack.contrasts[i])
 
-    zq, level = stack.zq, stack.level
-    effect_sets = [
-        EffectSet(*row, log_cde_at={0: c0, 1: c1}, contrast=c)
-        for row, (c0, c1), c in zip(stack.logs, stack.cde, stack.contrasts)
-    ]
-    cov_log = stack.cov_log
-    var_log = np.diagonal(cov_log, axis1=1, axis2=2)
+
+def _rows_of(names: tuple, logs: np.ndarray, var: np.ndarray, zq: float) -> np.ndarray:
+    """The (log, odds ratio, se_log, se_or, ci_lower, ci_upper, p) of each of
+    k effects of N rows, (N, k, 7), from its log estimate and its clamped
+    variance (N, k). Each exp and erfc is ``math``'s, one value at a time, and
+    every other step one IEEE operation: the arithmetic of Python floats. The
+    first effect, row by row, whose odds ratio or bound overflows raises."""
+    def each(f, a: np.ndarray) -> np.ndarray:
+        return np.array(list(map(f, a.ravel().tolist()))).reshape(a.shape)
+
+    se = np.sqrt(var)
+    half = zq * se
+    try:
+        ors, lower, upper = (each(math.exp, a) for a in (logs, logs - half, logs + half))
+    except OverflowError:
+        for row, se_row in zip(logs.tolist(), se.tolist()):
+            for name, log_est, se_log in zip(names, row, se_row):
+                try:
+                    math.exp(log_est)
+                    math.exp(log_est - zq * se_log), math.exp(log_est + zq * se_log)
+                except OverflowError:
+                    raise NumericalError(
+                        f"{name} odds ratio or its confidence bound overflows exp(): log "
+                        f"estimate {log_est!r}, log-scale standard error {se_log!r}"
+                    ) from None
+        raise
+    # _two_sided_p(log / se), as erfc(|z| / sqrt 2); a zero SE gives p = 1 at a
+    # zero estimate and 0 elsewhere
+    p = np.where(se > 0.0, each(math.erfc, np.abs(logs / se) / math.sqrt(2.0)),
+                 np.where(logs == 0.0, 1.0, 0.0))
+    return np.stack([logs, ors, se, ors * se, lower, upper, p], axis=-1)
+
+
+@np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
+def _effect_rows(stack: _Stack) -> np.ndarray:
+    """The numbers of each effect of each contrast of a stack, through no
+    BLAS: (N, 7, 7), the effects in EFFECT_ORDER then CDE(0) and CDE(1), each
+    (log, odds ratio, se_log, se_or, ci_lower, ci_upper, p). The checks run
+    over all rows at once, in the order of the effects they check: those of
+    :class:`EffectSet`, the variances, then overflow, so a row alone raises
+    what its :func:`infer` call raises."""
+    logs, cde = np.array(stack.logs), np.array(stack.cde)
+    # EffectSet's finite and decomposition checks, in its float arithmetic
+    tol = 1e-12 * np.maximum(1.0, np.abs(logs).max(axis=1))
+    bad = ~(np.isfinite(logs).all(axis=1) & np.isfinite(cde).all(axis=1))
+    bad |= (np.abs(logs[:, 0] + logs[:, 1] - logs[:, 4]) > tol)
+    bad |= (np.abs(logs[:, 2] + logs[:, 3] - logs[:, 4]) > tol)
+    for i in np.flatnonzero(bad):
+        _effect_set(stack, i)  # raises the check's own message
+
+    var_log = np.diagonal(stack.cov_log, axis1=1, axis2=2)
     _check_variances(var_log, "a delta-method variance is not finite",
                      "delta-method variance {:.3e} is negative beyond roundoff")
-    var_log = np.clip(var_log, 0.0, None).tolist()
-    effects = [
-        tuple(
-            _summarise(name, log_est, var, zq, _two_sided_p)
-            for name, log_est, var in zip(EFFECT_ORDER, es.log_values(), row)
-        )
-        for es, row in zip(effect_sets, var_log)
-    ]
-    ors = np.exp(np.array([es.log_values() for es in effect_sets]))
-    cov_or = cov_log * (ors[:, :, None] * ors[:, None, :])
-
-    cde = []
+    blocks = [_rows_of(EFFECT_ORDER, logs, np.clip(var_log, 0.0, None), stack.zq)]
     for w, var in enumerate(stack.var_cde.T):
         _check_variances(var, f"CDE({w}) variance is not finite",
                          f"negative CDE({w}) variance {{:.3e}}")
-        cde.append([
-            _summarise(f"cde{w}", es.log_cde_at[w], max(v, 0.0), zq, _two_sided_p)
-            for es, v in zip(effect_sets, var.tolist())
-        ])
+        var = np.where(var < 0.0, 0.0, var)  # max(var, 0.0): -0.0 stays -0.0
+        blocks.append(_rows_of((f"cde{w}",), cde[:, w:w + 1], var[:, None], stack.zq))
+    return np.concatenate(blocks, axis=1)
 
-    # positional, as in _summarise: keywords cost more to bind
-    return [
-        InferenceResult(es, effects[i], (cde[0][i], cde[1][i]), cov_log[i], cov_or[i],
-                        stack.jac[i], level)
-        for i, es in enumerate(effect_sets)
-    ]
+
+@np.errstate(all="ignore")  # cov_or overflows where two log effects pass 709
+def _summaries(stack: _Stack) -> list[InferenceResult]:
+    """The :class:`InferenceResult` of each contrast of a stack, through no
+    BLAS, with the numbers of :func:`_effect_rows`."""
+    if not stack.contrasts:
+        return []
+    rows = _effect_rows(stack).tolist()
+    ors = np.exp(np.array(stack.logs))
+    cov_or = stack.cov_log * (ors[:, :, None] * ors[:, None, :])
+    results = []
+    for i, row in enumerate(rows):
+        # positional: binding eight keywords costs a third of the construction
+        effects = [EffectInference(name, *numbers) for name, numbers in zip(_TABLE_ORDER, row)]
+        results.append(InferenceResult(_effect_set(stack, i), tuple(effects[:5]),
+                                       tuple(effects[5:]), stack.cov_log[i], cov_or[i],
+                                       stack.jac[i], stack.level))
+    return results
 
 
 def infer(
@@ -196,7 +216,7 @@ def infer(
     parameters). A zero covariance collapses every interval to its point
     estimate rather than erroring.
     """
-    return _infer_rows(spec, outcome_fit, mediator_fit, [contrast], level)[0]
+    return _summaries(_stacked(spec, outcome_fit, mediator_fit, [contrast], level))[0]
 
 
 def infer_many(
@@ -211,22 +231,29 @@ def infer_many(
     the first contrast whose call fails."""
     contrasts = list(contrasts)
     try:
-        return _infer_rows(spec, outcome_fit, mediator_fit, contrasts, level)
+        return _summaries(_stacked(spec, outcome_fit, mediator_fit, contrasts, level))
     except (MediationError, ArithmeticError, ValueError):
         # the calls one by one: the batch fails with the first failing call's error
         return [infer(spec, outcome_fit, mediator_fit, c, level) for c in contrasts]
 
 
-def _infer_rows(
+def _table_rows(
     spec: ModelSpec,
     outcome_fit: FittedModel,
     mediator_fit: FittedModel,
     contrasts: list[Contrast],
     level: float,
-) -> list[InferenceResult]:
-    """The batch behind :func:`infer` and :func:`infer_many`: one stack, then
-    one summary of all its rows."""
-    return _summaries(_stacked(spec, outcome_fit, mediator_fit, contrasts, level))
+) -> list[list[float]]:
+    """The numbers of :func:`infer_many`'s effects at each contrast, made
+    with no record: one flat row per contrast, the seven numbers of
+    :func:`_effect_rows` of each effect in turn. When a check fails the
+    contrasts run through :func:`infer_many`, so the error is its error."""
+    try:
+        rows = _effect_rows(_stacked(spec, outcome_fit, mediator_fit, contrasts, level))
+    except (MediationError, ArithmeticError, ValueError):
+        infer_many(spec, outcome_fit, mediator_fit, contrasts, level)  # raises, one by one
+        raise
+    return rows.reshape(len(contrasts), -1).tolist()
 
 
 @np.errstate(all="ignore")  # as Python float arithmetic, which does not warn

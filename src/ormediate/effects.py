@@ -101,6 +101,8 @@ __all__ = [
 
 # Row/report order used everywhere downstream (delta method, CLI tables).
 EFFECT_ORDER = ("pnde", "tnie", "tnde", "pnie", "te")
+# the effects of a report table: EFFECT_ORDER, then CDE(0) and CDE(1)
+_TABLE_ORDER = (*EFFECT_ORDER, "cde0", "cde1")
 # the four bridge terms of one contrast, in the order of _bridge_inputs
 _BRIDGE_TERMS = ("A[x, x]", "A[x, x*]", "A[x*, x]", "A[x*, x*]")
 
@@ -240,9 +242,17 @@ class EffectSet(Record):
         return math.exp(self.log_cde_at[int(w)])
 
     def odds_ratios(self) -> dict[str, float]:
-        out = {name: math.exp(v) for name, v in zip(EFFECT_ORDER, self.log_values())}
-        out["cde0"] = self.cde(0)
-        out["cde1"] = self.cde(1)
+        """The odds ratios by name, in _TABLE_ORDER. A log effect beyond
+        exp()'s range raises :class:`NumericalError`."""
+        logs = (*self.log_values(), self.log_cde_at[0], self.log_cde_at[1])
+        out = {}
+        for name, log in zip(_TABLE_ORDER, logs):
+            try:
+                out[name] = math.exp(log)
+            except OverflowError:
+                raise NumericalError(
+                    f"{name} odds ratio overflows exp(): log estimate {log!r}"
+                ) from None
         return out
 
     def mediated_interaction_residual(self, which: str = "pnde") -> float:

@@ -293,12 +293,12 @@ def _column_strings(arr: np.ndarray) -> list[str]:
     return list(map(repr, arr.tolist()))
 
 
-def _range_count(rows: int, minimum: int = _MIN_RANGE_ROWS) -> int:
-    """Processes for `rows` rows of work: one per usable CPU, with at least
-    `minimum` rows each, and one where there is no fork."""
+def _range_count(rows: int) -> int:
+    """Processes for a table of `rows` rows: one per usable CPU, with at least
+    _MIN_RANGE_ROWS rows each, and one where there is no fork."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(_usable_cpus(), rows // minimum))
+    return max(1, min(_usable_cpus(), rows // _MIN_RANGE_ROWS))
 
 
 def _row_ranges(n: int, count: int) -> list[tuple[int, int]]:

@@ -4,7 +4,8 @@ through, and the reader of coefficient files.
 :func:`write_json` writes exactly ``json.dumps(doc, indent=2) + "\n"``, with
 fewer calls: a list or dict that holds only scalars is one block of text.
 A value inside a list or dict may also be a ``_Verbatim``, JSON text made
-ahead (by a forked process, say) that the writer copies as it stands.
+ahead (the CLI's effect tables, each one ``%`` over a template) that the
+writer copies as it stands.
 This module is apart from :mod:`ormediate.io`, which re-exports it, so a
 command that only writes a report (``verify``) loads no CSV or
 coefficient-document code.

@@ -9,6 +9,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ormediate
 from ormediate import (
@@ -344,6 +346,84 @@ class TestInferenceBatches:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def _reference_texts(name, values, row, fields):
+    """A table's JSON at the indent of a report's effects list, by json.dumps,
+    and its text, by _render_effect_table."""
+    width = len(fields)
+    entries = [{"name": effect, **dict(zip(fields, row[i * width:(i + 1) * width]))}
+               for i, effect in enumerate((*EFFECT_ORDER, "cde0", "cde1"))]
+    table = {"profile": name, "values": values, "effects": entries}
+    return (json.dumps(table, indent=2).replace("\n", cli._TABLE_INDENT),
+            "\n".join(cli._render_effect_table(table)))
+
+
+def _row(**at):
+    """The 49 numbers of an inference table, 0.5 but where ``at`` sets
+    (effect index, field) to a value."""
+    row = [0.5] * 49
+    for key, value in at.items():
+        effect, field = key.split("_", 1)
+        row[int(effect[1:]) * 7 + cli._INFERENCE_FIELDS.index(field)] = value
+    return row
+
+
+_NUMBERS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, 1.0]))
+
+
+class TestTableWriter:
+    """The JSON and the text of an effect table, made by one % over a template,
+    equal json.dumps of the table at the report's indent and
+    _render_effect_table."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(name=st.text(), values=st.dictionaries(st.text(), _NUMBERS, max_size=4),
+           row=st.lists(_NUMBERS, min_size=49, max_size=49), point=st.booleans())
+    @example(name="p1", values={"a%b": 1.5, "%s": -2.0, "c%%d": 3.0}, row=_row(), point=False)
+    @example(name='q"\\\u00e9\u2603%s\U0001f600', values={"\u00e9": 0.1}, row=_row(),
+             point=False)
+    @example(name="p", values={"age": 30.0}, row=_row(e0_se_or=math.inf), point=False)
+    @example(name="p", values={"age": math.inf}, row=_row(), point=True)
+    @example(name="p", values={"age": -0.0},
+             row=_row(e1_log=-0.0, e2_ci_lower=5e-324, e3_ci_upper=1e308), point=False)
+    @example(name="p", values={"a": 1e308, "b": 1e308}, row=_row(), point=False)  # sum is inf
+    @example(name="p", values={}, row=_row(e0_log=0.0, e0_se_log=0.0, e0_se_or=0.0,
+                                            e0_p_value=1.0, e5_se_log=0.0, e5_p_value=0.0),
+             point=False)
+    @example(name="p", values={"age": 30.0}, row=_row(e6_p_value=math.nan), point=False)
+    def test_templates_equal_their_references(self, name, values, row, point):
+        fields = cli._POINT_FIELDS if point else cli._INFERENCE_FIELDS
+        row = row[:7 * len(fields)]
+        templates = {}
+        made = cli._table_texts(name, values, row, fields, templates, True)
+        assert made == _reference_texts(name, values, row, fields)
+        assert cli._table_texts(name, values, row, fields, templates, False) == (None, made[1])
+
+    def test_zero_standard_errors_from_the_stack(self, tmp_path):
+        # zero covariances: every SE is 0 and each p-value 1 or 0, and the
+        # report's tables equal their references
+        spec = ModelSpec(z_names=("a%b",))
+        doc = coefficients_to_doc(CoefficientSet(
+            spec, OutcomeParams(spec, intercept=-0.5, exposure=0.4, mediator=0.3),
+            MediatorParams(spec, intercept=0.1),
+            outcome_vcov=np.zeros((spec.n_outcome_coefs,) * 2),
+            mediator_vcov=np.zeros((spec.n_mediator_coefs,) * 2),
+            exposure_levels=(1.0, 0.0),
+            profiles=(('q"\\\u00e9', CovariateProfile(z=[0.5])),),
+        ))
+        save_json(doc, tmp_path / "coef.json")
+        out = tmp_path / "effects.json"
+        assert run("effects", "--coef-file", tmp_path / "coef.json", "--output", out) == 0
+        table = load_json(out)["effects"][0]
+        assert table["profile"] == 'q"\\\u00e9' and table["values"] == {"a%b": 0.5}
+        entries = {e["name"]: e for e in table["effects"]}
+        assert {e["se_log"] for e in entries.values()} == {0.0}
+        assert entries["pnie"]["p_value"] == 1.0 and entries["pnde"]["p_value"] == 0.0
+        row = [e[field] for e in table["effects"] for field in cli._INFERENCE_FIELDS]
+        assert cli._table_texts(table["profile"], table["values"], row, cli._INFERENCE_FIELDS,
+                                {}, True) == _reference_texts(table["profile"], table["values"],
+                                                               row, cli._INFERENCE_FIELDS)
+
+
 class TestFileErrors:
     """Unreadable input and unwritable output end in one ERROR 2 line, a
     numerically degenerate document in one ERROR 4 line."""
@@ -471,6 +551,15 @@ class TestFileErrors:
         line = self._error_line("effects", "--coef-file", tmp_path / "coef.json",
                                 "--x", 200, "--x-star", 0, "--output", out, code=4)
         assert "confidence bound overflows" in line
+        assert not out.exists()
+
+    def test_point_estimate_beyond_exp_is_numerical_error(self, tmp_path):
+        # at x - x* = 600 the fixture's log PNDE is 1141.8: finite, but its
+        # odds ratio is beyond exp()'s range
+        out = tmp_path / "effects.json"
+        line = self._error_line("effects", "--coef-file", "microcredit_table1",
+                                "--x", 300, "--x-star", -300, "--output", out, code=4)
+        assert line == "ERROR 4: pnde odds ratio overflows exp(): log estimate 1141.8"
         assert not out.exists()
 
     def test_overflow_in_a_later_batch(self, tmp_path):

@@ -23,6 +23,7 @@ from ormediate import (
     natural_effects,
     simulate_dataset,
 )
+from ormediate import delta
 from ormediate.effects import a_term_key_derivatives, grad_a_term
 from ormediate.effects import _log_cde_at, a_term, a_term_inputs
 from ormediate.model import _OutcomeAt
@@ -40,6 +41,57 @@ def _split_theta(spec, theta):
 
 def _stack_theta(outcome, mediator):
     return np.concatenate([outcome.active_vector(), mediator.active_vector()])
+
+
+def _summarised(log_est, var_log, zq):
+    """One effect's seven numbers in the per-value arithmetic of Python
+    floats: the reference of delta._effect_rows."""
+    se_log = math.sqrt(var_log)
+    or_est = math.exp(log_est)
+    lower, upper = math.exp(log_est - zq * se_log), math.exp(log_est + zq * se_log)
+    if se_log > 0.0:
+        p = math.erfc(abs(log_est / se_log) / math.sqrt(2.0))
+    else:
+        p = 1.0 if log_est == 0.0 else 0.0
+    return [log_est, or_est, se_log, or_est * se_log, lower, upper, p]
+
+
+class TestEffectRows:
+    """The numbers of a stack's effects, made over all its rows with numpy and
+    math's exp and erfc, equal the same arithmetic on Python floats bit for
+    bit; and the report's rows equal infer_many's records."""
+
+    @staticmethod
+    def _fits(spec, outcome, mediator, rng, scale):
+        return [
+            FittedModel(coefficients=params.active_vector(), vcov=scale * (a @ a.T + (a @ a.T).T),
+                        log_likelihood=0.0, iterations=0, converged=True, n=10,
+                        column_names=spec.terms(params.BLOCKS))
+            for params, a in ((outcome, rng.normal(size=(spec.n_outcome_coefs,) * 2)),
+                              (mediator, rng.normal(size=(spec.n_mediator_coefs,) * 2)))
+        ]
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-3, 0.5])
+    def test_rows_equal_the_float_loop(self, scale):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            spec, outcome, mediator, contrast = random_problem(rng)
+            fits = self._fits(spec, outcome, mediator, rng, scale)
+            contrasts = [Contrast(contrast.x + d, contrast.x_star, contrast.profile)
+                         for d in (0.0, 0.5, -2.0)]
+            stack = delta._stacked(spec, *fits, contrasts, 0.9)
+            var_log = np.clip(np.diagonal(stack.cov_log, axis1=1, axis2=2), 0.0, None).tolist()
+            expected = [
+                [_summarised(log, var, stack.zq) for log, var in zip(logs, variances)]
+                + [_summarised(cde[w], max(stack.var_cde[i, w].item(), 0.0), stack.zq)
+                   for w in (0, 1)]
+                for i, (logs, cde, variances) in enumerate(zip(stack.logs, stack.cde, var_log))
+            ]
+            assert repr(delta._effect_rows(stack).tolist()) == repr(expected)
+            results = infer_many(spec, *fits, contrasts, 0.9)
+            records = [[v for e in (*r.effects, *r.cde) for v in e._values(e)[1:]]
+                       for r in results]
+            assert repr(delta._table_rows(spec, *fits, contrasts, 0.9)) == repr(records)
 
 
 class TestKeyDerivatives:

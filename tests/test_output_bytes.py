@@ -1,21 +1,19 @@
 """Command output pinned to the byte: the ``verify`` report at three seeds and
 two counts, the ``effects`` report of a fully interacted coefficient document
-with 200 profiles, with a covariance and without one, also when its tables
-are made in one, two or three processes, and the ``fit`` report of a seeded
-simulated dataset at its mean profile and at two given profiles."""
+with 200 profiles, with a covariance and without one, and the ``fit`` report
+of a seeded simulated dataset at its mean profile and at two given profiles."""
 
 import hashlib
-import marshal
-import os
 
 import numpy as np
 import pytest
 
-from ormediate import CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
-from ormediate import cli
-from ormediate import io as table_io
+from ormediate import (Contrast, CovariateProfile, MediationError, MediatorParams, ModelSpec,
+                       OutcomeParams)
 from ormediate.cli import main
-from ormediate.io import CoefficientSet, coefficients_to_doc, save_json, spec_from_doc
+from ormediate.delta import infer_many
+from ormediate.io import (CoefficientSet, coefficients_from_doc, coefficients_to_doc, save_json,
+                          spec_from_doc)
 
 # SHA-256 digests of the --output files: verify and effects taken from the
 # one-profile-at-a-time evaluation, effects-point and fit-* from the separate
@@ -98,17 +96,6 @@ def test_point_estimates_report_bytes(tmp_path, monkeypatch):
     assert digest == GOLDEN["effects-point"]
 
 
-def _ranges(monkeypatch, count):
-    """``count`` ranges of profiles for any report of ``count`` profiles or more."""
-    monkeypatch.setattr(table_io, "_usable_cpus", lambda: count)
-    monkeypatch.setattr(cli, "_MIN_RANGE_PROFILES", 1)
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _failing_document(ages):
     """The sweep document with an indefinite covariance of the outcome's x
     and x:age coefficients (variances 42000 and 4, covariance -410), under
@@ -128,35 +115,31 @@ def _failing_document(ages):
 
 
 class TestEffectRanges:
-    """effects with its tables made in one, two or three ranges of profiles,
-    each range but the first in a forked child: the same bytes, the same
-    stdout and the same errors as one range, and no child left."""
+    """effects on the 200 profiles of the sweep document: the pinned bytes, the
+    same stdout with and without --output, and the error of the serial
+    ``infer_many`` calls when a profile fails."""
 
     @pytest.fixture()
     def effects(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # the report records the --coef-file path
 
-        def run(document, count, *flags):
+        def run(document, *flags):
             save_json(document, tmp_path / "coef.json")
-            _ranges(monkeypatch, count)
             code = main(["effects", "--coef-file", "coef.json", *flags])
-            _no_child_left()
             return (code, *capsys.readouterr())
 
         return run
 
-    @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("vcov, key", [(True, "effects"), (False, "effects-point")],
                              ids=["inference", "point"])
-    def test_every_count_writes_the_pinned_bytes(self, effects, tmp_path, count, vcov, key):
+    def test_the_tables_write_the_pinned_bytes(self, effects, tmp_path, vcov, key):
         document = _sweep_document(vcov=vcov)
-        code, out, err = effects(document, count, "--output", "effects.json")
+        code, out, err = effects(document, "--output", "effects.json")
         assert (code, err) == (0, "")
         assert _digest(tmp_path / "effects.json") == GOLDEN[key]
         assert out.startswith("exposure contrast: x=1 vs x*=0\n\nprofile p0: age=")
-        assert effects(document, 1)[1] == out  # one range, and no JSON made
+        assert effects(document)[1] == out  # and no JSON made
 
-    @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("ages, message", [
         ({150: 300.0}, "pnde odds ratio or its confidence bound overflows exp()"),
         ({80: 300.0, 150: 800.0}, "pnde odds ratio or its confidence bound overflows exp()"),
@@ -165,62 +148,30 @@ class TestEffectRanges:
         ({150: 300.0, 160: 102.5}, "pnde odds ratio or its confidence bound overflows exp()"),
         ({150: 102.5, 160: 300.0}, "delta-method variance -2.1"),
         ({30: 300.0}, "pnde odds ratio or its confidence bound overflows exp()"),
-    ], ids=["bound", "bound-then-predictor", "bound-then-predictor-in-one-range",
+    ], ids=["bound", "bound-then-predictor", "bound-then-predictor-later",
             "predictor-then-bound", "bound-then-variance", "variance-then-bound",
-            "bound-in-the-first-range"])
-    def test_a_failing_profile_gives_the_serial_error(self, effects, tmp_path, count, ages,
-                                                      message):
-        # a batch of profiles checks all their variances before any bound, so
-        # bound-then-variance needs the serial path's profile-by-profile retry
+            "bound-early"])
+    def test_a_failing_profile_gives_the_serial_error(self, effects, tmp_path, ages, message):
+        # a stack checks all its variances before any bound, so
+        # bound-then-variance needs infer_many's profile-by-profile retry
         document = _failing_document(ages)
-        serial = effects(document, 1, "--output", "effects.json")
-        assert serial[:2] == (4, "") and message in serial[2]
-        assert serial[2].startswith("ERROR 4: ") and serial[2].count("\n") == 1
-        assert effects(document, count, "--output", "effects.json") == serial
+        code, out, err = effects(document, "--output", "effects.json")
+        assert (code, out) == (4, "") and message in err
+        assert err.startswith("ERROR 4: ") and err.count("\n") == 1
         assert not (tmp_path / "effects.json").exists()
+        coef = coefficients_from_doc(document)
+        contrasts = [Contrast(*coef.exposure_levels, prof) for _, prof in coef.profiles]
+        with pytest.raises(MediationError) as info:
+            infer_many(coef.spec, *coef.fitted_models(), contrasts)
+        assert err == f"ERROR 4: {info.value}\n"
 
-    @pytest.mark.parametrize("count", [2, 3])
-    def test_a_failing_point_estimate_gives_the_serial_error(self, effects, count):
+    def test_a_failing_point_estimate_gives_the_serial_error(self, effects, tmp_path):
         document = _failing_document({120: 800.0, 150: 700.0})
         del document["vcov"]
-        serial = effects(document, 1)
-        assert serial[0] == 4 and "outcome linear predictor 734.7" in serial[2]
-        assert effects(document, count) == serial
-
-    @pytest.mark.parametrize("vcov, forks", [(True, 2), (False, 0)],
-                             ids=["inference", "point"])
-    def test_only_inference_tables_are_forked(self, effects, monkeypatch, vcov, forks):
-        # a point estimate calls BLAS, so the parent would make every one
-        started = []
-        fork = table_io._Children.fork
-
-        def counting(children, work, *args):
-            started.append(work)
-            return fork(children, work, *args)
-
-        monkeypatch.setattr(table_io._Children, "fork", counting)
-        assert effects(_sweep_document(vcov), 3)[0] == 0
-        assert started == [cli._send_tables] * forks
-
-    def test_a_fork_that_fails_leaves_the_bytes(self, effects, tmp_path, monkeypatch):
-        def no_fork():
-            raise OSError("no process to spare")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert effects(_sweep_document(), 3, "--output", "effects.json")[0] == 0
-        assert _digest(tmp_path / "effects.json") == GOLDEN["effects"]
-
-    @pytest.mark.parametrize("sent", [0, 0.5, 1], ids=["nothing", "half", "all"])
-    def test_a_child_that_fails_leaves_the_bytes(self, effects, tmp_path, monkeypatch, sent):
-        def failing(sink, *args):
-            data = marshal.dumps(cli._range_tables(*args))
-            sink.write(data[:int(sent * len(data))])
-            sink.flush()
-            return False  # the child exits 1
-
-        monkeypatch.setattr(cli, "_send_tables", failing)
-        assert effects(_sweep_document(), 3, "--output", "effects.json")[0] == 0
-        assert _digest(tmp_path / "effects.json") == GOLDEN["effects"]
+        code, out, err = effects(document, "--output", "effects.json")
+        assert (code, out) == (4, "") and "outcome linear predictor 734.7" in err
+        assert err.startswith("ERROR 4: ") and err.count("\n") == 1
+        assert not (tmp_path / "effects.json").exists()
 
 
 _FIT_FLAGS = {
