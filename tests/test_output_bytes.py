@@ -1,7 +1,8 @@
 """Command output pinned to the byte: the ``verify`` report at three seeds and
 two counts, the ``effects`` report of a fully interacted coefficient document
-with 200 profiles, with a covariance and without one, and the ``fit`` report
-of a seeded simulated dataset at its mean profile and at two given profiles."""
+with 200 profiles, with a covariance and without one, also when its tables
+are made in slices of 64 or of 7 profiles, and the ``fit`` report of a seeded
+simulated dataset at its mean profile and at two given profiles."""
 
 import hashlib
 
@@ -10,6 +11,7 @@ import pytest
 
 from ormediate import (Contrast, CovariateProfile, MediationError, MediatorParams, ModelSpec,
                        OutcomeParams)
+from ormediate import cli
 from ormediate.cli import main
 from ormediate.delta import infer_many
 from ormediate.io import (CoefficientSet, coefficients_from_doc, coefficients_to_doc, save_json,
@@ -115,13 +117,16 @@ def _failing_document(ages):
 
 
 class TestEffectRanges:
-    """effects on the 200 profiles of the sweep document: the pinned bytes, the
-    same stdout with and without --output, and the error of the serial
-    ``infer_many`` calls when a profile fails."""
+    """effects on the 200 profiles of the sweep document, its tables made in
+    one slice of profiles, in slices of 64 or in slices of 7: the pinned
+    bytes, the same stdout with and without --output, and the error of the
+    serial ``infer_many`` calls when a profile fails, wherever the slices
+    part the failing profiles."""
 
-    @pytest.fixture()
-    def effects(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture(params=[200, 64, 7], ids=["one-slice", "slices-of-64", "slices-of-7"])
+    def effects(self, request, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # the report records the --coef-file path
+        monkeypatch.setattr(cli, "_INFER_BATCH", request.param)
 
         def run(document, *flags):
             save_json(document, tmp_path / "coef.json")
@@ -154,6 +159,7 @@ class TestEffectRanges:
     def test_a_failing_profile_gives_the_serial_error(self, effects, tmp_path, ages, message):
         # a stack checks all its variances before any bound, so
         # bound-then-variance needs infer_many's profile-by-profile retry
+        # when profiles 150 and 160 share a slice (one slice, slices of 64)
         document = _failing_document(ages)
         code, out, err = effects(document, "--output", "effects.json")
         assert (code, out) == (4, "") and message in err
