@@ -329,12 +329,14 @@ def _effect_sections(coef: CoefficientSet, level: float, json: bool) -> tuple[di
     from .model import Contrast
 
     contrasts = [Contrast(*coef.exposure_levels, prof) for _, prof in coef.profiles]
-    texts, lines = _effect_tables(coef, contrasts, level, json)
+    coefficients = coefficients_to_doc(coef)
+    # the tables name the profiles and their values as this section does
+    texts, lines = _effect_tables(coef, contrasts, coefficients["profiles"], level, json)
     notes = list(special_case_report(coef.outcome, coef.mediator, contrasts[0]).identities)
     if not coef.has_vcov:
         notes.append("no covariance matrices in the coefficient file: "
                      "point estimates only")
-    sections = {"coefficients": coefficients_to_doc(coef),
+    sections = {"coefficients": coefficients,
                 "effects": [_Verbatim(text) for text in texts],
                 "diagnostics": {"notes": notes}}
     return sections, lines
@@ -353,22 +355,21 @@ def _point_rows(coef: CoefficientSet, contrasts: list) -> list[list[float]]:
     return rows
 
 
-def _effect_tables(coef: CoefficientSet, contrasts: list, level: float,
-                   json: bool) -> tuple[list[str], str]:
-    """The JSON text of the effect table of each profile, at the indent of the
-    report's ``effects`` list (none unless ``json``), and the text of all of
-    them, each table after a blank line. The numbers come in slices of at
-    most _INFER_BATCH contrasts: ``delta._table_rows`` with covariances,
-    ``natural_effects`` contrast by contrast without."""
+def _effect_tables(coef: CoefficientSet, contrasts: list, profiles: list[dict],
+                   level: float, json: bool) -> tuple[list[str], str]:
+    """The JSON text of the effect table of each profile, named and valued
+    by its entry of ``profiles`` (the ``profiles`` of the report's
+    coefficient section), at the indent of the report's ``effects`` list
+    (none unless ``json``), and the text of all of them, each table after a
+    blank line. The numbers come in slices of at most _INFER_BATCH
+    contrasts: ``delta._table_rows`` with covariances, ``natural_effects``
+    contrast by contrast without."""
     from functools import partial
 
-    from .io import profile_values
-
-    spec = coef.spec
     if coef.has_vcov:
         from .delta import _table_rows
 
-        rows_of = partial(_table_rows, spec, *coef.fitted_models(), level=level)
+        rows_of = partial(_table_rows, coef.spec, *coef.fitted_models(), level=level)
         fields = _INFERENCE_FIELDS
     else:
         rows_of, fields = partial(_point_rows, coef), _POINT_FIELDS
@@ -377,8 +378,8 @@ def _effect_tables(coef: CoefficientSet, contrasts: list, level: float,
     templates: dict = {}
     for start in range(0, len(contrasts), _INFER_BATCH):
         rows = rows_of(contrasts[start:start + _INFER_BATCH])
-        for (name, prof), row in zip(coef.profiles[start:], rows):
-            text, table_lines = _table_texts(name, profile_values(spec, prof), row, fields,
+        for profile, row in zip(profiles[start:], rows):
+            text, table_lines = _table_texts(profile["name"], profile["values"], row, fields,
                                              templates, json)
             if json:
                 texts.append(text)

@@ -6,11 +6,15 @@ the log-likelihood is non-decreasing. Each candidate costs one pass over the
 design: blocks of ``_BLOCK_ROWS`` rows are read once, and each block adds its
 share of the log-likelihood, score and information while it is in cache, so
 an accepted candidate brings the next score and information with it and no
-temporary grows with n. The blocks of a large design are shared out among
-threads, one per usable CPU, and their shares are added in block order, so
-the bits do not depend on how many threads there are. Convergence requires
-both a small score (max |score| < 1e-8) and a small relative log-likelihood
-change (< 1e-10).
+temporary grows with n. The first pass, at the zero start, needs no exp,
+log1p or tanh: the predictor is +-0 in every row, so each row's probability
+is 1/2 and its weight 1/4, and a block adds X'(y - 1/2), 0.25 X'X and a
+log-likelihood that depends only on its length, taken once per length from a
+run of the general pass; the bits are the general pass's. The blocks of a
+large design are shared out among threads, one per usable CPU, and their
+shares are added in block order, so the bits do not depend on how many
+threads there are. Convergence requires both a small score
+(max |score| < 1e-8) and a small relative log-likelihood change (< 1e-10).
 
 Rank-deficient designs and quasi-separated responses raise immediately rather
 than returning garbage coefficients, and so does a column large enough to
@@ -22,6 +26,7 @@ columns.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from contextvars import copy_context
@@ -164,12 +169,24 @@ def _block_sums(
     X: np.ndarray, y: np.ndarray, beta: np.ndarray, start: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """The log-likelihood, score and information of the block at row
-    ``start``. Two work vectors are reused in place, which rounds as the
-    plain expressions ``yb @ eta - (max(eta, 0) + log1p(exp(-|eta|))).sum()``,
+    ``start``: :func:`_general_sums`, or at beta = 0, where the predictor of a
+    finite design is +-0, mu 0.5 and the weight 0.25, the same bits from the
+    same BLAS operands with no exp, log1p or tanh."""
+    xb, yb = X[start : start + _BLOCK_ROWS], y[start : start + _BLOCK_ROWS]
+    if not beta.any():
+        return _zero_loglik(len(yb)), xb.T @ (yb - 0.5), (xb * 0.25).T @ xb
+    return _general_sums(xb, yb, beta)
+
+
+def _general_sums(
+    xb: np.ndarray, yb: np.ndarray, beta: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The log-likelihood, score and information of the rows ``xb``. Two
+    work vectors are reused in place, which rounds as the plain expressions
+    ``yb @ eta - (max(eta, 0) + log1p(exp(-|eta|))).sum()``,
     ``mu = 0.5 * (1 + tanh(0.5 * eta))``, ``xb.T @ (yb - mu)`` and
     ``(xb * (mu * (1 - mu))[:, None]).T @ xb`` do, with fewer numpy calls:
     each call releases and retakes the GIL that the threads share."""
-    xb, yb = X[start : start + _BLOCK_ROWS], y[start : start + _BLOCK_ROWS]
     eta = xb @ beta
     # log(1 + e^eta) in np.logaddexp(0, eta)'s stable form, but several
     # times faster: numpy vectorises exp and log1p, not logaddexp
@@ -186,6 +203,14 @@ def _block_sums(
     weight = np.subtract(1.0, mu, out=acc)
     weight *= mu
     return ll, score, (xb * weight[:, None]).T @ xb
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_loglik(rows: int) -> float:
+    """The log-likelihood that :func:`_general_sums` gives ``rows`` rows whose
+    predictor is zero: a run of that stage, as -rows * log1p(1) may round
+    otherwise."""
+    return _general_sums(np.zeros((rows, 1)), np.zeros(rows), np.ones(1))[0]
 
 
 def fit(
@@ -205,11 +230,12 @@ def fit(
     :class:`ConvergenceError` (carrying the iteration trace) when the budget
     runs out. Fitting the same arrays twice is bit-identical: the optimiser is
     deterministic, starts from zero and sums the row blocks of each pass in
-    order. The design is read once per step-halving candidate and is not
-    copied when it is already a C-contiguous float array; the rank check
-    reads the information at zero and falls back to an SVD of the design only
-    when that leaves doubt. A pass over a large design runs on one thread per
-    usable CPU (``taskset`` narrows them), and the result is the same bits
+    order. The pass at zero computes no exp, log1p or tanh, and gives the bits
+    the general pass would. The design is read once per step-halving candidate
+    and is not copied when it is already a C-contiguous float array; the rank
+    check reads the information at zero and falls back to an SVD of the design
+    only when that leaves doubt. A pass over a large design runs on one thread
+    per usable CPU (``taskset`` narrows them), and the result is the same bits
     whatever their number.
     """
     X = np.ascontiguousarray(design, dtype=float)

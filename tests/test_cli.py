@@ -302,27 +302,29 @@ class TestRoundTrip:
         assert reports[0] == reports[1]
 
 
+@pytest.fixture()
+def coef_file(tmp_path):
+    """A fit with covariances and 300 profiles, more than one _INFER_BATCH."""
+    spec = ModelSpec(z_names=("a",), v_names=("b",), xz=True, xv=True)
+    rng = np.random.default_rng(3)
+    outcome = OutcomeParams.from_vector(spec, 0.3 * rng.normal(size=spec.n_outcome_coefs))
+    mediator = MediatorParams.from_vector(spec, 0.3 * rng.normal(size=spec.n_mediator_coefs))
+    profiles = tuple((f"p{i}", CovariateProfile(z=[rng.normal()], v=[rng.normal()]))
+                     for i in range(300))
+    doc = coefficients_to_doc(CoefficientSet(
+        spec, outcome, mediator,
+        outcome_vcov=0.01 * np.eye(spec.n_outcome_coefs),
+        mediator_vcov=0.01 * np.eye(spec.n_mediator_coefs),
+        exposure_levels=(1.0, 0.0), profiles=profiles,
+    ))
+    path = tmp_path / "coef.json"
+    save_json(doc, path)
+    return path
+
+
 class TestInferenceBatches:
     """effects stacks its contrasts (``delta._stacked``, which ``infer_many``
     calls too) in slices of _INFER_BATCH, in every range of profiles."""
-
-    @pytest.fixture()
-    def coef_file(self, tmp_path):
-        spec = ModelSpec(z_names=("a",), v_names=("b",), xz=True, xv=True)
-        rng = np.random.default_rng(3)
-        outcome = OutcomeParams.from_vector(spec, 0.3 * rng.normal(size=spec.n_outcome_coefs))
-        mediator = MediatorParams.from_vector(spec, 0.3 * rng.normal(size=spec.n_mediator_coefs))
-        profiles = tuple((f"p{i}", CovariateProfile(z=[rng.normal()], v=[rng.normal()]))
-                         for i in range(300))
-        doc = coefficients_to_doc(CoefficientSet(
-            spec, outcome, mediator,
-            outcome_vcov=0.01 * np.eye(spec.n_outcome_coefs),
-            mediator_vcov=0.01 * np.eye(spec.n_mediator_coefs),
-            exposure_levels=(1.0, 0.0), profiles=profiles,
-        ))
-        path = tmp_path / "coef.json"
-        save_json(doc, path)
-        return path
 
     def test_no_call_exceeds_the_batch(self, coef_file, tmp_path, monkeypatch):
         sizes = []
@@ -344,6 +346,40 @@ class TestInferenceBatches:
         assert run("effects", "--coef-file", coef_file, "--output", tmp_path / "b.json") == 0
         assert capsys.readouterr().out == sliced
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+class TestProfileValuesOnce:
+    """A report values each profile once, for its coefficient section and
+    its effect table both."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        from ormediate import io
+
+        calls = []
+        profile_values = io.profile_values
+
+        def counting(spec, profile):
+            calls.append(profile)
+            return profile_values(spec, profile)
+
+        monkeypatch.setattr(io, "profile_values", counting)
+        return calls
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_effects(self, monkeypatch, coef_file, tmp_path, output):
+        calls = self._counted(monkeypatch)
+        flags = ["--output", tmp_path / "e.json"] if output else []
+        assert run("effects", "--coef-file", coef_file, *flags) == 0
+        assert len(calls) == 300
+
+    def test_fit(self, monkeypatch, sim_csv, tmp_path):
+        calls = self._counted(monkeypatch)
+        profiles = ["age=30,edu=1,loans=0", "age=40,edu=0,loans=2", "age=50,edu=1,loans=1"]
+        assert run("fit", "--input", sim_csv, "--z", "age,edu,loans",
+                   *[arg for text in profiles for arg in ("--profile", text)],
+                   "--output", tmp_path / "f.json") == 0
+        assert len(calls) == 3
 
 
 def _reference_texts(name, values, row, fields):

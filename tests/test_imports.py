@@ -3,10 +3,12 @@ modules it runs: ``import ormediate.cli``, ``--help`` and ``--version`` load
 no numpy and leave the environment alone, and a command never loads a module
 it does not use."""
 
+import ast
 import json
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +98,13 @@ def test_module_imports_on_its_own(module):
 
 def test_the_package_has_fourteen_modules():
     assert len(MODULES) == 14
+
+
+@pytest.mark.parametrize("path", sorted(Path(ormediate.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_the_source_is_python_3_10_syntax(path):
+    # pyproject.toml allows Python 3.10; this catches syntax that it lacks
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 class TestCommandImports:

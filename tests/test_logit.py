@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ormediate import (
     ConvergenceError,
@@ -238,14 +240,19 @@ class TestThreadedPass:
             sys.setswitchinterval(interval)
         assert results[0] == results[1] == results[2]
 
-    def test_a_thread_takes_at_least_its_share_of_blocks(self, monkeypatch):
+    # the zero start and the general pass share out their blocks alike
+    _BETAS = pytest.mark.parametrize(
+        "beta", [np.zeros(5), np.array([0.1, -0.2, 0.3, -0.4, 0.5])], ids=["zero", "general"])
+
+    @_BETAS
+    def test_a_thread_takes_at_least_its_share_of_blocks(self, monkeypatch, beta):
         X, y = self._problem()
         rows = (2 * _WORKER_BLOCKS - 1) * _BLOCK_ROWS  # one block short of two threads
         seen = self._threads_seen(monkeypatch, 8)
-        _evaluate(X[:rows], y[:rows], np.zeros(5))
+        _evaluate(X[:rows], y[:rows], beta)
         assert list(seen) == [threading.current_thread()]
         seen = self._threads_seen(monkeypatch, 8)
-        _evaluate(X[: rows + 1], y[: rows + 1], np.zeros(5))
+        _evaluate(X[: rows + 1], y[: rows + 1], beta)
         assert len(seen) == 2
 
     def test_no_thread_outlives_a_fit(self, monkeypatch):
@@ -270,7 +277,8 @@ class TestThreadedPass:
         last = (len(y) - 1) // _BLOCK_ROWS * _BLOCK_ROWS
         assert last not in seen[threading.current_thread()]
 
-    def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
+    @_BETAS
+    def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch, beta):
         X, y = self._problem()
         seen = self._threads_seen(monkeypatch, 3)
         failure = ZeroDivisionError("in the last block")
@@ -285,7 +293,7 @@ class TestThreadedPass:
         monkeypatch.setattr(logit, "_block_sums", failing)
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError) as err:
-            _evaluate(X, y, np.zeros(5))
+            _evaluate(X, y, beta)
         assert err.value is failure
         assert len(seen) == 3
         assert threading.active_count() == before
@@ -305,6 +313,51 @@ class TestThreadedPass:
         assert list(seen) == [threading.current_thread()]
         assert (ll, score.tobytes(), info.tobytes()) == (
             threaded[0], threaded[1].tobytes(), threaded[2].tobytes())
+
+
+# negative cells, whose products with a zero coefficient are -0.0, -0.0 and
+# subnormal cells, which the weighting keeps or rounds, and large ones
+_CELLS = st.sampled_from([1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 0.3,
+                          -2.75, 1e150, -7e100])
+# a single short block, a full one and a short one, or three threads' blocks;
+# at many block lengths -m log1p(1) is not the stage's sum of m log1p(1)
+_ROWS = st.one_of(st.integers(1, _BLOCK_ROWS + 100),
+                  st.just(3 * _WORKER_BLOCKS * _BLOCK_ROWS + 101))
+
+
+class TestZeroStart:
+    """At beta = 0 a block skips the general stage but gives its bits."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(rows=_ROWS, k=st.integers(1, 4), cells=st.lists(_CELLS, min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_the_zero_start_is_the_general_stage_at_zero(self, rows, k, cells, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.choice(np.array(cells), size=(rows, k))
+        y = rng.integers(0, 2, size=rows).astype(float)
+        beta = np.zeros(k)
+
+        def general(X, y, beta, start):
+            return logit._general_sums(X[start : start + _BLOCK_ROWS],
+                                       y[start : start + _BLOCK_ROWS], beta)
+
+        results = []
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            patch.setattr(logit, "_usable_cpus", lambda: 3)
+            for block_sums in (logit._block_sums, general):
+                patch.setattr(logit, "_block_sums", block_sums)
+                ll, score, info = _evaluate(X, y, beta)
+                results.append((np.float64(ll).tobytes(), score.tobytes(), info.tobytes()))
+        assert results[0] == results[1]
+
+    def test_a_zero_start_runs_no_general_stage(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        X, y = _sim_design(rng, 3 * _BLOCK_ROWS + 17, [-0.4, 0.6, -0.3])
+        logit._zero_loglik(17)  # the one-off runs of the general stage
+        logit._zero_loglik(_BLOCK_ROWS)
+        monkeypatch.setattr(logit, "_general_sums", lambda *a: pytest.fail("a general stage ran"))
+        _evaluate(X, y, np.zeros(3))
+        _evaluate(X, y, np.array([0.0, -0.0, 0.0]))
 
 
 class TestRankScreen:
