@@ -44,7 +44,10 @@ The effect tables of a report are made in one process, in slices of at
 most _INFER_BATCH profiles: each slice's delta-method numbers come from one
 stack (``delta._table_rows``), and each table's JSON and text from one
 template shared by the tables with the same profile keys; see
-``_effect_tables``.
+``_effect_tables``. The JSON template is ``json.dumps`` of a table whose
+numbers are placeholders (``_table_templates``), and ``jsonio.write_json``
+writes each table's text into the report's ``effects`` list, so every
+report is ``json.dumps(report, indent=2)`` plus a newline.
 
 Once the arguments are parsed, and only if numpy is not loaded yet, `main`
 sets ``OPENBLAS_NUM_THREADS=1`` whatever the caller set, so a command loads
@@ -321,8 +324,8 @@ def _effect_sections(coef: CoefficientSet, level: float, json: bool) -> tuple[di
     report on ``coef``, whose exposure levels and profiles are resolved:
     delta-method inference when it has covariances, point estimates otherwise;
     and the text of the effect tables, for :func:`_emit`. The ``effects``
-    section holds each table's JSON text only if ``json``, and is empty
-    otherwise; see :func:`_effect_tables`."""
+    section holds each table's JSON text, a ``jsonio._Verbatim``, only if
+    ``json``, and is empty otherwise; see :func:`_effect_tables`."""
     from .effects import special_case_report
     from .io import coefficients_to_doc
     from .jsonio import _Verbatim
@@ -394,33 +397,40 @@ _TABLE_INDENT = "\n    "
 def _table_templates(keys: tuple, fields: tuple):
     """The JSON and the text templates of the tables whose profile values
     have ``keys`` and whose effects have ``fields``, and the getter of a
-    table's numbers (values, then effects) in the order of the text's. The
-    writers make them from a table whose profile is %s, whose keys have their
-    % doubled and whose numbers are slots: a %s in the JSON (a float's str is
-    its repr), and in the text the % conversion of its format, noted in the
-    order the text formats them."""
+    table's numbers (values, then effects) in the order of the text's. Both
+    are made from one table whose numbers are slots, floats whose value is
+    NaN. The JSON template is ``json.dumps`` of the table, with its profile
+    a NaN too, at the indent of the report's ``effects`` list: its % are
+    doubled, and each NaN at a line end, the place of a value (keys never end
+    a line), is a %s. The text's is the table rendered with its profile %s,
+    its keys' % doubled and each slot the % conversion of its format, noted
+    in the order the text formats them."""
+    import json
     from operator import itemgetter
 
     from .effects import _TABLE_ORDER
-    from .jsonio import _json_blocks, _Verbatim
 
     order: list[int] = []
 
-    class Slot(_Verbatim):
+    class Slot(float):
         def __format__(self, spec: str) -> str:
-            order.append(slots.index(self))
+            order.append(slots.index(self))  # by identity: a NaN equals nothing
             return "%" + spec.lstrip(">")
 
-    slots = [Slot("%s") for _ in range(len(keys) + len(_TABLE_ORDER) * len(fields))]
+    slots = [Slot("nan") for _ in range(len(keys) + len(_TABLE_ORDER) * len(fields))]
     numbers = iter(slots)
-    table = {"profile": "%s",
-             "values": {key.replace("%", "%%"): next(numbers) for key in keys},
-             "effects": [{"name": name, **{field: next(numbers) for field in fields}}
-                         for name in _TABLE_ORDER]}
-    blocks: list[str] = []
-    _json_blocks(table, _TABLE_INDENT, blocks.append, {})
-    text = "\n".join(_render_effect_table(table))
-    return "".join(blocks), text, itemgetter(*order)
+    values = {key: next(numbers) for key in keys}
+    effects = [{"name": name, **{field: next(numbers) for field in fields}}
+               for name in _TABLE_ORDER]
+    table = json.dumps({"profile": math.nan, "values": values, "effects": effects}, indent=2)
+    table = table.replace("%", "%%").replace("\n", _TABLE_INDENT)
+    table = table.replace("NaN,\n", "%s,\n").replace("NaN\n", "%s\n")
+    text = "\n".join(_render_effect_table({
+        "profile": "%s",
+        "values": {key.replace("%", "%%"): slot for key, slot in values.items()},
+        "effects": effects,
+    }))
+    return table, text, itemgetter(*order)
 
 
 def _table_texts(name: str, values: dict, row: list, fields: tuple, templates: dict,
@@ -429,8 +439,8 @@ def _table_texts(name: str, values: dict, row: list, fields: tuple, templates: d
     ``effects`` list (None unless ``json``) and its text lines, joined: the
     table of profile ``name`` with ``values``, whose effects have the numbers
     of ``row``, ``fields`` each. Each is one ``%`` over a template shared by
-    the tables with the same value keys; a number that is not finite is
-    spelled as json spells it."""
+    the tables with the same value keys; the name and any number that is not
+    finite are spelled by ``json.dumps``."""
     shape = (tuple(values), fields)
     if shape not in templates:
         templates[shape] = _table_templates(*shape)
@@ -439,12 +449,11 @@ def _table_texts(name: str, values: dict, row: list, fields: tuple, templates: d
     text = text_template % (name, *text_order(numbers))
     if not json:
         return None, text
-    from .jsonio import _json_scalars, encode_basestring_ascii
+    from json import dumps
 
     if not math.isfinite(sum(numbers)):  # a sum past the double range is inf too
-        numbers = _json_scalars(numbers)
-    # the template quotes the name
-    return json_template % (encode_basestring_ascii(name)[1:-1], *numbers), text
+        numbers = map(dumps, numbers)
+    return json_template % (dumps(name), *numbers), text
 
 
 def _report(command: str, config: dict, **sections) -> dict:
