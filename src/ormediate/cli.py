@@ -42,12 +42,12 @@ importing a module generates and compiles no code, and no command loads
 
 The effect tables of a report are made in one process, in slices of at
 most _INFER_BATCH profiles: each slice's delta-method numbers come from one
-stack (``delta._table_rows``), and each table's JSON and text from one
-template shared by the tables with the same profile keys; see
-``_effect_tables``. The JSON template is ``json.dumps`` of a table whose
-numbers are placeholders (``_table_templates``), and ``jsonio.write_json``
-writes each table's text into the report's ``effects`` list, so every
-report is ``json.dumps(report, indent=2)`` plus a newline.
+stack (``delta._table_rows``), and each table's JSON and text from the
+report's one JSON and one text template, since every profile names the same
+covariates; see ``_effect_tables``. The JSON template is ``json.dumps`` of a
+table whose numbers are placeholders (``_table_templates``), and
+``jsonio.write_json`` writes each table's text into the report's ``effects``
+list, so every report is ``json.dumps(report, indent=2)`` plus a newline.
 
 Once the arguments are parsed, and only if numpy is not loaded yet, `main`
 sets ``OPENBLAS_NUM_THREADS=1`` whatever the caller set, so a command loads
@@ -376,14 +376,16 @@ def _effect_tables(coef: CoefficientSet, contrasts: list, profiles: list[dict],
         fields = _INFERENCE_FIELDS
     else:
         rows_of, fields = partial(_point_rows, coef), _POINT_FIELDS
+    # every profile names the spec's covariates in this order (io.profile_values)
+    keys = tuple(dict.fromkeys(coef.spec.z_names + coef.spec.v_names))
+    templates = _table_templates(keys, fields)
     texts: list[str] = []
     lines: list[str] = []
-    templates: dict = {}
     for start in range(0, len(contrasts), _INFER_BATCH):
         rows = rows_of(contrasts[start:start + _INFER_BATCH])
         for profile, row in zip(profiles[start:], rows):
-            text, table_lines = _table_texts(profile["name"], profile["values"], row, fields,
-                                             templates, json)
+            text, table_lines = _table_texts(profile["name"], profile["values"], row, templates,
+                                             json)
             if json:
                 texts.append(text)
             lines += ("", table_lines)
@@ -433,18 +435,15 @@ def _table_templates(keys: tuple, fields: tuple):
     return table, text, itemgetter(*order)
 
 
-def _table_texts(name: str, values: dict, row: list, fields: tuple, templates: dict,
+def _table_texts(name: str, values: dict, row: list, templates: tuple,
                  json: bool) -> tuple[str | None, str]:
     """The JSON text of one effect table at the indent of the report's
     ``effects`` list (None unless ``json``) and its text lines, joined: the
     table of profile ``name`` with ``values``, whose effects have the numbers
-    of ``row``, ``fields`` each. Each is one ``%`` over a template shared by
-    the tables with the same value keys; the name and any number that is not
-    finite are spelled by ``json.dumps``."""
-    shape = (tuple(values), fields)
-    if shape not in templates:
-        templates[shape] = _table_templates(*shape)
-    json_template, text_template, text_order = templates[shape]
+    of ``row``. Each is one ``%`` over the :func:`_table_templates` of the
+    report, for these value keys and the row's fields; the name and any
+    number that is not finite are spelled by ``json.dumps``."""
+    json_template, text_template, text_order = templates
     numbers = (*values.values(), *row)
     text = text_template % (name, *text_order(numbers))
     if not json:

@@ -15,10 +15,11 @@ gradients are columns over the contrasts, built by the same functions as the
 single-contrast Jacobian, and the covariances one stacked J Sigma J^T, which
 equals the 2-d product slice by slice. ``infer`` is ``infer_many`` at one
 contrast, so there is one delta-method path. A batch runs in two stages:
-``_stacked`` makes every number that calls BLAS (the effects, the Jacobians,
-J Sigma J^T and the CDE variances g V g^T), and ``_effect_rows`` the seven
-numbers of each effect from them: ``infer_many``'s records hold them, and
-``_table_rows`` hands them to the CLI's tables with no record per effect.
+``_stacked`` makes every number that calls BLAS (the effects and their
+Jacobians, both from one evaluation of the bridge terms, J Sigma J^T and the
+CDE variances g V g^T), and ``_effect_rows`` the seven numbers of each effect
+from them: ``infer_many``'s records hold them, and ``_table_rows`` hands them
+to the CLI's tables with no record per effect.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from .effects import (
     EFFECT_ORDER,
     EffectSet,
     _at_contrasts,
+    _bridge_terms,
     _exposure_gradient,
     _log_cde_at,
     _log_effects,
     _log_jacobian,
 )
 from .exceptions import CovarianceError, MediationError, NumericalError, SchemaError
-from .model import Contrast, MediatorParams, ModelSpec, OutcomeParams
+from .model import Contrast, MediatorParams, ModelSpec, OutcomeParams, _each
 from .record import Record, ValueRecord
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -128,13 +130,11 @@ def _rows_of(names: tuple, logs: np.ndarray, var: np.ndarray, zq: float) -> np.n
     variance (N, k). Each exp and erfc is ``math``'s, one value at a time, and
     every other step one IEEE operation: the arithmetic of Python floats. The
     first effect, row by row, whose odds ratio or bound overflows raises."""
-    def each(f, a: np.ndarray) -> np.ndarray:
-        return np.array(list(map(f, a.ravel().tolist()))).reshape(a.shape)
-
     se = np.sqrt(var)
     half = zq * se
     try:
-        ors, lower, upper = (each(math.exp, a) for a in (logs, logs - half, logs + half))
+        ors, lower, upper = (_each(math.exp, a.ravel()).reshape(a.shape)
+                             for a in (logs, logs - half, logs + half))
     except OverflowError:
         for row, se_row in zip(logs.tolist(), se.tolist()):
             for name, log_est, se_log in zip(names, row, se_row):
@@ -149,7 +149,8 @@ def _rows_of(names: tuple, logs: np.ndarray, var: np.ndarray, zq: float) -> np.n
         raise
     # _two_sided_p(log / se), as erfc(|z| / sqrt 2); a zero SE gives p = 1 at a
     # zero estimate and 0 elsewhere
-    p = np.where(se > 0.0, each(math.erfc, np.abs(logs / se) / math.sqrt(2.0)),
+    q = np.abs(logs / se) / math.sqrt(2.0)
+    p = np.where(se > 0.0, _each(math.erfc, q.ravel()).reshape(q.shape),
                  np.where(logs == 0.0, 1.0, 0.0))
     return np.stack([logs, ors, se, ors * se, lower, upper, p], axis=-1)
 
@@ -247,11 +248,13 @@ def _table_rows(
     """The numbers of :func:`infer_many`'s effects at each contrast, made
     with no record: one flat row per contrast, the seven numbers of
     :func:`_effect_rows` of each effect in turn. When a check fails the
-    contrasts run through :func:`infer_many`, so the error is its error."""
+    contrasts run through :func:`infer` one by one, so the error is the first
+    failing contrast's, as in :func:`infer_many`."""
     try:
         rows = _effect_rows(_stacked(spec, outcome_fit, mediator_fit, contrasts, level))
     except (MediationError, ArithmeticError, ValueError):
-        infer_many(spec, outcome_fit, mediator_fit, contrasts, level)  # raises, one by one
+        for c in contrasts:
+            infer(spec, outcome_fit, mediator_fit, c, level)  # the first failing one raises
         raise
     return rows.reshape(len(contrasts), -1).tolist()
 
@@ -265,7 +268,7 @@ def _stacked(
     level: float,
 ) -> _Stack:
     """The BLAS stage of a batch: the effects and Jacobians as columns over
-    the contrasts, the covariances as one stacked J Sigma J^T (equal slice by
+    the contrasts, from one evaluation of their bridge terms, the covariances as one stacked J Sigma J^T (equal slice by
     slice to the 2-d product), and the CDE variances as one stacked g V g^T."""
     from .logit import _wald_quantile
 
@@ -276,10 +279,11 @@ def _stacked(
     theta = np.concatenate([outcome.active_vector(), mediator.active_vector()])
     rows = np.broadcast_to(theta, (len(contrasts), 1, theta.size))  # one draw per contrast
     oy, mw, x, xs, delta, z, v = _at_contrasts(spec, rows, contrasts)
-    logs = np.column_stack(_log_effects(oy, mw, x, xs, delta)).tolist()
+    terms = _bridge_terms(oy, mw, x, xs)
+    logs = np.column_stack(_log_effects(oy, terms, delta)).tolist()
     cde = np.column_stack([_log_cde_at(oy, delta)[w] for w in (0, 1)]).tolist()
     jac = np.ascontiguousarray(
-        _log_jacobian(spec, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1)
+        _log_jacobian(spec, terms, x, xs, delta, z.T, v.T).transpose(2, 0, 1)
     )
     cov_log = jac @ sigma @ jac.transpose(0, 2, 1)
     cov_log = (cov_log + cov_log.transpose(0, 2, 1)) / 2.0

@@ -17,8 +17,9 @@ The first index sets the exposure level inside the outcome model, the second
 the exposure level inside the mediator model. A is a convex combination of k
 and 1 with weights p2 p3 / (p2 p3 + p4) and p4 / (p2 p3 + p4), hence always
 between min(k, 1) and max(k, 1). ``a_term_inputs`` returns the tuple
-(k, p2, p3, p4) of one term and ``a_term`` its value; the effect and gradient
-paths pass the same plain tuples.
+(k, p2, p3, p4) of one term and ``a_term`` its value. ``_bridge_terms``
+evaluates the four terms of a contrast, each as its inputs and its value, and
+the log effects and their Jacobian both read that one evaluation.
 
 With D = x - x* and the prefactor br(z) = bx + bxz'z, the natural effects are
 
@@ -56,12 +57,12 @@ the covariate value for a covariate block. Stacking the four bridge gradients
 into rows for (log PNDE, log TNIE, log TNDE, log PNIE, log TE) gives the
 Jacobian.
 
-The bridge inputs, bridge values, log effects and their Jacobian are written
-once, for floats (``natural_effects``, ``jacobian_log_effects``) and for
-columns over a batch of rows alike (see :mod:`ormediate.model`);
-``_log_effects_at_rows`` evaluates many coefficient vectors at one contrast
-per draw, with none of the checks of ``natural_effects``: its caller,
-``verify``, judges the values it gives.
+The bridge terms, log effects and their Jacobian are written once, for
+floats (``natural_effects``, ``jacobian_log_effects``) and for columns over a
+batch of rows alike (see :mod:`ormediate.model`); ``_log_effects_at_rows``
+evaluates many coefficient vectors at one contrast per draw, with none of the
+checks of ``natural_effects``, and keeps the bridge terms of each draw's first
+row for the Jacobian: its caller, ``verify``, judges the values it gives.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ __all__ = [
 EFFECT_ORDER = ("pnde", "tnie", "tnde", "pnie", "te")
 # the effects of a report table: EFFECT_ORDER, then CDE(0) and CDE(1)
 _TABLE_ORDER = (*EFFECT_ORDER, "cde0", "cde1")
-# the four bridge terms of one contrast, in the order of _bridge_inputs
+# the four bridge terms of one contrast, in the order of _bridge_terms
 _BRIDGE_TERMS = ("A[x, x]", "A[x, x*]", "A[x*, x]", "A[x*, x*]")
 
 
@@ -118,9 +119,9 @@ def _bridge_value(k, p2, p3, p4):
     return (k * p2 * p3 + p4) / (p2 * p3 + p4)
 
 
-def _bridge_inputs(oy: _OutcomeAt, mw: _MediatorAt, x, xs) -> tuple[tuple, ...]:
-    """(k, p2, p3, p4) of A[x, x], A[x, x*], A[x*, x] and A[x*, x*] at one
-    profile, as floats or, for a batch, columns.
+def _bridge_terms(oy: _OutcomeAt, mw: _MediatorAt, x, xs) -> tuple[tuple, ...]:
+    """A[x, x], A[x, x*], A[x*, x] and A[x*, x*] at one profile, each as its
+    inputs (k, p2, p3, p4) and its value, as floats or, for a batch, columns.
 
     k, p3 and p4 depend only on the outcome exposure and p2 only on the
     mediator exposure, so each is exponentiated once, in the order the four
@@ -133,12 +134,13 @@ def _bridge_inputs(oy: _OutcomeAt, mw: _MediatorAt, x, xs) -> tuple[tuple, ...]:
     p2_xs = mw.odds(xs)
     k_xs = oy.mediator_odds_ratio(xs)
     p3_xs, p4_xs = 1.0 + oy.odds(xs, 0.0), 1.0 + oy.odds(xs, 1.0)
-    return (
+    inputs = (
         (k_x, p2_x, p3_x, p4_x),
         (k_x, p2_xs, p3_x, p4_x),
         (k_xs, p2_x, p3_xs, p4_xs),
         (k_xs, p2_xs, p3_xs, p4_xs),
     )
+    return tuple((term, _bridge_value(*term)) for term in inputs)
 
 
 def a_term_inputs(
@@ -279,9 +281,10 @@ def _outside(value, low: float, high: float):
     return None if low < value < high else value
 
 
-def _log_effects(oy: _OutcomeAt, mw: _MediatorAt, x, xs, delta) -> tuple:
-    """(log PNDE, log TNIE, log TNDE, log PNIE, log TE), of floats or columns."""
-    bridges = [_bridge_value(*inputs) for inputs in _bridge_inputs(oy, mw, x, xs)]
+def _log_effects(oy: _OutcomeAt, terms: tuple, delta) -> tuple:
+    """(log PNDE, log TNIE, log TNDE, log PNIE, log TE) from the bridge
+    terms of :func:`_bridge_terms`, of floats or columns."""
+    bridges = [a for _, a in terms]
     a_xx, a_xxs, a_xsx, a_xsxs = bridges
     # A lies between min(k, 1) and max(k, 1), so only an overflowed product
     # takes it out of (0, inf)
@@ -324,8 +327,8 @@ def natural_effects(
     prof = contrast.profile
     _check_joint_spec(outcome, mediator, prof)
     oy = _OutcomeAt(outcome, prof.z)
-    logs = _log_effects(oy, _MediatorAt(mediator, prof.v), contrast.x, contrast.x_star,
-                        contrast.delta)
+    terms = _bridge_terms(oy, _MediatorAt(mediator, prof.v), contrast.x, contrast.x_star)
+    logs = _log_effects(oy, terms, contrast.delta)
     return EffectSet(*logs, log_cde_at=_log_cde_at(oy, contrast.delta), contrast=contrast)
 
 
@@ -409,18 +412,14 @@ def _exposure_gradient(spec: ModelSpec, delta, z, dim: int, w: float | None = No
     return g
 
 
-def _log_jacobian(spec: ModelSpec, oy: _OutcomeAt, mw: _MediatorAt, x, xs, delta, z, v):
-    """Jacobian of the five log effects, (5, dim), or (5, dim, N) for a batch
-    of N profiles; see :func:`jacobian_log_effects`."""
-
-    def dlog(inputs, x1, x2):
-        return _bridge_gradient(spec, inputs, x1, x2, z, v) / _bridge_value(*inputs)
-
-    in_xx, in_xxs, in_xsx, in_xsxs = _bridge_inputs(oy, mw, x, xs)
-    l_xx = dlog(in_xx, x, x)
-    l_xxs = dlog(in_xxs, x, xs)
-    l_xsx = dlog(in_xsx, xs, x)
-    l_xsxs = dlog(in_xsxs, xs, xs)
+def _log_jacobian(spec: ModelSpec, terms: tuple, x, xs, delta, z, v):
+    """Jacobian of the five log effects from the bridge terms of
+    :func:`_bridge_terms`, (5, dim), or (5, dim, N) for a batch of N
+    profiles; see :func:`jacobian_log_effects`."""
+    l_xx, l_xxs, l_xsx, l_xsxs = (
+        _bridge_gradient(spec, inputs, x1, x2, z, v) / a
+        for (inputs, a), (x1, x2) in zip(terms, ((x, x), (x, xs), (xs, x), (xs, xs)))
+    )
     d1 = _exposure_gradient(spec, delta, z, l_xx.shape[0])
     return np.stack(
         [
@@ -441,16 +440,9 @@ def jacobian_log_effects(
     up to roundoff."""
     prof = contrast.profile
     _check_joint_spec(outcome, mediator, prof)
-    return _log_jacobian(
-        outcome.spec,
-        _OutcomeAt(outcome, prof.z),
-        _MediatorAt(mediator, prof.v),
-        contrast.x,
-        contrast.x_star,
-        contrast.delta,
-        prof.z,
-        prof.v,
-    )
+    x, xs = contrast.x, contrast.x_star
+    terms = _bridge_terms(_OutcomeAt(outcome, prof.z), _MediatorAt(mediator, prof.v), x, xs)
+    return _log_jacobian(outcome.spec, terms, x, xs, contrast.delta, prof.z, prof.v)
 
 
 def _at_contrasts(spec: ModelSpec, thetas: np.ndarray, contrasts) -> tuple:
@@ -473,10 +465,12 @@ def _at_contrasts(spec: ModelSpec, thetas: np.ndarray, contrasts) -> tuple:
 
 
 @np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
-def _log_effects_at_rows(spec: ModelSpec, thetas: np.ndarray, contrasts) -> np.ndarray:
+def _log_effects_at_rows(spec: ModelSpec, thetas: np.ndarray, contrasts) -> tuple:
     """``natural_effects(...).log_values()`` at each coefficient row of
     ``thetas`` (G, M, outcome then mediator coefficients), row [j, i] at
-    ``contrasts[j]``: (G, M, 5).
+    ``contrasts[j]``: (G, M, 5); and, from the same evaluation, the arguments
+    of :func:`_log_jacobian` after the spec at row 0 of each draw: its bridge
+    terms, x, x*, D, and the profiles z (p, G) and v (q, G).
 
     The values equal the rows evaluated one by one bit for bit. Each
     covariate block takes one stacked product over all the rows. The rows
@@ -484,9 +478,12 @@ def _log_effects_at_rows(spec: ModelSpec, thetas: np.ndarray, contrasts) -> np.n
     that of the first failing entry of a predictor column, not necessarily
     of the first failing row.
     """
-    oy, mw, x, xs, delta, _, _ = _at_contrasts(spec, thetas, contrasts)
-    logs = np.column_stack(_log_effects(oy, mw, x, xs, delta))
-    return logs.reshape(thetas.shape[:2] + (5,))
+    oy, mw, x, xs, delta, z, v = _at_contrasts(spec, thetas, contrasts)
+    terms = _bridge_terms(oy, mw, x, xs)
+    logs = np.column_stack(_log_effects(oy, terms, delta)).reshape(thetas.shape[:2] + (5,))
+    m = thetas.shape[1]
+    first = tuple((tuple(c[::m] for c in inputs), a[::m]) for inputs, a in terms)
+    return logs, (first, x[::m], xs[::m], delta[::m], z.T, v.T)
 
 
 def approx_effects(

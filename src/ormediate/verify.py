@@ -27,19 +27,22 @@ draws, and a NaN error fails the suite.
 Every ``random_problem`` draw is one of the widest spec, p = q = 2, with zero
 coefficients and covariates where its own spec has none, so a slice is one
 batch in that layout. ``oracle-equivalence`` and ``decomposition`` read the
-log effects at each draw's coefficient vector theta, and ``jacobian`` at theta
-and its central-difference points. When one of them runs, a slice pads its
-draws into that layout and evaluates the closed form once, with no checks of
-its own: at theta alone, or at every difference point when the jacobian
-suite runs, which serves all three. Each suite gets the same record of the
-slice: the draws in their own specs, the padded thetas and contrasts, and the
-log effects. So a fault in the closed form reaches the suites and fails them.
-The jacobian suite takes its analytic Jacobians from one evaluation of the
-Jacobian algebra, and a draw's error is the largest over its own
-coefficients. Each row rounds as in the draw's own spec, so every error
-keeps its bits. The other suites loop over the slice, each draw in its own
-spec: ``oracle-equivalence`` checks the padded closed form against the draw's
-own mediation formula.
+log effects at each draw's coefficient vector theta, ``jacobian`` at theta
+and its central-difference points, and ``jacobian`` and ``bracketing`` the
+bridge terms at theta. When one of these four runs, a slice pads its draws
+into that layout and evaluates the closed form once, with no checks of its
+own: at theta alone, or at every difference point when the jacobian suite
+runs, which serves all four. The evaluation reaches ``effects._log_effects``
+at call time, so a fault in the closed form reaches the suites and fails
+them. Each suite gets the same record of the slice: the draws in their own
+specs, the padded thetas and contrasts, the log effects, and the bridge terms
+at theta. The jacobian suite takes its analytic Jacobians from one pass of
+the Jacobian algebra over those terms, and a draw's error is the largest over
+its own coefficients. Each row rounds as in the draw's own spec, so every
+error keeps its bits. The independent side of each comparison stays per
+draw, each in its own spec: ``oracle-equivalence`` checks the padded closed
+form against the draw's own mediation formula, and ``g-y-identity`` evaluates
+each draw's bridge term and its two other forms itself.
 
 Every suite accepts a ``perturb`` offset that is added to one side of the
 comparison.  It exists purely as a fault-injection knob: a nonzero value,
@@ -61,11 +64,9 @@ from itertools import chain
 
 import numpy as np
 
-from .effects import _at_contrasts, _bridge_inputs, _bridge_value, _log_jacobian
-from .effects import _log_effects_at_rows
+from .effects import _bridge_value, _log_effects_at_rows, _log_jacobian
 from .exceptions import SchemaError
 from .model import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
-from .model import _MediatorAt, _OutcomeAt
 from .oracle import _difference_quotients, _difference_rows, g_y_check
 from .oracle import mediation_formula_effects, tables_from_params
 from .record import ValueRecord
@@ -155,13 +156,15 @@ class SuiteResult(ValueRecord):
 
 class _Slice(ValueRecord):
     """One slice of draws, as every suite reads it. ``problems`` are the draws
-    as drawn. When a suite reads log effects, ``thetas`` (G, 18) and
+    as drawn. When a suite reads the closed form, ``thetas`` (G, 18) and
     ``contrasts`` hold the ``random_problem`` draws padded to the layout of
-    ``_WIDE`` (:func:`_columns`; z and v with 0.0), and ``logs`` (G, M, 5) the
+    ``_WIDE`` (:func:`_columns`; z and v with 0.0), ``logs`` (G, M, 5) the
     log effects there: at theta alone (M = 1), or at theta and its
-    central-difference points (rows of :func:`_difference_rows`, row 0 theta)."""
+    central-difference points (rows of :func:`_difference_rows`, row 0 theta);
+    and ``at_theta`` the bridge terms at theta with the rest of the arguments
+    of :func:`_log_jacobian` (the second value of :func:`_log_effects_at_rows`)."""
 
-    __slots__ = FIELDS = ("problems", "thetas", "contrasts", "logs")
+    __slots__ = FIELDS = ("problems", "thetas", "contrasts", "logs", "at_theta")
 
 
 def _draw(rng: np.random.Generator, i: int):
@@ -178,8 +181,8 @@ def _draw_g_y(rng: np.random.Generator, i: int):
 def _evaluate_slice(problems, differences: bool) -> _Slice:
     """The slice of ``random_problem`` draws ``problems`` padded to the layout
     of ``_WIDE``, with its log effects at theta and, if ``differences``, at
-    the central-difference points too: one evaluation serves the slice and all
-    three suites that read them."""
+    the central-difference points too, and its bridge terms at theta: one
+    evaluation serves all four suites that read the closed form."""
     thetas = np.zeros((len(problems), _WIDE.n_outcome_coefs + _WIDE.n_mediator_coefs))
     contrasts = []
     for theta, (spec, outcome, mediator, contrast) in zip(thetas, problems):
@@ -189,17 +192,7 @@ def _evaluate_slice(problems, differences: bool) -> _Slice:
         profile = CovariateProfile(z + (0.0,) * (2 - len(z)), v + (0.0,) * (2 - len(v)))
         contrasts.append(Contrast(contrast.x, contrast.x_star, profile))
     rows = _difference_rows(thetas, _STEP)[0] if differences else thetas[:, None]
-    return _Slice(problems, thetas, contrasts, _log_effects_at_rows(_WIDE, rows, contrasts))
-
-
-def _each_draw(check):
-    """The suite that runs ``check``, the errors of one draw, on each draw of
-    a slice in turn."""
-
-    def suite(batch: _Slice, perturb):
-        return [tuple(check(problem, perturb)) for problem in batch.problems]
-
-    return suite
+    return _Slice(problems, thetas, contrasts, *_log_effects_at_rows(_WIDE, rows, contrasts))
 
 
 def _oracle_errors(batch: _Slice, perturb):
@@ -219,36 +212,35 @@ def _decomposition_errors(batch: _Slice, perturb):
 @np.errstate(all="ignore")  # an infinite perturb makes inf/inf here, which must not warn
 def _jacobian_errors(batch: _Slice, perturb):
     """The analytic Jacobians of a slice take one pass of the Jacobian algebra
-    in the layout of ``_WIDE``, against the central differences of the log
-    effects at their difference points. A draw's error is the largest over its
-    own columns: a padded one reads exactly 0 at perturb 0, but under a
-    perturb it would read |perturb| / max(1, |perturb|)."""
-    oy, mw, x, xs, delta, z, v = _at_contrasts(_WIDE, batch.thetas[:, None], batch.contrasts)
-    jac = _log_jacobian(_WIDE, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1) + perturb
+    over the bridge terms at theta in the layout of ``_WIDE``, against the
+    central differences of the log effects at their difference points. A
+    draw's error is the largest over its own columns: a padded one reads
+    exactly 0 at perturb 0, but under a perturb it would read
+    |perturb| / max(1, |perturb|)."""
+    jac = _log_jacobian(_WIDE, *batch.at_theta).transpose(2, 0, 1) + perturb
     fd = _difference_quotients(batch.logs, _difference_rows(batch.thetas, _STEP)[1])
     errors = np.abs(jac - fd) / np.maximum(1.0, np.abs(jac))
     return [(float(e[:, _columns(spec)].max()),) for e, (spec, *_) in zip(errors, batch.problems)]
 
 
-@_each_draw
-def _bracketing_errors(problem, perturb):
-    # the four bridge terms from the inputs natural_effects itself evaluates
-    _, outcome, mediator, contrast = problem
-    oy = _OutcomeAt(outcome, contrast.profile.z)
-    mw = _MediatorAt(mediator, contrast.profile.v)
-    for k, p2, p3, p4 in _bridge_inputs(oy, mw, contrast.x, contrast.x_star):
-        value = _bridge_value(k, p2, p3, p4) + perturb
+def _bracketing_errors(batch: _Slice, perturb):
+    """Each bridge term at theta against its bracket [min(k, 1), max(k, 1)],
+    and with k set to 1 against 1: three errors per term, term by term."""
+    errors = []
+    for (k, p2, p3, p4), a in batch.at_theta[0]:
+        value = a + perturb
         collapsed = _bridge_value(1.0, p2, p3, p4) + perturb
-        yield from (min(k, 1.0) - value, value - max(k, 1.0), abs(collapsed - 1.0))
+        errors += (np.minimum(k, 1.0) - value, value - np.maximum(k, 1.0), abs(collapsed - 1.0))
+    return zip(*errors)
 
 
-@_each_draw
-def _g_y_errors(problem, perturb):
-    res = g_y_check(*problem)
-    return (
-        abs(res.a_direct + perturb - res.a_from_g),
-        abs(res.a_direct + perturb - res.a_from_risk_ratio),
-    )
+def _g_y_errors(batch: _Slice, perturb):
+    errors = []
+    for problem in batch.problems:
+        res = g_y_check(*problem)
+        errors.append((abs(res.a_direct + perturb - res.a_from_g),
+                       abs(res.a_direct + perturb - res.a_from_risk_ratio)))
+    return errors
 
 
 # name -> (tolerance, draw function, errors of a slice of draws: one tuple per
@@ -263,9 +255,9 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# the suites that read a draw's log effects, and the jacobian suite's relative
-# central-difference step
-_LOG_EFFECTS = frozenset({"oracle-equivalence", "decomposition", "jacobian"})
+# the suites that read the slice's evaluation of the closed form, and the
+# jacobian suite's relative central-difference step
+_EVALUATED = frozenset({"oracle-equivalence", "decomposition", "jacobian", "bracketing"})
 _STEP = 1e-6
 
 # draws per slice, so only one slice of problems lives at a time: the jacobian
@@ -285,8 +277,8 @@ def _worse(worst: float, errors) -> float:
 def _slice_errors(names, problems, perturb) -> list:
     """The error tuples of each suite of ``names`` over one slice of draws,
     evaluated once for all of them."""
-    if _LOG_EFFECTS.isdisjoint(names):
-        batch = _Slice(problems, None, None, None)
+    if _EVALUATED.isdisjoint(names):
+        batch = _Slice(problems, None, None, None, None)
     else:
         batch = _evaluate_slice(problems, "jacobian" in names)
     # No suite raises on these draws, so a slice needs no draw-by-draw re-run

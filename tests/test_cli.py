@@ -429,10 +429,10 @@ class TestTableWriter:
     def test_templates_equal_their_references(self, name, values, row, point):
         fields = cli._POINT_FIELDS if point else cli._INFERENCE_FIELDS
         row = row[:7 * len(fields)]
-        templates = {}
-        made = cli._table_texts(name, values, row, fields, templates, True)
+        templates = cli._table_templates(tuple(values), fields)
+        made = cli._table_texts(name, values, row, templates, True)
         assert made == _reference_texts(name, values, row, fields)
-        assert cli._table_texts(name, values, row, fields, templates, False) == (None, made[1])
+        assert cli._table_texts(name, values, row, templates, False) == (None, made[1])
 
     def test_zero_standard_errors_from_the_stack(self, tmp_path):
         # zero covariances: every SE is 0 and each p-value 1 or 0, and the
@@ -455,9 +455,10 @@ class TestTableWriter:
         assert {e["se_log"] for e in entries.values()} == {0.0}
         assert entries["pnie"]["p_value"] == 1.0 and entries["pnde"]["p_value"] == 0.0
         row = [e[field] for e in table["effects"] for field in cli._INFERENCE_FIELDS]
-        assert cli._table_texts(table["profile"], table["values"], row, cli._INFERENCE_FIELDS,
-                                {}, True) == _reference_texts(table["profile"], table["values"],
-                                                               row, cli._INFERENCE_FIELDS)
+        templates = cli._table_templates(tuple(table["values"]), cli._INFERENCE_FIELDS)
+        assert cli._table_texts(table["profile"], table["values"], row, templates,
+                                True) == _reference_texts(table["profile"], table["values"],
+                                                          row, cli._INFERENCE_FIELDS)
 
 
 class TestFileErrors:

@@ -11,6 +11,7 @@ from ormediate import (
     CovarianceError,
     Dataset,
     FittedModel,
+    MediationError,
     MediatorParams,
     ModelSpec,
     OutcomeParams,
@@ -92,6 +93,33 @@ class TestEffectRows:
             records = [[v for e in (*r.effects, *r.cde) for v in e._values(e)[1:]]
                        for r in results]
             assert repr(delta._table_rows(spec, *fits, contrasts, 0.9)) == repr(records)
+
+    @pytest.mark.parametrize("i", [0, 3, 5])
+    def test_a_failing_slice_stacks_once_then_once_per_contrast_to_the_failing_one(
+            self, monkeypatch, i):
+        """A slice that fails at contrast i costs 1 + (i + 1) stacks: its own,
+        then one infer call per contrast up to the first failing one, whose
+        error it raises."""
+        spec = ModelSpec()
+        outcome = OutcomeParams(spec, intercept=-0.5, exposure=1.0, mediator=0.3)
+        mediator = MediatorParams(spec, intercept=0.1, exposure=0.5)
+        fits = self._fits(spec, outcome, mediator, np.random.default_rng(7), 1e-3)
+        contrasts = [Contrast(1.0 + j / 8, 0.0) for j in range(6)]
+        contrasts[i] = Contrast(1000.0, 0.0)  # the outcome predictor passes exp()'s range
+        with pytest.raises(MediationError) as expected:
+            infer(spec, *fits, contrasts[i], 0.9)
+        calls = []
+        stacked = delta._stacked
+
+        def counting(*args):
+            calls.append(len(args[3]))
+            return stacked(*args)
+
+        monkeypatch.setattr(delta, "_stacked", counting)
+        with pytest.raises(MediationError) as raised:
+            delta._table_rows(spec, *fits, contrasts, 0.9)
+        assert str(raised.value) == str(expected.value)
+        assert calls == [6] + [1] * (i + 1)
 
 
 class TestKeyDerivatives:

@@ -158,8 +158,9 @@ class TestEffectRanges:
             "bound-early"])
     def test_a_failing_profile_gives_the_serial_error(self, effects, tmp_path, ages, message):
         # a stack checks all its variances before any bound, so
-        # bound-then-variance needs infer_many's profile-by-profile retry
-        # when profiles 150 and 160 share a slice (one slice, slices of 64)
+        # bound-then-variance needs the profile-by-profile infer calls of a
+        # failing slice when profiles 150 and 160 share it (one slice, slices
+        # of 64)
         document = _failing_document(ages)
         code, out, err = effects(document, "--output", "effects.json")
         assert (code, out) == (4, "") and message in err

@@ -230,7 +230,7 @@ def test_defaults():
 def _stored_fields(cls) -> dict:
     """The fields of one instance of a record that only stores them, by name."""
     if cls is _Slice:
-        return {"problems": [], "thetas": None, "contrasts": None, "logs": None}
+        return {"problems": [], "thetas": None, "contrasts": None, "logs": None, "at_theta": None}
     return dict(zip(RECORDS[cls][0], _values(RECORDS[cls][1]())))
 
 

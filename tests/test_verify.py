@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from ormediate import MediatorParams, OutcomeParams, cli, effects, natural_effects, verify
-from ormediate.effects import jacobian_log_effects
+from ormediate import MediatorParams, OutcomeParams, cli, effects, model, natural_effects, verify
+from ormediate.effects import a_term, a_term_inputs, jacobian_log_effects
 from ormediate.exceptions import PredictorOverflowError, SchemaError
 from ormediate.oracle import finite_diff
 from ormediate.verify import SUITE_NAMES, random_problem, run_all, run_suite
@@ -57,37 +57,51 @@ def test_worst_is_max_on_finite_errors():
         (("oracle-equivalence",), False),
         (("decomposition",), False),
         (("jacobian",), True),
+        (("bracketing",), False),
+        (("decomposition", "jacobian", "bracketing"), True),
     ],
 )
 def test_one_evaluation_per_slice(monkeypatch, names, differences):
-    """Each slice takes one evaluation of the log effects, in the layout of
-    the widest spec: at theta alone, or at theta and its 2 dim difference
-    points when the jacobian suite runs, which then serves the other two
-    suites too. The jacobian suite adds one evaluation of the Jacobian
-    algebra per slice; natural_effects is never called."""
+    """Each slice takes one evaluation of the bridge terms and the log
+    effects, in the layout of the widest spec: at theta alone, or at theta and
+    its 2 dim difference points when the jacobian suite runs, which then
+    serves the other suites too. The jacobian suite adds one evaluation of the
+    Jacobian algebra per slice; natural_effects is never called, and outside
+    the oracle no draw builds its own predictor algebra."""
     count, step = 150, verify._DRAW_SLICE
-    seen, jacobians = [], []
-    evaluate, jacobian = verify._log_effects_at_rows, verify._log_jacobian
+    seen, terms, jacobians = [], [], []
+    evaluate, bridge_terms, jacobian = (verify._log_effects_at_rows, effects._bridge_terms,
+                                        verify._log_jacobian)
 
     def counting(spec, thetas, contrasts):
         seen.append((spec, len(contrasts), thetas.shape[1]))
         return evaluate(spec, thetas, contrasts)
 
-    def counting_jacobian(spec, oy, mw, x, *args):
+    def counting_terms(oy, mw, x, xs):
+        terms.append(len(x))
+        return bridge_terms(oy, mw, x, xs)
+
+    def counting_jacobian(spec, at_terms, x, *args):
         jacobians.append((spec, len(x)))
-        return jacobian(spec, oy, mw, x, *args)
+        return jacobian(spec, at_terms, x, *args)
 
     monkeypatch.setattr(verify, "_log_effects_at_rows", counting)
+    monkeypatch.setattr(effects, "_bridge_terms", counting_terms)
     monkeypatch.setattr(verify, "_log_jacobian", counting_jacobian)
     monkeypatch.setattr(effects, "natural_effects", lambda *args: pytest.fail("natural_effects"))
+    if "oracle-equivalence" not in names:
+        for cls in (model._OutcomeAt, model._MediatorAt):
+            monkeypatch.setattr(cls, "__init__", lambda *args, name=cls.__name__: pytest.fail(name))
     results = verify._run(names, seed=3, count=count, perturb=0.0)
     assert all(r.passed for r in results)
 
     widest = verify._spec(2, 2)
     dim = widest.n_outcome_coefs + widest.n_mediator_coefs
     assert dim == 18
+    rows = 2 * dim + 1 if differences else 1
     sizes = [min(step, count - start) for start in range(0, count, step)]
-    assert seen == [(widest, n, 2 * dim + 1 if differences else 1) for n in sizes]
+    assert seen == [(widest, n, rows) for n in sizes]
+    assert terms == [n * rows for n in sizes]
     assert jacobians == ([(widest, n) for n in sizes] if "jacobian" in names else [])
 
 
@@ -223,8 +237,7 @@ def test_padded_draws_keep_their_own_coefficients_and_jacobian_bits():
     batch = verify._evaluate_slice(draws, False)
     thetas = batch.thetas
     widest = verify._spec(2, 2)
-    oy, mw, x, xs, delta, z, v = effects._at_contrasts(widest, thetas[:, None], batch.contrasts)
-    jacobians = verify._log_jacobian(widest, oy, mw, x, xs, delta, z.T, v.T).transpose(2, 0, 1)
+    jacobians = verify._log_jacobian(widest, *batch.at_theta).transpose(2, 0, 1)
     for (spec, outcome, mediator, contrast), theta, jac in zip(draws, thetas, jacobians):
         own = verify._columns(spec)
         padded = np.setdiff1d(np.arange(theta.size), own)
@@ -233,3 +246,36 @@ def test_padded_draws_keep_their_own_coefficients_and_jacobian_bits():
         assert not theta[padded].any() and not jac[:, padded].any()
         reference = jacobian_log_effects(outcome, mediator, contrast)
         assert jac[:, own].tobytes() == reference.tobytes()
+
+
+def _reference_bracketing_errors(problem, perturb) -> list:
+    """One draw's bracketing errors from its own scalar bridge terms, term by
+    term: each value against min(k, 1) and max(k, 1), and the value with k
+    set to 1 against 1, each offset by ``perturb``."""
+    _, outcome, mediator, contrast = problem
+    x, xs, profile = contrast.x, contrast.x_star, contrast.profile
+    errors = []
+    for x1, x2 in ((x, x), (x, xs), (xs, x), (xs, xs)):
+        k, p2, p3, p4 = a_term_inputs(outcome, mediator, x1, x2, profile)
+        value = a_term(outcome, mediator, x1, x2, profile) + perturb
+        collapsed = (1.0 * p2 * p3 + p4) / (p2 * p3 + p4) + perturb
+        errors += (min(k, 1.0) - value, value - max(k, 1.0), abs(collapsed - 1.0))
+    return errors
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_batched_bracketing_errors_equal_the_scalar_references(seed):
+    """The bracketing suite reads the bridge terms at theta that the slice's
+    one evaluation keeps, with and without the jacobian suite's difference
+    points: each error equals the draw's own scalar reference bit for bit,
+    under every kind of perturb."""
+    rng = np.random.default_rng(seed)
+    draws = [verify._draw(rng, i) for i in range(300)]
+    suite, step = verify._SUITES["bracketing"][2], verify._DRAW_SLICE
+    batches = [verify._evaluate_slice(draws[start:start + step], differences)
+               for differences in (False, True) for start in range(0, len(draws), step)]
+    for perturb in (0.0, 2e-5, -1e-3, math.inf, -math.inf, math.nan):
+        reference = np.array([_reference_bracketing_errors(d, perturb) for d in draws])
+        for half in (batches[:len(batches) // 2], batches[len(batches) // 2:]):
+            batched = np.array([e for batch in half for e in suite(batch, perturb)])
+            assert batched.tobytes() == reference.tobytes(), perturb
