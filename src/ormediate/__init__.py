@@ -7,6 +7,7 @@ numeric code; each command imports only the modules it runs.
 """
 
 import os
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -86,3 +87,58 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+class _Children:
+    """The forked children of one call, for work cut into ranges: the CSV
+    reader's and writer's and the IRLS passes'. On leaving the `with`, a
+    child not yet reaped is no longer wanted: it is killed, and every child
+    is reaped.
+
+    A child leaves only through os._exit, so it runs no exit handler and
+    flushes no buffer it shares with the parent, and its work writes nothing
+    to stdout or stderr. A child may run BLAS: OpenBLAS stops its threads
+    before a fork (pthread_atfork) and starts them again on demand, and under
+    the CLI the forking process has none, as `cli.main` loads OpenBLAS with
+    one thread. Python 3.12 and later warn about any fork in a process with
+    threads."""
+
+    def __init__(self):
+        self._running: list[int] = []
+
+    def fork(self, work, *args) -> int | None:
+        """Run work(*args) in a child that exits 0 if it returns true; None if
+        no child could start."""
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        try:
+            pid = os.fork()
+        except (AttributeError, OSError):  # no fork on this platform, or none to be had
+            return None
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if work(*args) else 1
+            finally:
+                os._exit(code)
+        self._running.append(pid)
+        return pid
+
+    def reap(self, pid: int | None) -> bool:
+        """Wait for a child; True if its work succeeded."""
+        if pid is None:
+            return False
+        self._running.remove(pid)
+        return os.waitpid(pid, 0)[1] == 0
+
+    def __enter__(self) -> "_Children":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        import signal
+
+        for pid in self._running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self._running.clear()

@@ -26,7 +26,6 @@ import json
 import math
 import numbers
 import os
-import sys
 from contextlib import ExitStack
 from importlib import resources
 from io import BytesIO, TextIOWrapper
@@ -35,7 +34,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from . import _usable_cpus
+from . import _Children, _usable_cpus
 from .exceptions import SchemaError
 from .jsonio import REPORT_FORMAT, load_json, save_json, write_json
 from .model import (
@@ -316,57 +315,6 @@ def _line_ranges(data: bytes, start: int, count: int) -> list[tuple[int, int]]:
             edges.append(cut)
     edges.append(len(data))
     return list(zip(edges, edges[1:]))
-
-
-class _Children:
-    """The forked children of one call.  On leaving the `with`, a child not
-    yet reaped is no longer wanted: it is killed, and every child is reaped.
-
-    Under the CLI the forking process has no OpenBLAS threads: `cli.main`
-    loads OpenBLAS with one.  A library caller's process may still have them;
-    a child runs no BLAS and takes no lock, so that fork is safe too (Python
-    3.12 and later warn about any fork in a process with threads).  A child
-    leaves only through os._exit."""
-
-    def __init__(self):
-        self._running: list[int] = []
-
-    def fork(self, work, *args) -> int | None:
-        """Run work(*args) in a child that exits 0 if it returns true; None if
-        no child could start."""
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-        try:
-            pid = os.fork()
-        except OSError:
-            return None
-        if pid == 0:
-            code = 1
-            try:
-                code = 0 if work(*args) else 1
-            finally:
-                os._exit(code)
-        self._running.append(pid)
-        return pid
-
-    def reap(self, pid: int | None) -> bool:
-        """Wait for a child; True if its work succeeded."""
-        if pid is None:
-            return False
-        self._running.remove(pid)
-        return os.waitpid(pid, 0)[1] == 0
-
-    def __enter__(self) -> "_Children":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        import signal
-
-        for pid in self._running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        self._running.clear()
 
 
 def bind_dataset(

@@ -11,9 +11,11 @@ log1p or tanh: the predictor is +-0 in every row, so each row's probability
 is 1/2 and its weight 1/4, and a block adds X'(y - 1/2), 0.25 X'X and a
 log-likelihood that depends only on its length, taken once per length from a
 run of the general pass; the bits are the general pass's. The blocks of a
-large design are shared out among threads, one per usable CPU, and their
-shares are added in block order, so the bits do not depend on how many
-threads there are. Convergence requires both a small score
+large design are shared out among worker processes, one per usable CPU,
+forked once per fit; their sums come back as float64 bytes and are added in
+block order, so the bits do not depend on how many workers there are, and a
+worker that fails leaves its blocks to the fitting process. Convergence
+requires both a small score
 (max |score| < 1e-8) and a small relative log-likelihood change (< 1e-10).
 
 Rank-deficient designs and quasi-separated responses raise immediately rather
@@ -28,12 +30,13 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-from contextvars import copy_context
+import numbers
+import warnings
+from contextlib import ExitStack
 
 import numpy as np
 
-from . import _usable_cpus
+from . import _Children, _usable_cpus
 from .exceptions import (
     ConvergenceError,
     NumericalError,
@@ -51,7 +54,11 @@ _LOGLIK_REL_TOL = 1e-10
 _MAX_HALVINGS = 10
 _SEPARATION_BOUND = 15.0
 _BLOCK_ROWS = 8192
-_WORKER_BLOCKS = 4  # the fewest blocks a thread of its own takes
+# the fewest blocks a worker process takes. A fork, the first pass's copies
+# of written pages and the reaping cost 3-4 ms per fit on a 2-core guest;
+# two ranges start to pay at 6 blocks of 7 columns and at 24-32 blocks of 2
+_WORKER_BLOCKS = 6
+_ERR_KINDS = ("divide", "over", "under", "invalid")  # the np.errstate categories
 # eigenvalue ratio of X'X above which the design is full rank without an SVD
 _SCREEN_RTOL = 1e-8
 
@@ -108,61 +115,151 @@ def _surely_full_rank(info0: np.ndarray) -> bool:
     return bool(eig[0] > _SCREEN_RTOL * eig[-1])
 
 
-def _evaluate(
-    X: np.ndarray, y: np.ndarray, beta: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log-likelihood, score vector and observed information at ``beta``, in
-    one pass over blocks of ``_BLOCK_ROWS`` rows.
+class _Passes:
+    """The passes of one fit over ``X`` and ``y``: a call gives the
+    log-likelihood, score vector and observed information at ``beta``, from
+    one read of the design in blocks of ``_BLOCK_ROWS`` rows.
 
     Each block's predictor, probabilities and weighted rows are formed while
     the block is in cache, so no n-length temporary is made. The blocks are
     cut into one contiguous range per usable CPU, with at least
-    ``_WORKER_BLOCKS`` blocks in each; the caller's thread takes the first
-    range and a thread of its own each other one, run in a copy of the
-    caller's context (so under its ``np.errstate``). numpy releases the GIL
-    in its ufuncs and in BLAS, so the ranges run at once. The caller then
-    adds the partial sums in block order, so the result does not depend on
-    the number of threads and a repeat call is bit-identical. Every thread
-    has ended when this returns, and an exception raised in a block is
-    raised here, the first in block order.
+    ``_WORKER_BLOCKS`` blocks in each. Entering the ``with`` forks a worker
+    process for each range but the first. A pass sends ``beta`` to the
+    workers, computes the first range in the caller, and reads each block's
+    sums from the workers as float64 bytes; the caller adds them in block
+    order, so the result does not depend on the number of workers and a
+    repeat call is bit-identical.
+
+    A worker runs with every ``np.errstate`` category that the caller does
+    not ignore set to raise, and with warnings as errors. A worker that
+    could not start, died or failed is lost, and the caller computes its
+    range from then on, so every warning, exception and bit is the serial
+    pass's. A worker leaves through os._exit at the end of its input, and
+    leaving the ``with`` reaps every worker.
     """
-    n, k = X.shape
-    starts = range(0, n, _BLOCK_ROWS)
-    count = max(1, min(_usable_cpus(), len(starts) // _WORKER_BLOCKS))
-    ranges = [starts[len(starts) * i // count : len(starts) * (i + 1) // count]
-              for i in range(count)]
-    partials: list = [None] * count
 
-    def work(i: int) -> None:
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self._X, self._y = X, y
+        starts = range(0, len(y), _BLOCK_ROWS)
+        count = max(1, min(_usable_cpus(), len(starts) // _WORKER_BLOCKS))
+        self._ranges = [starts[len(starts) * i // count : len(starts) * (i + 1) // count]
+                        for i in range(count)]
+        # (pid, socket) of each range's worker; None where the caller computes
+        self._workers: list = [None] * count
+        self._children = _Children()
+
+    def __enter__(self) -> "_Passes":
+        with ExitStack() as stack:
+            stack.push(self)  # reaps the workers forked so far if a fork raises
+            for i in range(1, len(self._ranges)):
+                self._workers[i] = self._start(self._ranges[i])
+            stack.pop_all()
+        return self
+
+    def _start(self, blocks: range) -> tuple[int, object] | None:
+        """A worker for ``blocks``: its pid and the caller's end of its socket,
+        or None where none could start."""
+        import socket
+
         try:
-            partials[i] = [_block_sums(X, y, beta, start) for start in ranges[i]]
-        except BaseException as exc:  # raised by the caller, in block order
-            partials[i] = exc
+            ours, theirs = socket.socketpair()
+        except OSError:
+            return None
+        with theirs:
+            pid = self._children.fork(self._serve, blocks, theirs, ours)
+        if pid is None:
+            ours.close()
+            return None
+        return pid, ours
 
-    own, threads = [0], []
-    try:
-        for i in range(1, count):
-            thread = threading.Thread(target=copy_context().run, args=(work, i))
-            try:
-                thread.start()
-            except RuntimeError:  # no thread to be had: the caller takes the range
-                own.append(i)
+    def __exit__(self, kind, *exc) -> None:
+        live = [worker for worker in self._workers if worker is not None]
+        for _, sock in live:
+            sock.close()
+        if kind is None:  # each worker leaves at the end of its input
+            for pid, _ in live:
+                self._children.reap(pid)
+        self._children.__exit__(kind, *exc)
+
+    def __call__(self, beta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        k = len(beta)
+        errors = np.geterr()
+        task = beta.tobytes() + bytes(errors[kind] == "ignore" for kind in _ERR_KINDS)
+        for i, worker in enumerate(self._workers):
+            if worker is not None:
+                self._send(i, task)
+        ll, score, info = 0.0, np.zeros(k), np.zeros((k, k))
+        for i, blocks in enumerate(self._ranges):
+            sums = self._received(i, (len(blocks), 1 + k + k * k))
+            if sums is None:
+                parts = (_block_sums(self._X, self._y, beta, start) for start in blocks)
             else:
-                threads.append(thread)
-        for i in own:
-            work(i)
-    finally:
-        for thread in threads:
-            thread.join()
-    ll, score, info = 0.0, np.zeros(k), np.zeros((k, k))
-    for part in partials:
-        if isinstance(part, BaseException):
-            raise part
-        for block_ll, block_score, block_info in part:
-            ll += block_ll
-            score += block_score
-            info += block_info
-    return ll, score, info
+                parts = ((float(row[0]), row[1 : k + 1], row[k + 1 :].reshape(k, k))
+                         for row in sums)
+            for block_ll, block_score, block_info in parts:
+                ll += block_ll
+                score += block_score
+                info += block_info
+        return ll, score, info
+
+    def _send(self, i: int, task: bytes) -> None:
+        import socket
+
+        try:
+            self._workers[i][1].sendall(task, socket.MSG_NOSIGNAL)
+        except OSError:
+            self._lose(i)
+
+    def _received(self, i: int, shape: tuple[int, int]) -> np.ndarray | None:
+        """The block sums of range ``i`` from its worker; None if it has none
+        or they do not all arrive."""
+        worker = self._workers[i]
+        if worker is None:
+            return None
+        import socket
+
+        sums = np.empty(shape)
+        try:
+            if worker[1].recv_into(sums, sums.nbytes, socket.MSG_WAITALL) == sums.nbytes:
+                return sums
+        except OSError:
+            pass
+        self._lose(i)
+        return None
+
+    def _lose(self, i: int) -> None:
+        """Take range ``i`` from its worker for good; leaving the ``with``
+        kills and reaps it."""
+        self._workers[i][1].close()
+        self._workers[i] = None
+
+    def _serve(self, blocks: range, sock, ours) -> bool:
+        """A worker's loop: the sums of ``blocks`` at each task read from
+        ``sock``, sent back as float64s; True at the end of its input. The
+        caller's sockets are closed first, so that the caller's exit ends
+        the input of every worker."""
+        import socket
+
+        ours.close()
+        for worker in self._workers:
+            if worker is not None:
+                worker[1].close()
+        warnings.simplefilter("error")
+        k = self._X.shape[1]
+        task = bytearray(8 * k + len(_ERR_KINDS))
+        sums = np.empty((len(blocks), 1 + k + k * k))
+        while True:
+            got = sock.recv_into(task, len(task), socket.MSG_WAITALL)
+            if got < len(task):
+                return got == 0
+            beta = np.frombuffer(task, count=k).copy()
+            flags = task[8 * k :]
+            with np.errstate(**{kind: "ignore" if flag else "raise"
+                                for kind, flag in zip(_ERR_KINDS, flags)}):
+                for row, start in zip(sums, blocks):
+                    ll, score, info = _block_sums(self._X, self._y, beta, start)
+                    row[0], row[1 : k + 1], row[k + 1 :] = ll, score, info.ravel()
+            sock.sendall(sums, socket.MSG_NOSIGNAL)
 
 
 def _block_sums(
@@ -185,8 +282,8 @@ def _general_sums(
     work vectors are reused in place, which rounds as the plain expressions
     ``yb @ eta - (max(eta, 0) + log1p(exp(-|eta|))).sum()``,
     ``mu = 0.5 * (1 + tanh(0.5 * eta))``, ``xb.T @ (yb - mu)`` and
-    ``(xb * (mu * (1 - mu))[:, None]).T @ xb`` do, with fewer numpy calls:
-    each call releases and retakes the GIL that the threads share."""
+    ``(xb * (mu * (1 - mu))[:, None]).T @ xb`` do, with fewer numpy calls
+    and temporaries."""
     eta = xb @ beta
     # log(1 + e^eta) in np.logaddexp(0, eta)'s stable form, but several
     # times faster: numpy vectorises exp and log1p, not logaddexp
@@ -234,10 +331,16 @@ def fit(
     the general pass would. The design is read once per step-halving candidate
     and is not copied when it is already a C-contiguous float array; the rank
     check reads the information at zero and falls back to an SVD of the design
-    only when that leaves doubt. A pass over a large design runs on one thread
-    per usable CPU (``taskset`` narrows them), and the result is the same bits
-    whatever their number.
+    only when that leaves doubt. The passes over a large design share its
+    blocks with worker processes, one per usable CPU (``taskset`` narrows
+    them), forked once per fit and reaped before it returns or raises; the
+    result is the same bits whatever their number.
     """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise SchemaError(f"max_iter must be a non-negative integer, got {max_iter!r}")
+    if isinstance(column_names, str):
+        raise SchemaError(f"column_names must be a sequence of names, not the string "
+                          f"{column_names!r}")
     X = np.ascontiguousarray(design, dtype=float)
     y = np.ascontiguousarray(response, dtype=float).reshape(-1)
     if X.ndim != 2:
@@ -259,9 +362,33 @@ def fit(
     if len(names) != k:
         raise SchemaError(f"{len(names)} column names for {k} columns")
 
-    beta = np.zeros(k)
+    with _Passes(X, y) as evaluate:
+        beta, ll, iterations, info = _newton(evaluate, X, names, max_iter)
+    try:
+        vcov = np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        raise SingularDesignError("information matrix is singular at the optimum") from None
+    vcov = (vcov + vcov.T) / 2.0
+    return FittedModel(
+        coefficients=beta,
+        vcov=vcov,
+        log_likelihood=ll,
+        iterations=iterations,
+        converged=True,
+        n=n,
+        column_names=names,
+    )
+
+
+def _newton(
+    evaluate: _Passes, X: np.ndarray, names: tuple[str, ...], max_iter: int
+) -> tuple[np.ndarray, float, int, np.ndarray]:
+    """Newton iterations with step-halving from beta = 0, each candidate one
+    pass of ``evaluate``: the optimum, its log-likelihood, the iteration count
+    and the information there."""
+    beta = np.zeros(X.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        ll, score, info = _evaluate(X, y, beta)
+        ll, score, info = evaluate(beta)
     _check_information(info, X, names)
     if not _surely_full_rank(info):
         _check_rank(X, names)
@@ -272,7 +399,7 @@ def fit(
     while True:
         max_score = np.max(np.abs(score))
         if max_score < _SCORE_TOL and (iterations == 0 or rel_change < _LOGLIK_REL_TOL):
-            break
+            return beta, ll, iterations, info
         if iterations >= max_iter:
             raise ConvergenceError(
                 f"no convergence in {max_iter} Newton iterations "
@@ -290,7 +417,7 @@ def fit(
         slack = 1e-9 * (abs(ll) + 1.0)
         while True:
             candidate = beta + scale * step
-            ll_new, score_new, info_new = _evaluate(X, y, candidate)
+            ll_new, score_new, info_new = evaluate(candidate)
             if np.isfinite(ll_new) and ll_new >= ll - slack:
                 break
             if halvings >= _MAX_HALVINGS:
@@ -320,21 +447,6 @@ def fit(
                 f"coefficient {worst!r} passed {_SEPARATION_BOUND:g} with the "
                 "likelihood still increasing; the data are (quasi-)separated"
             )
-
-    try:
-        vcov = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        raise SingularDesignError("information matrix is singular at the optimum") from None
-    vcov = (vcov + vcov.T) / 2.0
-    return FittedModel(
-        coefficients=beta,
-        vcov=vcov,
-        log_likelihood=ll,
-        iterations=iterations,
-        converged=True,
-        n=n,
-        column_names=names,
-    )
 
 
 def predict_prob(model: FittedModel, row) -> float | np.ndarray:

@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite: the microcredit coefficient set used in
 the worked examples, random model generators for the verification sweeps,
-and the environment of a child interpreter."""
+the environment of a child interpreter, and a check that no forked child is
+left."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ormediate
 from ormediate import Contrast, CovariateProfile, MediatorParams, ModelSpec, OutcomeParams
@@ -18,6 +20,7 @@ __all__ = [
     "microcredit_spec",
     "microcredit_params",
     "microcredit_profiles",
+    "no_child_left",
     "random_problem",
 ]
 
@@ -55,3 +58,9 @@ def child_env() -> dict[str, str]:
     src = str(Path(ormediate.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited]) if inherited else src}
+
+
+def no_child_left() -> None:
+    """Every child of this process has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -488,8 +488,8 @@ class TestFileErrors:
                         "|value| 1e+308; rescale it")
 
     def test_overflowing_information_in_the_last_block(self, tmp_path):
-        # the same in the last row of a table whose pass runs on up to three
-        # threads: a worker ignores the overflow as the caller does
+        # the same in the last row of a table whose passes run in up to three
+        # processes: a worker ignores the overflow as the caller does
         path = tmp_path / "sim.csv"
         rows = 3 * _WORKER_BLOCKS * _BLOCK_ROWS + 1
         assert run("simulate", "--coef-file", "microcredit_table1", "--n", rows,

@@ -1,6 +1,5 @@
 import io
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,7 @@ from ormediate.io import (
     write_json,
     write_table,
 )
-from helpers import microcredit_params, microcredit_profiles, microcredit_spec
+from helpers import microcredit_params, microcredit_profiles, microcredit_spec, no_child_left
 
 
 class TestTables:
@@ -185,11 +184,6 @@ class TestTables:
 R = table_io._MIN_RANGE_ROWS
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _ranges(monkeypatch, count):
     monkeypatch.setattr(table_io, "_range_count", lambda rows: count)
 
@@ -228,7 +222,7 @@ class TestRangeSplit:
         write_table(tmp_path / "one.csv", cols)
         _ranges(monkeypatch, count)
         write_table(tmp_path / "split.csv", cols)
-        _no_child_left()
+        no_child_left()
         assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
     def test_children_format_all_but_the_first_range(self, tmp_path, monkeypatch):
@@ -247,7 +241,7 @@ class TestRangeSplit:
         calls.clear()
         write_table(tmp_path / "failed.csv", cols)
         assert len(calls) == 3
-        _no_child_left()
+        no_child_left()
         one = (tmp_path / "one.csv").read_bytes()
         assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "failed.csv").read_bytes() == one
 
@@ -268,7 +262,7 @@ class TestRangeSplit:
         one = read_table(path)
         _ranges(monkeypatch, count)
         split = read_table(path)
-        _no_child_left()
+        no_child_left()
         assert list(split) == list(one) and len(one) == 2
         for name in one:
             assert len(one[name]) == 60
@@ -291,7 +285,7 @@ class TestRangeSplit:
         monkeypatch.setattr(table_io, "_read_rows", None)  # no fallback
         _ranges(monkeypatch, count)
         back = read_table(path)
-        _no_child_left()
+        no_child_left()
         assert list(back) == header == ["a", "b"]
         for j, name in enumerate(header):
             assert back[name].tobytes() == matrix[:, j].tobytes()
@@ -310,7 +304,7 @@ class TestRangeSplit:
         _ranges(monkeypatch, count)
         with pytest.raises(SchemaError) as got:
             read_table(path)
-        _no_child_left()
+        no_child_left()
         assert str(got.value) == _per_line_error(path)
         assert wording in str(got.value)
 
@@ -321,7 +315,7 @@ class TestRangeSplit:
         _ranges(monkeypatch, 3)
         with pytest.raises(SchemaError, match="line 2: could not convert") as got:
             read_table(path)
-        _no_child_left()
+        no_child_left()
         assert str(got.value) == _per_line_error(path)
 
     def test_a_failed_reader_child_reads_the_whole_file_again(self, tmp_path, monkeypatch):
@@ -333,7 +327,7 @@ class TestRangeSplit:
         fallbacks = []
         monkeypatch.setattr(table_io, "_read_rows", lambda p: fallbacks.append(p) or rows(p))
         back = read_table(path)
-        _no_child_left()
+        no_child_left()
         assert fallbacks == [path]
         assert back["a"].tolist() == [i + 0.5 for i in range(60)]
 

@@ -1,7 +1,12 @@
 import math
+import os
+import signal
+import subprocess
 import sys
-import threading
+import textwrap
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,16 +24,22 @@ from ormediate import (
     predict_prob,
     wald_table,
 )
-from ormediate import logit
+from ormediate import _Children, logit
 from ormediate.logit import (
     _BLOCK_ROWS,
     _RANK_RTOL,
     _WORKER_BLOCKS,
-    _evaluate,
     _two_sided_p,
     _wald_quantile,
 )
 from ormediate.oracle import finite_diff
+from helpers import child_env, no_child_left
+
+
+def _evaluate(X, y, beta):
+    """One pass at ``beta``, with workers of its own."""
+    with logit._Passes(X, y) as evaluate:
+        return evaluate(beta)
 
 
 def _sim_design(rng, n, beta):
@@ -122,8 +133,26 @@ class TestFit:
         with pytest.raises(SchemaError):
             fit(np.array([[1.0, np.nan]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("max_iter", [-1, 2.5, 100.0, True, "100", None])
+    def test_an_iteration_budget_that_is_no_count_is_a_schema_error(self, max_iter):
+        rng = np.random.default_rng(13)
+        X, y = _sim_design(rng, 300, [0.3, 1.2])
+        with pytest.raises(SchemaError, match="max_iter must be a non-negative integer"):
+            fit(X, y, max_iter=max_iter)
+
+    def test_an_iteration_budget_of_numpy_zero_fits_a_design_solved_at_zero(self):
+        X, y = np.ones((4, 1)), np.array([0.0, 1.0, 0.0, 1.0])
+        assert fit(X, y, max_iter=np.int64(0)).iterations == 0
+
+    def test_column_names_as_one_string_is_a_schema_error(self):
+        rng = np.random.default_rng(13)
+        X, y = _sim_design(rng, 300, [0.3, 1.2])
+        with pytest.raises(SchemaError, match="not the string 'ab'"):
+            fit(X, y, column_names="ab")
+        assert fit(X, y, column_names=["a", "b"]).column_names == ("a", "b")
+
     def test_design_with_no_columns_is_a_schema_error(self, monkeypatch):
-        monkeypatch.setattr(logit, "_evaluate", lambda *a: pytest.fail("a pass ran"))
+        monkeypatch.setattr(logit, "_Passes", lambda *a: pytest.fail("a pass ran"))
         with pytest.raises(SchemaError, match="no columns"):
             fit(np.zeros((3, 0)), [0.0, 1.0, 0.0])
 
@@ -190,54 +219,85 @@ class TestKernel:
         assert peak < X.nbytes / 4
 
 
-class TestThreadedPass:
-    """A pass shares its blocks out among one thread per usable CPU, and the
-    bits never depend on how many there are."""
+def _record_forks(monkeypatch) -> list[int]:
+    """The pids of the workers forked from now on, in order."""
+    pids: list[int] = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+class _BlockLog:
+    """Which process computed each block: every process appends a line per
+    block to one file (O_APPEND, one write per line)."""
+
+    def __init__(self, monkeypatch, path):
+        self._path = path
+        path.touch()
+        block_sums = logit._block_sums
+
+        def recording(X, y, beta, start):
+            with open(path, "a") as log:
+                log.write(f"{os.getpid()} {start}\n")
+            return block_sums(X, y, beta, start)
+
+        monkeypatch.setattr(logit, "_block_sums", recording)
+
+    def take(self) -> dict[int, list[int]]:
+        """The block starts each process computed since the last take."""
+        seen: dict[int, list[int]] = {}
+        for line in self._path.read_text().splitlines():
+            pid, start = map(int, line.split())
+            seen.setdefault(pid, []).append(start)
+        self._path.write_text("")
+        return seen
+
+
+@pytest.fixture
+def block_log(monkeypatch, tmp_path):
+    return _BlockLog(monkeypatch, tmp_path / "blocks.log")
+
+
+class TestWorkerPass:
+    """A pass shares its blocks out among the fitting process and one forked
+    worker per other usable CPU, and the bits never depend on how many there
+    are."""
 
     @staticmethod
     def _problem():
-        # three threads' worth of blocks, and a short last block
+        # three processes' worth of blocks, and a short last block
         rng = np.random.default_rng(29)
         n = 3 * _WORKER_BLOCKS * _BLOCK_ROWS + 2 * _BLOCK_ROWS + 101
         X, y = _sim_design(rng, n, [-0.4, 0.6, -0.3, 0.2, 0.5])
         return X, y
 
     @staticmethod
-    def _threads_seen(monkeypatch, cpus: int) -> dict:
-        """Sets the usable CPUs to `cpus` and returns a map, filled as passes
-        run, from each thread that computed a block to the block starts."""
-        monkeypatch.setattr(logit, "_usable_cpus", lambda: cpus)
-        seen: dict[threading.Thread, list[int]] = {}
-        block_sums = logit._block_sums
+    def _bits(model):
+        return (model.coefficients.tobytes(), model.vcov.tobytes(),
+                repr(model.log_likelihood), model.iterations)
 
-        def recording(X, y, beta, start):
-            seen.setdefault(threading.current_thread(), []).append(start)
-            return block_sums(X, y, beta, start)
-
-        monkeypatch.setattr(logit, "_block_sums", recording)
-        return seen
-
-    def test_the_thread_count_does_not_change_the_bits(self, monkeypatch):
+    def test_the_worker_count_does_not_change_the_bits(self, monkeypatch, block_log):
         X, y = self._problem()
         beta = np.array([-0.2, 0.5, -0.1, 0.3, 0.4])
         results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # the threads trade the GIL as often as they can
-        try:
-            for cpus in (1, 2, 3):
-                seen = self._threads_seen(monkeypatch, cpus)
-                ll, score, info = _evaluate(X, y, beta)
-                assert len(seen) == cpus
-                # each thread takes a contiguous range of blocks, the caller the first
-                ranges = sorted(seen.values())
-                assert seen[threading.current_thread()] == ranges[0]
-                assert [s for r in ranges for s in r] == list(range(0, len(y), _BLOCK_ROWS))
-                model = fit(X, y)
-                results.append((repr(ll), score.tobytes(), info.tobytes(),
-                                model.coefficients.tobytes(), model.vcov.tobytes(),
-                                repr(model.log_likelihood), model.iterations))
-        finally:
-            sys.setswitchinterval(interval)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(logit, "_usable_cpus", lambda: cpus)
+            ll, score, info = _evaluate(X, y, beta)
+            seen = block_log.take()
+            assert len(seen) == cpus
+            # each process takes a contiguous range of blocks, the caller the first
+            ranges = sorted(seen.values())
+            assert seen[os.getpid()] == ranges[0]
+            assert [s for r in ranges for s in r] == list(range(0, len(y), _BLOCK_ROWS))
+            results.append((repr(ll), score.tobytes(), info.tobytes(), *self._bits(fit(X, y))))
+            block_log.take()
         assert results[0] == results[1] == results[2]
 
     # the zero start and the general pass share out their blocks alike
@@ -245,42 +305,37 @@ class TestThreadedPass:
         "beta", [np.zeros(5), np.array([0.1, -0.2, 0.3, -0.4, 0.5])], ids=["zero", "general"])
 
     @_BETAS
-    def test_a_thread_takes_at_least_its_share_of_blocks(self, monkeypatch, beta):
+    def test_a_worker_takes_at_least_its_share_of_blocks(self, monkeypatch, block_log, beta):
         X, y = self._problem()
-        rows = (2 * _WORKER_BLOCKS - 1) * _BLOCK_ROWS  # one block short of two threads
-        seen = self._threads_seen(monkeypatch, 8)
+        rows = (2 * _WORKER_BLOCKS - 1) * _BLOCK_ROWS  # one block short of two processes
+        monkeypatch.setattr(logit, "_usable_cpus", lambda: 8)
         _evaluate(X[:rows], y[:rows], beta)
-        assert list(seen) == [threading.current_thread()]
-        seen = self._threads_seen(monkeypatch, 8)
+        assert list(block_log.take()) == [os.getpid()]
         _evaluate(X[: rows + 1], y[: rows + 1], beta)
-        assert len(seen) == 2
-
-    def test_no_thread_outlives_a_fit(self, monkeypatch):
-        X, y = self._problem()
-        before = threading.active_count()
-        seen = self._threads_seen(monkeypatch, 3)
-        model = fit(X, y)
-        # the caller, and two threads of their own for each pass
-        assert len(seen) == 1 + 2 * (model.iterations + 1)
-        assert threading.active_count() == before
+        assert len(block_log.take()) == 2
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_overflow_in_the_last_block_raises_without_a_warning(self, monkeypatch, cpus):
+    def test_overflow_in_the_last_block_raises_without_a_warning(
+            self, monkeypatch, block_log, cpus):
         # the pass at beta = 0 runs under np.errstate(over="ignore"); a worker
-        # thread runs in the caller's context, so it ignores the overflow too
-        # (pytest makes a RuntimeWarning an error, which would surface here)
+        # raises on every category its caller does not ignore, so it ignores
+        # the overflow too and keeps its block (pytest makes a RuntimeWarning
+        # an error, which would surface here)
         X, y = self._problem()
         X[-1, 2] = -1e308
-        seen = self._threads_seen(monkeypatch, cpus)
+        monkeypatch.setattr(logit, "_usable_cpus", lambda: cpus)
         with pytest.raises(NumericalError, match=r"column 'age' reaches \|value\| 1e\+308"):
             fit(X, y, column_names=("const", "z", "age", "edu", "loans"))
+        seen = block_log.take()
         last = (len(y) - 1) // _BLOCK_ROWS * _BLOCK_ROWS
-        assert last not in seen[threading.current_thread()]
+        assert len(seen) == cpus
+        assert last not in seen[os.getpid()]
+        no_child_left()
 
     @_BETAS
-    def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch, beta):
+    def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch, block_log, beta):
         X, y = self._problem()
-        seen = self._threads_seen(monkeypatch, 3)
+        monkeypatch.setattr(logit, "_usable_cpus", lambda: 3)
         failure = ZeroDivisionError("in the last block")
         last = (len(y) - 1) // _BLOCK_ROWS * _BLOCK_ROWS
         block_sums = logit._block_sums
@@ -291,28 +346,160 @@ class TestThreadedPass:
             return block_sums(X, y, beta, start)
 
         monkeypatch.setattr(logit, "_block_sums", failing)
-        before = threading.active_count()
         with pytest.raises(ZeroDivisionError) as err:
             _evaluate(X, y, beta)
         assert err.value is failure
+        seen = block_log.take()
         assert len(seen) == 3
-        assert threading.active_count() == before
+        # the worker failed, so the caller took its range
+        assert seen[os.getpid()][-1] == last - _BLOCK_ROWS
+        no_child_left()
 
-    def test_the_caller_takes_a_range_whose_thread_cannot_start(self, monkeypatch):
+    def test_a_warning_in_a_worker_is_the_callers_alone(self, monkeypatch, capfd):
+        # warnings are errors in a worker, so the caller computes the range
+        # again and warns once, as one process would, and the worker prints
+        # nothing
+        X, y = self._problem()
+        beta = np.array([0.1, -0.2, 0.3, -0.4, 0.5])
+        expected = _evaluate(X, y, beta)
+        monkeypatch.setattr(logit, "_usable_cpus", lambda: 3)
+        last = (len(y) - 1) // _BLOCK_ROWS * _BLOCK_ROWS
+        block_sums = logit._block_sums
+
+        def warning(X, y, beta, start):
+            if start == last:
+                warnings.warn("in the last block", UserWarning)
+            return block_sums(X, y, beta, start)
+
+        monkeypatch.setattr(logit, "_block_sums", warning)
+        with pytest.warns(UserWarning, match="in the last block") as record:
+            ll, score, info = _evaluate(X, y, beta)
+        assert len(record) == 1
+        assert capfd.readouterr() == ("", "")
+        assert (ll, score.tobytes(), info.tobytes()) == (
+            expected[0], expected[1].tobytes(), expected[2].tobytes())
+        no_child_left()
+
+    def test_the_caller_takes_a_range_whose_worker_cannot_fork(self, monkeypatch, block_log):
         X, y = self._problem()
         beta = np.array([0.1, -0.2, 0.3, -0.4, 0.5])
         monkeypatch.setattr(logit, "_usable_cpus", lambda: 3)
-        threaded = _evaluate(X, y, beta)
+        forked = _evaluate(X, y, beta)
+        assert len(block_log.take()) == 3
 
-        def refuse(self):
-            raise RuntimeError("can't start new thread")
+        def refuse():
+            raise OSError("fork refused")
 
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        seen = self._threads_seen(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", refuse)
         ll, score, info = _evaluate(X, y, beta)
-        assert list(seen) == [threading.current_thread()]
+        assert list(block_log.take()) == [os.getpid()]
         assert (ll, score.tobytes(), info.tobytes()) == (
-            threaded[0], threaded[1].tobytes(), threaded[2].tobytes())
+            forked[0], forked[1].tobytes(), forked[2].tobytes())
+
+    @pytest.mark.parametrize("victim, before", [(0, 2), (1, 4)])
+    def test_a_worker_killed_between_passes_does_not_change_the_bits(
+            self, monkeypatch, victim, before):
+        X, y = self._problem()
+        monkeypatch.setattr(logit, "_usable_cpus", lambda: 3)
+        expected = self._bits(fit(X, y))
+        pids = _record_forks(monkeypatch)
+        passes = []
+        call = logit._Passes.__call__
+
+        def killing(self, beta):
+            passes.append(beta)
+            if len(passes) == before:  # the worker is dead when the pass starts
+                os.kill(pids[victim], signal.SIGKILL)
+                os.waitid(os.P_PID, pids[victim], os.WEXITED | os.WNOWAIT)
+            return call(self, beta)
+
+        monkeypatch.setattr(logit._Passes, "__call__", killing)
+        assert self._bits(fit(X, y)) == expected
+        assert len(pids) == 2 and len(passes) > before
+        no_child_left()
+
+    @pytest.mark.parametrize("ending", ["returns", "raises"])
+    def test_no_worker_outlives_a_fit(self, monkeypatch, ending):
+        X, y = self._problem()
+        monkeypatch.setattr(logit, "_usable_cpus", lambda: 3)
+        pids = _record_forks(monkeypatch)
+        reaped = []
+        reap = _Children.reap
+        monkeypatch.setattr(_Children, "reap", lambda self, pid: reaped.append(reap(self, pid)))
+        if ending == "returns":
+            fit(X, y)
+            # each worker left through os._exit(0) at the end of its input
+            assert reaped == [True, True]
+        else:
+            with pytest.raises(ConvergenceError):
+                fit(X, y, max_iter=1)
+            assert reaped == []  # killed and reaped
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_no_worker_outlives_a_killed_fit(self):
+        # the fitting process stalls in its own range of the first general
+        # pass, and is killed there: each worker's input ends, and it leaves
+        code = textwrap.dedent(f"""
+            import os, time
+            import numpy as np
+            from ormediate import logit
+            logit._usable_cpus = lambda: 3
+            fork, parent = os.fork, os.getpid()
+
+            def recording():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+
+            os.fork = recording
+            block_sums = logit._block_sums
+
+            def stalling(X, y, beta, start):
+                if os.getpid() == parent and beta.any():
+                    print("stalled", flush=True)
+                    time.sleep(60)
+                return block_sums(X, y, beta, start)
+
+            logit._block_sums = stalling
+            rng = np.random.default_rng(29)
+            n = {3 * _WORKER_BLOCKS * _BLOCK_ROWS}
+            X = np.column_stack([np.ones(n), rng.normal(size=n)])
+            logit.fit(X, (rng.random(n) < 0.5).astype(float))
+        """)
+        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                                env=child_env())
+        pids = []
+        try:
+            for line in proc.stdout:
+                if line == "stalled\n":
+                    break
+                pids.append(int(line))
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 30
+        try:
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any(map(_running, pids))
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """Whether a process runs; a zombie that awaits its reaper has ended."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 # negative cells, whose products with a zero coefficient are -0.0, -0.0 and
