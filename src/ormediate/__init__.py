@@ -89,6 +89,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _every_block(test, arr, rows: int) -> bool:
+    """Whether the array-valued test holds at every entry of arr, taken
+    `rows` rows at a time, so no temporary grows with len(arr)."""
+    return all(test(arr[start : start + rows]).all() for start in range(0, len(arr), rows))
+
+
 class _Children:
     """The forked children of one call, for work cut into ranges: the CSV
     reader's and writer's and the IRLS passes'. On leaving the `with`, a

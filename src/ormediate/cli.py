@@ -607,10 +607,12 @@ def _cmd_fit(args) -> int:
                 "a logistic model needs both 0 and 1"
             )
 
-    design_y, y = build_design(data, spec, "outcome")
-    outcome_fit = fit_logistic(design_y, y, column_names=spec.outcome_terms())
-    design_w, w = build_design(data, spec, "mediator")
-    mediator_fit = fit_logistic(design_w, w, column_names=spec.mediator_terms())
+    # one design at a time: each is dropped once its model is fitted
+    outcome_fit, mediator_fit = (
+        fit_logistic(*build_design(data, spec, target), column_names=terms)
+        for target, terms in (("outcome", spec.outcome_terms()),
+                              ("mediator", spec.mediator_terms()))
+    )
     if args.profile:
         profiles = _parse_profiles(spec, args.profile)
     else:

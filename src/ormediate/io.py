@@ -79,6 +79,10 @@ _WRITE_ROWS = 8192
 # write in 42 ms against 55 and read in the same 28 ms (2-core guest)
 _MIN_RANGE_ROWS = 10_000
 _BOM = b"\xef\xbb\xbf"
+# bytes per read when the reader streams through a file
+_READ_BYTES = 1 << 16
+# bytes of the row count a reader child sends before its columns
+_COUNT_BYTES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -89,27 +93,31 @@ _BOM = b"\xef\xbb\xbf"
 def read_table(path: str | Path) -> dict[str, np.ndarray]:
     """Read a UTF-8 comma-delimited file with a header row into named float columns.
 
-    A large body is cut into ranges of whole lines, one per available CPU, and
-    each range is parsed in one `np.loadtxt` call, all but the first in a
-    forked child.  A CPU limit (`taskset`, a cgroup cpuset) gives fewer
-    processes; a limit of one CPU gives one.  Where any result could differ
-    from the per-line parser's (any ValueError, a row count that shows a
-    skipped blank line, or a child that failed), the file is read again line
-    by line, which also words every error message.  The columns never depend
-    on the number of processes.
+    The file is streamed once to count its lines and then cut into ranges of
+    whole lines, one per available CPU.  Each process reads and parses its own
+    range in one `np.loadtxt` call, all but the first in a forked child that
+    sends its rows column by column, so no process holds the whole file.  A
+    CPU limit (`taskset`, a cgroup cpuset) gives fewer processes; a limit of
+    one CPU gives one.  The columns are the rows of one C-contiguous
+    (width, n) array, which each child's rows are read straight into, so the
+    reading process peaks at the columns plus its own range's text and rows.
+    Where any result could differ from the per-line parser's (any ValueError,
+    a row count that shows a skipped blank line, or a child that failed), the
+    file is read again line by line, which also words every error message.
+    The columns never depend on the number of processes.
     """
     path = Path(path)
     try:
         parsed = _parse(path)
         if parsed is None:
             header, matrix = _read_rows(path)
-            parsed = header, [matrix]
+            parsed = header, matrix.T.copy()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
-    header, parts = parsed
-    return {name: np.concatenate([part[:, j] for part in parts]) for j, name in enumerate(header)}
+    header, columns = parsed
+    return dict(zip(header, columns))
 
 
 def _read_header(path: Path, reader) -> list[str]:
@@ -127,18 +135,25 @@ def _read_header(path: Path, reader) -> list[str]:
     return header
 
 
-def _parse(path: Path) -> tuple[list[str], list[np.ndarray]] | None:
-    """The header and the body's row blocks in file order, or None where the
+def _parse(path: Path) -> tuple[list[str], np.ndarray] | None:
+    """The header and the body as a (width, n) array, or None where the
     per-line parser must decide."""
-    data = path.read_bytes()
-    taken: list[str] = []  # the lines the header spans
-    with TextIOWrapper(BytesIO(data), encoding="utf-8-sig", newline="") as handle:
+    with path.open("rb") as raw:
+        marked = raw.read(len(_BOM)) == _BOM
+        raw.seek(0)
+        taken: list[str] = []  # the lines the header spans
+        handle = TextIOWrapper(raw, encoding="utf-8-sig", newline="")
         try:
             header = _read_header(path, csv.reader(taken.append(line) or line for line in handle))
         except UnicodeDecodeError:
             return None
-    start = len("".join(taken).encode()) + len(_BOM) * data.startswith(_BOM)
-    first, *rest = _line_ranges(data, start, _range_count(data.count(b"\n", start)))
+        finally:
+            handle.detach()
+        start = len("".join(taken).encode()) + len(_BOM) * marked
+        size = raw.seek(0, os.SEEK_END)
+        raw.seek(start)
+        newlines = sum(chunk.count(b"\n") for chunk in iter(lambda: raw.read(_READ_BYTES), b""))
+        first, *rest = _line_ranges(raw, start, size, _range_count(newlines))
     width = len(header)
     try:
         with ExitStack() as stack:
@@ -147,28 +162,48 @@ def _parse(path: Path) -> tuple[list[str], list[np.ndarray]] | None:
             for lo, hi in rest:
                 read_end, write_end = os.pipe()
                 with open(write_end, "wb") as sink:
-                    pid = children.fork(_send_rows, sink, data, lo, hi, width)
+                    pid = children.fork(_send_rows, sink, path, lo, hi, width)
                 received.append((pid, stack.enter_context(open(read_end, "rb"))))
-            parts = [_load_body(data[first[0] : first[1]], width)]
-            del data  # each child has its own
-            if parts[0] is None:
+            matrix = _load_body(_read_range(path, *first), width)
+            if matrix is None:
                 return None
-            for pid, stream in received:
-                rows = stream.read()
+            counts = [len(matrix)]
+            for _, stream in received:
+                count = stream.read(_COUNT_BYTES)
+                if len(count) != _COUNT_BYTES:  # the child failed before its rows
+                    return None
+                counts.append(int.from_bytes(count, "little"))
+            columns = np.empty((width, sum(counts)))
+            columns[:, : counts[0]] = matrix.T
+            del matrix
+            lo = counts[0]
+            for (pid, stream), count in zip(received, counts[1:]):
+                for column in columns[:, lo : lo + count]:
+                    if stream.readinto(column) != column.nbytes:
+                        return None
                 if not children.reap(pid):
                     return None
-                parts.append(np.frombuffer(rows).reshape(-1, width))
+                lo += count
     except OSError:  # a pipe that could not be made or read
         return None
-    return header, parts
+    return header, columns
 
 
-def _send_rows(sink, data: bytes, lo: int, hi: int, width: int) -> bool:
-    """A reader child's work: parse data[lo:hi] and send its float64 rows."""
-    matrix = _load_body(data[lo:hi], width)
+def _read_range(path: Path, lo: int, hi: int) -> bytes:
+    with path.open("rb") as raw:
+        raw.seek(lo)
+        return raw.read(hi - lo)
+
+
+def _send_rows(sink, path: Path, lo: int, hi: int, width: int) -> bool:
+    """A reader child's work: parse bytes lo to hi of the file, then send the
+    row count and each float64 column in turn."""
+    matrix = _load_body(_read_range(path, lo, hi), width)
     if matrix is None:
         return False
-    sink.write(matrix.data)
+    sink.write(len(matrix).to_bytes(_COUNT_BYTES, "little"))
+    for column in matrix.T:
+        sink.write(np.ascontiguousarray(column).data)
     sink.flush()
     return True
 
@@ -306,14 +341,16 @@ def _row_ranges(n: int, count: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:])) or [(0, n)]
 
 
-def _line_ranges(data: bytes, start: int, count: int) -> list[tuple[int, int]]:
-    """Up to `count` contiguous ranges of data[start:], each cut just after a newline."""
+def _line_ranges(raw, start: int, size: int, count: int) -> list[tuple[int, int]]:
+    """Up to `count` contiguous ranges of the bytes from `start` to `size` of
+    the file `raw`, each cut just after a newline."""
     edges = [start]
     for i in range(1, count):
-        cut = data.find(b"\n", max(edges[-1], start + (len(data) - start) * i // count)) + 1
-        if 0 < cut < len(data):
-            edges.append(cut)
-    edges.append(len(data))
+        raw.seek(max(edges[-1], start + (size - start) * i // count))
+        raw.readline()  # to just after the next newline, or to the end
+        if raw.tell() < size:
+            edges.append(raw.tell())
+    edges.append(size)
     return list(zip(edges, edges[1:]))
 
 
@@ -450,7 +487,8 @@ class Marginal(ValueRecord):
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "bernoulli":
-            return (rng.random(n) < self.p).astype(float)
+            uniforms = rng.random(n)
+            return np.less(uniforms, self.p, out=uniforms)  # 1.0 below p, else 0.0
         return rng.uniform(self.low, self.high, n)
 
 

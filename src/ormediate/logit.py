@@ -36,7 +36,7 @@ from contextlib import ExitStack
 
 import numpy as np
 
-from . import _Children, _usable_cpus
+from . import _Children, _every_block, _usable_cpus
 from .exceptions import (
     ConvergenceError,
     NumericalError,
@@ -350,9 +350,9 @@ def fit(
         raise SchemaError("design has no columns")
     if y.size != n:
         raise SchemaError(f"response length {y.size} does not match {n} design rows")
-    if not np.all(np.isfinite(X)):
+    if not _every_block(np.isfinite, X, _BLOCK_ROWS):
         raise SchemaError("design matrix contains non-finite values")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not _every_block(lambda block: (block == 0.0) | (block == 1.0), y, _BLOCK_ROWS):
         raise SchemaError("response must be binary 0/1")
     if n < k:
         raise SchemaError(f"{n} rows cannot identify {k} coefficients")

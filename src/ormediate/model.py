@@ -59,6 +59,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import _every_block
 from .exceptions import PredictorOverflowError, SchemaError
 from .record import Record, ValueRecord, _set
 
@@ -598,11 +599,17 @@ def e_w(params: MediatorParams, x: float, v: Sequence[float]) -> float:
     return _MediatorAt(params, v).odds(float(x))
 
 
-def _binary_column(values, name: str) -> np.ndarray:
+def _finite_column(values, message: str) -> np.ndarray:
+    """values as a 1-d float array; SchemaError(message) where one is not finite."""
     arr = np.asarray(values, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"column {name!r} contains non-finite values")
-    if not np.all((arr == 0.0) | (arr == 1.0)):
+    if not _every_block(np.isfinite, arr, _DESIGN_ROWS):
+        raise SchemaError(message)
+    return arr
+
+
+def _binary_column(values, name: str) -> np.ndarray:
+    arr = _finite_column(values, f"column {name!r} contains non-finite values")
+    if not _every_block(lambda block: (block == 0.0) | (block == 1.0), arr, _DESIGN_ROWS):
         bad = arr[(arr != 0.0) & (arr != 1.0)][0]
         raise SchemaError(f"column {name!r} must be binary 0/1, found {bad!r}")
     arr.setflags(write=False)
@@ -624,16 +631,12 @@ class Dataset(Record):
     ):
         _set(self, "y", _binary_column(y, "y"))
         _set(self, "w", _binary_column(w, "w"))
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(x)):
-            raise SchemaError("column 'x' contains non-finite values")
+        x = _finite_column(x, "column 'x' contains non-finite values")
         x.setflags(write=False)
         _set(self, "x", x)
         cov = {}
         for name, values in dict(covariates or {}).items():
-            arr = np.asarray(values, dtype=float).reshape(-1)
-            if not np.all(np.isfinite(arr)):
-                raise SchemaError(f"covariate {name!r} contains non-finite values")
+            arr = _finite_column(values, f"covariate {name!r} contains non-finite values")
             arr.setflags(write=False)
             cov[name] = arr
         _set(self, "covariates", cov)

@@ -3,6 +3,14 @@
 Columns are drawn in a fixed order from a single seeded generator — covariates
 (in ``spec.covariate_names()`` order), then exposure, then the mediator and
 outcome uniforms — so a seed pins the dataset down byte for byte.
+
+Memory: the returned columns and one block of rows.  Each model's design
+rows and probabilities are computed ``_DESIGN_ROWS`` rows at a time, and the
+uniforms are thresholded to 0/1 in their own buffers, which become the
+mediator and outcome columns; no temporary grows with n.  Blocks start at
+multiples of ``_DESIGN_ROWS`` and none is a lone row, so on one BLAS thread,
+as the CLI runs, each row's probability has the bits that one product over
+all n rows gives.
 """
 
 from __future__ import annotations
@@ -13,7 +21,15 @@ import numpy as np
 
 from .exceptions import SchemaError
 from .io import Marginal  # re-exported: the coefficient documents carry marginals
-from .model import Dataset, MediatorParams, ModelSpec, OutcomeParams, mediator_design, outcome_design
+from .model import (
+    _DESIGN_ROWS,
+    Dataset,
+    MediatorParams,
+    ModelSpec,
+    OutcomeParams,
+    mediator_design,
+    outcome_design,
+)
 
 __all__ = ["Marginal", "simulate_dataset"]
 
@@ -21,6 +37,17 @@ __all__ = ["Marginal", "simulate_dataset"]
 def _probs(design: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     eta = design @ coefs
     return 0.5 * (1.0 + np.tanh(0.5 * eta))
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Blocks of ``_DESIGN_ROWS`` rows and a last one of the rest.  numpy
+    takes a one-row product through its own dot, whose sum can differ in the
+    last bit from the BLAS kernel's row, so a last row alone joins the block
+    before it."""
+    starts = list(range(0, n, _DESIGN_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n])]
 
 
 def simulate_dataset(
@@ -53,8 +80,12 @@ def simulate_dataset(
         name: marginals.get(name, default).draw(rng, n) for name in spec.covariate_names()
     }
     x = (exposure_marginal or default).draw(rng, n)
-    w = (rng.random(n) < _probs(mediator_design(spec, x, covariates), mediator.active_vector())
-         ).astype(float)
-    y = (rng.random(n) < _probs(outcome_design(spec, x, w, covariates), outcome.active_vector())
-         ).astype(float)
+    w = rng.random(n)
+    y = rng.random(n)
+    mediator_coefs, outcome_coefs = mediator.active_vector(), outcome.active_vector()
+    for rows in _row_blocks(n):  # each uniform becomes 1.0 below its probability, else 0.0
+        xb, wb, yb = x[rows], w[rows], y[rows]
+        cb = {name: c[rows] for name, c in covariates.items()}
+        np.less(wb, _probs(mediator_design(spec, xb, cb), mediator_coefs), out=wb)
+        np.less(yb, _probs(outcome_design(spec, xb, wb, cb), outcome_coefs), out=yb)
     return Dataset(y=y, w=w, x=x, covariates=covariates)

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,73 @@ class TestRangeSplit:
         no_child_left()
         assert fallbacks == [path]
         assert back["a"].tolist() == [i + 0.5 for i in range(60)]
+
+
+_LONG = 3 * 8192 + 7  # rows: more than three blocks
+
+
+def _long_table(tmp_path):
+    rng = np.random.default_rng(31)
+    cols = {
+        "y": (rng.random(_LONG) < 0.4).astype(float),
+        "w": (rng.random(_LONG) < 0.5).astype(float),
+        "x": (rng.random(_LONG) < 0.55).astype(float),
+        "age": rng.uniform(17.0, 70.0, _LONG),
+        "loans": rng.normal(1.5, 0.8, _LONG),
+    }
+    path = tmp_path / "long.csv"
+    write_table(path, cols)
+    return path, cols
+
+
+class TestReadMemory:
+    """read_table gathers every range's rows into one (width, n) array."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_columns_are_contiguous_and_average_as_copies_do(self, tmp_path, monkeypatch,
+                                                             count):
+        path, cols = _long_table(tmp_path)
+        _ranges(monkeypatch, count)
+        back = read_table(path)
+        no_child_left()
+        assert list(back) == list(cols)
+        for name, values in cols.items():
+            assert back[name].flags.c_contiguous
+            assert back[name].tobytes() == values.tobytes()
+        means = [bind_dataset(columns, covariates=("age", "loans")).covariate_means()
+                 for columns in (back, {name: col.copy() for name, col in back.items()})]
+        assert [np.float64(v).tobytes() for v in means[0].values()] == [
+            np.float64(v).tobytes() for v in means[1].values()]
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_peak_is_the_columns_and_one_range(self, tmp_path, monkeypatch, count):
+        """The traced peak of the reading process is at most its columns plus
+        the text and the float64 rows of its own range, the first.  Counting
+        lines and finding the cuts hold one read of _READ_BYTES at a time.
+        Parsing holds the range's text and np.loadtxt's rows, which grow in
+        steps to at most twice the rows returned; a range's rows are no more
+        than the columns.  Then the text is freed, the columns are made and
+        the range's rows copied in and freed, and each child's rows are read
+        straight into the columns.  So both stages stay within the bound.
+        Reading the whole file into one bytes object, or concatenating the
+        ranges' rows, adds the file or a second copy of the columns."""
+        path, cols = _long_table(tmp_path)
+        body = path.read_bytes()
+        start = body.index(b"\n") + 1
+        with path.open("rb") as raw:
+            lo, hi = table_io._line_ranges(raw, start, len(body), count)[0]
+        rows = 8 * len(cols) * body.count(b"\n", lo, hi)
+        _ranges(monkeypatch, count)
+        read_table(path)  # any one-off allocations of the first call happen here
+        tracemalloc.start()
+        try:
+            back = read_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        no_child_left()
+        columns = sum(col.nbytes for col in back.values())
+        assert peak <= columns + (hi - lo) + rows
 
 
 def _finite_column(n):

@@ -151,6 +151,17 @@ class TestFit:
             fit(X, y, column_names="ab")
         assert fit(X, y, column_names=["a", "b"]).column_names == ("a", "b")
 
+    def test_input_checks_read_every_block_in_the_same_order(self):
+        # the first bad value sits in the last block, past three whole ones
+        n = 3 * _BLOCK_ROWS + 5
+        X, y = np.ones((n, 2)), np.zeros(n)
+        X[-1, 1], y[0] = np.inf, 0.5
+        with pytest.raises(SchemaError, match="design matrix contains non-finite values"):
+            fit(X, y)
+        X[-1, 1], y[0], y[-1] = 0.0, 0.0, 2.0
+        with pytest.raises(SchemaError, match="response must be binary 0/1"):
+            fit(X, y)
+
     def test_design_with_no_columns_is_a_schema_error(self, monkeypatch):
         monkeypatch.setattr(logit, "_Passes", lambda *a: pytest.fail("a pass ran"))
         with pytest.raises(SchemaError, match="no columns"):
@@ -217,6 +228,20 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak < X.nbytes / 4
+
+    def test_input_checks_hold_no_n_row_temporary(self):
+        # a pass holds one block's weighted rows and a few block-length
+        # vectors; whole-design checks would add an n x k bool array
+        rng = np.random.default_rng(8)
+        X, y = _sim_design(rng, 200_000, [-0.3, 0.5, -0.2, 0.4, 0.1, -0.6, 0.3])
+        fit(X, y)
+        tracemalloc.start()
+        try:
+            fit(X, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * X[:_BLOCK_ROWS].nbytes
 
 
 def _record_forks(monkeypatch) -> list[int]:

@@ -1,6 +1,12 @@
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ormediate import simulate
 from ormediate import (
     Contrast,
     CovariateProfile,
@@ -16,6 +22,9 @@ from ormediate import (
     fit,
     simulate_dataset,
 )
+from helpers import child_env
+
+B = simulate._DESIGN_ROWS
 
 
 def _basic_models():
@@ -32,6 +41,11 @@ class TestMarginal:
         draws = Marginal("bernoulli", p=0.3).draw(rng, 20000)
         assert set(np.unique(draws)) <= {0.0, 1.0}
         assert draws.mean() == pytest.approx(0.3, abs=0.01)
+
+    def test_bernoulli_is_its_uniforms_below_p(self):
+        draws = Marginal("bernoulli", p=0.3).draw(np.random.default_rng(4), 3 * B + 5)
+        rng = np.random.default_rng(4)
+        assert draws.tobytes() == (rng.random(3 * B + 5) < 0.3).astype(float).tobytes()
 
     def test_uniform_range_and_mean(self):
         rng = np.random.default_rng(0)
@@ -136,3 +150,109 @@ class TestSimulateDataset:
         assert data.n == 250
         assert set(data.covariates) == {"age"}
         data.check_columns(spec)
+
+
+_MARGINALS = {
+    "age": Marginal("uniform", low=17.0, high=70.0),
+    "edu": Marginal("bernoulli", p=0.3),
+    "loans": Marginal("uniform", low=0.0, high=3.0),
+}
+
+
+def _models(interacted: bool):
+    """The microcredit layout (7 outcome and 2 mediator coefficients), or
+    every block included (16 and 6), with seeded coefficients."""
+    if interacted:
+        spec = ModelSpec(z_names=("age", "edu", "loans"), v_names=("age", "loans"),
+                         xz=True, wz=True, xwz=True, xv=True)
+    else:
+        spec = ModelSpec(z_names=("age", "edu", "loans"))
+    rng = np.random.default_rng(spec.n_outcome_coefs)
+    return (spec,
+            OutcomeParams.from_vector(spec, rng.normal(scale=0.3, size=spec.n_outcome_coefs)),
+            MediatorParams.from_vector(spec, rng.normal(scale=0.3, size=spec.n_mediator_coefs)))
+
+
+def _draw(models, n: int, seed: int = 11) -> Dataset:
+    return simulate_dataset(*models, n, seed=seed, covariate_marginals=_MARGINALS,
+                            exposure_marginal=Marginal("bernoulli", p=0.55))
+
+
+def _columns(data: Dataset) -> list[bytes]:
+    return [col.tobytes() for col in (data.y, data.w, data.x, *data.covariates.values())]
+
+
+def _bits(models, n: int, seed: int, rows: int) -> tuple[list[bytes], list[bytes]]:
+    """The columns of an n-row draw in blocks of `rows` rows, and each
+    model's probabilities in row order."""
+    probs, got = simulate._probs, []
+    simulate._probs = lambda design, coefs: got.append(probs(design, coefs)) or got[-1]
+    simulate._DESIGN_ROWS = rows
+    try:
+        data = _draw(models, n, seed)
+    finally:
+        simulate._probs, simulate._DESIGN_ROWS = probs, B
+    return _columns(data), [np.concatenate(got[i::2]).tobytes() for i in (0, 1)]
+
+
+def check_block_probabilities() -> None:
+    """Each block's probabilities have the bits of one product over all
+    rows: run in a child with one OpenBLAS thread, as the CLI runs."""
+    # a last row on its own would differ for some seeds: seed 4 with the
+    # microcredit layout, on the SkylakeX and Haswell kernels
+    cases = [(3 * B + 5, 11), (2 * B, 11), *((3 * B + 1, seed) for seed in range(8))]
+    for interacted in (False, True):
+        models = _models(interacted)
+        for n, seed in cases:
+            assert _bits(models, n, seed, B) == _bits(models, n, seed, n), (interacted, n, seed)
+
+
+class TestBlocks:
+    """simulate_dataset thresholds the uniforms a block of rows at a time."""
+
+    @pytest.mark.parametrize("interacted", [False, True])
+    @pytest.mark.parametrize("n", [3 * B + 5, 3 * B + 1])
+    def test_blocks_give_the_data_of_one_block(self, monkeypatch, interacted, n):
+        models = _models(interacted)
+        blocks = _columns(_draw(models, n))
+        monkeypatch.setattr(simulate, "_DESIGN_ROWS", n)
+        assert blocks == _columns(_draw(models, n))
+
+    @pytest.mark.parametrize("kernel", [None, "Haswell"])
+    def test_blocks_give_the_probabilities_of_one_block(self, kernel):
+        # a lone last row would take numpy's dot, not the BLAS row kernel;
+        # one thread, as OpenBLAS may split a long product among its threads
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": "1"}
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        here = Path(__file__).resolve().parent
+        script = (f"import sys; sys.path.insert(0, {str(here)!r}); "
+                  "import test_simulate; test_simulate.check_block_probabilities()")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("interacted", [False, True])
+    def test_peak_is_the_data_and_one_block(self, interacted):
+        """The traced peak is at most the returned columns plus k + 4 blocks
+        of float64s, k the outcome's coefficients.  Every column is drawn at
+        its full length once and kept: each covariate, the exposure, and the
+        two uniform columns that become w and y.  A Bernoulli draw thresholds
+        its uniforms in place.  Per block, the outcome design holds k floats
+        a row; while it is filled, the exposure factor x*w and one product
+        with a covariate add two rows' worth; then the predictor and two
+        temporaries of the probability formula add three.  The mediator's
+        design is narrower.  So a block needs at most k + 3 floats a row,
+        and one more block covers the bool blocks of the Dataset checks and
+        small Python objects.  Probabilities over all n rows at once would
+        need about (k + 3) * n floats, nearly three times this bound here."""
+        models, n = _models(interacted), 3 * B + 5
+        _draw(models, 10)  # the layout tables are cached on first use
+        tracemalloc.start()
+        try:
+            data = _draw(models, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(map(len, _columns(data)))
+        assert peak <= returned + (models[0].n_outcome_coefs + 4) * 8 * B
