@@ -48,6 +48,9 @@ covariates; see ``_effect_tables``. The JSON template is ``json.dumps`` of a
 table whose numbers are placeholders (``_table_templates``), and
 ``jsonio.write_json`` writes each table's text into the report's ``effects``
 list, so every report is ``json.dumps(report, indent=2)`` plus a newline.
+The numbers of every table are made before any output; then stdout and the
+report are written table by table, each table's text formatted as it is
+written, so one table's text is held at a time.
 
 Once the arguments are parsed, and only if numpy is not loaded yet, `main`
 sets ``OPENBLAS_NUM_THREADS=1`` whatever the caller set, so a command loads
@@ -69,6 +72,8 @@ from .exceptions import FitError, MediationError, NumericalError, SchemaError
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable, Iterator
+
     from .io import CoefficientSet
     from .model import CovariateProfile, ModelSpec
 
@@ -319,13 +324,13 @@ _INFERENCE_FIELDS = ("log", "odds_ratio", "se_log", "se_or", "ci_lower", "ci_upp
 _POINT_FIELDS = ("log", "odds_ratio")
 
 
-def _effect_sections(coef: CoefficientSet, level: float, json: bool) -> tuple[dict, str]:
+def _effect_sections(coef: CoefficientSet, level: float) -> tuple[dict, Iterator[str]]:
     """The ``coefficients``, ``effects`` and ``diagnostics`` sections of a
     report on ``coef``, whose exposure levels and profiles are resolved:
     delta-method inference when it has covariances, point estimates otherwise;
-    and the text of the effect tables, for :func:`_emit`. The ``effects``
-    section holds each table's JSON text, a ``jsonio._Verbatim``, only if
-    ``json``, and is empty otherwise; see :func:`_effect_tables`."""
+    and the text of each effect table in turn, for :func:`_emit`. The
+    ``effects`` section is a ``jsonio._Verbatim`` that yields each table's
+    JSON text; see :func:`_effect_tables`."""
     from .effects import special_case_report
     from .io import coefficients_to_doc
     from .jsonio import _Verbatim
@@ -334,15 +339,15 @@ def _effect_sections(coef: CoefficientSet, level: float, json: bool) -> tuple[di
     contrasts = [Contrast(*coef.exposure_levels, prof) for _, prof in coef.profiles]
     coefficients = coefficients_to_doc(coef)
     # the tables name the profiles and their values as this section does
-    texts, lines = _effect_tables(coef, contrasts, coefficients["profiles"], level, json)
+    tables = _effect_tables(coef, contrasts, coefficients["profiles"], level)
     notes = list(special_case_report(coef.outcome, coef.mediator, contrasts[0]).identities)
     if not coef.has_vcov:
         notes.append("no covariance matrices in the coefficient file: "
                      "point estimates only")
     sections = {"coefficients": coefficients,
-                "effects": [_Verbatim(text) for text in texts],
+                "effects": _Verbatim(tables(_table_json)),
                 "diagnostics": {"notes": notes}}
-    return sections, lines
+    return sections, tables(_table_text)
 
 
 def _point_rows(coef: CoefficientSet, contrasts: list) -> list[list[float]]:
@@ -359,14 +364,15 @@ def _point_rows(coef: CoefficientSet, contrasts: list) -> list[list[float]]:
 
 
 def _effect_tables(coef: CoefficientSet, contrasts: list, profiles: list[dict],
-                   level: float, json: bool) -> tuple[list[str], str]:
-    """The JSON text of the effect table of each profile, named and valued
-    by its entry of ``profiles`` (the ``profiles`` of the report's
-    coefficient section), at the indent of the report's ``effects`` list
-    (none unless ``json``), and the text of all of them, each table after a
-    blank line. The numbers come in slices of at most _INFER_BATCH
-    contrasts: ``delta._table_rows`` with covariances, ``natural_effects``
-    contrast by contrast without."""
+                   level: float) -> Callable[[Callable], Iterator[str]]:
+    """The effect tables of the profiles, each named and valued by its entry
+    of ``profiles`` (the ``profiles`` of the report's coefficient section):
+    a function that yields, for each table in turn, its text by
+    :func:`_table_json` or :func:`_table_text`. The numbers of every table
+    are made first, in slices of at most _INFER_BATCH contrasts:
+    ``delta._table_rows`` with covariances, ``natural_effects`` contrast by
+    contrast without. So a failing profile raises before any text is written,
+    and only one table's text is held at a time."""
     from functools import partial
 
     if coef.has_vcov:
@@ -379,17 +385,15 @@ def _effect_tables(coef: CoefficientSet, contrasts: list, profiles: list[dict],
     # every profile names the spec's covariates in this order (io.profile_values)
     keys = tuple(dict.fromkeys(coef.spec.z_names + coef.spec.v_names))
     templates = _table_templates(keys, fields)
-    texts: list[str] = []
-    lines: list[str] = []
+    rows: list[list[float]] = []
     for start in range(0, len(contrasts), _INFER_BATCH):
-        rows = rows_of(contrasts[start:start + _INFER_BATCH])
-        for profile, row in zip(profiles[start:], rows):
-            text, table_lines = _table_texts(profile["name"], profile["values"], row, templates,
-                                             json)
-            if json:
-                texts.append(text)
-            lines += ("", table_lines)
-    return texts, "\n".join(lines)
+        rows += rows_of(contrasts[start:start + _INFER_BATCH])
+
+    def tables(format_table: Callable) -> Iterator[str]:
+        for profile, row in zip(profiles, rows):
+            yield format_table(profile["name"], profile["values"], row, templates)
+
+    return tables
 
 
 # where the lines of a table in a report's effects list start
@@ -435,24 +439,26 @@ def _table_templates(keys: tuple, fields: tuple):
     return table, text, itemgetter(*order)
 
 
-def _table_texts(name: str, values: dict, row: list, templates: tuple,
-                 json: bool) -> tuple[str | None, str]:
-    """The JSON text of one effect table at the indent of the report's
-    ``effects`` list (None unless ``json``) and its text lines, joined: the
-    table of profile ``name`` with ``values``, whose effects have the numbers
-    of ``row``. Each is one ``%`` over the :func:`_table_templates` of the
-    report, for these value keys and the row's fields; the name and any
-    number that is not finite are spelled by ``json.dumps``."""
-    json_template, text_template, text_order = templates
-    numbers = (*values.values(), *row)
-    text = text_template % (name, *text_order(numbers))
-    if not json:
-        return None, text
+def _table_text(name: str, values: dict, row: list, templates: tuple) -> str:
+    """The text lines of one effect table, joined: the table of profile
+    ``name`` with ``values``, whose effects have the numbers of ``row``. It
+    is one ``%`` over the text template of the report's
+    :func:`_table_templates`, for these value keys and the row's fields."""
+    _, text_template, text_order = templates
+    return text_template % (name, *text_order((*values.values(), *row)))
+
+
+def _table_json(name: str, values: dict, row: list, templates: tuple) -> str:
+    """The JSON text of the table of :func:`_table_text`, at the indent of
+    the report's ``effects`` list: one ``%`` over the JSON template, where
+    the name and any number that is not finite are spelled by
+    ``json.dumps``."""
     from json import dumps
 
+    numbers = (*values.values(), *row)
     if not math.isfinite(sum(numbers)):  # a sum past the double range is inf too
         numbers = map(dumps, numbers)
-    return json_template % (dumps(name), *numbers), text
+    return templates[0] % (dumps(name), *numbers)
 
 
 def _report(command: str, config: dict, **sections) -> dict:
@@ -468,13 +474,13 @@ def _report(command: str, config: dict, **sections) -> dict:
     return doc
 
 
-def _emit(doc: dict, output: str | None, tables: str = "") -> None:
-    """Print the text of ``doc``, with ``tables`` (the text of its effect
-    tables), and write ``doc`` to ``output`` if one is given."""
-    lines = _render(doc, tables)
-    if lines:
-        lines.append("")  # the last line's break, without a copy of the text
-        sys.stdout.write("\n".join(lines))
+def _emit(doc: dict, output: str | None, tables: Iterable[str] = ()) -> None:
+    """Print the text of ``doc``, with ``tables`` (the text of each of its
+    effect tables), and then write ``doc`` to ``output`` if one is given.
+    Each line, and each table, is written as it is made."""
+    write = sys.stdout.write
+    for line in _render(doc, tables):
+        write(line + "\n")
     if output:
         from .jsonio import save_json
 
@@ -490,30 +496,30 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _render(doc: dict, tables: str) -> list[str]:
-    lines: list[str] = []
+def _render(doc: dict, tables: Iterable[str]) -> Iterator[str]:
+    """The lines of the text of ``doc``, where ``tables`` yields the text of
+    each effect table, which follows a blank line."""
     if "models" in doc:
         for which in ("outcome", "mediator"):
-            lines += _render_model(which, doc["models"][which])
-            lines.append("")
+            yield from _render_model(which, doc["models"][which])
+            yield ""
     if "effects" in doc:
         contrast = doc["config"]
-        lines.append(
-            f"exposure contrast: x={_fmt(contrast['x'])} vs x*={_fmt(contrast['x_star'])}"
-        )
-        lines.append(tables)
+        yield f"exposure contrast: x={_fmt(contrast['x'])} vs x*={_fmt(contrast['x_star'])}"
+        for table in tables:
+            yield ""
+            yield table
     if "rows" in doc:
-        lines += _render_compare(doc)
+        yield from _render_compare(doc)
     if "suites" in doc:
-        lines += [suite["line"] for suite in doc["suites"]]
+        yield from (suite["line"] for suite in doc["suites"])
         total = len(doc["suites"])
         passed = sum(suite["passed"] for suite in doc["suites"])
-        lines.append(f"{passed}/{total} suites passed")
+        yield f"{passed}/{total} suites passed"
     notes = doc.get("diagnostics", {}).get("notes", [])
     if notes:
-        lines.append("")
-        lines += [f"note: {note}" for note in notes]
-    return lines
+        yield ""
+        yield from (f"note: {note}" for note in notes)
 
 
 def _render_model(which: str, model: dict) -> list[str]:
@@ -631,7 +637,7 @@ def _cmd_fit(args) -> int:
         "outcome": _model_doc(outcome_fit, args.level),
         "mediator": _model_doc(mediator_fit, args.level),
     }
-    sections, tables = _effect_sections(coef, args.level, json=bool(args.output))
+    sections, tables = _effect_sections(coef, args.level)
     doc = _report(
         "fit",
         {
@@ -658,7 +664,7 @@ def _cmd_effects(args) -> int:
     _check_level(args.level)  # a bad --level fails before any work, in either mode
     coef = _load_resolved(args)
     x, x_star = coef.exposure_levels
-    sections, tables = _effect_sections(coef, args.level, json=bool(args.output))
+    sections, tables = _effect_sections(coef, args.level)
     doc = _report(
         "effects",
         {

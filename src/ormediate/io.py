@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 import numbers
 import os
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import _Children, _usable_cpus
 from .exceptions import SchemaError
-from .jsonio import REPORT_FORMAT, load_json, save_json, write_json
+from .jsonio import REPORT_FORMAT, decode_json, load_json, save_json, write_json
 from .model import (
     BLOCK_FLAGS,
     CovariateProfile,
@@ -60,6 +59,7 @@ __all__ = [
     "coefficients_from_doc",
     "coefficients_to_doc",
     "dataset_columns",
+    "decode_json",
     "load_coefficients",
     "load_json",
     "profile_values",
@@ -72,6 +72,12 @@ __all__ = [
 ]
 
 COEFFICIENT_FORMAT = "ormediate-coefficients"
+# the top-level keys of a coefficient document
+_DOCUMENT_KEYS = frozenset({"format", "version", "description", "model", "outcome", "mediator",
+                            "vcov", "contrast", "profiles", "marginals"})
+# the top-level members coefficients_from_doc reads, of a document or of a
+# report (its format and coefficient section); a read decodes only these
+_READ_KEYS = _DOCUMENT_KEYS | {"coefficients"}
 
 # rows formatted per write, so the strings in memory stay small
 _WRITE_ROWS = 8192
@@ -714,19 +720,7 @@ def coefficients_from_doc(doc: Mapping) -> CoefficientSet:
             f"not a coefficient document (format={doc.get('format')!r}, "
             f"expected {COEFFICIENT_FORMAT!r})"
         )
-    allowed = {
-        "format",
-        "version",
-        "description",
-        "model",
-        "outcome",
-        "mediator",
-        "vcov",
-        "contrast",
-        "profiles",
-        "marginals",
-    }
-    extra = set(doc) - allowed
+    extra = set(doc) - _DOCUMENT_KEYS
     if extra:
         raise SchemaError(f"coefficient document: unknown keys {sorted(extra)}")
     version = doc.get("version", 1)
@@ -802,17 +796,23 @@ def bundled_fixture_names() -> tuple[str, ...]:
 
 
 def load_coefficients(source: str | Path | Mapping) -> CoefficientSet:
-    """Load a coefficient document from a mapping, a path, or a bundled name."""
+    """Load a coefficient document from a mapping, a path, or a bundled name.
+    A file or a bundled fixture is decoded only in the members that
+    :func:`coefficients_from_doc` reads (``jsonio.decode_json``): a fit
+    report's ``format`` and ``coefficients``, not its effect tables. Every
+    other member is still checked as ``json.loads`` checks it, so a file is
+    refused, and its error worded, as when the whole of it is decoded."""
     if isinstance(source, Mapping):
         return coefficients_from_doc(source)
     path = Path(source)
     if path.exists():
-        return coefficients_from_doc(load_json(path))
+        return coefficients_from_doc(load_json(path, _READ_KEYS))
     name = str(source)
     if "/" not in name and not name.endswith(".json"):
         bundled = resources.files("ormediate") / "fixtures" / f"{name}.json"
         if bundled.is_file():
-            return coefficients_from_doc(json.loads(bundled.read_text(encoding="utf-8-sig")))
+            text = bundled.read_text(encoding="utf-8-sig")
+            return coefficients_from_doc(decode_json(text, name, _READ_KEYS))
     raise SchemaError(
         f"no coefficient file at {source!r} and no bundled fixture of that name "
         f"(bundled: {', '.join(bundled_fixture_names()) or 'none'})"

@@ -3,10 +3,19 @@ through, and the reader of coefficient files.
 
 :func:`write_json` writes exactly ``json.dumps(doc, indent=2) + "\n"``, by
 the standard library's encoder. Its one special case is the report's
-effect tables: the items of a top-level ``effects`` list may be
-``_Verbatim``, JSON text made ahead (each one ``%`` over a template; see
-``cli._table_templates``). The writer encodes the document with that list
-empty and writes each table's text in its place.
+effect tables: a top-level ``effects`` member may be a ``_Verbatim``, a
+source that yields the JSON text of each table in turn (each one ``%`` over
+a template; see ``cli._table_templates``). The writer encodes the document
+with that list empty and writes each table's text in its place as the
+source yields it, so no more than one table's text is held.
+
+:func:`decode_json` is ``json.loads`` that may decode only some top-level
+members of an object: a coefficient read needs a report's ``format`` and
+``coefficients``, not its effect tables, which are most of its text. Every
+other member is still scanned by the standard library's decoder, so the
+text is checked exactly as ``json.loads`` checks it, and on any error the
+text is decoded again by ``json.loads`` to word the error as it does.
+
 This module is apart from :mod:`ormediate.io`, which re-exports it, so a
 command that only writes a report (``verify``) loads no CSV or
 coefficient-document code.
@@ -15,11 +24,12 @@ coefficient-document code.
 from __future__ import annotations
 
 import json
+from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
 
 from .exceptions import SchemaError
 
-__all__ = ["REPORT_FORMAT", "load_json", "save_json", "write_json"]
+__all__ = ["REPORT_FORMAT", "decode_json", "load_json", "save_json", "write_json"]
 
 REPORT_FORMAT = "ormediate-report"
 
@@ -28,36 +38,42 @@ REPORT_FORMAT = "ormediate-report"
 # raw line break, so the document has it at most once
 _EMPTY_EFFECTS = '\n  "effects": []'
 
+_DECODER = json.JSONDecoder()
+# decodes as _DECODER does, with the same checks, and drops every object it
+# decodes, so a member that is not read leaves only lists of None behind
+_SKIMMER = json.JSONDecoder(object_pairs_hook=lambda pairs: None)
+
 
 class _Verbatim:
-    """The JSON text of one item of a report's top-level ``effects`` list,
-    as ``json.dumps(report, indent=2)`` spells that item there: its lines
-    after the first start with four spaces."""
+    """The items of a report's top-level ``effects`` list as JSON text:
+    ``texts`` yields the text of each item in turn, as ``json.dumps(report,
+    indent=2)`` spells that item there: its lines after the first start with
+    four spaces. It is read once, when the report is written."""
 
-    __slots__ = ("text",)
+    __slots__ = ("texts",)
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, texts):
+        self.texts = texts
 
 
 def write_json(doc, handle) -> None:
-    """Write ``json.dumps(doc, indent=2) + "\\n"`` to a text handle, where
-    each ``_Verbatim`` item of a top-level ``effects`` list stands for the
-    value whose text it holds."""
+    """Write ``json.dumps(doc, indent=2) + "\\n"`` to a text handle, where a
+    ``_Verbatim`` top-level ``effects`` member stands for the list of the
+    values whose texts it yields."""
     tables = doc.get("effects") if isinstance(doc, dict) else None
-    if not (isinstance(tables, list) and tables
-            and all(isinstance(table, _Verbatim) for table in tables)):
+    if not isinstance(tables, _Verbatim):
         handle.write(json.dumps(doc, indent=2))
         handle.write("\n")
         return
     head, _, tail = json.dumps({**doc, "effects": []}, indent=2).partition(_EMPTY_EFFECTS)
-    handle.write(head + '\n  "effects": [')
-    sep = "\n    "
-    for table in tables:
+    handle.write(head)
+    sep = '\n  "effects": [\n    '
+    empty = True
+    for text in tables.texts:
         # one write per table: joining them first raises the peak memory
-        handle.write(sep + table.text)
-        sep = ",\n    "
-    handle.write("\n  ]" + tail + "\n")
+        handle.write(sep + text)
+        sep, empty = ",\n    ", False
+    handle.write((_EMPTY_EFFECTS if empty else "\n  ]") + tail + "\n")
 
 
 def save_json(doc, path: str | Path) -> None:
@@ -68,15 +84,74 @@ def save_json(doc, path: str | Path) -> None:
         raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
-def load_json(path: str | Path) -> dict:
+def load_json(path: str | Path, keys=None):
+    """The JSON document in the file at ``path``, by :func:`decode_json`:
+    the whole document, or with ``keys`` only those top-level members."""
     try:
         with Path(path).open("r", encoding="utf-8-sig") as handle:
-            return json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+    return decode_json(text, path, keys)
+
+
+def decode_json(text: str, where, keys=None):
+    """``json.loads(text)``, where an invalid text raises a ``SchemaError``
+    that names ``where``. With ``keys``, a top-level object decodes only its
+    members named in ``keys``; every other member is checked as
+    ``json.loads`` checks it and kept as its key with the value None. Any
+    other document, and any text ``json.loads`` refuses, goes through
+    ``json.loads`` itself. The walk scans each member one level nearer the
+    top of the stack than ``json.loads`` does, so a member nested to within
+    a level of the recursion limit, a depth that moves with the caller's
+    stack anyway, is read where ``json.loads`` would overflow."""
+    try:
+        if keys is not None:
+            try:
+                return _members(text, keys)
+            except (ValueError, RecursionError):
+                pass  # json.loads below words the error, or reads what the walk does not
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # a JSONDecodeError, an integer beyond Python's digit limit, or
         # nesting deeper than the recursion limit
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+        raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
+
+
+def _members(text: str, keys) -> dict:
+    """The top-level object of ``text`` with only its members in ``keys``
+    decoded, by the steps of the standard library's object scanner; a
+    ValueError for any text that is not one whole JSON object."""
+    end = WHITESPACE.match(text, 0).end()
+    if text[end:end + 1] != "{":
+        raise ValueError("not a JSON object")
+    end = WHITESPACE.match(text, end + 1).end()
+    doc = {}
+    if text[end:end + 1] == "}":
+        end += 1
+    else:
+        while True:
+            if text[end:end + 1] != '"':
+                raise ValueError("expecting a property name")
+            key, end = scanstring(text, end + 1)
+            end = WHITESPACE.match(text, end).end()
+            if text[end:end + 1] != ":":
+                raise ValueError("expecting ':'")
+            end = WHITESPACE.match(text, end + 1).end()
+            if key in keys:
+                doc[key], end = _DECODER.raw_decode(text, end)
+            else:
+                _, end = _SKIMMER.raw_decode(text, end)
+                doc[key] = None
+            end = WHITESPACE.match(text, end).end()
+            if text[end:end + 1] == "}":
+                end += 1
+                break
+            if text[end:end + 1] != ",":
+                raise ValueError("expecting ',' or '}'")
+            end = WHITESPACE.match(text, end + 1).end()
+    if WHITESPACE.match(text, end).end() != len(text):
+        raise ValueError("extra data")
+    return doc

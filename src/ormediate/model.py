@@ -610,7 +610,7 @@ def _finite_column(values, message: str) -> np.ndarray:
 def _binary_column(values, name: str) -> np.ndarray:
     arr = _finite_column(values, f"column {name!r} contains non-finite values")
     if not _every_block(lambda block: (block == 0.0) | (block == 1.0), arr, _DESIGN_ROWS):
-        bad = arr[(arr != 0.0) & (arr != 1.0)][0]
+        bad = float(arr[(arr != 0.0) & (arr != 1.0)][0])
         raise SchemaError(f"column {name!r} must be binary 0/1, found {bad!r}")
     arr.setflags(write=False)
     return arr

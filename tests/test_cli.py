@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from statistics import NormalDist
 
@@ -29,6 +30,7 @@ from ormediate.io import (
     CoefficientSet, coefficients_to_doc, load_coefficients, load_json, read_table, save_json,
     write_table,
 )
+from ormediate.jsonio import _Verbatim
 from ormediate.logit import _BLOCK_ROWS, _WORKER_BLOCKS
 from ormediate.verify import run_suite
 from helpers import child_env, microcredit_params
@@ -430,9 +432,9 @@ class TestTableWriter:
         fields = cli._POINT_FIELDS if point else cli._INFERENCE_FIELDS
         row = row[:7 * len(fields)]
         templates = cli._table_templates(tuple(values), fields)
-        made = cli._table_texts(name, values, row, templates, True)
+        made = (cli._table_json(name, values, row, templates),
+                cli._table_text(name, values, row, templates))
         assert made == _reference_texts(name, values, row, fields)
-        assert cli._table_texts(name, values, row, templates, False) == (None, made[1])
 
     def test_zero_standard_errors_from_the_stack(self, tmp_path):
         # zero covariances: every SE is 0 and each p-value 1 or 0, and the
@@ -456,9 +458,68 @@ class TestTableWriter:
         assert entries["pnie"]["p_value"] == 1.0 and entries["pnde"]["p_value"] == 0.0
         row = [e[field] for e in table["effects"] for field in cli._INFERENCE_FIELDS]
         templates = cli._table_templates(tuple(table["values"]), cli._INFERENCE_FIELDS)
-        assert cli._table_texts(table["profile"], table["values"], row, templates,
-                                True) == _reference_texts(table["profile"], table["values"],
-                                                          row, cli._INFERENCE_FIELDS)
+        made = (cli._table_json(table["profile"], table["values"], row, templates),
+                cli._table_text(table["profile"], table["values"], row, templates))
+        assert made == _reference_texts(table["profile"], table["values"], row,
+                                        cli._INFERENCE_FIELDS)
+
+
+class _Discard:
+    """A stdout that keeps nothing of what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+class TestTableStreaming:
+    """A report's tables are written one at a time, from their numbers."""
+
+    @pytest.mark.parametrize("n", [300, 1200])
+    def test_the_peak_is_the_rows_and_one_table(self, tmp_path, monkeypatch, n):
+        """The traced peak of making and writing the tables of n profiles,
+        to stdout and to --output, is at most their rows, one table's JSON
+        and text, and 256 KB. The rows of every slice are made first and
+        held, each a list of 49 floats: the bytes counted here. Then stdout
+        and the file get each table's text as it is formatted, so one table's
+        text is held at a time. The 256 KB hold one slice's stack temporaries
+        (about 100 KB for 256 contrasts of this model), the templates, the
+        growth of the list of rows and the file's write buffer. Holding the
+        JSON and the text of every table adds some 3 KB a table: 1 MB at
+        n = 300, and 4 MB at n = 1200."""
+        outcome, mediator = microcredit_params()
+        coef = CoefficientSet(
+            outcome.spec, outcome, mediator,
+            outcome_vcov=0.01 * np.eye(7), mediator_vcov=0.02 * np.eye(2),
+            exposure_levels=(1.0, 0.0),
+            profiles=tuple((f"p{i}", CovariateProfile(z=(17.0 + i / 8, float(i % 2), i / 500)))
+                           for i in range(n)),
+        )
+        contrasts = [Contrast(1.0, 0.0, prof) for _, prof in coef.profiles]
+        profiles = coefficients_to_doc(coef)["profiles"]
+        fits = coef.fitted_models()
+        rows = [row for start in range(0, n, cli._INFER_BATCH)
+                for row in delta._table_rows(coef.spec, *fits,
+                                             contrasts[start:start + cli._INFER_BATCH], 0.95)]
+        rows_bytes = sys.getsizeof(rows) + sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+                                               for row in rows)
+        name, values = profiles[0]["name"], profiles[0]["values"]
+        templates = cli._table_templates(tuple(values), cli._INFERENCE_FIELDS)
+        one_table = sum(sys.getsizeof(format_table(name, values, rows[0], templates))
+                        for format_table in (cli._table_json, cli._table_text))
+        del rows
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        out = tmp_path / "effects.json"
+        tracemalloc.start()
+        try:
+            tables = cli._effect_tables(coef, contrasts, profiles, 0.95)
+            doc = {"config": {"x": 1.0, "x_star": 0.0}, "effects": _Verbatim(tables(cli._table_json))}
+            cli._emit(doc, str(out), tables(cli._table_text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [table["profile"] for table in load_json(out)["effects"]] == [
+            f"p{i}" for i in range(n)]
+        assert peak <= rows_bytes + one_table + 256 * 1024
 
 
 class TestFileErrors:

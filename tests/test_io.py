@@ -1,5 +1,8 @@
+import contextlib
+import functools
 import io
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from ormediate import (
     infer,
     simulate_dataset,
 )
+from ormediate import cli
 from ormediate import io as table_io
 from ormediate.jsonio import _Verbatim
 from ormediate.model import MEDIATOR_BLOCKS, OUTCOME_BLOCKS
@@ -32,6 +36,7 @@ from ormediate.io import (
     coefficients_from_doc,
     coefficients_to_doc,
     dataset_columns,
+    decode_json,
     load_coefficients,
     load_json,
     read_table,
@@ -944,11 +949,12 @@ class TestJsonWriter:
     @example(doc={"a": '\n  "effects": []', '\n  "effects": []': None}, tables=["x"])
     @example(doc={"%s": 1, "a%%": "%d", "%": {"%s": "%"}}, tables=[{"%s": "%d"}, "%"])
     def test_tables_are_spliced_into_the_top_level_effects_list(self, doc, tables):
-        def verbatim(value):  # its text at the indent of a top-level list's items
-            return _Verbatim(json.dumps(value, indent=2).replace("\n", "\n    "))
+        def texts():  # each table's text at the indent of a top-level list's items
+            for table in tables:
+                yield json.dumps(table, indent=2).replace("\n", "\n    ")
 
         report = {**doc, "effects": tables}
-        made = {**doc, "effects": [verbatim(table) for table in tables]}
+        made = {**doc, "effects": _Verbatim(texts())}
         assert _written(made) == json.dumps(report, indent=2) + "\n"
 
     @pytest.mark.parametrize("doc", [None, True, 0, -0.0, float("nan"), "text", [], {}])
@@ -1046,3 +1052,201 @@ class TestBundledFixture:
         save_json(doc, path)
         cs = load_coefficients(path)
         assert cs.description == "round-trip check"
+
+
+@functools.cache
+def _report_text(n: int) -> str:
+    """The text of an `effects` report with vcov on the microcredit model, over
+    n profiles: n effect tables after the coefficient section."""
+    outcome, mediator = microcredit_params()
+    coef = CoefficientSet(
+        microcredit_spec(), outcome, mediator,
+        outcome_vcov=0.01 * np.eye(7), mediator_vcov=0.02 * np.eye(2),
+        exposure_levels=(1.0, 0.0),
+        profiles=tuple((f"p{i}", CovariateProfile(z=(17.0 + i / 8, float(i % 2), i / 500)))
+                       for i in range(n)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        source, out = Path(tmp) / "coef.json", Path(tmp) / "report.json"
+        save_json(coefficients_to_doc(coef), source)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["effects", "--coef-file", str(source), "--output", str(out)]) == 0
+        return out.read_text(encoding="utf-8")
+
+
+def _whole_read(path):
+    """What a coefficient read of the file gives when json.load decodes all of
+    it: the document of the CoefficientSet, or the text of its SchemaError."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            doc = json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        return f"{path}: invalid JSON ({exc})"
+    try:
+        return coefficients_to_doc(coefficients_from_doc(doc))
+    except SchemaError as exc:
+        return str(exc)
+
+
+def _member_read(path):
+    """What load_coefficients gives, as _whole_read words it."""
+    try:
+        return coefficients_to_doc(load_coefficients(path))
+    except SchemaError as exc:
+        return str(exc)
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _between(text, start, stop):
+    """The edit of ``text`` that puts ``stop`` in place of its first ``start``."""
+    assert start in text
+    return text.replace(start, stop, 1)
+
+
+# a report's text, edited: each is invalid JSON, or a document no coefficient
+# read accepts, but for the one edit in _LOADABLE_EDITS
+_EDITED_REPORTS = {
+    "truncated inside effects": lambda t: t[:t.index('"effects": [') + 300],
+    "truncated inside coefficients": lambda t: t[:t.index('"coefficients": {') + 300],
+    "trailing comma in an unread object": lambda t: _between(t, '"mode": "inference"',
+                                                            '"mode": "inference",'),
+    "trailing comma in an unread list": lambda t: _between(t, '\n  ],\n  "diagnostics"',
+                                                          ',\n  ],\n  "diagnostics"'),
+    "stray byte in an unread member": lambda t: _between(t, '"effects": [', '"effects": [@'),
+    "stray byte in a read member": lambda t: _between(t, '"z_names": [', '"z_names": [@'),
+    "trailing data": lambda t: t + "x",
+    "a second document": lambda t: t + "{}",
+    "5000-digit integer in an unread member": lambda t: _between(
+        t, '"level": 0.95', '"level": ' + "7" * 5000),
+    "5000-digit integer in a read member": lambda t: _between(
+        t, '"version": 1', '"version": ' + "1" * 5000),
+    "200,000-deep nesting in an unread member": lambda t: _between(
+        t, '"command": "effects"', '"command": ' + "[" * 200_000 + "]" * 200_000),
+    "200,000-deep nesting in a read member": lambda t: _between(
+        t, '"description": ""', '"description": ' + "[" * 200_000 + "]" * 200_000),
+    "a top level that is a list": lambda t: "[" + t + "]",
+    "a top level that is a string": lambda t: '"ormediate-report"',
+    "an empty file": lambda t: "",
+    "an unquoted key": lambda t: _between(t, '"command"', "command"),
+    "a lone surrogate escape in an unread key": lambda t: _between(t, '"command"', '"\\udc00"'),
+    "an unread member that is not a coefficient key": lambda t: t.replace(
+        '"format": "ormediate-report"', '"format": "ormediate-coefficients"', 1),
+    "a report without its coefficient section": lambda t: _between(
+        t, '"coefficients": {', '"coefficients_": {'),
+}
+_LOADABLE_EDITS = {"a lone surrogate escape in an unread key"}
+
+
+class TestMemberReader:
+    """load_coefficients decodes only the members a coefficient read uses, and
+    reads every file as json.load of the whole file does: the same
+    CoefficientSet, or a SchemaError in the same words."""
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_a_report_loads_as_its_whole_decode(self, tmp_path, n):
+        path = tmp_path / "report.json"
+        path.write_text(_report_text(n), encoding="utf-8")
+        doc = _member_read(path)
+        assert doc == _whole_read(path)
+        assert len(doc["profiles"]) == n and "vcov" in doc
+        members = decode_json(_report_text(n), "report", table_io._READ_KEYS)
+        assert members["format"] == REPORT_FORMAT and members["effects"] is None
+        assert list(members) == list(json.loads(_report_text(n)))
+
+    @pytest.mark.parametrize("case", list(_EDITED_REPORTS))
+    def test_a_malformed_file_gives_the_whole_decode_error(self, tmp_path, case):
+        path = tmp_path / "report.json"
+        path.write_text(_EDITED_REPORTS[case](_report_text(2)), encoding="utf-8")
+        expected = _whole_read(path)
+        assert isinstance(expected, str) == (case not in _LOADABLE_EDITS)
+        assert _member_read(path) == expected
+
+    @pytest.mark.parametrize("marks", [1, 2])
+    def test_byte_order_marks(self, tmp_path, marks):
+        # utf-8-sig drops one mark; json refuses a second one
+        path = tmp_path / "report.json"
+        path.write_bytes(b"\xef\xbb\xbf" * marks + _report_text(2).encode("utf-8"))
+        expected = _whole_read(path)
+        assert _member_read(path) == expected
+        assert isinstance(expected, str) == (marks == 2)
+
+    def test_duplicate_top_level_keys_keep_the_last_value(self, tmp_path):
+        text = _report_text(2)
+        path = tmp_path / "report.json"
+        path.write_text('{\n  "coefficients": 1,\n  "format": 2,' + text[1:], encoding="utf-8")
+        assert _member_read(path) == _whole_read(path) == _member_read(
+            _write(tmp_path / "plain.json", text))
+        path.write_text(text.rstrip()[:-1] + ',\n  "format": "ormediate-report-2"\n}\n',
+                        encoding="utf-8")
+        assert _member_read(path) == _whole_read(path)
+        assert "format='ormediate-report-2'" in _member_read(path)
+
+    def test_an_unknown_key_of_a_coefficient_document_is_named(self, tmp_path):
+        doc = _full_coefficient_doc()
+        doc["surprise"] = {"nested": [1, {"deeper": None}]}
+        path = tmp_path / "coef.json"
+        save_json(doc, path)
+        assert _member_read(path) == _whole_read(path) == (
+            "coefficient document: unknown keys ['surprise']")
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(data=st.data())
+    def test_any_edit_decodes_as_json_loads(self, data):
+        """An edit of up to three characters anywhere in a report: the member
+        decode gives json.loads's keys, with the same value at each key it
+        reads and None at every other, or json.loads's error in its words."""
+        text = _report_text(2)
+        start = data.draw(st.integers(0, len(text)))
+        stop = data.draw(st.integers(start, min(len(text), start + 3)))
+        insert = data.draw(st.text(alphabet='{}[]",:0123456789.eE-+ \nx\\', max_size=3))
+        text = text[:start] + insert + text[stop:]
+        keys = table_io._READ_KEYS
+        try:
+            whole = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            with pytest.raises(SchemaError) as info:
+                decode_json(text, "doc", keys)
+            assert str(info.value) == f"doc: invalid JSON ({exc})"
+            return
+        got = decode_json(text, "doc", keys)
+        if not isinstance(whole, dict):
+            assert got == whole
+            return
+        assert list(got) == list(whole)
+        for key, value in got.items():
+            assert value == whole[key] if key in keys else value is None
+
+    def test_the_peak_is_the_text_twice_and_the_coefficient_section(self, tmp_path):
+        """The traced peak of load_coefficients on a report of 1000 tables is
+        at most twice its text plus the objects of its coefficient section,
+        and 256 KB. Reading holds the file's bytes and the str they decode to,
+        one text each (the report is ASCII). The member decode then holds the
+        str and the decoded members: the format, the version and the
+        coefficient section. A member it does not read leaves a list of one
+        None per table (8 bytes, against some 2 KB of text each) and the
+        objects of the one table being scanned. Once the str is freed, the
+        CoefficientSet, smaller than the section, is built beside it. The
+        256 KB hold those lists and the one-off objects of the decoders.
+        json.load of the whole report holds its effect tables too, about
+        twice their text, which is most of the report."""
+        text = _report_text(1000)
+        path = tmp_path / "report.json"
+        path.write_text(text, encoding="utf-8")
+        section = json.dumps(json.loads(text)["coefficients"])
+        load_coefficients(path)  # any one-off allocations of the first call happen here
+        tracemalloc.start()
+        try:
+            held = json.loads(section)
+            section_bytes = tracemalloc.get_traced_memory()[0]
+            del held
+            tracemalloc.reset_peak()
+            load_coefficients(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(text) + section_bytes + 256 * 1024
+

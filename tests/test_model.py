@@ -219,7 +219,7 @@ class TestDatasetAndDesign:
         assert np.array_equal(X, [[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
 
     @pytest.mark.parametrize("column, value, message", [
-        ("y", 0.5, "column 'y' must be binary 0/1, found .*0.5"),
+        ("y", 0.5, "column 'y' must be binary 0/1, found 0.5"),
         ("w", np.nan, "column 'w' contains non-finite values"),
         ("x", np.inf, "column 'x' contains non-finite values"),
         ("age", -np.inf, "covariate 'age' contains non-finite values"),
@@ -228,8 +228,9 @@ class TestDatasetAndDesign:
         n = 3 * model._DESIGN_ROWS + 5
         columns = {name: np.zeros(n) for name in ("y", "w", "x", "age")}
         columns[column][-1] = value
-        with pytest.raises(SchemaError, match=f"^{message}"):
+        with pytest.raises(SchemaError) as info:
             Dataset(columns["y"], columns["w"], columns["x"], covariates={"age": columns["age"]})
+        assert str(info.value) == message
 
     def test_row_blocks_give_the_column_products(self, monkeypatch):
         # blocks of 4 rows over 10 rows: two whole blocks and a partial one
