@@ -41,16 +41,19 @@ importing a module generates and compiles no code, and no command loads
 ``dataclasses``.
 
 The effect tables of a report are made in one process, in slices of at
-most _INFER_BATCH profiles: each slice's delta-method numbers come from one
-stack (``delta._table_rows``), and each table's JSON and text from the
-report's one JSON and one text template, since every profile names the same
-covariates; see ``_effect_tables``. The JSON template is ``json.dumps`` of a
-table whose numbers are placeholders (``_table_templates``), and
-``jsonio.write_json`` writes each table's text into the report's ``effects``
-list, so every report is ``json.dumps(report, indent=2)`` plus a newline.
-The numbers of every table are made before any output; then stdout and the
-report are written table by table, each table's text formatted as it is
-written, so one table's text is held at a time.
+most _INFER_BATCH profiles, straight from the resolved coefficient set: each
+slice's delta-method numbers come from one stack of its parameter sets and
+covariances (``delta._table_rows``) and are held as one float64 array. Each
+table's JSON and text come from the report's one JSON and one text template,
+since every profile names the same covariates; see ``_effect_tables``. The
+JSON template is ``json.dumps`` of a table whose numbers are placeholders
+(``_table_templates``). The report itself is plain JSON data whose
+``effects`` list is empty; the tables travel beside it, and
+``jsonio.write_json`` writes each table's text into that list, so every
+report is ``json.dumps(report, indent=2)`` plus a newline. The numbers of
+every table are made before any output; then stdout and the report are
+written table by table, each table's text formatted as it is written, so
+one table's text is held at a time.
 
 Once the arguments are parsed, and only if numpy is not loaded yet, `main`
 sets ``OPENBLAS_NUM_THREADS=1`` whatever the caller set, so a command loads
@@ -120,10 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x-star", dest="x_star", type=float, default=None,
                        help="reference exposure level (default: coefficient file, else 0)")
 
-    def add_profiles(p):
+    def add_profiles(p, count="repeatable"):
         p.add_argument("--profile", action="append", default=[], metavar="NAME=VALUE,...",
-                       help="covariate profile as comma-separated name=value pairs "
-                            "(repeatable)")
+                       help=f"covariate profile as comma-separated name=value pairs ({count})")
 
     def add_level(p):
         p.add_argument("--level", type=float, default=0.95,
@@ -171,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=_DEFAULT_GRID, metavar="B0,B0,...",
                    help=f"outcome intercepts to sweep (default {_DEFAULT_GRID})")
     add_contrast(p)
-    add_profiles(p)
+    add_profiles(p, "at most one; default: the file's first profile")
     add_output(p)
     p.set_defaults(handler=_cmd_compare)
 
@@ -324,16 +326,14 @@ _INFERENCE_FIELDS = ("log", "odds_ratio", "se_log", "se_or", "ci_lower", "ci_upp
 _POINT_FIELDS = ("log", "odds_ratio")
 
 
-def _effect_sections(coef: CoefficientSet, level: float) -> tuple[dict, Iterator[str]]:
+def _effect_sections(coef: CoefficientSet, level: float) -> tuple[dict, Callable]:
     """The ``coefficients``, ``effects`` and ``diagnostics`` sections of a
     report on ``coef``, whose exposure levels and profiles are resolved:
-    delta-method inference when it has covariances, point estimates otherwise;
-    and the text of each effect table in turn, for :func:`_emit`. The
-    ``effects`` section is a ``jsonio._Verbatim`` that yields each table's
-    JSON text; see :func:`_effect_tables`."""
+    delta-method inference when it has covariances, point estimates otherwise.
+    They are plain JSON data, with ``effects`` an empty list; the tables come
+    beside them, as the factory of :func:`_effect_tables`, for :func:`_emit`."""
     from .effects import special_case_report
     from .io import coefficients_to_doc
-    from .jsonio import _Verbatim
     from .model import Contrast
 
     contrasts = [Contrast(*coef.exposure_levels, prof) for _, prof in coef.profiles]
@@ -344,15 +344,15 @@ def _effect_sections(coef: CoefficientSet, level: float) -> tuple[dict, Iterator
     if not coef.has_vcov:
         notes.append("no covariance matrices in the coefficient file: "
                      "point estimates only")
-    sections = {"coefficients": coefficients,
-                "effects": _Verbatim(tables(_table_json)),
-                "diagnostics": {"notes": notes}}
-    return sections, tables(_table_text)
+    sections = {"coefficients": coefficients, "effects": [], "diagnostics": {"notes": notes}}
+    return sections, tables
 
 
-def _point_rows(coef: CoefficientSet, contrasts: list) -> list[list[float]]:
+def _point_rows(coef: CoefficientSet, contrasts: list):
     """The (log, odds ratio) of each effect at each contrast, effect by effect
-    in the order of ``EffectSet.odds_ratios``, one flat row per contrast."""
+    in the order of ``EffectSet.odds_ratios``: one float64 row per contrast."""
+    import numpy as np
+
     from .effects import natural_effects
 
     rows = []
@@ -360,7 +360,7 @@ def _point_rows(coef: CoefficientSet, contrasts: list) -> list[list[float]]:
         effect_set = natural_effects(coef.outcome, coef.mediator, contrast)
         logs = (*effect_set.log_values(), effect_set.log_cde_at[0], effect_set.log_cde_at[1])
         rows.append([v for pair in zip(logs, effect_set.odds_ratios().values()) for v in pair])
-    return rows
+    return np.array(rows)
 
 
 def _effect_tables(coef: CoefficientSet, contrasts: list, profiles: list[dict],
@@ -369,29 +369,30 @@ def _effect_tables(coef: CoefficientSet, contrasts: list, profiles: list[dict],
     of ``profiles`` (the ``profiles`` of the report's coefficient section):
     a function that yields, for each table in turn, its text by
     :func:`_table_json` or :func:`_table_text`. The numbers of every table
-    are made first, in slices of at most _INFER_BATCH contrasts:
-    ``delta._table_rows`` with covariances, ``natural_effects`` contrast by
-    contrast without. So a failing profile raises before any text is written,
-    and only one table's text is held at a time."""
+    are made first, in slices of at most _INFER_BATCH contrasts, each one
+    float64 array: ``delta._table_rows`` of the set's parameter sets and
+    covariances with covariances, ``natural_effects`` contrast by contrast
+    without. So a failing profile raises before any text is written, and
+    only one table's text is held at a time."""
     from functools import partial
 
     if coef.has_vcov:
         from .delta import _table_rows
 
-        rows_of = partial(_table_rows, coef.spec, *coef.fitted_models(), level=level)
+        rows_of = partial(_table_rows, coef.spec, coef.outcome, coef.mediator,
+                          coef.outcome_vcov, coef.mediator_vcov, level=level)
         fields = _INFERENCE_FIELDS
     else:
         rows_of, fields = partial(_point_rows, coef), _POINT_FIELDS
-    # every profile names the spec's covariates in this order (io.profile_values)
-    keys = tuple(dict.fromkeys(coef.spec.z_names + coef.spec.v_names))
-    templates = _table_templates(keys, fields)
-    rows: list[list[float]] = []
-    for start in range(0, len(contrasts), _INFER_BATCH):
-        rows += rows_of(contrasts[start:start + _INFER_BATCH])
+    # every profile names the same covariates in the same order (io.profile_values)
+    templates = _table_templates(tuple(profiles[0]["values"]), fields)
+    slices = [rows_of(contrasts[start:start + _INFER_BATCH])
+              for start in range(0, len(contrasts), _INFER_BATCH)]
 
     def tables(format_table: Callable) -> Iterator[str]:
+        rows = (row for block in slices for row in block)
         for profile, row in zip(profiles, rows):
-            yield format_table(profile["name"], profile["values"], row, templates)
+            yield format_table(profile["name"], profile["values"], row.tolist(), templates)
 
     return tables
 
@@ -474,17 +475,19 @@ def _report(command: str, config: dict, **sections) -> dict:
     return doc
 
 
-def _emit(doc: dict, output: str | None, tables: Iterable[str] = ()) -> None:
-    """Print the text of ``doc``, with ``tables`` (the text of each of its
-    effect tables), and then write ``doc`` to ``output`` if one is given.
-    Each line, and each table, is written as it is made."""
+def _emit(doc: dict, output: str | None, tables: Callable | None = None) -> None:
+    """Print the text of ``doc``, and then write ``doc`` to ``output`` if one
+    is given. ``tables``, the factory of :func:`_effect_tables`, gives the
+    texts of the effect tables that follow ``doc``'s header on stdout and
+    fill its empty ``effects`` list in the file. Each line, and each table,
+    is written as it is made."""
     write = sys.stdout.write
-    for line in _render(doc, tables):
+    for line in _render(doc, tables(_table_text) if tables else ()):
         write(line + "\n")
     if output:
         from .jsonio import save_json
 
-        save_json(doc, output)
+        save_json(doc, output, tables(_table_json) if tables else ())
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +719,9 @@ def _cmd_compare(args) -> int:
     from .io import profile_values
     from .model import Contrast, OutcomeParams
 
-    grid = _parse_grid(args.grid)  # a bad --grid fails before the file is read
+    grid = _parse_grid(args.grid)  # a bad --grid or --profile fails before the file is read
+    if len(args.profile) > 1:
+        raise SchemaError(f"compare tabulates one profile; got {len(args.profile)} --profile flags")
     coef = _load_resolved(args)
     x, x_star = coef.exposure_levels
     name, prof = coef.profiles[0]

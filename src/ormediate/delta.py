@@ -14,12 +14,17 @@ are always positive and respect the reciprocal symmetry of odds ratios.
 gradients are columns over the contrasts, built by the same functions as the
 single-contrast Jacobian, and the covariances one stacked J Sigma J^T, which
 equals the 2-d product slice by slice. ``infer`` is ``infer_many`` at one
-contrast, so there is one delta-method path. A batch runs in two stages:
-``_stacked`` makes every number that calls BLAS (the effects and their
-Jacobians, both from one evaluation of the bridge terms, J Sigma J^T and the
-CDE variances g V g^T), and ``_effect_rows`` the seven numbers of each effect
-from them: ``infer_many``'s records hold them, and ``_table_rows`` hands them
-to the CLI's tables with no record per effect.
+contrast, so there is one delta-method path. It runs on parameter sets and
+covariances, so the CLI's tables take a coefficient set's own, and only
+``infer_many`` turns two fits into them. A batch runs in two stages:
+``_stacked`` evaluates the log effects, the CDEs and the bridge terms once
+(``effects._log_effects_at_rows``), and from them the Jacobians, J Sigma J^T
+and the CDE variances g V g^T; ``_effect_rows`` makes the seven numbers of
+each effect from that stack. The split stays because the two consumers need
+different parts: ``infer_many``'s records keep the covariances and Jacobians
+of the stack, while ``_table_rows`` hands the CLI's tables only the rows.
+Both go through ``_checked``, whose retry makes a failing batch raise the
+error of its first failing contrast.
 """
 
 from __future__ import annotations
@@ -33,11 +38,8 @@ from .effects import (
     _TABLE_ORDER,
     EFFECT_ORDER,
     EffectSet,
-    _at_contrasts,
-    _bridge_terms,
     _exposure_gradient,
-    _log_cde_at,
-    _log_effects,
+    _log_effects_at_rows,
     _log_jacobian,
 )
 from .exceptions import CovarianceError, MediationError, NumericalError, SchemaError
@@ -95,17 +97,14 @@ def _check_variances(var: np.ndarray, not_finite: str, negative: str) -> None:
 
 
 def _fitted_params(spec: ModelSpec, outcome_fit: FittedModel, mediator_fit: FittedModel):
-    """The parameters of the two fits, and the block-diagonal covariance of
-    theta (the two likelihoods share no parameters)."""
+    """The parameter sets and covariances of two fits, in the arguments of
+    :func:`_stacked`."""
     outcome = OutcomeParams.from_vector(spec, outcome_fit.coefficients)
     mediator = MediatorParams.from_vector(spec, mediator_fit.coefficients)
     ky, kw = spec.n_outcome_coefs, spec.n_mediator_coefs
     if outcome_fit.vcov.shape != (ky, ky) or mediator_fit.vcov.shape != (kw, kw):
         raise SchemaError("fit covariance shapes do not match the model spec")
-    sigma = np.zeros((ky + kw, ky + kw))
-    sigma[:ky, :ky] = outcome_fit.vcov
-    sigma[ky:, ky:] = mediator_fit.vcov
-    return outcome, mediator, sigma
+    return outcome, mediator, outcome_fit.vcov, mediator_fit.vcov
 
 
 class _Stack(Record):
@@ -217,7 +216,7 @@ def infer(
     parameters). A zero covariance collapses every interval to its point
     estimate rather than erroring.
     """
-    return _summaries(_stacked(spec, outcome_fit, mediator_fit, [contrast], level))[0]
+    return infer_many(spec, outcome_fit, mediator_fit, [contrast], level)[0]
 
 
 def infer_many(
@@ -230,68 +229,63 @@ def infer_many(
     """:func:`infer` at each contrast, evaluated as one batch. The results equal
     the calls made one by one bit for bit, and a failure raises the error of
     the first contrast whose call fails."""
-    contrasts = list(contrasts)
-    try:
-        return _summaries(_stacked(spec, outcome_fit, mediator_fit, contrasts, level))
-    except (MediationError, ArithmeticError, ValueError):
-        # the calls one by one: the batch fails with the first failing call's error
-        return [infer(spec, outcome_fit, mediator_fit, c, level) for c in contrasts]
+    params = _fitted_params(spec, outcome_fit, mediator_fit)
+    return _checked(_summaries, spec, *params, list(contrasts), level)
 
 
-def _table_rows(
-    spec: ModelSpec,
-    outcome_fit: FittedModel,
-    mediator_fit: FittedModel,
-    contrasts: list[Contrast],
-    level: float,
-) -> list[list[float]]:
+def _table_rows(spec: ModelSpec, outcome: OutcomeParams, mediator: MediatorParams,
+                outcome_vcov: np.ndarray, mediator_vcov: np.ndarray,
+                contrasts: list[Contrast], level: float) -> np.ndarray:
     """The numbers of :func:`infer_many`'s effects at each contrast, made
-    with no record: one flat row per contrast, the seven numbers of
-    :func:`_effect_rows` of each effect in turn. When a check fails the
-    contrasts run through :func:`infer` one by one, so the error is the first
-    failing contrast's, as in :func:`infer_many`."""
+    with no record: one float64 row per contrast, the seven numbers of
+    :func:`_effect_rows` of each effect in turn; a failure raises as
+    :func:`infer_many` does."""
+    rows = _checked(_effect_rows, spec, outcome, mediator, outcome_vcov, mediator_vcov,
+                    contrasts, level)
+    return rows.reshape(len(contrasts), -1)
+
+
+def _checked(make, spec: ModelSpec, outcome: OutcomeParams, mediator: MediatorParams,
+             outcome_vcov, mediator_vcov, contrasts: list[Contrast], level: float):
+    """``make`` (:func:`_summaries` or :func:`_effect_rows`) of the stack of
+    ``contrasts``. When a check fails, the contrasts are stacked one by one,
+    so the error raised is the first failing contrast's."""
+    params = (spec, outcome, mediator, outcome_vcov, mediator_vcov)
     try:
-        rows = _effect_rows(_stacked(spec, outcome_fit, mediator_fit, contrasts, level))
+        return make(_stacked(*params, contrasts, level))
     except (MediationError, ArithmeticError, ValueError):
         for c in contrasts:
-            infer(spec, outcome_fit, mediator_fit, c, level)  # the first failing one raises
+            make(_stacked(*params, [c], level))  # the first failing one raises
         raise
-    return rows.reshape(len(contrasts), -1).tolist()
 
 
 @np.errstate(all="ignore")  # as Python float arithmetic, which does not warn
-def _stacked(
-    spec: ModelSpec,
-    outcome_fit: FittedModel,
-    mediator_fit: FittedModel,
-    contrasts: list[Contrast],
-    level: float,
-) -> _Stack:
+def _stacked(spec: ModelSpec, outcome: OutcomeParams, mediator: MediatorParams,
+             outcome_vcov: np.ndarray, mediator_vcov: np.ndarray,
+             contrasts: list[Contrast], level: float) -> _Stack:
     """The BLAS stage of a batch: the effects and Jacobians as columns over
-    the contrasts, from one evaluation of their bridge terms, the covariances as one stacked J Sigma J^T (equal slice by
-    slice to the 2-d product), and the CDE variances as one stacked g V g^T."""
+    the contrasts, from one evaluation of their bridge terms, the covariances
+    as one stacked J Sigma J^T with the block-diagonal Sigma of the two
+    covariances (equal slice by slice to the 2-d product), and the CDE
+    variances as one stacked g V g^T."""
     from .logit import _wald_quantile
 
     zq = _wald_quantile(level)
-    outcome, mediator, sigma = _fitted_params(spec, outcome_fit, mediator_fit)
     if not contrasts:
         return _Stack(contrasts, [], [], None, None, None, zq, level)
     theta = np.concatenate([outcome.active_vector(), mediator.active_vector()])
     rows = np.broadcast_to(theta, (len(contrasts), 1, theta.size))  # one draw per contrast
-    oy, mw, x, xs, delta, z, v = _at_contrasts(spec, rows, contrasts)
-    terms = _bridge_terms(oy, mw, x, xs)
-    logs = np.column_stack(_log_effects(oy, terms, delta)).tolist()
-    cde = np.column_stack([_log_cde_at(oy, delta)[w] for w in (0, 1)]).tolist()
-    jac = np.ascontiguousarray(
-        _log_jacobian(spec, terms, x, xs, delta, z.T, v.T).transpose(2, 0, 1)
-    )
+    logs, at_theta, cde = _log_effects_at_rows(spec, rows, contrasts)
+    jac = np.ascontiguousarray(_log_jacobian(spec, *at_theta).transpose(2, 0, 1))
+    ky = spec.n_outcome_coefs
+    sigma = np.zeros((theta.size, theta.size))
+    sigma[:ky, :ky] = outcome_vcov
+    sigma[ky:, ky:] = mediator_vcov
     cov_log = jac @ sigma @ jac.transpose(0, 2, 1)
     cov_log = (cov_log + cov_log.transpose(0, 2, 1)) / 2.0
+    _, _, _, delta, z, _ = at_theta
     var_cde = np.column_stack([
-        (g[:, None, :] @ outcome_fit.vcov @ g[:, :, None])[:, 0, 0]
-        for g in (
-            _exposure_gradient(spec, delta, z.T, spec.n_outcome_coefs, w).T.copy()
-            for w in (0.0, 1.0)
-        )
+        (g[:, None, :] @ outcome_vcov @ g[:, :, None])[:, 0, 0]
+        for g in (_exposure_gradient(spec, delta, z, ky, w).T.copy() for w in (0.0, 1.0))
     ])
-    return _Stack(contrasts, logs, cde, jac, cov_log, var_cde, zq, level)
+    return _Stack(contrasts, logs[:, 0].tolist(), cde.tolist(), jac, cov_log, var_cde, zq, level)

@@ -61,8 +61,9 @@ The bridge terms, log effects and their Jacobian are written once, for
 floats (``natural_effects``, ``jacobian_log_effects``) and for columns over a
 batch of rows alike (see :mod:`ormediate.model`); ``_log_effects_at_rows``
 evaluates many coefficient vectors at one contrast per draw, with none of the
-checks of ``natural_effects``, and keeps the bridge terms of each draw's first
-row for the Jacobian: its caller, ``verify``, judges the values it gives.
+checks of ``natural_effects``, and keeps the bridge terms and the CDEs of each
+draw's first row: ``verify`` judges the values it gives, and the delta method
+checks them as ``EffectSet`` does before it reports them.
 """
 
 from __future__ import annotations
@@ -470,7 +471,8 @@ def _log_effects_at_rows(spec: ModelSpec, thetas: np.ndarray, contrasts) -> tupl
     ``thetas`` (G, M, outcome then mediator coefficients), row [j, i] at
     ``contrasts[j]``: (G, M, 5); and, from the same evaluation, the arguments
     of :func:`_log_jacobian` after the spec at row 0 of each draw: its bridge
-    terms, x, x*, D, and the profiles z (p, G) and v (q, G).
+    terms, x, x*, D, and the profiles z (p, G) and v (q, G); and log CDE(0),
+    log CDE(1) at row 0 of each draw (G, 2).
 
     The values equal the rows evaluated one by one bit for bit. Each
     covariate block takes one stacked product over all the rows. The rows
@@ -483,7 +485,8 @@ def _log_effects_at_rows(spec: ModelSpec, thetas: np.ndarray, contrasts) -> tupl
     logs = np.column_stack(_log_effects(oy, terms, delta)).reshape(thetas.shape[:2] + (5,))
     m = thetas.shape[1]
     first = tuple((tuple(c[::m] for c in inputs), a[::m]) for inputs, a in terms)
-    return logs, (first, x[::m], xs[::m], delta[::m], z.T, v.T)
+    cde = np.column_stack([c[::m] for c in _log_cde_at(oy, delta).values()])
+    return logs, (first, x[::m], xs[::m], delta[::m], z.T, v.T), cde
 
 
 def approx_effects(

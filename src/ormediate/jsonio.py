@@ -2,12 +2,11 @@
 through, and the reader of coefficient files.
 
 :func:`write_json` writes exactly ``json.dumps(doc, indent=2) + "\n"``, by
-the standard library's encoder. Its one special case is the report's
-effect tables: a top-level ``effects`` member may be a ``_Verbatim``, a
-source that yields the JSON text of each table in turn (each one ``%`` over
-a template; see ``cli._table_templates``). The writer encodes the document
-with that list empty and writes each table's text in its place as the
-source yields it, so no more than one table's text is held.
+the standard library's encoder, where ``doc`` is plain JSON data. A report's
+effect tables come beside it, as the JSON text of each table in turn (each
+one ``%`` over a template; see ``cli._table_templates``): the writer encodes
+the document with its ``effects`` list empty and writes each table's text
+into that list as it is made, so no more than one table's text is held.
 
 :func:`decode_json` is ``json.loads`` that may decode only some top-level
 members of an object: a coefficient read needs a report's ``format`` and
@@ -44,42 +43,27 @@ _DECODER = json.JSONDecoder()
 _SKIMMER = json.JSONDecoder(object_pairs_hook=lambda pairs: None)
 
 
-class _Verbatim:
-    """The items of a report's top-level ``effects`` list as JSON text:
-    ``texts`` yields the text of each item in turn, as ``json.dumps(report,
-    indent=2)`` spells that item there: its lines after the first start with
-    four spaces. It is read once, when the report is written."""
-
-    __slots__ = ("texts",)
-
-    def __init__(self, texts):
-        self.texts = texts
-
-
-def write_json(doc, handle) -> None:
-    """Write ``json.dumps(doc, indent=2) + "\\n"`` to a text handle, where a
-    ``_Verbatim`` top-level ``effects`` member stands for the list of the
-    values whose texts it yields."""
-    tables = doc.get("effects") if isinstance(doc, dict) else None
-    if not isinstance(tables, _Verbatim):
-        handle.write(json.dumps(doc, indent=2))
-        handle.write("\n")
-        return
-    head, _, tail = json.dumps({**doc, "effects": []}, indent=2).partition(_EMPTY_EFFECTS)
+def write_json(doc, handle, tables=()) -> None:
+    """Write ``json.dumps(doc, indent=2) + "\\n"`` to a text handle, with the
+    texts ``tables`` yields spliced in turn into the top-level ``effects``
+    list of ``doc``, which is then empty: each text is an item of that list
+    as ``json.dumps(doc, indent=2)`` spells it there, its lines after the
+    first starting with four spaces."""
+    head, effects, tail = json.dumps(doc, indent=2).partition(_EMPTY_EFFECTS)
     handle.write(head)
     sep = '\n  "effects": [\n    '
-    empty = True
-    for text in tables.texts:
+    for text in tables:
         # one write per table: joining them first raises the peak memory
         handle.write(sep + text)
-        sep, empty = ",\n    ", False
-    handle.write((_EMPTY_EFFECTS if empty else "\n  ]") + tail + "\n")
+        sep, effects = ",\n    ", "\n  ]"
+    handle.write(effects + tail + "\n")
 
 
-def save_json(doc, path: str | Path) -> None:
+def save_json(doc, path: str | Path, tables=()) -> None:
+    """:func:`write_json` to the file at ``path``."""
     try:
         with Path(path).open("w", encoding="utf-8") as handle:
-            write_json(doc, handle)
+            write_json(doc, handle, tables)
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc}") from exc
 

@@ -192,7 +192,8 @@ def _evaluate_slice(problems, differences: bool) -> _Slice:
         profile = CovariateProfile(z + (0.0,) * (2 - len(z)), v + (0.0,) * (2 - len(v)))
         contrasts.append(Contrast(contrast.x, contrast.x_star, profile))
     rows = _difference_rows(thetas, _STEP)[0] if differences else thetas[:, None]
-    return _Slice(problems, thetas, contrasts, *_log_effects_at_rows(_WIDE, rows, contrasts))
+    logs, at_theta, _ = _log_effects_at_rows(_WIDE, rows, contrasts)
+    return _Slice(problems, thetas, contrasts, logs, at_theta)
 
 
 def _oracle_errors(batch: _Slice, perturb):

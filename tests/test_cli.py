@@ -30,7 +30,6 @@ from ormediate.io import (
     CoefficientSet, coefficients_to_doc, load_coefficients, load_json, read_table, save_json,
     write_table,
 )
-from ormediate.jsonio import _Verbatim
 from ormediate.logit import _BLOCK_ROWS, _WORKER_BLOCKS
 from ormediate.verify import run_suite
 from helpers import child_env, microcredit_params
@@ -333,9 +332,9 @@ class TestInferenceBatches:
 
         stacked = delta._stacked
 
-        def counting(spec, outcome_fit, mediator_fit, contrasts, level):
+        def counting(spec, outcome, mediator, outcome_vcov, mediator_vcov, contrasts, level):
             sizes.append(len(contrasts))
-            return stacked(spec, outcome_fit, mediator_fit, contrasts, level)
+            return stacked(spec, outcome, mediator, outcome_vcov, mediator_vcov, contrasts, level)
 
         monkeypatch.setattr(delta, "_stacked", counting)  # cli imports it when it runs
         assert run("effects", "--coef-file", coef_file, "--output", tmp_path / "a.json") == 0
@@ -464,6 +463,29 @@ class TestTableWriter:
                                         cli._INFERENCE_FIELDS)
 
 
+class TestPlainReport:
+    """The sections of an effects report are plain JSON data, and the
+    report on --output is them with the tables spliced into the empty
+    ``effects`` list."""
+
+    @pytest.mark.parametrize("inference", [True, False])
+    def test_sections_with_the_tables_are_the_saved_report(self, coef_file, tmp_path, inference):
+        source = str(coef_file) if inference else "microcredit_table1"
+        out = tmp_path / "effects.json"
+        assert run("effects", "--coef-file", source, "--output", out) == 0
+        args = cli._build_parser().parse_args(["effects", "--coef-file", source])
+        coef = cli._load_resolved(args)
+        sections, tables = cli._effect_sections(coef, 0.95)
+        assert json.loads(json.dumps(sections)) == sections
+        assert sections["effects"] == []
+        config = {"coef_file": source, "x": 1.0, "x_star": 0.0, "level": 0.95,
+                  "mode": "inference" if inference else "point-estimates"}
+        doc = cli._report("effects", config, **sections)
+        doc["effects"] = [json.loads(text) for text in tables(cli._table_json)]
+        assert len(doc["effects"]) == len(coef.profiles)
+        assert json.dumps(doc, indent=2) + "\n" == out.read_text(encoding="utf-8")
+
+
 class _Discard:
     """A stdout that keeps nothing of what is written to it."""
 
@@ -477,14 +499,17 @@ class TestTableStreaming:
     @pytest.mark.parametrize("n", [300, 1200])
     def test_the_peak_is_the_rows_and_one_table(self, tmp_path, monkeypatch, n):
         """The traced peak of making and writing the tables of n profiles,
-        to stdout and to --output, is at most their rows, one table's JSON
-        and text, and 256 KB. The rows of every slice are made first and
-        held, each a list of 49 floats: the bytes counted here. Then stdout
-        and the file get each table's text as it is formatted, so one table's
-        text is held at a time. The 256 KB hold one slice's stack temporaries
-        (about 100 KB for 256 contrasts of this model), the templates, the
-        growth of the list of rows and the file's write buffer. Holding the
-        JSON and the text of every table adds some 3 KB a table: 1 MB at
+        to stdout and to --output, is at most their rows, the traced peak of
+        making one slice's rows, one table's JSON and text, and 64 KB. The
+        rows of every slice are made first and held, each slice one float64
+        array of 49 numbers a profile: the bytes counted here. Making a
+        slice of 256 contrasts of this model holds about 460 KB of stack
+        temporaries at its peak. Then stdout and the file get each table's
+        text as it is formatted, so one table's text is held at a time. The
+        64 KB hold the templates, the arrays' headers, one row as a list of
+        floats and the file's write buffer. Holding the rows as lists of
+        floats adds some 1.2 KB a profile (1.4 MB at n = 1200), and holding
+        the JSON and the text of every table some 3 KB a table: 1 MB at
         n = 300, and 4 MB at n = 1200."""
         outcome, mediator = microcredit_params()
         coef = CoefficientSet(
@@ -496,30 +521,35 @@ class TestTableStreaming:
         )
         contrasts = [Contrast(1.0, 0.0, prof) for _, prof in coef.profiles]
         profiles = coefficients_to_doc(coef)["profiles"]
-        fits = coef.fitted_models()
-        rows = [row for start in range(0, n, cli._INFER_BATCH)
-                for row in delta._table_rows(coef.spec, *fits,
-                                             contrasts[start:start + cli._INFER_BATCH], 0.95)]
-        rows_bytes = sys.getsizeof(rows) + sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row))
-                                               for row in rows)
+        params = (coef.outcome, coef.mediator, coef.outcome_vcov, coef.mediator_vcov)
+        slices = [delta._table_rows(coef.spec, *params,
+                                    contrasts[start:start + cli._INFER_BATCH], 0.95)
+                  for start in range(0, n, cli._INFER_BATCH)]
+        rows_bytes = sum(rows.nbytes for rows in slices)
+        tracemalloc.start()
+        try:
+            delta._table_rows(coef.spec, *params, contrasts[:cli._INFER_BATCH], 0.95)
+            slice_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         name, values = profiles[0]["name"], profiles[0]["values"]
         templates = cli._table_templates(tuple(values), cli._INFERENCE_FIELDS)
-        one_table = sum(sys.getsizeof(format_table(name, values, rows[0], templates))
+        one_table = sum(sys.getsizeof(format_table(name, values, slices[0][0].tolist(), templates))
                         for format_table in (cli._table_json, cli._table_text))
-        del rows
+        del slices
         monkeypatch.setattr(sys, "stdout", _Discard())
         out = tmp_path / "effects.json"
         tracemalloc.start()
         try:
             tables = cli._effect_tables(coef, contrasts, profiles, 0.95)
-            doc = {"config": {"x": 1.0, "x_star": 0.0}, "effects": _Verbatim(tables(cli._table_json))}
-            cli._emit(doc, str(out), tables(cli._table_text))
+            doc = {"config": {"x": 1.0, "x_star": 0.0}, "effects": []}
+            cli._emit(doc, str(out), tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert [table["profile"] for table in load_json(out)["effects"]] == [
             f"p{i}" for i in range(n)]
-        assert peak <= rows_bytes + one_table + 256 * 1024
+        assert peak <= rows_bytes + slice_peak + one_table + 64 * 1024
 
 
 class TestFileErrors:
@@ -865,6 +895,28 @@ class TestCompareCommand:
         for row in load_json(out)["rows"]:
             if row["effect"] in ("pnde", "tnde"):
                 assert row["gap"] == 0.0
+
+    def test_more_than_one_profile_is_a_usage_error(self, tmp_path, capsys):
+        """compare tabulates one profile, so a second --profile is refused
+        before the coefficient file is read, not dropped."""
+        out = tmp_path / "cmp.json"
+        profiles = ["--profile", "age=30,edu=0,loans=1", "--profile", "age=40,edu=1,loans=0"]
+        for source in ("microcredit_table1", tmp_path / "missing.json"):
+            assert run("compare", "--coef-file", source, *profiles, "--output", out) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "ERROR 2: compare tabulates one profile; got 2 --profile flags"]
+            assert not out.exists()
+
+    def test_one_profile_is_tabulated(self, tmp_path):
+        out = tmp_path / "cmp.json"
+        assert run("compare", "--coef-file", "microcredit_table1",
+                   "--profile", "age=40,edu=1,loans=0", "--output", out) == 0
+        assert load_json(out)["profile"] == {
+            "name": "profile1", "values": {"age": 40.0, "edu": 1.0, "loans": 0.0}}
+        assert run("compare", "--coef-file", "microcredit_table1", "--output", out) == 0
+        assert load_json(out)["profile"]["name"] == "edu0_loans0"
 
     def test_bad_grid_rejected(self, capsys):
         assert run("compare", "--coef-file", "microcredit_table1",

@@ -25,6 +25,7 @@ from ormediate import (
     simulate_dataset,
 )
 from ormediate import delta
+from ormediate.delta import InferenceResult
 from ormediate.effects import a_term_key_derivatives, grad_a_term
 from ormediate.effects import _log_cde_at, a_term, a_term_inputs
 from ormediate.model import _OutcomeAt
@@ -78,9 +79,10 @@ class TestEffectRows:
         for _ in range(30):
             spec, outcome, mediator, contrast = random_problem(rng)
             fits = self._fits(spec, outcome, mediator, rng, scale)
+            params = (outcome, mediator, fits[0].vcov, fits[1].vcov)
             contrasts = [Contrast(contrast.x + d, contrast.x_star, contrast.profile)
                          for d in (0.0, 0.5, -2.0)]
-            stack = delta._stacked(spec, *fits, contrasts, 0.9)
+            stack = delta._stacked(spec, *params, contrasts, 0.9)
             var_log = np.clip(np.diagonal(stack.cov_log, axis1=1, axis2=2), 0.0, None).tolist()
             expected = [
                 [_summarised(log, var, stack.zq) for log, var in zip(logs, variances)]
@@ -92,34 +94,75 @@ class TestEffectRows:
             results = infer_many(spec, *fits, contrasts, 0.9)
             records = [[v for e in (*r.effects, *r.cde) for v in e._values(e)[1:]]
                        for r in results]
-            assert repr(delta._table_rows(spec, *fits, contrasts, 0.9)) == repr(records)
+            assert repr(delta._table_rows(spec, *params, contrasts, 0.9).tolist()) == repr(records)
+
+    @classmethod
+    def _failing_slice(cls, i):
+        """Fits and six contrasts, of which contrast i fails, and the error
+        of infer at contrast i."""
+        spec = ModelSpec()
+        outcome = OutcomeParams(spec, intercept=-0.5, exposure=1.0, mediator=0.3)
+        mediator = MediatorParams(spec, intercept=0.1, exposure=0.5)
+        fits = cls._fits(spec, outcome, mediator, np.random.default_rng(7), 1e-3)
+        contrasts = [Contrast(1.0 + j / 8, 0.0) for j in range(6)]
+        contrasts[i] = Contrast(1000.0, 0.0)  # the outcome predictor passes exp()'s range
+        with pytest.raises(MediationError) as expected:
+            infer(spec, *fits, contrasts[i], 0.9)
+        return spec, outcome, mediator, fits, contrasts, str(expected.value)
+
+    @staticmethod
+    def _counted_stacks(monkeypatch) -> list:
+        """The number of contrasts of each delta._stacked call from now on."""
+        calls = []
+        stacked = delta._stacked
+
+        def counting(*args):
+            calls.append(len(args[5]))
+            return stacked(*args)
+
+        monkeypatch.setattr(delta, "_stacked", counting)
+        return calls
 
     @pytest.mark.parametrize("i", [0, 3, 5])
     def test_a_failing_slice_stacks_once_then_once_per_contrast_to_the_failing_one(
             self, monkeypatch, i):
         """A slice that fails at contrast i costs 1 + (i + 1) stacks: its own,
-        then one infer call per contrast up to the first failing one, whose
-        error it raises."""
-        spec = ModelSpec()
-        outcome = OutcomeParams(spec, intercept=-0.5, exposure=1.0, mediator=0.3)
-        mediator = MediatorParams(spec, intercept=0.1, exposure=0.5)
-        fits = self._fits(spec, outcome, mediator, np.random.default_rng(7), 1e-3)
-        contrasts = [Contrast(1.0 + j / 8, 0.0) for j in range(6)]
-        contrasts[i] = Contrast(1000.0, 0.0)  # the outcome predictor passes exp()'s range
-        with pytest.raises(MediationError) as expected:
-            infer(spec, *fits, contrasts[i], 0.9)
-        calls = []
-        stacked = delta._stacked
-
-        def counting(*args):
-            calls.append(len(args[3]))
-            return stacked(*args)
-
-        monkeypatch.setattr(delta, "_stacked", counting)
+        then one per contrast up to the first failing one, whose error it
+        raises."""
+        spec, outcome, mediator, fits, contrasts, expected = self._failing_slice(i)
+        calls = self._counted_stacks(monkeypatch)
         with pytest.raises(MediationError) as raised:
-            delta._table_rows(spec, *fits, contrasts, 0.9)
-        assert str(raised.value) == str(expected.value)
+            delta._table_rows(spec, outcome, mediator, fits[0].vcov, fits[1].vcov, contrasts, 0.9)
+        assert str(raised.value) == expected
         assert calls == [6] + [1] * (i + 1)
+
+    @pytest.mark.parametrize("i", [0, 3, 5])
+    def test_infer_many_retries_a_failing_slice_as_the_table_rows_do(self, monkeypatch, i):
+        spec, _, _, fits, contrasts, expected = self._failing_slice(i)
+        calls = self._counted_stacks(monkeypatch)
+        with pytest.raises(MediationError) as raised:
+            infer_many(spec, *fits, contrasts, 0.9)
+        assert str(raised.value) == expected
+        assert calls == [6] + [1] * (i + 1)
+
+    def test_infer_many_of_no_contrasts_is_empty(self):
+        spec, _, _, fits, _, _ = self._failing_slice(0)
+        assert infer_many(spec, *fits, []) == []
+        assert infer_many(spec, *fits, (), 0.5) == []
+
+    def test_infer_is_infer_many_of_one_contrast(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            spec, outcome, mediator, contrast = random_problem(rng)
+            fits = self._fits(spec, outcome, mediator, rng, 1e-2)
+            one, = infer_many(spec, *fits, [contrast], 0.9)
+            alone = infer(spec, *fits, contrast, 0.9)
+            for field in InferenceResult.FIELDS:
+                a, b = getattr(alone, field), getattr(one, field)
+                if isinstance(a, np.ndarray):
+                    assert a.tobytes() == b.tobytes() and a.shape == b.shape, field
+                else:
+                    assert repr(a) == repr(b), field
 
 
 class TestKeyDerivatives:
