@@ -14,7 +14,8 @@ __version__ = "0.1.0"
 
 # the exported names of each submodule
 _EXPORTS = {
-    "delta": ("EffectInference", "InferenceResult", "infer", "infer_many"),
+    "coefficients": ("Marginal",),
+    "delta": ("EffectInference", "InferenceResult", "infer", "infer_many", "wald_table"),
     "effects": (
         "EFFECT_ORDER",
         "EffectSet",
@@ -38,8 +39,7 @@ _EXPORTS = {
         "SeparationError",
         "SingularDesignError",
     ),
-    "io": ("Marginal",),
-    "logit": ("FittedModel", "fit", "predict_prob", "wald_table"),
+    "logit": ("FittedModel", "fit", "predict_prob"),
     "model": (
         "EXP_LIMIT",
         "Contrast",

@@ -28,13 +28,15 @@ Importing this module loads only ``argparse`` and the exception classes, so
 ``_cmd_*`` handler imports the modules it runs once the arguments are parsed.
 Besides ``model``, ``record`` and ``jsonio`` (the report writer), they are:
 
-* ``fit``: ``io``, ``logit``, ``effects`` and ``delta``
-* ``effects``: ``io`` and ``effects``, and ``delta`` and ``logit`` when the
-  file carries covariances
-* ``compare``: ``io`` and ``effects``
-* ``simulate``: ``io`` and ``simulate``
+* ``fit``: ``io`` (the CSV tables), ``coefficients``, ``logit``, ``effects``
+  and ``delta``
+* ``effects``: ``coefficients`` (the coefficient documents) and ``effects``,
+  and ``delta`` when the file carries covariances; no fitting or CSV code
+  (``logit``, ``io``, ``csv``)
+* ``compare``: ``coefficients`` and ``effects``
+* ``simulate``: ``io``, ``coefficients`` and ``simulate``
 * ``verify``: ``verify``, ``oracle``, ``effects`` and ``delta``, and no CSV,
-  coefficient-document or fitting code (``io``, ``logit``)
+  coefficient-document or fitting code (``io``, ``coefficients``, ``logit``)
 
 The records these modules define are plain classes (``record.Record``), so
 importing a module generates and compiles no code, and no command loads
@@ -47,10 +49,12 @@ covariances (``delta._table_rows``) and are held as one float64 array. Each
 table's JSON and text come from the report's one JSON and one text template,
 since every profile names the same covariates; see ``_effect_tables``. The
 JSON template is ``json.dumps`` of a table whose numbers are placeholders
-(``_table_templates``). The report itself is plain JSON data whose
-``effects`` list is empty; the tables travel beside it, and
-``jsonio.write_json`` writes each table's text into that list, so every
-report is ``json.dumps(report, indent=2)`` plus a newline. The numbers of
+(``_table_templates``). The entries of the coefficient section's
+``profiles`` list are made the same way, from one template per report
+(``_profile_json``). The report itself is plain JSON data whose ``effects``
+list and ``profiles`` list are empty; the tables and the entries travel
+beside it, and ``jsonio.write_json`` writes each text into its list, so
+every report is ``json.dumps(report, indent=2)`` plus a newline. The numbers of
 every table are made before any output; then stdout and the report are
 written table by table, each table's text formatted as it is written, so
 one table's text is held at a time.
@@ -77,7 +81,7 @@ TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable, Iterator
 
-    from .io import CoefficientSet
+    from .coefficients import CoefficientSet
     from .model import CovariateProfile, ModelSpec
 
 __all__ = ["main"]
@@ -253,7 +257,7 @@ def _check_seed(seed: int) -> None:
 
 
 def _check_level(level: float) -> None:
-    """The range check of ``logit._wald_quantile``, made before any work. A
+    """The range check of ``delta._wald_quantile``, made before any work. A
     level so near 1 that 1/2 + level/2 rounds to 1 is refused too: its Wald
     quantile is infinite, and so is every interval bound it would report."""
     if not 0.0 < level < 1.0:
@@ -297,7 +301,7 @@ def _resolve_profiles(args, coef: CoefficientSet) -> list[tuple[str, CovariatePr
 
 def _load_resolved(args) -> CoefficientSet:
     """The --coef-file set with its exposure levels and profiles resolved."""
-    from .io import load_coefficients
+    from .coefficients import load_coefficients
 
     coef = load_coefficients(args.coef_file)
     levels = _resolve_levels(args, coef.exposure_levels)
@@ -310,7 +314,7 @@ def _load_resolved(args) -> CoefficientSet:
 
 
 def _model_doc(model, level: float) -> dict:
-    from .logit import wald_table
+    from .delta import wald_table
 
     return {
         "n": model.n,
@@ -326,26 +330,29 @@ _INFERENCE_FIELDS = ("log", "odds_ratio", "se_log", "se_or", "ci_lower", "ci_upp
 _POINT_FIELDS = ("log", "odds_ratio")
 
 
-def _effect_sections(coef: CoefficientSet, level: float) -> tuple[dict, Callable]:
+def _effect_sections(coef: CoefficientSet, level: float) -> tuple[dict, Callable, list[dict]]:
     """The ``coefficients``, ``effects`` and ``diagnostics`` sections of a
     report on ``coef``, whose exposure levels and profiles are resolved:
     delta-method inference when it has covariances, point estimates otherwise.
-    They are plain JSON data, with ``effects`` an empty list; the tables come
-    beside them, as the factory of :func:`_effect_tables`, for :func:`_emit`."""
+    They are plain JSON data, with ``effects`` and the coefficient section's
+    ``profiles`` empty lists. What fills them comes beside them, for
+    :func:`_emit`: the factory of :func:`_effect_tables`, and the entries of
+    ``profiles``."""
+    from .coefficients import coefficients_to_doc
     from .effects import special_case_report
-    from .io import coefficients_to_doc
     from .model import Contrast
 
     contrasts = [Contrast(*coef.exposure_levels, prof) for _, prof in coef.profiles]
     coefficients = coefficients_to_doc(coef)
-    # the tables name the profiles and their values as this section does
-    tables = _effect_tables(coef, contrasts, coefficients["profiles"], level)
+    profiles, coefficients["profiles"] = coefficients["profiles"], []
+    # the tables name the profiles and their values as the entries do
+    tables = _effect_tables(coef, contrasts, profiles, level)
     notes = list(special_case_report(coef.outcome, coef.mediator, contrasts[0]).identities)
     if not coef.has_vcov:
         notes.append("no covariance matrices in the coefficient file: "
                      "point estimates only")
     sections = {"coefficients": coefficients, "effects": [], "diagnostics": {"notes": notes}}
-    return sections, tables
+    return sections, tables, profiles
 
 
 def _point_rows(coef: CoefficientSet, contrasts: list):
@@ -397,25 +404,20 @@ def _effect_tables(coef: CoefficientSet, contrasts: list, profiles: list[dict],
     return tables
 
 
-# where the lines of a table in a report's effects list start
-_TABLE_INDENT = "\n    "
-
-
 def _table_templates(keys: tuple, fields: tuple):
     """The JSON and the text templates of the tables whose profile values
     have ``keys`` and whose effects have ``fields``, and the getter of a
     table's numbers (values, then effects) in the order of the text's. Both
     are made from one table whose numbers are slots, floats whose value is
-    NaN. The JSON template is ``json.dumps`` of the table, with its profile
-    a NaN too, at the indent of the report's ``effects`` list: its % are
-    doubled, and each NaN at a line end, the place of a value (keys never end
-    a line), is a %s. The text's is the table rendered with its profile %s,
+    NaN. The JSON template is the :func:`_json_template` of the table, with
+    its profile a NaN too, at the indent of the report's ``effects`` list.
+    The text's is the table rendered with its profile %s,
     its keys' % doubled and each slot the % conversion of its format, noted
     in the order the text formats them."""
-    import json
     from operator import itemgetter
 
     from .effects import _TABLE_ORDER
+    from .jsonio import _TABLE_INDENT
 
     order: list[int] = []
 
@@ -429,9 +431,8 @@ def _table_templates(keys: tuple, fields: tuple):
     values = {key: next(numbers) for key in keys}
     effects = [{"name": name, **{field: next(numbers) for field in fields}}
                for name in _TABLE_ORDER]
-    table = json.dumps({"profile": math.nan, "values": values, "effects": effects}, indent=2)
-    table = table.replace("%", "%%").replace("\n", _TABLE_INDENT)
-    table = table.replace("NaN,\n", "%s,\n").replace("NaN\n", "%s\n")
+    table = _json_template({"profile": math.nan, "values": values, "effects": effects},
+                           _TABLE_INDENT)
     text = "\n".join(_render_effect_table({
         "profile": "%s",
         "values": {key.replace("%", "%%"): slot for key, slot in values.items()},
@@ -451,15 +452,48 @@ def _table_text(name: str, values: dict, row: list, templates: tuple) -> str:
 
 def _table_json(name: str, values: dict, row: list, templates: tuple) -> str:
     """The JSON text of the table of :func:`_table_text`, at the indent of
-    the report's ``effects`` list: one ``%`` over the JSON template, where
-    the name and any number that is not finite are spelled by
-    ``json.dumps``."""
+    the report's ``effects`` list: the JSON template :func:`_filled` with
+    the name, the values and the row."""
+    return _filled(templates[0], name, (*values.values(), *row))
+
+
+def _profile_json(profiles: list[dict]) -> Iterator[str]:
+    """The JSON text of each entry of ``profiles``, the profiles of a
+    report's coefficient section, at the indent of that list's items: one
+    template for them all, since every entry names the same covariates
+    (``coefficients.profile_values``), :func:`_filled` with each entry's
+    name and values."""
+    if not profiles:
+        return
+    from .jsonio import _PROFILE_INDENT
+
+    keys = profiles[0]["values"]
+    template = _json_template({"name": math.nan, "values": dict.fromkeys(keys, math.nan)},
+                              _PROFILE_INDENT)
+    for entry in profiles:
+        yield _filled(template, entry["name"], tuple(entry["values"].values()))
+
+
+def _json_template(obj: dict, indent: str) -> str:
+    """``json.dumps(obj, indent=2)`` with ``indent`` before each line after
+    the first, as a ``%`` template: its % doubled, and each NaN at a line
+    end, the place of a value (a key never ends a line), a %s."""
+    import json
+
+    text = json.dumps(obj, indent=2).replace("%", "%%").replace("\n", indent)
+    return text.replace("NaN,\n", "%s,\n").replace("NaN\n", "%s\n")
+
+
+def _filled(template: str, name: str, numbers: tuple) -> str:
+    """The ``%`` of a JSON template with ``name`` and ``numbers``, each
+    spelled as ``json.dumps`` spells it: the name by ``json.dumps``, and a
+    finite number by ``%s``, its ``repr``; when one is not finite, every
+    number by ``json.dumps``."""
     from json import dumps
 
-    numbers = (*values.values(), *row)
     if not math.isfinite(sum(numbers)):  # a sum past the double range is inf too
         numbers = map(dumps, numbers)
-    return templates[0] % (dumps(name), *numbers)
+    return template % (dumps(name), *numbers)
 
 
 def _report(command: str, config: dict, **sections) -> dict:
@@ -475,19 +509,21 @@ def _report(command: str, config: dict, **sections) -> dict:
     return doc
 
 
-def _emit(doc: dict, output: str | None, tables: Callable | None = None) -> None:
+def _emit(doc: dict, output: str | None, tables: Callable | None = None,
+          profiles: list[dict] = ()) -> None:
     """Print the text of ``doc``, and then write ``doc`` to ``output`` if one
     is given. ``tables``, the factory of :func:`_effect_tables`, gives the
     texts of the effect tables that follow ``doc``'s header on stdout and
-    fill its empty ``effects`` list in the file. Each line, and each table,
-    is written as it is made."""
+    fill its empty ``effects`` list in the file; the entries ``profiles``
+    fill the empty ``profiles`` list of its coefficient section there. Each
+    line, and each table, is written as it is made."""
     write = sys.stdout.write
     for line in _render(doc, tables(_table_text) if tables else ()):
         write(line + "\n")
     if output:
         from .jsonio import save_json
 
-        save_json(doc, output, tables(_table_json) if tables else ())
+        save_json(doc, output, tables(_table_json) if tables else (), _profile_json(profiles))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +627,8 @@ def _render_compare(doc: dict) -> list[str]:
 def _cmd_fit(args) -> int:
     _check_level(args.level)  # a bad --level or --x fails before any work
     x, x_star = _resolve_levels(args, None)
-    from .io import CoefficientSet, bind_dataset, read_table
+    from .coefficients import CoefficientSet
+    from .io import bind_dataset, read_table
     from .logit import fit as fit_logistic
     from .model import MediatorParams, ModelSpec, OutcomeParams, build_design
 
@@ -640,7 +677,7 @@ def _cmd_fit(args) -> int:
         "outcome": _model_doc(outcome_fit, args.level),
         "mediator": _model_doc(mediator_fit, args.level),
     }
-    sections, tables = _effect_sections(coef, args.level)
+    sections, tables, profiles = _effect_sections(coef, args.level)
     doc = _report(
         "fit",
         {
@@ -659,7 +696,7 @@ def _cmd_fit(args) -> int:
         models=models,
         **sections,
     )
-    _emit(doc, args.output, tables)
+    _emit(doc, args.output, tables, profiles)
     return EXIT_OK
 
 
@@ -667,7 +704,7 @@ def _cmd_effects(args) -> int:
     _check_level(args.level)  # a bad --level fails before any work, in either mode
     coef = _load_resolved(args)
     x, x_star = coef.exposure_levels
-    sections, tables = _effect_sections(coef, args.level)
+    sections, tables, profiles = _effect_sections(coef, args.level)
     doc = _report(
         "effects",
         {
@@ -679,7 +716,7 @@ def _cmd_effects(args) -> int:
         },
         **sections,
     )
-    _emit(doc, args.output, tables)
+    _emit(doc, args.output, tables, profiles)
     return EXIT_OK
 
 
@@ -716,7 +753,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .effects import EFFECT_ORDER, approx_effects, natural_effects
-    from .io import profile_values
+    from .coefficients import profile_values
     from .model import Contrast, OutcomeParams
 
     grid = _parse_grid(args.grid)  # a bad --grid or --profile fails before the file is read

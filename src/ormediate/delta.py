@@ -25,6 +25,11 @@ different parts: ``infer_many``'s records keep the covariances and Jacobians
 of the stack, while ``_table_rows`` hands the CLI's tables only the rows.
 Both go through ``_checked``, whose retry makes a failing batch raise the
 error of its first failing contrast.
+
+The Wald summary of a fit's coefficients (``wald_table``) lives here too,
+beside the Wald quantile and two-sided p-value the effect intervals use, so
+:mod:`ormediate.logit` is the fitter alone and reading effects off a
+coefficient file loads no fitting code.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ __all__ = [
     "InferenceResult",
     "infer",
     "infer_many",
+    "wald_table",
 ]
 
 # roundoff this far below zero is forgiven and clamped; anything worse raises
@@ -85,6 +91,46 @@ class InferenceResult(Record):
         out = {e.name: e for e in self.effects}
         out.update({e.name: e for e in self.cde})
         return out
+
+
+def _wald_quantile(level: float) -> float:
+    """Standard normal quantile at 1/2 + level/2: the half-width multiplier
+    of a two-sided Wald interval at confidence ``level``. Levels within an ulp
+    of 1 round the probability to 1, whose quantile is infinite."""
+    if not 0.0 < level < 1.0:
+        raise SchemaError(f"confidence level must be in (0, 1), got {level!r}")
+    prob = 0.5 + level / 2.0
+    if prob == 1.0:
+        return math.inf
+    from statistics import NormalDist  # statistics loads fractions and decimal
+
+    return NormalDist().inv_cdf(prob)
+
+
+def _two_sided_p(z: float) -> float:
+    """Two-sided standard normal tail probability 2 * Phi(-|z|)."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def wald_table(model: FittedModel, level: float = 0.95) -> list[dict]:
+    """Per-coefficient Wald summary: estimate, SE, z, two-sided p, CI."""
+    zq = _wald_quantile(level)
+    rows = []
+    ses = model.standard_errors
+    for name, est, se in zip(model.column_names, model.coefficients, ses):
+        z = est / se if se > 0 else np.inf * np.sign(est) if est else 0.0
+        rows.append(
+            {
+                "term": name,
+                "estimate": float(est),
+                "se": float(se),
+                "z": float(z),
+                "p": _two_sided_p(z),
+                "ci_lower": float(est - zq * se),
+                "ci_upper": float(est + zq * se),
+            }
+        )
+    return rows
 
 
 def _check_variances(var: np.ndarray, not_finite: str, negative: str) -> None:
@@ -268,8 +314,6 @@ def _stacked(spec: ModelSpec, outcome: OutcomeParams, mediator: MediatorParams,
     as one stacked J Sigma J^T with the block-diagonal Sigma of the two
     covariances (equal slice by slice to the 2-d product), and the CDE
     variances as one stacked g V g^T."""
-    from .logit import _wald_quantile
-
     zq = _wald_quantile(level)
     if not contrasts:
         return _Stack(contrasts, [], [], None, None, None, zq, level)

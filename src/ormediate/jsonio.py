@@ -2,11 +2,13 @@
 through, and the reader of coefficient files.
 
 :func:`write_json` writes exactly ``json.dumps(doc, indent=2) + "\n"``, by
-the standard library's encoder, where ``doc`` is plain JSON data. A report's
-effect tables come beside it, as the JSON text of each table in turn (each
-one ``%`` over a template; see ``cli._table_templates``): the writer encodes
-the document with its ``effects`` list empty and writes each table's text
-into that list as it is made, so no more than one table's text is held.
+the standard library's encoder, where ``doc`` is plain JSON data. Two lists
+of a report come beside it, as texts made by one ``%`` over a template each
+(see ``cli._json_template``): its effect tables, and the profile entries of
+its coefficient section. The standard library encodes an indented document
+in pure Python, item by item, so the writer encodes the document with both
+lists empty and splices the texts into them, at two places, each text as
+it is made, so no more than one table's text is held.
 
 :func:`decode_json` is ``json.loads`` that may decode only some top-level
 members of an object: a coefficient read needs a report's ``format`` and
@@ -17,7 +19,8 @@ text is decoded again by ``json.loads`` to word the error as it does.
 
 This module is apart from :mod:`ormediate.io`, which re-exports it, so a
 command that only writes a report (``verify``) loads no CSV or
-coefficient-document code.
+coefficient-document code, and one that reads a coefficient file
+(``effects``, ``compare``) no CSV code.
 """
 
 from __future__ import annotations
@@ -32,10 +35,24 @@ __all__ = ["REPORT_FORMAT", "decode_json", "load_json", "save_json", "write_json
 
 REPORT_FORMAT = "ormediate-report"
 
-# the line of an empty top-level "effects" list in json.dumps(doc, indent=2):
-# only top-level keys sit at a two-space indent, and a JSON string holds no
-# raw line break, so the document has it at most once
+# the lines of the two empty lists write_json fills, as json.dumps(doc,
+# indent=2) spells them: a report's top-level "effects", and the "profiles"
+# of a top-level member, its coefficient section. A JSON string holds no raw
+# line break, so each is the line of a key at the depth its indent gives,
+# and a report has each once (tests/test_cli.py, TestPlainReport)
 _EMPTY_EFFECTS = '\n  "effects": []'
+_EMPTY_PROFILES = '\n    "profiles": []'
+
+
+def _item_indent(line: str) -> str:
+    """Where the lines of an item start in the list of ``line``: a line
+    break, then the indent of the list's key and two spaces more."""
+    return line[:line.index('"')] + "  "
+
+
+# the indents the texts write_json splices take after each line break
+_TABLE_INDENT = _item_indent(_EMPTY_EFFECTS)
+_PROFILE_INDENT = _item_indent(_EMPTY_PROFILES)
 
 _DECODER = json.JSONDecoder()
 # decodes as _DECODER does, with the same checks, and drops every object it
@@ -43,27 +60,43 @@ _DECODER = json.JSONDecoder()
 _SKIMMER = json.JSONDecoder(object_pairs_hook=lambda pairs: None)
 
 
-def write_json(doc, handle, tables=()) -> None:
+def write_json(doc, handle, tables=(), profiles=()) -> None:
     """Write ``json.dumps(doc, indent=2) + "\\n"`` to a text handle, with the
     texts ``tables`` yields spliced in turn into the top-level ``effects``
-    list of ``doc``, which is then empty: each text is an item of that list
-    as ``json.dumps(doc, indent=2)`` spells it there, its lines after the
-    first starting with four spaces."""
-    head, effects, tail = json.dumps(doc, indent=2).partition(_EMPTY_EFFECTS)
-    handle.write(head)
-    sep = '\n  "effects": [\n    '
-    for text in tables:
-        # one write per table: joining them first raises the peak memory
+    list of ``doc``, and those ``profiles`` yields into the ``profiles`` list
+    of a top-level member; each list is empty in ``doc``, and there at most
+    once. Each text is an item of its list as ``json.dumps(doc, indent=2)``
+    spells it there: its lines after the first are indented as the list's
+    items are, by ``_TABLE_INDENT`` for a table and ``_PROFILE_INDENT``
+    for a profile."""
+    text = json.dumps(doc, indent=2)
+    done = 0
+    # the lists in the order they come; one that is absent (at -1) gets no texts
+    for at, line, texts in sorted((text.find(line), line, texts) for line, texts in
+                                  ((_EMPTY_EFFECTS, tables), (_EMPTY_PROFILES, profiles))):
+        if at >= 0:
+            handle.write(text[done:at])
+            _write_items(handle, line, texts)
+            done = at + len(line)
+    handle.write(text[done:] + "\n")
+
+
+def _write_items(handle, line: str, texts) -> None:
+    """Write ``line``, that of an empty list, with the texts as its items."""
+    indent = _item_indent(line)
+    sep, end = line[:-1] + indent, line
+    for text in texts:
+        # one write per item: joining them first raises the peak memory
         handle.write(sep + text)
-        sep, effects = ",\n    ", "\n  ]"
-    handle.write(effects + tail + "\n")
+        sep, end = "," + indent, indent[:-2] + "]"
+    handle.write(end)
 
 
-def save_json(doc, path: str | Path, tables=()) -> None:
+def save_json(doc, path: str | Path, tables=(), profiles=()) -> None:
     """:func:`write_json` to the file at ``path``."""
     try:
         with Path(path).open("w", encoding="utf-8") as handle:
-            write_json(doc, handle, tables)
+            write_json(doc, handle, tables, profiles)
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc}") from exc
 

@@ -29,7 +29,6 @@ columns.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 import warnings
 from contextlib import ExitStack
@@ -46,7 +45,7 @@ from .exceptions import (
 )
 from .record import Record
 
-__all__ = ["FittedModel", "fit", "predict_prob", "wald_table"]
+__all__ = ["FittedModel", "fit", "predict_prob"]
 
 _RANK_RTOL = 1e-10
 _SCORE_TOL = 1e-8
@@ -460,43 +459,3 @@ def predict_prob(model: FittedModel, row) -> float | np.ndarray:
     if arr.ndim == 1:
         return float(prob)
     return prob
-
-
-def _wald_quantile(level: float) -> float:
-    """Standard normal quantile at 1/2 + level/2: the half-width multiplier
-    of a two-sided Wald interval at confidence ``level``. Levels within an ulp
-    of 1 round the probability to 1, whose quantile is infinite."""
-    if not 0.0 < level < 1.0:
-        raise SchemaError(f"confidence level must be in (0, 1), got {level!r}")
-    prob = 0.5 + level / 2.0
-    if prob == 1.0:
-        return math.inf
-    from statistics import NormalDist  # statistics loads fractions and decimal
-
-    return NormalDist().inv_cdf(prob)
-
-
-def _two_sided_p(z: float) -> float:
-    """Two-sided standard normal tail probability 2 * Phi(-|z|)."""
-    return math.erfc(abs(z) / math.sqrt(2.0))
-
-
-def wald_table(model: FittedModel, level: float = 0.95) -> list[dict]:
-    """Per-coefficient Wald summary: estimate, SE, z, two-sided p, CI."""
-    zq = _wald_quantile(level)
-    rows = []
-    ses = model.standard_errors
-    for name, est, se in zip(model.column_names, model.coefficients, ses):
-        z = est / se if se > 0 else np.inf * np.sign(est) if est else 0.0
-        rows.append(
-            {
-                "term": name,
-                "estimate": float(est),
-                "se": float(se),
-                "z": float(z),
-                "p": _two_sided_p(z),
-                "ci_lower": float(est - zq * se),
-                "ci_upper": float(est + zq * se),
-            }
-        )
-    return rows

@@ -20,7 +20,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .exceptions import SchemaError
-from .io import Marginal  # re-exported: the coefficient documents carry marginals
+from .coefficients import Marginal  # re-exported: the coefficient documents carry marginals
 from .model import (
     _DESIGN_ROWS,
     Dataset,

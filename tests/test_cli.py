@@ -22,7 +22,7 @@ from ormediate import (
     OutcomeParams,
     natural_effects,
 )
-from ormediate import cli, delta
+from ormediate import cli, delta, jsonio
 from ormediate.cli import main
 from ormediate.delta import infer_many
 from ormediate.effects import EFFECT_ORDER
@@ -355,16 +355,16 @@ class TestProfileValuesOnce:
 
     @staticmethod
     def _counted(monkeypatch) -> list:
-        from ormediate import io
+        from ormediate import coefficients
 
         calls = []
-        profile_values = io.profile_values
+        profile_values = coefficients.profile_values
 
         def counting(spec, profile):
             calls.append(profile)
             return profile_values(spec, profile)
 
-        monkeypatch.setattr(io, "profile_values", counting)
+        monkeypatch.setattr(coefficients, "profile_values", counting)
         return calls
 
     @pytest.mark.parametrize("output", [False, True])
@@ -390,7 +390,7 @@ def _reference_texts(name, values, row, fields):
     entries = [{"name": effect, **dict(zip(fields, row[i * width:(i + 1) * width]))}
                for i, effect in enumerate((*EFFECT_ORDER, "cde0", "cde1"))]
     table = {"profile": name, "values": values, "effects": entries}
-    return (json.dumps(table, indent=2).replace("\n", cli._TABLE_INDENT),
+    return (json.dumps(table, indent=2).replace("\n", jsonio._TABLE_INDENT),
             "\n".join(cli._render_effect_table(table)))
 
 
@@ -466,7 +466,8 @@ class TestTableWriter:
 class TestPlainReport:
     """The sections of an effects report are plain JSON data, and the
     report on --output is them with the tables spliced into the empty
-    ``effects`` list."""
+    ``effects`` list and the profile entries into the empty ``profiles``
+    list of the coefficient section."""
 
     @pytest.mark.parametrize("inference", [True, False])
     def test_sections_with_the_tables_are_the_saved_report(self, coef_file, tmp_path, inference):
@@ -475,15 +476,70 @@ class TestPlainReport:
         assert run("effects", "--coef-file", source, "--output", out) == 0
         args = cli._build_parser().parse_args(["effects", "--coef-file", source])
         coef = cli._load_resolved(args)
-        sections, tables = cli._effect_sections(coef, 0.95)
+        sections, tables, profiles = cli._effect_sections(coef, 0.95)
         assert json.loads(json.dumps(sections)) == sections
-        assert sections["effects"] == []
+        assert sections["effects"] == [] and sections["coefficients"]["profiles"] == []
+        assert profiles == coefficients_to_doc(coef)["profiles"]
         config = {"coef_file": source, "x": 1.0, "x_star": 0.0, "level": 0.95,
                   "mode": "inference" if inference else "point-estimates"}
         doc = cli._report("effects", config, **sections)
         doc["effects"] = [json.loads(text) for text in tables(cli._table_json)]
+        entries = [json.loads(text) for text in cli._profile_json(profiles)]
+        doc["coefficients"]["profiles"] = entries
         assert len(doc["effects"]) == len(coef.profiles)
+        assert doc["coefficients"]["profiles"] == profiles
         assert json.dumps(doc, indent=2) + "\n" == out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("command", ["effects", "fit"])
+    def test_each_splice_line_is_in_a_report_once(self, coef_file, sim_csv, command):
+        """The lines write_json splices at are each in the text of a
+        report's sections once: a top-level key sits at a two-space indent
+        and a key of a top-level member's object at four, a JSON string holds
+        no raw line break, and of the top-level members only the coefficient
+        section has a "profiles" key."""
+        argv = {"effects": ["effects", "--coef-file", str(coef_file)],
+                "fit": ["fit", "--input", str(sim_csv), "--z", "age,edu,loans"]}[command]
+        doc = {}
+
+        def emit(report, output, tables=None, profiles=()):
+            doc.update(report)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_emit", emit)
+            assert main(argv) == 0
+        text = json.dumps(doc, indent=2)
+        assert text.count(jsonio._EMPTY_EFFECTS) == text.count(jsonio._EMPTY_PROFILES) == 1
+        assert text.index(jsonio._EMPTY_PROFILES) > text.index('\n  "coefficients": {')
+
+    def test_awkward_names_keep_the_bytes(self, tmp_path):
+        """A fit report whose covariates have %, ", \\ and non-ASCII in their
+        names, and a covariate shared by both models, over several profiles:
+        its --output is json.dumps of itself, and effects on it writes the
+        same coefficient section and tables."""
+        rng = np.random.default_rng(5)
+        n = 400
+        names = ("a%s", 'q"\\\u00e9', 'p "profiles": []')
+        x = rng.integers(0, 2, n).astype(float)
+        cols = {name: rng.normal(size=n) for name in names}
+        w = (rng.random(n) < 0.5).astype(float)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.3 * x + 0.5 * w)))).astype(float)
+        write_table(tmp_path / "data.csv", {"y": y, "w": w, "x": x, **cols})
+        profiles = [f"{names[0]}={i / 3},{names[1]}={-i},{names[2]}={i * 0.25}" for i in range(4)]
+        report = tmp_path / "fit.json"
+        assert run("fit", "--input", tmp_path / "data.csv", "--z", ",".join(names[:2]),
+                   "--v", names[0] + "," + names[2],
+                   *[arg for text in profiles for arg in ("--profile", text)],
+                   "--output", report) == 0
+        assert run("effects", "--coef-file", report, "--output", tmp_path / "e.json") == 0
+        for path in (report, tmp_path / "e.json"):
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        fitted, effects = (load_json(path) for path in (report, tmp_path / "e.json"))
+        assert len(fitted["coefficients"]["profiles"]) == 4
+        assert fitted["coefficients"]["profiles"][1]["values"] == {
+            names[0]: 1 / 3, names[1]: -1.0, names[2]: 0.25}
+        assert effects["coefficients"] == fitted["coefficients"]
+        assert effects["effects"] == fitted["effects"]
 
 
 class _Discard:

@@ -96,8 +96,8 @@ def test_module_imports_on_its_own(module):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_the_package_has_fourteen_modules():
-    assert len(MODULES) == 14
+def test_the_package_has_fifteen_modules():
+    assert len(MODULES) == 15
 
 
 @pytest.mark.parametrize("path", sorted(Path(ormediate.__file__).parent.glob("*.py")),
@@ -125,6 +125,25 @@ class TestCommandImports:
         assert "ormediate.effects" in loaded
         assert changed  # a command sets OPENBLAS_NUM_THREADS
         assert not loaded & {"ormediate.oracle", "ormediate.verify", "ormediate.simulate"}
+
+    @pytest.mark.parametrize("command", ["effects", "compare"])
+    def test_reading_a_report_with_covariances_loads_no_fitting_or_csv_code(
+            self, tmp_path, command):
+        """effects reads a fit report's covariances and tabulates with the
+        delta method, and compare reads the same report: neither loads the
+        fitter, the CSV half of io or the csv module."""
+        fixture = Path(ormediate.__file__).parent / "fixtures" / "microcredit_table1.json"
+        doc = json.loads(fixture.read_text(encoding="utf-8"))
+        doc["vcov"] = {model: [[0.01 * (i == j) for j in range(k)] for i in range(k)]
+                       for model, k in (("outcome", 7), ("mediator", 2))}
+        source = tmp_path / "coef.json"
+        source.write_text(json.dumps(doc), encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["effects", "--coef-file", str(source), "--output", str(report)]) == 0
+        loaded, _ = _loaded(command, "--coef-file", report, "--output", tmp_path / "out.json")
+        assert "ormediate.coefficients" in loaded and "ormediate.effects" in loaded
+        assert ("ormediate.delta" in loaded) == (command == "effects")
+        assert not loaded & {"ormediate.logit", "ormediate.io", "csv"}
 
     def test_verify_loads_no_io_fitting_csv_or_dataclasses(self):
         loaded, _ = _loaded("verify", "--count", 20)

@@ -2,8 +2,10 @@ import contextlib
 import functools
 import io
 import json
+import math
 import tempfile
 import tracemalloc
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from ormediate import (
     infer,
     simulate_dataset,
 )
-from ormediate import cli
+from ormediate import cli, coefficients
 from ormediate import io as table_io
 from ormediate.model import MEDIATOR_BLOCKS, OUTCOME_BLOCKS
 from ormediate.io import (
@@ -702,6 +704,85 @@ class TestCoefficientDocs:
             cs.fitted_models()
 
 
+class _Entries(Mapping):
+    """A read-only mapping that is not a dict, as a library caller may pass."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+def _set_age(value):
+    def edit(doc):
+        doc["profiles"][1]["values"]["age"] = value
+    return edit
+
+
+def _as_mappings(doc):
+    """``doc`` with its second profile entry and that entry's values as
+    mappings that are not dicts."""
+    entry = doc["profiles"][1]
+    doc["profiles"][1] = _Entries({**entry, "values": _Entries(entry["values"])})
+
+
+# each edit of the second profile entry of a coefficient document, and the
+# full text of the error a read of it raises
+_PROFILE_ERRORS = {
+    "a bool value": (_set_age(True), "profiles[1].values.age: expected a number, got True"),
+    "a string value": (_set_age("30"),
+                       "profiles[1].values.age: expected a number, got '30'"),
+    "a value beyond the double range": (
+        _set_age(10**400), "profiles[1].values.age: number is outside the range of a double"),
+    "a NaN value": (_set_age(math.nan), "z profile value nan is not finite"),
+    "a null value": (_set_age(None), "profiles[1].values.age: expected a number, got None"),
+    "a list as values": (lambda doc: doc["profiles"][1].update(values=[37.0, 1.0, 0.0]),
+                         "profiles[1].values: expected a JSON object"),
+    "a missing key": (lambda doc: doc["profiles"][1].pop("values"),
+                      "profiles[1]: missing keys ['values']"),
+    "an unknown key": (lambda doc: doc["profiles"][1].update(extra=1),
+                       "profiles[1]: unknown keys ['extra']"),
+    "a number as name": (lambda doc: doc["profiles"][1].update(name=3),
+                         "profiles[1].name: expected a string, got 3"),
+    "a list as entry": (lambda doc: doc["profiles"].__setitem__(1, [1]),
+                        "profiles[1]: expected a JSON object"),
+    "a bool value in mappings that are not dicts": (
+        lambda doc: (_set_age(True)(doc), _as_mappings(doc)),
+        "profiles[1].values.age: expected a number, got True"),
+    "an unknown key in a mapping that is not a dict": (
+        lambda doc: (doc["profiles"][1].update(extra=1), _as_mappings(doc)),
+        "profiles[1]: unknown keys ['extra']"),
+}
+
+
+class TestProfileEntryErrors:
+    """The full words of each error a profile entry of a coefficient
+    document can raise, through load_coefficients of a dict and of a
+    mapping that is not a dict."""
+
+    @pytest.mark.parametrize("case", list(_PROFILE_ERRORS))
+    @pytest.mark.parametrize("wrap", [dict, _Entries], ids=["dict", "mapping"])
+    def test_the_error_is_worded_as_pinned(self, case, wrap):
+        edit, message = _PROFILE_ERRORS[case]
+        doc = _full_coefficient_doc()
+        edit(doc)
+        with pytest.raises(SchemaError) as info:
+            load_coefficients(wrap(doc))
+        assert str(info.value) == message
+
+    def test_mappings_that_are_not_dicts_load_as_dicts(self):
+        doc = _full_coefficient_doc()
+        _as_mappings(doc)
+        assert coefficients_to_doc(load_coefficients(_Entries(doc))) == _full_coefficient_doc()
+
+
 # each covariance check: the model whose matrix breaks it, how, and the message
 _BAD_VCOVS = {
     "size": ("outcome", lambda v: v[:3, :3],
@@ -923,6 +1004,39 @@ def _written(doc) -> str:
     return out.getvalue()
 
 
+# names with what a template or a splice could trip on: %, quotes,
+# backslashes, non-ASCII, line breaks and the lines write_json splices at
+_NAMES = st.one_of(
+    st.sampled_from(['\n    "profiles": []', '\n  "effects": []', "%s", "%%", '"', "\\",
+                     "é", "☃", "\U0001f600"]),
+    st.text(alphabet='a%"\\é☃\n []:', min_size=1, max_size=6),
+)
+
+
+def _profiled(z_names, v_names, profiles) -> CoefficientSet:
+    """A coefficient set on covariates ``z_names`` and ``v_names``, where a
+    name in both is shared, with ``profiles``: (name, values) pairs whose
+    values follow ``spec.covariate_names()``."""
+    spec = ModelSpec(z_names=z_names, v_names=v_names)
+    names = spec.covariate_names()
+    return CoefficientSet(spec, OutcomeParams(spec), MediatorParams(spec), profiles=tuple(
+        (name, CovariateProfile.from_named(spec, dict(zip(names, values))))
+        for name, values in profiles))
+
+
+@st.composite
+def _profiled_sets(draw):
+    z = draw(st.lists(_NAMES, max_size=3, unique=True))
+    shared = st.sampled_from(z) | _NAMES if z else _NAMES
+    v = draw(st.lists(shared, max_size=3, unique=True))
+    k = len(ModelSpec(z_names=z, v_names=v).covariate_names())
+    count = draw(st.sampled_from([0, 1, 2, 12]))
+    names = draw(st.lists(st.text(max_size=3) | _NAMES, min_size=count, max_size=count,
+                          unique=True))
+    values = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * k)
+    return _profiled(tuple(z), tuple(v), [(name, draw(values)) for name in names])
+
+
 class TestJsonWriter:
     """write_json gives the text of json.dumps(doc, indent=2) plus a newline."""
 
@@ -956,6 +1070,30 @@ class TestJsonWriter:
         out = io.StringIO()
         write_json({**doc, "effects": []}, out, texts())
         assert out.getvalue() == json.dumps(report, indent=2) + "\n"
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(coef=_profiled_sets(), tables=st.lists(st.dictionaries(_NAMES, _NAMES, max_size=2),
+                                                  max_size=2))
+    @example(coef=_profiled(("a%s",), ("a%s",), ()), tables=[])
+    @example(coef=_profiled(("a%s", 'q"\\'), ("a%s",), [("p", (1.5, -0.0))]), tables=[{"t": "%"}])
+    @example(coef=_profiled(('\n    "profiles": []', "é☃"), ("b",),
+                            [(f"p{i}%s", (i / 7, -i, 1e300 * i)) for i in range(40)]),
+             tables=[{}, {"a": '\n  "effects": []'}])
+    def test_profiles_are_spliced_into_the_coefficient_section(self, coef, tables):
+        """The entries of a coefficient section's profiles list, each its
+        cli._profile_json text, spliced by write_json beside a report's
+        tables: json.dumps of the report with both lists in it."""
+        section = coefficients_to_doc(coef)
+        entries = section.get("profiles", [])
+        report = {"format": REPORT_FORMAT, "coefficients": section, "effects": tables}
+        expected = json.dumps({**report, "coefficients": {**section, "profiles": entries}},
+                              indent=2)
+        section["profiles"] = []
+        out = io.StringIO()
+        write_json({**report, "effects": []}, out,
+                   (json.dumps(table, indent=2).replace("\n", "\n    ") for table in tables),
+                   cli._profile_json(entries))
+        assert out.getvalue() == expected + "\n"
 
     @pytest.mark.parametrize("doc", [None, True, 0, -0.0, float("nan"), "text", [], {}])
     def test_top_level_scalars_and_empty_containers(self, doc):
@@ -1153,7 +1291,7 @@ class TestMemberReader:
         doc = _member_read(path)
         assert doc == _whole_read(path)
         assert len(doc["profiles"]) == n and "vcov" in doc
-        members = decode_json(_report_text(n), "report", table_io._READ_KEYS)
+        members = decode_json(_report_text(n), "report", coefficients._READ_KEYS)
         assert members["format"] == REPORT_FORMAT and members["effects"] is None
         assert list(members) == list(json.loads(_report_text(n)))
 
@@ -1204,7 +1342,7 @@ class TestMemberReader:
         stop = data.draw(st.integers(start, min(len(text), start + 3)))
         insert = data.draw(st.text(alphabet='{}[]",:0123456789.eE-+ \nx\\', max_size=3))
         text = text[:start] + insert + text[stop:]
-        keys = table_io._READ_KEYS
+        keys = coefficients._READ_KEYS
         try:
             whole = json.loads(text)
         except (ValueError, RecursionError) as exc:

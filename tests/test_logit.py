@@ -25,13 +25,8 @@ from ormediate import (
     wald_table,
 )
 from ormediate import _Children, logit
-from ormediate.logit import (
-    _BLOCK_ROWS,
-    _RANK_RTOL,
-    _WORKER_BLOCKS,
-    _two_sided_p,
-    _wald_quantile,
-)
+from ormediate.delta import _two_sided_p, _wald_quantile
+from ormediate.logit import _BLOCK_ROWS, _RANK_RTOL, _WORKER_BLOCKS
 from ormediate.oracle import finite_diff
 from helpers import child_env, no_child_left
 
@@ -338,6 +333,14 @@ class TestWorkerPass:
         assert list(block_log.take()) == [os.getpid()]
         _evaluate(X[: rows + 1], y[: rows + 1], beta)
         assert len(block_log.take()) == 2
+
+    def test_a_wide_design_of_one_block_stays_in_the_caller(self, monkeypatch, block_log):
+        # the width never makes a range, so none is empty: 16 columns, one block
+        rng = np.random.default_rng(31)
+        X, y = _sim_design(rng, _BLOCK_ROWS, np.linspace(-0.3, 0.3, 16))
+        monkeypatch.setattr(logit, "_usable_cpus", lambda: 8)
+        _evaluate(X, y, np.zeros(16))
+        assert list(block_log.take()) == [os.getpid()]
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_overflow_in_the_last_block_raises_without_a_warning(
