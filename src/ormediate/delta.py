@@ -102,9 +102,15 @@ def _wald_quantile(level: float) -> float:
     prob = 0.5 + level / 2.0
     if prob == 1.0:
         return math.inf
-    from statistics import NormalDist  # statistics loads fractions and decimal
+    try:
+        # the C function NormalDist.inv_cdf calls, without loading statistics
+        # and with it fractions and decimal
+        from _statistics import _normal_dist_inv_cdf
+    except ImportError:
+        from statistics import NormalDist
 
-    return NormalDist().inv_cdf(prob)
+        return NormalDist().inv_cdf(prob)
+    return _normal_dist_inv_cdf(prob, 0.0, 1.0)
 
 
 def _two_sided_p(z: float) -> float:

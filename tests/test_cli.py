@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -1060,7 +1061,7 @@ class TestEntryPoint:
     def test_console_script(self):
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
-        assert 'ormediate = "ormediate.cli:main"' in scripts.splitlines()
+        assert 'ormediate = "ormediate.cli:run"' in scripts.splitlines()
         proc = subprocess.run(
             [sys.executable, "-m", "ormediate", "effects", "--coef-file", "microcredit_table1"],
             capture_output=True, text=True, env=child_env(),
@@ -1107,3 +1108,165 @@ class TestEntryPoint:
             capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
+
+
+# the three ways to start the CLI as a script; each ends through cli.run
+_ENTRIES = {
+    "package": ["-m", "ormediate"],
+    "module": ["-m", "ormediate.cli"],
+    "run": ["-c", "from ormediate.cli import run; run()"],
+}
+
+
+def _script(entry, *argv, env=None, **kwargs):
+    return subprocess.run([sys.executable, *_ENTRIES[entry], *map(str, argv)],
+                          env=env or child_env(), **kwargs)
+
+
+class TestRunEntry:
+    """``cli.run`` ends the process without the interpreter's teardown: the
+    exit handlers run, stdout and stderr are flushed, and the code is main's."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--count", 20], 0),
+        (["verify", "--count", 20, "--perturb", "1e-3"], 5),
+        (["effects", "--coef-file", "microcredit_table1", "--level", 1.5], 2),
+        (["effects", "--coef-file", "microcredit_table1", "--x", 1, "--x-star", 1], 4),
+        (["effects", "--no-such-flag"], 2),
+    ], ids=["verify", "perturb", "level", "degenerate-contrast", "usage"])
+    def test_every_entry_gives_the_same_bytes_and_code(self, tmp_path, argv, code):
+        results = []
+        for entry in _ENTRIES:
+            out = tmp_path / f"{entry}.json"
+            proc = _script(entry, *argv, "--output", out, capture_output=True)
+            results.append((proc.returncode, proc.stdout, proc.stderr,
+                            out.read_bytes() if out.exists() else None))
+        assert results[0][0] == code, results[0][2]
+        assert results[1] == results[0] and results[2] == results[0]
+        assert (results[0][3] is not None) == (code in (0, 5))
+        assert b"Traceback" not in results[0][2]
+
+    def test_exit_handlers_run(self, tmp_path):
+        marker = tmp_path / "marker"
+        code = ("import atexit, pathlib, sys\n"
+                f"atexit.register(pathlib.Path({str(marker)!r}).write_text, 'ran')\n"
+                "sys.argv = ['ormediate', 'verify', '--count', '0']\n"
+                "from ormediate.cli import run\n"
+                "run()\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert "5/5 suites passed" in proc.stdout
+        assert marker.read_text() == "ran"
+
+    def test_a_fit_leaves_no_child_process_and_no_thread(self, tmp_path):
+        """An exit handler, run after main returns, sees no child left to
+        reap and one thread: nothing is cut short by ``os._exit``."""
+        csv = tmp_path / "sim.csv"
+        assert run("simulate", "--coef-file", "microcredit_table1", "--n", 120_000,
+                   "--seed", 2, "--output", csv) == 0
+        code = ("import atexit, os, sys, threading\n"
+                "def check():\n"
+                "    try:\n"
+                "        os.waitpid(-1, os.WNOHANG)\n"
+                "        sys.stderr.write('a child is left\\n')\n"
+                "    except ChildProcessError:\n"
+                "        pass\n"
+                "    threads = (len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task')\n"
+                "               else threading.active_count())\n"
+                "    sys.stderr.write(f'threads {threads}\\n')\n"
+                "atexit.register(check)\n"
+                f"sys.argv = ['ormediate', 'fit', '--input', {str(csv)!r}, '--z', 'age,edu,loans']\n"
+                "from ormediate.cli import run\n"
+                "run()\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "threads 1\n"
+        assert "outcome model: n=120000" in proc.stdout
+
+
+class TestStdoutWriteFailure:
+    """A failed write to stdout ends in one ``ERROR 2`` line and exit 2, as a
+    failed ``--output`` write does: inside the command when stdout is
+    unbuffered or its text outgrows the buffer, at ``run``'s flush when the
+    text is still buffered."""
+
+    COMMANDS = {
+        "verify": ["verify", "--count", 1],
+        "effects": ["effects", "--coef-file", "microcredit_table1"],
+        "simulate": ["simulate", "--coef-file", "microcredit_table1", "--n", 10],
+    }
+
+    @staticmethod
+    def _env(unbuffered):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    def _check(self, proc, reason):
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 2, proc.stderr
+        assert lines == [f"ERROR 2: cannot write to stdout: {reason}"], proc.stderr
+
+    def _argv(self, command, tmp_path):
+        argv = self.COMMANDS[command]
+        return argv + ["--output", tmp_path / "sim.csv"] if command == "simulate" else argv
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_full_device(self, tmp_path, command, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = _script("package", *self._argv(command, tmp_path), stdout=full,
+                           stderr=subprocess.PIPE, text=True, env=self._env(unbuffered))
+        self._check(proc, "[Errno 28] No space left on device")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_pipe_whose_reader_has_gone(self, tmp_path, command, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _script("package", *self._argv(command, tmp_path), stdout=write_end,
+                           stderr=subprocess.PIPE, text=True, env=self._env(unbuffered))
+        finally:
+            os.close(write_end)
+        self._check(proc, "[Errno 32] Broken pipe")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this platform")
+    def test_text_beyond_the_buffer_fails_inside_the_command(self, tmp_path):
+        """Buffered, the text of 300 tables outgrows the buffer, so a write
+        in the command fails; the flush in ``run`` fails again, unreported."""
+        doc = json.loads((Path(ormediate.__file__).parent / "fixtures"
+                          / "microcredit_table1.json").read_text(encoding="utf-8"))
+        doc["profiles"] = [{**entry, "name": f"p{i}"}
+                           for i, entry in enumerate(doc["profiles"] * 50)]
+        source = tmp_path / "coef.json"
+        source.write_text(json.dumps(doc), encoding="utf-8")
+        with open("/dev/full", "w") as full:
+            proc = _script("package", "effects", "--coef-file", source, "--output",
+                           tmp_path / "out.json", stdout=full, stderr=subprocess.PIPE,
+                           text=True, env=self._env(False))
+        self._check(proc, "[Errno 28] No space left on device")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_an_earlier_error_is_the_only_line(self, tmp_path):
+        """Text held in the buffer when ``--output`` cannot be written: the
+        ``--output`` error is the one line, and stdout's failed flush adds
+        none."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _script("package", "effects", "--coef-file", "microcredit_table1",
+                           "--output", tmp_path / "missing" / "out.json", stdout=write_end,
+                           stderr=subprocess.PIPE, text=True, env=self._env(False))
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"ERROR 2: cannot write {tmp_path / 'missing' / 'out.json'}:"), proc.stderr
+

@@ -15,6 +15,7 @@ import pytest
 import ormediate
 from helpers import child_env
 from ormediate.cli import main
+from ormediate.jsonio import load_json
 
 EXPORTS = {
     "Contrast", "ConvergenceError", "CovarianceError", "CovariateProfile",
@@ -144,6 +145,21 @@ class TestCommandImports:
         assert "ormediate.coefficients" in loaded and "ormediate.effects" in loaded
         assert ("ormediate.delta" in loaded) == (command == "effects")
         assert not loaded & {"ormediate.logit", "ormediate.io", "csv"}
+
+    def test_effects_and_fit_load_no_statistics(self, tmp_path):
+        """The Wald quantile of effects (with covariances) and of fit comes
+        from the C function under ``statistics.NormalDist``, so neither
+        command loads ``statistics`` and, with it, ``fractions`` and
+        ``decimal``."""
+        csv, report = tmp_path / "sim.csv", tmp_path / "fit.json"
+        assert main(["simulate", "--coef-file", "microcredit_table1", "--n", "500",
+                     "--output", str(csv)]) == 0
+        fit_argv = ("fit", "--input", csv, "--z", "age,edu,loans", "--output", report)
+        for argv in (fit_argv, ("effects", "--coef-file", report)):
+            loaded, _ = _loaded(*argv)
+            assert "ormediate.delta" in loaded, argv
+            assert not loaded & {"statistics", "fractions", "decimal"}, argv
+        assert load_json(report)["coefficients"]["vcov"]
 
     def test_verify_loads_no_io_fitting_csv_or_dataclasses(self):
         loaded, _ = _loaded("verify", "--count", 20)

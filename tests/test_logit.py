@@ -677,6 +677,35 @@ class TestNormalHelpers:
     def test_wald_quantile_at_level_rounding_to_one_is_infinite(self):
         assert _wald_quantile(math.nextafter(1.0, 0.0)) == math.inf
 
+    @staticmethod
+    def _fallback_quantile(level: float) -> float:
+        """``_wald_quantile`` where ``_statistics`` does not import: through
+        a ``statistics`` imported afresh, which then has its Python
+        ``_normal_dist_inv_cdf``."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(sys.modules, "_statistics", None)
+            mp.delitem(sys.modules, "statistics", raising=False)
+            quantile = _wald_quantile(level)
+            if math.isfinite(quantile):  # made by the fallback, not by the rule at 1
+                assert sys.modules["statistics"]._normal_dist_inv_cdf.__module__ == "statistics"
+        return quantile
+
+    @pytest.mark.parametrize("level", [1e-300, 0.5, 0.9, 0.95, 1 - 2 ** -52])
+    def test_wald_quantile_fallback_gives_the_same_bits(self, level):
+        quantile = _wald_quantile(level)
+        assert math.isfinite(quantile)
+        assert self._fallback_quantile(level).hex() == quantile.hex()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_wald_quantile_fallback_gives_the_same_bits_over_a_sweep(self, level):
+        assert self._fallback_quantile(level).hex() == _wald_quantile(level).hex()
+
+    def test_wald_quantile_fallback_keeps_the_level_rules(self):
+        assert self._fallback_quantile(math.nextafter(1.0, 0.0)) == math.inf
+        with pytest.raises(SchemaError, match="confidence level"):
+            self._fallback_quantile(1.0)
+
     def test_two_sided_p_is_one_at_zero(self):
         assert _two_sided_p(0.0) == 1.0
 
