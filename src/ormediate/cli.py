@@ -26,7 +26,8 @@ environment detail, so identical invocations produce identical bytes.
 Importing this module loads only ``argparse`` and the exception classes, so
 ``--help``, ``--version`` and usage errors load no numeric code.  Each
 ``_cmd_*`` handler imports the modules it runs once the arguments are parsed.
-Besides ``model``, ``record`` and ``jsonio`` (the report writer), they are:
+Besides ``model``, ``_products`` (every BLAS and LAPACK call), ``record``
+and ``jsonio`` (the report writer), they are:
 
 * ``fit``: ``io`` (the CSV tables), ``coefficients``, ``logit``, ``effects``
   and ``delta``
@@ -74,9 +75,11 @@ code. That skips the interpreter's teardown: clearing every module and the
 final garbage collections, which took 12-16 ms a command once numpy is loaded
 (Python 3.11, numpy 2.4, on a 2-vCPU guest). A failed write to stdout,
 whether in `main` or at that flush, is one ``ERROR 2`` line, as a failed
-``--output`` write is. `main` itself still returns, so tests, in-process
-callers and benchmarks keep a normal interpreter; argparse's ``SystemExit``
-and any uncaught exception leave `run` through the normal exit too.
+``--output`` write is; so is one of ``--help`` or ``--version`` text, which
+argparse would drop. `main` itself still returns, so tests, in-process
+callers and benchmarks keep a normal interpreter; a usage error's
+``SystemExit`` and any uncaught exception leave `run` through the normal
+exit too.
 """
 
 from __future__ import annotations
@@ -117,8 +120,23 @@ _INFER_BATCH = 256
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of ``--help`` or
+    ``--version`` text to stdout raises the ``SchemaError`` of any failed
+    stdout write, where argparse would drop it. Its subcommand parsers are
+    of this class too."""
+
+    def _print_message(self, message, file=None):
+        if not message or file is not sys.stdout:
+            return super()._print_message(message, file)
+        try:
+            file.write(message)
+        except OSError as exc:
+            raise _stdout_error(exc) from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ormediate",
         description=(
             "Exact causal mediation effects on the odds-ratio scale for a "
@@ -856,12 +874,12 @@ def _fail(code: int, exc: Exception) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if "numpy" not in sys.modules:
-        # read by OpenBLAS when numpy loads; its default is one spinning worker
-        # per core, which the small products here never use
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
+        args = parser.parse_args(argv)
+        if "numpy" not in sys.modules:
+            # read by OpenBLAS when numpy loads; its default is one spinning
+            # worker per core, which the small products here never use
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
         return args.handler(args)
     except SchemaError as exc:
         return _fail(EXIT_SCHEMA, exc)
@@ -878,12 +896,18 @@ def run() -> NoReturn:
     process ends without the interpreter's teardown. The exit handlers run,
     stdout and stderr are flushed, and ``os._exit`` leaves with main's code.
     A failed flush of stdout is one ``ERROR 2`` line and exit 2, unless main
-    has already reported an error. Argparse's ``SystemExit`` and any
-    uncaught exception leave ``run`` as they leave main, through the normal
-    exit."""
+    has already reported an error. ``--help`` and ``--version``, whose
+    ``SystemExit(0)`` may leave their text in the buffer, end the same way.
+    A usage error's ``SystemExit`` and any uncaught exception leave ``run``
+    as they leave main, through the normal exit."""
     import atexit
 
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        if exc.code != 0:
+            raise
+        code = EXIT_OK
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()

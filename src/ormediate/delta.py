@@ -12,17 +12,18 @@ are always positive and respect the reciprocal symmetry of odds ratios.
 
 ``infer_many`` runs the delta method at many contrasts as one batch: the
 gradients are columns over the contrasts, built by the same functions as the
-single-contrast Jacobian, and the covariances one stacked J Sigma J^T, which
-equals the 2-d product slice by slice. ``infer`` is ``infer_many`` at one
-contrast, so there is one delta-method path. It runs on parameter sets and
-covariances, so the CLI's tables take a coefficient set's own, and only
-``infer_many`` turns two fits into them. A batch runs in two stages:
-``_stacked`` evaluates the log effects, the CDEs and the bridge terms once
-(``effects._log_effects_at_rows``), and from them the Jacobians, J Sigma J^T
-and the CDE variances g V g^T; ``_effect_rows`` makes the seven numbers of
-each effect from that stack. The split stays because the two consumers need
-different parts: ``infer_many``'s records keep the covariances and Jacobians
-of the stack, while ``_table_rows`` hands the CLI's tables only the rows.
+single-contrast Jacobian, and the covariances one stacked J Sigma J^T
+(``_products.quadratic_forms``, equal slice by slice to the 2-d product).
+``infer`` is ``infer_many`` at one contrast, so there is one delta-method
+path. It runs on parameter sets and covariances, so the CLI's tables take a
+coefficient set's own, and only ``infer_many`` turns two fits into them. A
+batch runs in two stages: ``_stacked`` evaluates the log effects, the CDEs
+and the bridge terms once (``effects._log_effects_at_rows``), and from them
+the Jacobians, J Sigma J^T and the CDE variances g V g^T; ``_effect_rows``
+makes the seven numbers of each effect from that stack. The split stays
+because the two consumers need different parts: ``infer_many``'s records
+keep the covariances and Jacobians of the stack, while ``_table_rows`` hands
+the CLI's tables only the rows.
 Both go through ``_checked``, whose retry makes a failing batch raise the
 error of its first failing contrast.
 
@@ -39,6 +40,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from . import _products
 from .effects import (
     _TABLE_ORDER,
     EFFECT_ORDER,
@@ -318,8 +320,8 @@ def _stacked(spec: ModelSpec, outcome: OutcomeParams, mediator: MediatorParams,
     """The BLAS stage of a batch: the effects and Jacobians as columns over
     the contrasts, from one evaluation of their bridge terms, the covariances
     as one stacked J Sigma J^T with the block-diagonal Sigma of the two
-    covariances (equal slice by slice to the 2-d product), and the CDE
-    variances as one stacked g V g^T."""
+    covariances, and the CDE variances as one stacked g V g^T, both
+    ``_products.quadratic_forms``."""
     zq = _wald_quantile(level)
     if not contrasts:
         return _Stack(contrasts, [], [], None, None, None, zq, level)
@@ -331,11 +333,11 @@ def _stacked(spec: ModelSpec, outcome: OutcomeParams, mediator: MediatorParams,
     sigma = np.zeros((theta.size, theta.size))
     sigma[:ky, :ky] = outcome_vcov
     sigma[ky:, ky:] = mediator_vcov
-    cov_log = jac @ sigma @ jac.transpose(0, 2, 1)
+    cov_log = _products.quadratic_forms(jac, sigma)
     cov_log = (cov_log + cov_log.transpose(0, 2, 1)) / 2.0
     _, _, _, delta, z, _ = at_theta
     var_cde = np.column_stack([
-        (g[:, None, :] @ outcome_vcov @ g[:, :, None])[:, 0, 0]
+        _products.quadratic_forms(g[:, None, :], outcome_vcov)[:, 0, 0]
         for g in (_exposure_gradient(spec, delta, z, ky, w).T.copy() for w in (0.0, 1.0))
     ])
     return _Stack(contrasts, logs[:, 0].tolist(), cde.tolist(), jac, cov_log, var_cde, zq, level)

@@ -14,9 +14,11 @@ run of the general pass; the bits are the general pass's. The blocks of a
 large design are shared out among worker processes, one per usable CPU,
 forked once per fit; their sums come back as float64 bytes and are added in
 block order, so the bits do not depend on how many workers there are, and a
-worker that fails leaves its blocks to the fitting process. Convergence
-requires both a small score
-(max |score| < 1e-8) and a small relative log-likelihood change (< 1e-10).
+worker that fails leaves its blocks to the fitting process. Each block's
+products, the Newton solve, the covariance inverse and the rank check are
+operations of ``_products``, which holds every BLAS and LAPACK call.
+Convergence requires both a small score (max |score| < 1e-8) and a small
+relative log-likelihood change (< 1e-10).
 
 Rank-deficient designs and quasi-separated responses raise immediately rather
 than returning garbage coefficients, and so does a column large enough to
@@ -35,7 +37,7 @@ from contextlib import ExitStack
 
 import numpy as np
 
-from . import _Children, _every_block, _usable_cpus
+from . import _Children, _every_block, _products, _usable_cpus
 from .exceptions import (
     ConvergenceError,
     NumericalError,
@@ -78,9 +80,9 @@ class FittedModel(Record):
 
 
 def _check_rank(X: np.ndarray, names: tuple[str, ...]) -> None:
-    sv = np.linalg.svd(X, compute_uv=False)
+    sv = _products.singular_values(X)
     if sv[0] == 0.0 or sv[-1] <= sv[0] * _RANK_RTOL:
-        _, s, vt = np.linalg.svd(X, full_matrices=False)
+        _, s, vt = _products.svd(X)
         null = vt[s <= s[0] * _RANK_RTOL] if s[0] > 0 else vt
         involved = sorted(
             {names[j] for row in np.atleast_2d(null) for j in np.flatnonzero(np.abs(row) > 0.1)}
@@ -110,7 +112,7 @@ def _surely_full_rank(info0: np.ndarray) -> bool:
     ``_SCREEN_RTOL`` puts the singular-value ratio of X above 1e-4: far above
     ``_RANK_RTOL`` and above the rounding error of the Gram matrix. False
     means only that the SVD of ``_check_rank`` must decide."""
-    eig = np.linalg.eigvalsh(info0)
+    eig = _products.eigenvalues(info0)
     return bool(eig[0] > _SCREEN_RTOL * eig[-1])
 
 
@@ -270,7 +272,8 @@ def _block_sums(
     same BLAS operands with no exp, log1p or tanh."""
     xb, yb = X[start : start + _BLOCK_ROWS], y[start : start + _BLOCK_ROWS]
     if not beta.any():
-        return _zero_loglik(len(yb)), xb.T @ (yb - 0.5), (xb * 0.25).T @ xb
+        score = _products.column_sums(xb, yb - 0.5)
+        return _zero_loglik(len(yb)), score, _products.gram(xb, 0.25)
     return _general_sums(xb, yb, beta)
 
 
@@ -279,26 +282,26 @@ def _general_sums(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """The log-likelihood, score and information of the rows ``xb``. Two
     work vectors are reused in place, which rounds as the plain expressions
-    ``yb @ eta - (max(eta, 0) + log1p(exp(-|eta|))).sum()``,
-    ``mu = 0.5 * (1 + tanh(0.5 * eta))``, ``xb.T @ (yb - mu)`` and
-    ``(xb * (mu * (1 - mu))[:, None]).T @ xb`` do, with fewer numpy calls
-    and temporaries."""
-    eta = xb @ beta
+    ``inner(yb, eta) - (max(eta, 0) + log1p(exp(-|eta|))).sum()``,
+    ``mu = 0.5 * (1 + tanh(0.5 * eta))``, ``column_sums(xb, yb - mu)`` and
+    ``gram(xb, (mu * (1 - mu))[:, None])`` do, with fewer numpy calls and
+    temporaries."""
+    eta = _products.predictors(xb, beta)
     # log(1 + e^eta) in np.logaddexp(0, eta)'s stable form, but several
     # times faster: numpy vectorises exp and log1p, not logaddexp
     tmp = np.copysign(eta, -1.0)
     np.log1p(np.exp(tmp, out=tmp), out=tmp)
     acc = np.maximum(eta, 0.0)
     acc += tmp
-    ll = float(yb @ eta) - float(acc.sum())
+    ll = float(_products.inner(yb, eta)) - float(acc.sum())
     mu = np.multiply(eta, 0.5, out=tmp)
     np.tanh(mu, out=mu)
     mu += 1.0
     mu *= 0.5
-    score = xb.T @ np.subtract(yb, mu, out=acc)
+    score = _products.column_sums(xb, np.subtract(yb, mu, out=acc))
     weight = np.subtract(1.0, mu, out=acc)
     weight *= mu
-    return ll, score, (xb * weight[:, None]).T @ xb
+    return ll, score, _products.gram(xb, weight[:, None])
 
 
 @functools.lru_cache(maxsize=None)
@@ -364,8 +367,8 @@ def fit(
     with _Passes(X, y) as evaluate:
         beta, ll, iterations, info = _newton(evaluate, X, names, max_iter)
     try:
-        vcov = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
+        vcov = _products.inverse(info)
+    except _products.LinAlgError:
         raise SingularDesignError("information matrix is singular at the optimum") from None
     vcov = (vcov + vcov.T) / 2.0
     return FittedModel(
@@ -406,8 +409,8 @@ def _newton(
                 trace=trace,
             )
         try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
+            step = _products.solve(info, score)
+        except _products.LinAlgError:
             raise SingularDesignError(
                 f"information matrix is singular at iteration {iterations + 1}"
             ) from None
@@ -453,9 +456,8 @@ def predict_prob(model: FittedModel, row) -> float | np.ndarray:
     (returns a vector). Probabilities are strictly inside (0, 1): saturated
     predictors are clamped to the nearest representable interior value."""
     arr = np.asarray(row, dtype=float)
-    eta = arr @ model.coefficients
-    prob = 0.5 * (1.0 + np.tanh(0.5 * eta))
-    prob = np.clip(prob, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+    prob = np.clip(_products.probabilities(arr, model.coefficients), np.finfo(float).tiny,
+                   np.nextafter(1.0, 0.0))
     if arr.ndim == 1:
         return float(prob)
     return prob

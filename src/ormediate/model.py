@@ -33,7 +33,7 @@ mediator model. ``_OutcomeAt`` and ``_MediatorAt`` take those sums once per
 profile, and every predictor, log odds ratio and odds is formed from them in
 one fixed order; the public ``linear_predictor`` and ``*_log_or`` methods and
 the effect, delta-method and oracle code all go through them, so a contrast
-costs six dot products however many predictors it needs.
+costs six row sums however many predictors it needs.
 
 The same two classes evaluate a batch of rows in one numpy pass: G draws of
 coefficient rows, each draw at its own profile. One parameter set at N
@@ -42,8 +42,9 @@ profiles (``infer_many`` over a report's profiles) is N draws of one row; a
 the jacobian suite runs, its central-difference points. The fields are then
 float64 columns instead of floats and the predictor expressions are
 unchanged, so each row gets the bits of the scalar path: elementwise
-arithmetic rounds as Python floats do, each row's sum is still one dot
-product, and exp and log go through ``math`` entry by entry (numpy's own
+arithmetic rounds as Python floats do, each row's sum has the bits of the
+scalar one (``_products``, which holds every product whose bits reach a
+report), and exp and log go through ``math`` entry by entry (numpy's own
 round differently). A failing batch raises the error of the first failing
 entry of the first failing column. ``infer_many`` then evaluates its rows
 one by one, so its error is the first failing row's; ``verify`` does not,
@@ -59,7 +60,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import _every_block
+from . import _every_block, _products
 from .exceptions import PredictorOverflowError, SchemaError
 from .record import Record, ValueRecord, _set
 
@@ -339,10 +340,6 @@ def _block(values, length: int, active: bool, name: str) -> np.ndarray:
     return arr
 
 
-def _dot(coefs: np.ndarray, values: Sequence[float]) -> float:
-    return float(np.dot(coefs, np.asarray(values, dtype=float)))
-
-
 class _Params(Record):
     """Validation, equality and vector packing shared by both parameter
     containers, driven by the class's block table. The fields are ``spec``
@@ -454,9 +451,8 @@ class _At:
     (:meth:`at_rows`) is coefficient rows at one profile per draw: one
     parameter set at N profiles (``infer_many`` over a report's profiles) and
     the central-difference points of many draws (the ``verify`` jacobian
-    suite) alike. Each row's sum rounds as the scalar path's
-    ``float(np.dot(block, c))``: a stacked product of single rows does, a
-    matrix product over the rows, ``einsum`` or an elementwise sum do not.
+    suite) alike. Each row's sum (``_products.row_sums``) has the bits of
+    the scalar path's (``_products.row_sum``).
     """
 
     __slots__ = ()
@@ -466,7 +462,7 @@ class _At:
     def __init__(self, params: "_Params", c: Sequence[float]):
         for b, name in zip(self.PARAMS.BLOCKS, self.FIELDS):
             value = getattr(params, b.attr)
-            setattr(self, name, _dot(value, c) if b.flag else value)
+            setattr(self, name, _products.row_sum(value, c) if b.flag else value)
 
     @classmethod
     def at_rows(cls, spec: ModelSpec, rows: np.ndarray, profiles: np.ndarray) -> "_At":
@@ -474,12 +470,8 @@ class _At:
         rows in layout order for each of G draws, and ``profiles`` (G, width)
         the profile of each draw. The fields are columns of length G M, draw
         by draw. A block the spec excludes is a block of zeros, as in the
-        parameters. Each block's sums are one stacked product of 1 x width
-        rows by width x 1 profiles: numpy's matmul runs each such product
-        through the dot routine ``np.dot`` runs on two vectors, so a row's
-        sum has the bits of its scalar ``float(np.dot(block, c))``. A block of
-        width 1 is a plain product, as ``np.dot`` takes it: the dot routine
-        adds it to 0.0 and so loses the sign of a -0.0."""
+        parameters. Each block's sums are one ``_products.row_sums`` of
+        1 x width rows by width x 1 profiles."""
         g, m, _ = rows.shape
         at = cls.__new__(cls)
         slices = dict(spec.layout(cls.PARAMS.BLOCKS))
@@ -491,10 +483,7 @@ class _At:
                 continue
             block = rows[:, :, sl] if sl is not None else np.zeros((g, m, c.shape[1]))
             block = np.ascontiguousarray(block).reshape(g * m, 1, -1)
-            if block.shape[2] == 1:  # np.dot multiplies two 1-vectors, keeping a -0.0
-                setattr(at, name, block[:, 0, 0] * c[:, 0, 0])
-            else:
-                setattr(at, name, (block @ c).reshape(-1))
+            setattr(at, name, _products.row_sums(block, c))
         return at
 
 

@@ -9,8 +9,8 @@ rows and probabilities are computed ``_DESIGN_ROWS`` rows at a time, and the
 uniforms are thresholded to 0/1 in their own buffers, which become the
 mediator and outcome columns; no temporary grows with n.  Blocks start at
 multiples of ``_DESIGN_ROWS`` and none is a lone row, so on one BLAS thread,
-as the CLI runs, each row's probability has the bits that one product over
-all n rows gives.
+as the CLI runs, each row's probability (``_products.probabilities``) has
+the bits that one product over all n rows gives.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from . import _products
 from .exceptions import SchemaError
 from .coefficients import Marginal  # re-exported: the coefficient documents carry marginals
 from .model import (
@@ -32,11 +33,6 @@ from .model import (
 )
 
 __all__ = ["Marginal", "simulate_dataset"]
-
-
-def _probs(design: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    eta = design @ coefs
-    return 0.5 * (1.0 + np.tanh(0.5 * eta))
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -83,9 +79,10 @@ def simulate_dataset(
     w = rng.random(n)
     y = rng.random(n)
     mediator_coefs, outcome_coefs = mediator.active_vector(), outcome.active_vector()
+    probs = _products.probabilities
     for rows in _row_blocks(n):  # each uniform becomes 1.0 below its probability, else 0.0
         xb, wb, yb = x[rows], w[rows], y[rows]
         cb = {name: c[rows] for name, c in covariates.items()}
-        np.less(wb, _probs(mediator_design(spec, xb, cb), mediator_coefs), out=wb)
-        np.less(yb, _probs(outcome_design(spec, xb, wb, cb), outcome_coefs), out=yb)
+        np.less(wb, probs(mediator_design(spec, xb, cb), mediator_coefs), out=wb)
+        np.less(yb, probs(outcome_design(spec, xb, wb, cb), outcome_coefs), out=yb)
     return Dataset(y=y, w=w, x=x, covariates=covariates)

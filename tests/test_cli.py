@@ -1190,12 +1190,16 @@ class TestStdoutWriteFailure:
     """A failed write to stdout ends in one ``ERROR 2`` line and exit 2, as a
     failed ``--output`` write does: inside the command when stdout is
     unbuffered or its text outgrows the buffer, at ``run``'s flush when the
-    text is still buffered."""
+    text is still buffered. ``--help`` and ``--version`` too, whose write
+    argparse would drop."""
 
     COMMANDS = {
         "verify": ["verify", "--count", 1],
         "effects": ["effects", "--coef-file", "microcredit_table1"],
         "simulate": ["simulate", "--coef-file", "microcredit_table1", "--n", 10],
+        "help": ["--help"],
+        "version": ["--version"],
+        "fit-help": ["fit", "--help"],
     }
 
     @staticmethod
@@ -1252,6 +1256,19 @@ class TestStdoutWriteFailure:
                            text=True, env=self._env(False))
         self._check(proc, "[Errno 28] No space left on device")
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["help", "version", "fit-help"])
+    def test_help_and_version_to_a_working_stdout(self, capsys, command, unbuffered):
+        """Their text and exit 0 are main's, buffered or not."""
+        with pytest.raises(SystemExit) as exc:
+            main(self.COMMANDS[command])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        proc = _script("package", *self.COMMANDS[command], capture_output=True, text=True,
+                       env=self._env(unbuffered))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
+        assert text.startswith("usage: ormediate" if "help" in command else "ormediate 0.1")
 
     def test_an_earlier_error_is_the_only_line(self, tmp_path):
         """Text held in the buffer when ``--output`` cannot be written: the

@@ -97,8 +97,8 @@ def test_module_imports_on_its_own(module):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_the_package_has_fifteen_modules():
-    assert len(MODULES) == 15
+def test_the_package_has_sixteen_modules():
+    assert len(MODULES) == 16
 
 
 @pytest.mark.parametrize("path", sorted(Path(ormediate.__file__).parent.glob("*.py")),
@@ -112,14 +112,23 @@ class TestCommandImports:
     def test_importing_the_cli_loads_no_numpy(self):
         proc = _child("import os, sys; before = dict(os.environ); import ormediate.cli; "
                       "assert 'numpy' not in sys.modules, 'numpy'; "
+                      "assert 'ormediate._products' not in sys.modules, '_products'; "
                       "assert dict(os.environ) == before, 'environ'")
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_load_no_numpy(self, flag):
         loaded, changed = _loaded(flag)
-        assert "numpy" not in loaded and "ormediate.model" not in loaded
+        assert not loaded & {"numpy", "ormediate.model", "ormediate._products"}
         assert not changed
+
+    def test_the_products_module_imports_nothing_from_the_package(self):
+        """``_products`` is numpy alone, so each command's list of modules
+        grows by it and nothing else."""
+        proc = _child("import sys, ormediate._products; "
+                      "print(sorted(m for m in sys.modules if m.startswith('ormediate')))")
+        assert proc.returncode == 0, proc.stderr
+        assert ast.literal_eval(proc.stdout) == ["ormediate", "ormediate._products"]
 
     def test_effects_loads_no_oracle_verify_or_simulate(self):
         loaded, changed = _loaded("effects", "--coef-file", "microcredit_table1")

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ormediate import Contrast, model
+from ormediate import Contrast, _products
 from ormediate.effects import grad_a_term, jacobian_log_effects
 from ormediate.effects import approx_effects, natural_effects
 from ormediate.oracle import g_y_check, tables_from_params
@@ -96,12 +96,12 @@ class TestProfileSumsOnce:
     def test_at_most_six_dot_products_per_call(self, monkeypatch, evaluate):
         _, outcome, mediator, contrast = random_problem(np.random.default_rng(5), 2, 2)
         calls = []
-        dot = model._dot
+        dot = _products.row_sum
 
         def counting_dot(coefs, values):
             calls.append(1)
             return dot(coefs, values)
 
-        monkeypatch.setattr(model, "_dot", counting_dot)
+        monkeypatch.setattr(_products, "row_sum", counting_dot)
         evaluate(outcome, mediator, contrast)
         assert len(calls) <= 6

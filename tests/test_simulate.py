@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ormediate import simulate
+from ormediate import _products, simulate
 from ormediate import (
     Contrast,
     CovariateProfile,
@@ -185,13 +185,13 @@ def _columns(data: Dataset) -> list[bytes]:
 def _bits(models, n: int, seed: int, rows: int) -> tuple[list[bytes], list[bytes]]:
     """The columns of an n-row draw in blocks of `rows` rows, and each
     model's probabilities in row order."""
-    probs, got = simulate._probs, []
-    simulate._probs = lambda design, coefs: got.append(probs(design, coefs)) or got[-1]
+    probs, got = _products.probabilities, []
+    _products.probabilities = lambda design, coefs: got.append(probs(design, coefs)) or got[-1]
     simulate._DESIGN_ROWS = rows
     try:
         data = _draw(models, n, seed)
     finally:
-        simulate._probs, simulate._DESIGN_ROWS = probs, B
+        _products.probabilities, simulate._DESIGN_ROWS = probs, B
     return _columns(data), [np.concatenate(got[i::2]).tobytes() for i in (0, 1)]
 
 
