@@ -95,11 +95,23 @@ def _every_block(test, arr, rows: int) -> bool:
     return all(test(arr[start : start + rows]).all() for start in range(0, len(arr), rows))
 
 
+def _ranges(units: int, least: int, cpus: int) -> list[range]:
+    """The contiguous ranges of `units` units that forked processes share out:
+    one per usable CPU, each of at least `least` units, cut at units*i//count;
+    one range where there is no fork. No range is empty unless units is 0."""
+    count = max(1, min(cpus, units // least)) if hasattr(os, "fork") else 1
+    return [range(units * i // count, units * (i + 1) // count) for i in range(count)]
+
+
 class _Children:
-    """The forked children of one call, for work cut into ranges: the CSV
-    reader's and writer's and the IRLS passes'. On leaving the `with`, a
-    child not yet reaped is no longer wanted: it is killed, and every child
-    is reaped.
+    """The forked children of one call, for work cut into `_ranges`: the CSV
+    reader's, the CSV writer's and the IRLS passes'. A reader child and a
+    pass worker each talk to the parent over a socket pair of their own, made
+    by `connect`. Every child closes the parent ends of the earlier ones as
+    it starts: a child that held one would keep that child's input open, and
+    a worker that reads to the end of its input would never leave. On
+    leaving the `with`, the parent ends are closed, and a child not yet
+    reaped is no longer wanted: it is killed, and every child is reaped.
 
     A child leaves only through os._exit, so it runs no exit handler and
     flushes no buffer it shares with the parent, and its work writes nothing
@@ -111,6 +123,7 @@ class _Children:
 
     def __init__(self):
         self._running: list[int] = []
+        self._ends: list = []  # the parent's end of each connected child's socket pair
 
     def fork(self, work, *args) -> int | None:
         """Run work(*args) in a child that exits 0 if it returns true; None if
@@ -125,11 +138,42 @@ class _Children:
         if pid == 0:
             code = 1
             try:
+                for end in self._ends:
+                    end.close()
                 code = 0 if work(*args) else 1
             finally:
                 os._exit(code)
         self._running.append(pid)
         return pid
+
+    def connect(self, work, *args) -> tuple[int, object] | None:
+        """Run work(end, *args) in a child, as `fork` does, where `end` is the
+        child's end of a new socket pair: the child's pid and the parent's
+        end, or None if no child could start."""
+        import socket
+
+        try:
+            ours, theirs = socket.socketpair()
+        except OSError:
+            return None
+        self._ends.append(ours)
+        with theirs:
+            pid = self.fork(work, theirs, *args)
+        return None if pid is None else (pid, ours)
+
+    @staticmethod
+    def send(end, data) -> None:
+        """All of `data` to a connected end; OSError, not SIGPIPE, once it is closed."""
+        import socket
+
+        end.sendall(data, socket.MSG_NOSIGNAL)
+
+    @staticmethod
+    def receive(end, buffer) -> int:
+        """Fill `buffer` from a connected end: fewer bytes only where its input ends."""
+        import socket
+
+        return end.recv_into(buffer, 0, socket.MSG_WAITALL)
 
     def reap(self, pid: int | None) -> bool:
         """Wait for a child; True if its work succeeded."""
@@ -144,6 +188,8 @@ class _Children:
     def __exit__(self, *exc) -> None:
         import signal
 
+        for end in self._ends:
+            end.close()
         for pid in self._running:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

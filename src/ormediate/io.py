@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _Children, _usable_cpus
+from . import _Children, _ranges, _usable_cpus
 from .coefficients import (
     COEFFICIENT_FORMAT,
     CoefficientSet,
@@ -84,13 +84,14 @@ def read_table(path: str | Path) -> dict[str, np.ndarray]:
     """Read a UTF-8 comma-delimited file with a header row into named float columns.
 
     The file is streamed once to count its lines and then cut into ranges of
-    whole lines, one per available CPU.  Each process reads and parses its own
-    range in one `np.loadtxt` call, all but the first in a forked child that
-    sends its rows column by column, so no process holds the whole file.  A
-    CPU limit (`taskset`, a cgroup cpuset) gives fewer processes; a limit of
-    one CPU gives one.  The columns are the rows of one C-contiguous
-    (width, n) array, which each child's rows are read straight into, so the
-    reading process peaks at the columns plus its own range's text and rows.
+    whole lines, as many as `ormediate._ranges` gives its rows.  Each process
+    reads and parses its own range in one `np.loadtxt` call, all but the first
+    in a child of `_Children.connect` that sends its rows column by column, so
+    no process holds the whole file.  A CPU limit (`taskset`, a cgroup cpuset)
+    gives fewer processes; a limit of one CPU gives one.  The columns are the
+    rows of one C-contiguous (width, n) array, which each child's rows are
+    read straight into, so the reading process peaks at the columns plus its
+    own range's text and rows.
     Where any result could differ from the per-line parser's (any ValueError,
     a row count that shows a skipped blank line, or a child that failed), the
     file is read again line by line, which also words every error message.
@@ -143,38 +144,33 @@ def _parse(path: Path) -> tuple[list[str], np.ndarray] | None:
         size = raw.seek(0, os.SEEK_END)
         raw.seek(start)
         newlines = sum(chunk.count(b"\n") for chunk in iter(lambda: raw.read(_READ_BYTES), b""))
-        first, *rest = _line_ranges(raw, start, size, _range_count(newlines))
+        parts = len(_ranges(newlines, _MIN_RANGE_ROWS, _usable_cpus()))
+        first, *rest = _line_ranges(raw, start, size, parts)
     width = len(header)
     try:
-        with ExitStack() as stack:
-            children = stack.enter_context(_Children())
-            received = []
-            for lo, hi in rest:
-                read_end, write_end = os.pipe()
-                with open(write_end, "wb") as sink:
-                    pid = children.fork(_send_rows, sink, path, lo, hi, width)
-                received.append((pid, stack.enter_context(open(read_end, "rb"))))
+        with _Children() as children:
+            received = [children.connect(_send_rows, path, lo, hi, width) for lo, hi in rest]
             matrix = _load_body(_read_range(path, *first), width)
-            if matrix is None:
+            if matrix is None or None in received:  # or a child that could not start
                 return None
             counts = [len(matrix)]
-            for _, stream in received:
-                count = stream.read(_COUNT_BYTES)
-                if len(count) != _COUNT_BYTES:  # the child failed before its rows
+            head = bytearray(_COUNT_BYTES)
+            for _, end in received:
+                if _Children.receive(end, head) != _COUNT_BYTES:  # the child failed before its rows
                     return None
-                counts.append(int.from_bytes(count, "little"))
+                counts.append(int.from_bytes(head, "little"))
             columns = np.empty((width, sum(counts)))
             columns[:, : counts[0]] = matrix.T
             del matrix
             lo = counts[0]
-            for (pid, stream), count in zip(received, counts[1:]):
+            for (pid, end), count in zip(received, counts[1:]):
                 for column in columns[:, lo : lo + count]:
-                    if stream.readinto(column) != column.nbytes:
+                    if _Children.receive(end, column) != column.nbytes:
                         return None
                 if not children.reap(pid):
                     return None
                 lo += count
-    except OSError:  # a pipe that could not be made or read
+    except OSError:  # a channel that could not be read
         return None
     return header, columns
 
@@ -185,16 +181,15 @@ def _read_range(path: Path, lo: int, hi: int) -> bytes:
         return raw.read(hi - lo)
 
 
-def _send_rows(sink, path: Path, lo: int, hi: int, width: int) -> bool:
+def _send_rows(end, path: Path, lo: int, hi: int, width: int) -> bool:
     """A reader child's work: parse bytes lo to hi of the file, then send the
-    row count and each float64 column in turn."""
+    row count and each float64 column in turn to `end`."""
     matrix = _load_body(_read_range(path, lo, hi), width)
     if matrix is None:
         return False
-    sink.write(len(matrix).to_bytes(_COUNT_BYTES, "little"))
+    _Children.send(end, len(matrix).to_bytes(_COUNT_BYTES, "little"))
     for column in matrix.T:
-        sink.write(np.ascontiguousarray(column).data)
-    sink.flush()
+        _Children.send(end, np.ascontiguousarray(column))
     return True
 
 
@@ -244,11 +239,12 @@ def _read_rows(path: Path) -> tuple[list[str], np.ndarray]:
 def write_table(path: str | Path, columns: Mapping[str, np.ndarray]) -> None:
     """Write named float columns as UTF-8 CSV; `repr` floats round-trip exactly.
 
-    A large table is cut into row ranges, one per available CPU, and each
-    range is formatted by its own process: all but the first by a forked
-    child, into an unlinked file beside `path` that is then appended.  A CPU
-    limit (`taskset`, a cgroup cpuset) gives fewer processes; a limit of one
-    CPU gives one.  The bytes never depend on the number of processes.
+    A large table is cut into the row ranges of `ormediate._ranges`, one per
+    available CPU, and each range is formatted by its own process: all but
+    the first by a child of `_Children.fork`, into an unlinked file beside
+    `path` that is then appended.  A CPU limit (`taskset`, a cgroup cpuset)
+    gives fewer processes; a limit of one CPU gives one.  The bytes never
+    depend on the number of processes.
     """
     names = list(columns)
     if not names:
@@ -258,11 +254,11 @@ def write_table(path: str | Path, columns: Mapping[str, np.ndarray]) -> None:
     if any(arr.ndim != 1 for arr in arrays) or len(lengths) != 1:
         raise SchemaError("table columns must be 1-d arrays of a single length")
     path = Path(path)
-    n = len(arrays[0])
+    ranges = _ranges(len(arrays[0]), _MIN_RANGE_ROWS, _usable_cpus())
     try:
         with path.open("w", encoding="utf-8", newline="") as handle:
             csv.writer(handle, lineterminator="\n").writerow(names)
-            _write_ranges(handle, path.parent, arrays, _row_ranges(n, _range_count(n)))
+            _write_ranges(handle, path.parent, arrays, ranges)
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc}") from exc
 
@@ -278,33 +274,33 @@ def _write_ranges(handle, directory: Path, arrays: list[np.ndarray], ranges) -> 
     with ExitStack() as stack:
         children = stack.enter_context(_Children())
         forked = []
-        for lo, hi in rest:
+        for rows in rest:
             try:
                 part = stack.enter_context(tempfile.TemporaryFile(dir=directory))
             except OSError:
-                forked.append((lo, hi, None, None))
+                forked.append((rows, None, None))
                 continue
-            forked.append((lo, hi, part, children.fork(_format_rows, part, arrays, lo, hi)))
-        _write_rows(handle, arrays, *first)
-        for lo, hi, part, pid in forked:
+            forked.append((rows, part, children.fork(_format_rows, part, arrays, rows)))
+        _write_rows(handle, arrays, first)
+        for rows, part, pid in forked:
             if children.reap(pid):
                 handle.flush()
                 part.seek(0)
                 shutil.copyfileobj(part, handle.buffer)
             else:
-                _write_rows(handle, arrays, lo, hi)
+                _write_rows(handle, arrays, rows)
 
 
-def _format_rows(part, arrays: list[np.ndarray], lo: int, hi: int) -> bool:
-    """A writer child's work: rows lo to hi into the file `part`."""
+def _format_rows(part, arrays: list[np.ndarray], rows: range) -> bool:
+    """A writer child's work: its rows into the file `part`."""
     with open(part.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:
-        _write_rows(out, arrays, lo, hi)
+        _write_rows(out, arrays, rows)
     return True
 
 
-def _write_rows(handle, arrays: list[np.ndarray], lo: int, hi: int) -> None:
-    for start in range(lo, hi, _WRITE_ROWS):
-        stop = min(start + _WRITE_ROWS, hi)
+def _write_rows(handle, arrays: list[np.ndarray], rows: range) -> None:
+    for start in rows[::_WRITE_ROWS]:
+        stop = min(start + _WRITE_ROWS, rows.stop)
         block = [_column_strings(arr[start:stop]) for arr in arrays]
         handle.write("\n".join(map(",".join, zip(*block))))
         handle.write("\n")
@@ -315,20 +311,6 @@ def _column_strings(arr: np.ndarray) -> list[str]:
     if np.all((arr == 0.0) | (arr == 1.0)) and not np.signbit(arr).any():
         return list(map(("0.0", "1.0").__getitem__, arr.astype(np.intp).tolist()))
     return list(map(repr, arr.tolist()))
-
-
-def _range_count(rows: int) -> int:
-    """Processes for a table of `rows` rows: one per usable CPU, with at least
-    _MIN_RANGE_ROWS rows each, and one where there is no fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_usable_cpus(), rows // _MIN_RANGE_ROWS))
-
-
-def _row_ranges(n: int, count: int) -> list[tuple[int, int]]:
-    """Up to `count` contiguous, nonempty ranges of n rows; (0, 0) for none."""
-    edges = sorted({n * i // count for i in range(count + 1)})
-    return list(zip(edges, edges[1:])) or [(0, n)]
 
 
 def _line_ranges(raw, start: int, size: int, count: int) -> list[tuple[int, int]]:

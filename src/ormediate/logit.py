@@ -12,7 +12,8 @@ is 1/2 and its weight 1/4, and a block adds X'(y - 1/2), 0.25 X'X and a
 log-likelihood that depends only on its length, taken once per length from a
 run of the general pass; the bits are the general pass's. The blocks of a
 large design are shared out among worker processes, one per usable CPU,
-forked once per fit; their sums come back as float64 bytes and are added in
+forked once per fit by ``ormediate._Children``, which cuts the ranges and
+connects each worker; their sums come back as float64 bytes and are added in
 block order, so the bits do not depend on how many workers there are, and a
 worker that fails leaves its blocks to the fitting process. Each block's
 products, the Newton solve, the covariance inverse and the rank check are
@@ -37,7 +38,7 @@ from contextlib import ExitStack
 
 import numpy as np
 
-from . import _Children, _every_block, _products, _usable_cpus
+from . import _Children, _every_block, _products, _ranges, _usable_cpus
 from .exceptions import (
     ConvergenceError,
     NumericalError,
@@ -122,10 +123,11 @@ class _Passes:
     one read of the design in blocks of ``_BLOCK_ROWS`` rows.
 
     Each block's predictor, probabilities and weighted rows are formed while
-    the block is in cache, so no n-length temporary is made. The blocks are
-    cut into one contiguous range per usable CPU, with at least
-    ``_WORKER_BLOCKS`` blocks in each. Entering the ``with`` forks a worker
-    process for each range but the first. A pass sends ``beta`` to the
+    the block is in cache, so no n-length temporary is made. ``_ranges``
+    cuts the blocks into one contiguous range per usable CPU, with at least
+    ``_WORKER_BLOCKS`` blocks in each. Entering the ``with`` starts a worker
+    process for each range but the first through ``_Children.connect``,
+    which gives each worker a channel of its own. A pass sends ``beta`` to the
     workers, computes the first range in the caller, and reads each block's
     sums from the workers as float64 bytes; the caller adds them in block
     order, so the result does not depend on the number of workers and a
@@ -142,43 +144,24 @@ class _Passes:
     def __init__(self, X: np.ndarray, y: np.ndarray):
         self._X, self._y = X, y
         starts = range(0, len(y), _BLOCK_ROWS)
-        count = max(1, min(_usable_cpus(), len(starts) // _WORKER_BLOCKS))
-        self._ranges = [starts[len(starts) * i // count : len(starts) * (i + 1) // count]
-                        for i in range(count)]
-        # (pid, socket) of each range's worker; None where the caller computes
-        self._workers: list = [None] * count
+        self._ranges = [starts[blocks.start : blocks.stop]
+                        for blocks in _ranges(len(starts), _WORKER_BLOCKS, _usable_cpus())]
+        # (pid, parent end) of each range's worker; None where the caller computes
+        self._workers: list = [None] * len(self._ranges)
         self._children = _Children()
 
     def __enter__(self) -> "_Passes":
         with ExitStack() as stack:
             stack.push(self)  # reaps the workers forked so far if a fork raises
             for i in range(1, len(self._ranges)):
-                self._workers[i] = self._start(self._ranges[i])
+                self._workers[i] = self._children.connect(self._serve, self._ranges[i])
             stack.pop_all()
         return self
 
-    def _start(self, blocks: range) -> tuple[int, object] | None:
-        """A worker for ``blocks``: its pid and the caller's end of its socket,
-        or None where none could start."""
-        import socket
-
-        try:
-            ours, theirs = socket.socketpair()
-        except OSError:
-            return None
-        with theirs:
-            pid = self._children.fork(self._serve, blocks, theirs, ours)
-        if pid is None:
-            ours.close()
-            return None
-        return pid, ours
-
     def __exit__(self, kind, *exc) -> None:
-        live = [worker for worker in self._workers if worker is not None]
-        for _, sock in live:
-            sock.close()
-        if kind is None:  # each worker leaves at the end of its input
-            for pid, _ in live:
+        if kind is None:  # each worker leaves at the end of its input, which no other holds
+            for pid, end in filter(None, self._workers):
+                end.close()
                 self._children.reap(pid)
         self._children.__exit__(kind, *exc)
 
@@ -204,10 +187,8 @@ class _Passes:
         return ll, score, info
 
     def _send(self, i: int, task: bytes) -> None:
-        import socket
-
         try:
-            self._workers[i][1].sendall(task, socket.MSG_NOSIGNAL)
+            _Children.send(self._workers[i][1], task)
         except OSError:
             self._lose(i)
 
@@ -217,11 +198,9 @@ class _Passes:
         worker = self._workers[i]
         if worker is None:
             return None
-        import socket
-
         sums = np.empty(shape)
         try:
-            if worker[1].recv_into(sums, sums.nbytes, socket.MSG_WAITALL) == sums.nbytes:
+            if _Children.receive(worker[1], sums) == sums.nbytes:
                 return sums
         except OSError:
             pass
@@ -230,27 +209,18 @@ class _Passes:
 
     def _lose(self, i: int) -> None:
         """Take range ``i`` from its worker for good; leaving the ``with``
-        kills and reaps it."""
-        self._workers[i][1].close()
+        closes its end, kills it and reaps it."""
         self._workers[i] = None
 
-    def _serve(self, blocks: range, sock, ours) -> bool:
+    def _serve(self, end, blocks: range) -> bool:
         """A worker's loop: the sums of ``blocks`` at each task read from
-        ``sock``, sent back as float64s; True at the end of its input. The
-        caller's sockets are closed first, so that the caller's exit ends
-        the input of every worker."""
-        import socket
-
-        ours.close()
-        for worker in self._workers:
-            if worker is not None:
-                worker[1].close()
+        ``end``, sent back as float64s; True at the end of its input."""
         warnings.simplefilter("error")
         k = self._X.shape[1]
         task = bytearray(8 * k + len(_ERR_KINDS))
         sums = np.empty((len(blocks), 1 + k + k * k))
         while True:
-            got = sock.recv_into(task, len(task), socket.MSG_WAITALL)
+            got = _Children.receive(end, task)
             if got < len(task):
                 return got == 0
             beta = np.frombuffer(task, count=k).copy()
@@ -260,7 +230,7 @@ class _Passes:
                 for row, start in zip(sums, blocks):
                     ll, score, info = _block_sums(self._X, self._y, beta, start)
                     row[0], row[1 : k + 1], row[k + 1 :] = ll, score, info.ravel()
-            sock.sendall(sums, socket.MSG_NOSIGNAL)
+            _Children.send(end, sums)
 
 
 def _block_sums(

@@ -25,7 +25,7 @@ from ormediate import (
     infer,
     simulate_dataset,
 )
-from ormediate import cli, coefficients
+from ormediate import _Children, cli, coefficients
 from ormediate import io as table_io
 from ormediate.model import MEDIATOR_BLOCKS, OUTCOME_BLOCKS
 from ormediate.io import (
@@ -192,7 +192,26 @@ R = table_io._MIN_RANGE_ROWS
 
 
 def _ranges(monkeypatch, count):
-    monkeypatch.setattr(table_io, "_range_count", lambda rows: count)
+    """Tables cut into `count` ranges from now on, or into one per row where
+    they have fewer rows."""
+    monkeypatch.setattr(table_io, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(table_io, "_MIN_RANGE_ROWS", 1)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """The pids of the children forked from now on, in order."""
+    pids: list[int] = []
+    fork = _Children.fork
+
+    def recording(self, *args):
+        pid = fork(self, *args)
+        if pid is not None:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(_Children, "fork", recording)
+    return pids
 
 
 def _split_columns(n):
@@ -223,31 +242,34 @@ class TestRangeSplit:
 
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("n", [0, 1, R - 1, R, R + 1, 2 * R + 1])
-    def test_write_bytes_equal_one_range(self, tmp_path, monkeypatch, count, n):
+    def test_write_bytes_equal_one_range(self, tmp_path, monkeypatch, forks, count, n):
         cols = _split_columns(n)
         _ranges(monkeypatch, 1)
         write_table(tmp_path / "one.csv", cols)
+        assert forks == []
         _ranges(monkeypatch, count)
         write_table(tmp_path / "split.csv", cols)
+        assert len(forks) == max(1, min(count, n)) - 1
         no_child_left()
         assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
-    def test_children_format_all_but_the_first_range(self, tmp_path, monkeypatch):
+    def test_children_format_all_but_the_first_range(self, tmp_path, monkeypatch, forks):
         # the parent formats one range; a failed child's range it formats again
         calls = []
         write_rows = table_io._write_rows
-        monkeypatch.setattr(table_io, "_write_rows", lambda *a: calls.append(a[2:]) or write_rows(*a))
+        monkeypatch.setattr(table_io, "_write_rows", lambda *a: calls.append(a[2]) or write_rows(*a))
         cols = _split_columns(2 * R + 1)
         _ranges(monkeypatch, 1)
         write_table(tmp_path / "one.csv", cols)
         _ranges(monkeypatch, 3)
         calls.clear()
         write_table(tmp_path / "split.csv", cols)
-        assert calls == [(0, (2 * R + 1) // 3)]
+        assert calls == [range(0, (2 * R + 1) // 3)]
+        assert len(forks) == 2
         monkeypatch.setattr(table_io, "_format_rows", lambda *a: False)
         calls.clear()
         write_table(tmp_path / "failed.csv", cols)
-        assert len(calls) == 3
+        assert len(calls) == 3 and len(forks) == 4
         no_child_left()
         one = (tmp_path / "one.csv").read_bytes()
         assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "failed.csv").read_bytes() == one
@@ -261,7 +283,7 @@ class TestRangeSplit:
         '"a\nb",c\n' + _BODY,
         "a,b\n" + _BODY[:-1],
     ], ids=["lf", "crlf", "cr", "bom", "multiline-header", "no-final-newline"])
-    def test_read_arrays_equal_one_range(self, tmp_path, monkeypatch, count, text):
+    def test_read_arrays_equal_one_range(self, tmp_path, monkeypatch, forks, count, text):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("utf-8"))
         monkeypatch.setattr(table_io, "_read_rows", None)  # no fallback
@@ -269,6 +291,8 @@ class TestRangeSplit:
         one = read_table(path)
         _ranges(monkeypatch, count)
         split = read_table(path)
+        # a file with no \n is one range, as its lines are cut at \n alone
+        assert len(forks) == (count - 1 if "\n" in text else 0)
         no_child_left()
         assert list(split) == list(one) and len(one) == 2
         for name in one:
@@ -325,7 +349,8 @@ class TestRangeSplit:
         no_child_left()
         assert str(got.value) == _per_line_error(path)
 
-    def test_a_failed_reader_child_reads_the_whole_file_again(self, tmp_path, monkeypatch):
+    def test_a_failed_reader_child_reads_the_whole_file_again(self, tmp_path, monkeypatch,
+                                                               forks):
         path = tmp_path / "t.csv"
         path.write_bytes(("a,b\n" + _BODY).encode())
         _ranges(monkeypatch, 3)
@@ -335,7 +360,7 @@ class TestRangeSplit:
         monkeypatch.setattr(table_io, "_read_rows", lambda p: fallbacks.append(p) or rows(p))
         back = read_table(path)
         no_child_left()
-        assert fallbacks == [path]
+        assert fallbacks == [path] and len(forks) == 2
         assert back["a"].tolist() == [i + 0.5 for i in range(60)]
 
 
@@ -361,10 +386,12 @@ class TestReadMemory:
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_columns_are_contiguous_and_average_as_copies_do(self, tmp_path, monkeypatch,
-                                                             count):
+                                                             forks, count):
         path, cols = _long_table(tmp_path)
         _ranges(monkeypatch, count)
+        forks.clear()
         back = read_table(path)
+        assert len(forks) == count - 1
         no_child_left()
         assert list(back) == list(cols)
         for name, values in cols.items():

@@ -67,6 +67,56 @@ def test_microcredit_document_bytes():
     assert _digest([_doc_bytes(doc)]) == GOLDEN["microcredit_table1"]
 
 
+def _symmetric(upper) -> np.ndarray:
+    """The symmetric matrix whose upper triangle, row by row, is `upper`."""
+    matrix = np.empty((len(upper),) * 2)
+    for i, row in enumerate(upper):
+        matrix[i, i:] = matrix[i:, i] = row
+    return matrix
+
+
+# the covariances a @ a.T and b @ b.T of the test's next 12x12 and 6x6
+# standard normal draws, as OpenBLAS's SkylakeX kernel rounded them when the
+# digest was taken. Written out, they reach the document through no BLAS
+# kernel, whose summation order differs from host to host.
+_OUTCOME_VCOV = _symmetric([
+    [10.242120212862059, 2.223498837207741, 1.368042000133717, 2.735067168468838,
+     0.4034572084051945, -6.374135261415795, -4.924404034045999, 2.2015849470693705,
+     0.12610938252231763, -2.9356819837640016, 3.3803259135362875, -2.579695155323975],
+    [10.945411548314379, 1.9225984017229922, 8.781100929814691, 2.4426545773016266,
+     3.75039706156353, -2.1706284883220186, -1.0827053631846002, -1.7444376896247145,
+     1.6846860777833508, -3.830152436075743, 0.05650774535815595],
+    [13.121550885202517, -5.816174221664307, -3.8045419649759324, -3.3315333790571104,
+     4.597861808718014, 4.411987797779119, 1.0942538941797095, -3.7377912705489384,
+     -1.216336737290722, 4.290659973934259],
+    [17.40924686017365, 3.6954699612620914, 1.0398072724757124, 0.3165886066144644,
+     -5.910233544577792, -6.372711768698472, 2.1869136202206794, -1.0975339741234227,
+     -8.276141831364956],
+    [7.951097457475287, 1.9821546744596719, -3.8438731224196245, -3.21662491789855,
+     -2.167881742750361, 1.0270854255266935, -4.733225468088335, 1.1561266039761886],
+    [14.671353968209631, -6.533365631299483, -1.238039774280149, -0.5092928584745138,
+     2.7960562620791176, -1.8539326875664153, 7.956855980277689],
+    [16.02350510478589, -2.372458222770952, -0.9076379091301516, 0.5983690819070178,
+     -1.9860702966230068, -5.871176106152822],
+    [10.091548841163904, 0.5020842935249268, -0.8231198572026307, 2.46261536655491,
+     5.850495252197253],
+    [11.336667381338227, -1.9249202756922172, -1.556326735217842, 0.07876280349799414],
+    [5.034633835431574, -0.9822531547017869, -0.9917431365203244],
+    [10.404137914750176, -2.3972591678930453],
+    [15.702227139353148],
+])
+_MEDIATOR_VCOV = _symmetric([
+    [4.670345122866431, -1.4585734503269874, 0.03232095064628422, -2.1085369903740587,
+     -0.9878874382631652, -3.4733462297013538],
+    [2.688566858720056, -0.38665720335171644, 2.4110950413865573, -1.6981282867701535,
+     3.6948980226170582],
+    [1.5910404304268446, -1.0470084885177287, -0.25340286006700385, 1.179125332320247],
+    [5.026162785195718, 1.5796372492498505, 3.9131931039769423],
+    [6.41274022039576, -1.9306828658137767],
+    [8.476414445463892],
+])
+
+
 def test_all_blocks_document_bytes():
     spec = ModelSpec(
         z_names=("age", "edu"), v_names=("edu", "inc"),
@@ -75,14 +125,12 @@ def test_all_blocks_document_bytes():
     rng = np.random.default_rng(6061)
     outcome = OutcomeParams.from_vector(spec, rng.normal(size=spec.n_outcome_coefs))
     mediator = MediatorParams.from_vector(spec, rng.normal(size=spec.n_mediator_coefs))
-    a = rng.normal(size=(spec.n_outcome_coefs,) * 2)
-    b = rng.normal(size=(spec.n_mediator_coefs,) * 2)
     doc = coefficients_to_doc(CoefficientSet(
         spec,
         outcome,
         mediator,
-        outcome_vcov=a @ a.T,
-        mediator_vcov=b @ b.T,
+        outcome_vcov=_OUTCOME_VCOV,
+        mediator_vcov=_MEDIATOR_VCOV,
         exposure_levels=(1.5, -0.25),
         profiles=(("p1", CovariateProfile(z=(41.0, 1.0), v=(1.0, -2.5))),),
     ))
